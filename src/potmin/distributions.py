@@ -10,6 +10,7 @@ marked read-only.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,24 +49,98 @@ class LabeledPoint:
 
 
 def _merge_duplicates(xs, ys, weights):
-    """Sum weights of atoms with identical (x, y), keeping first-seen order."""
-    index_of: dict = {}
-    order: list[int] = []
-    merged = np.array(weights)
-    keep = np.ones(len(ys), dtype=bool)
-    for i in range(len(ys)):
-        key = (int(ys[i]), (xs[i] + 0.0).tobytes())  # +0.0 folds -0.0 into 0.0
-        j = index_of.get(key)
-        if j is None:
-            index_of[key] = i
-            order.append(i)
-        else:
-            merged[j] += merged[i]
-            keep[i] = False
-    if keep.all():
+    """Sum weights of atoms with identical (x, y), keeping first-seen order.
+
+    Each row (y, x + 0.0) is one fixed-width byte key (+0.0 folds -0.0
+    into 0.0).  A stable sort puts equal keys next to each other with the
+    first-seen row of each group first.  Weights are summed by np.add.at
+    in row order starting from 0.0, so every sum is the one a sequential
+    loop over the rows would make, bit for bit.
+    """
+    n, d = xs.shape
+    keys = np.empty((n, d + 1))
+    keys[:, 0] = ys
+    np.add(xs, 0.0, out=keys[:, 1:])
+    rows = keys.view(np.dtype((np.void, keys.itemsize * (d + 1)))).ravel()
+    order = rows.argsort(kind="stable")
+    ranked = rows[order]
+    repeats = ranked[1:] == ranked[:-1]
+    if not repeats.any():
         return xs, ys, weights
-    idx = np.array(order)
-    return xs[idx], ys[idx], merged[idx]
+    starts = np.concatenate(([True], ~repeats))
+    first = order[starts]            # first-seen row of each group
+    by_first = first.argsort()
+    rank = np.empty_like(by_first)   # group -> position in first-seen order
+    rank[by_first] = np.arange(len(first))
+    group = np.empty_like(order)     # row -> its merged atom
+    group[order] = rank[np.cumsum(starts) - 1]
+    merged = np.zeros(len(first))
+    np.add.at(merged, group, weights)
+    keep = first[by_first]
+    return xs[keep], ys[keep], merged
+
+
+def _read_labeled_csv(path, tail: tuple[str, ...], header_name: str):
+    """Parse a CSV with header x1,...,xd followed by ``tail`` (which starts with y).
+
+    Returns d and the (n, d + len(tail)) float table, n >= 0, with every
+    label in column d checked to be -1 or 1.  Empty lines are skipped;
+    every error names the file and its physical line.
+    """
+    path = Path(path)
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty file")
+        header = [c.strip() for c in first.split(",")]
+        d = len(header) - len(tail)
+        if d < 1 or header != [f"x{j + 1}" for j in range(d)] + list(tail):
+            raise ValueError(f"{path}: {header_name} must be x1,...,xd,{','.join(tail)}")
+        ncols = len(header)
+        with warnings.catch_warnings():
+            # a header-only file is reported by the caller, in its own words
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as err:
+                raise _csv_error(path, d, ncols, str(err)) from err
+    if table.size == 0:
+        return d, np.empty((0, ncols))
+    if table.shape[1] != ncols:
+        raise _csv_error(path, d, ncols, f"expected {ncols} fields")
+    if not np.all(np.abs(table[:, d]) == 1.0):
+        raise _csv_error(path, d, ncols, "label must be -1 or 1")
+    return d, table
+
+
+def _is_number(field: str) -> bool:
+    # float() also takes digit-group underscores, which np.loadtxt rejects
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return "_" not in field
+
+
+def _csv_error(path: Path, d: int, ncols: int, cause: str) -> ValueError:
+    """Rescan a CSV body that failed a check, to name its first bad line."""
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != ncols:
+                return ValueError(f"{path}:{lineno}: expected {ncols} fields, got {len(fields)}")
+            for j, field in enumerate(fields):
+                if not _is_number(field):
+                    return ValueError(f"{path}:{lineno}: field {j + 1} is not a number: "
+                                      f"{field!r}")
+            if float(fields[d]) not in (-1.0, 1.0):
+                return ValueError(f"{path}:{lineno}: label must be -1 or 1, got {fields[d]}")
+    return ValueError(f"{path}: {cause}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,30 +233,10 @@ class DiscreteDistribution:
     @classmethod
     def from_csv(cls, path) -> "DiscreteDistribution":
         """Load a distribution written by :meth:`to_csv`; weights are validated."""
-        path = Path(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ValueError(f"{path}: empty file")
-        header = [c.strip() for c in rows[0]]
-        if len(header) < 3 or header[-2:] != ["y", "weight"]:
-            raise ValueError(f"{path}: header must be x1,...,xd,y,weight")
-        d = len(header) - 2
-        if header[:d] != [f"x{j + 1}" for j in range(d)]:
-            raise ValueError(f"{path}: header must be x1,...,xd,y,weight")
-        xs, ys, ws = [], [], []
-        for lineno, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise ValueError(f"{path}:{lineno}: expected {d + 2} fields, got {len(row)}")
-            xs.append([float(c) for c in row[:d]])
-            y = float(row[d])
-            if y not in (-1.0, 1.0):
-                raise ValueError(f"{path}:{lineno}: label must be -1 or 1, got {row[d]}")
-            ys.append(int(y))
-            ws.append(float(row[d + 1]))
-        return cls(np.array(xs), ys, ws)
+        d, table = _read_labeled_csv(path, ("y", "weight"), "header")
+        if len(table) == 0:
+            raise ValueError(f"{path}: distribution needs at least one atom")
+        return cls(table[:, :d], table[:, d].astype(int), table[:, d + 1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """End-to-end checks of the experiment harness and its file outputs."""
 
 import csv
+import dataclasses
 import json
 import math
 from xml.etree import ElementTree
@@ -10,8 +11,10 @@ import pytest
 
 from potmin import (make_counterexample, mean_label_feature,
                     misclassification_error, unhinged_minimizer)
+from potmin import cli
 from potmin.cli import (ExperimentConfig, counterexample_sample, load_sample_csv,
-                        main, run_eta_sweep, run_gamma_sweep, run_loss_report)
+                        main, run_dynamics, run_eta_sweep, run_gamma_sweep,
+                        run_loss_report)
 
 GAMMA_STAR = (-22.0 + math.sqrt(1984.0)) / 250.0
 
@@ -161,6 +164,29 @@ class TestDynamics:
         summary = json.loads((tmp_path / "dynamics_gd_summary.json").read_text())
         assert summary["closed_form_residual_max"] <= 1e-12
 
+    def test_gd_long_run_passes_at_rounding_level(self, tmp_path):
+        # 2e4 incremental additions drift ~5e-10 from the closed form on
+        # iterates of size ~2e3: rounding, well inside (T + 2) eps relative
+        outcome = run_dynamics(ExperimentConfig(mode="gd", steps=20000,
+                                                out_dir=str(tmp_path)))
+        assert outcome.summary["closed_form_residual_max"] > 1e-12
+        assert outcome.claim_ok
+
+    def test_gd_claim_fails_on_a_perturbed_iterate(self, tmp_path, monkeypatch):
+        # the bound must still catch a 1e-9 relative error in one iterate
+        gd = cli.gd_unhinged
+
+        def perturbed(*args):
+            traj = gd(*args)
+            iterates = traj.iterates.copy()
+            iterates[-1] *= 1.0 + 1e-9
+            return dataclasses.replace(traj, iterates=iterates)
+
+        monkeypatch.setattr(cli, "gd_unhinged", perturbed)
+        outcome = run_dynamics(ExperimentConfig(mode="gd", steps=20000,
+                                                out_dir=str(tmp_path)))
+        assert not outcome.claim_ok
+
     def test_cd_builtin_sample(self, tmp_path):
         code = main(["dynamics", "--mode", "cd", "--steps", "6",
                      "--out-dir", str(tmp_path), "--plot"])
@@ -227,6 +253,18 @@ class TestDynamics:
         pts = load_sample_csv(data)
         assert [p.y for p in pts] == [1, -1]
         assert pts[1].x.tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("body,message", [
+        ("0.5,1\n\n2.0,2\n", "{path}:4: label must be -1 or 1, got 2"),
+        ("0.5,1\n2.0\n", "{path}:3: expected 2 fields, got 1"),
+        ("\n", "{path}: no sample rows"),
+    ])
+    def test_load_sample_errors_name_the_line(self, tmp_path, body, message):
+        data = tmp_path / "s.csv"
+        data.write_text("x1,y\n" + body)
+        with pytest.raises(ValueError) as err:
+            load_sample_csv(data)
+        assert str(err.value) == message.format(path=data)
 
 
 class TestLossReport:

@@ -1,15 +1,63 @@
 """Distribution construction, corruption, margins, and CSV round trips."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from potmin import (DiscreteDistribution, LabeledPoint, MarginCertificate,
                     certify_margin, corrupt_rcn, l1_margin, make_counterexample,
                     mean_label_feature)
+from potmin.distributions import _merge_duplicates
+
+
+def reference_merge_duplicates(xs, ys, weights):
+    """The sequential dict loop that _merge_duplicates must reproduce bit for bit."""
+    index_of: dict = {}
+    order: list[int] = []
+    merged = np.array(weights)
+    keep = np.ones(len(ys), dtype=bool)
+    for i in range(len(ys)):
+        key = (int(ys[i]), (xs[i] + 0.0).tobytes())  # +0.0 folds -0.0 into 0.0
+        j = index_of.get(key)
+        if j is None:
+            index_of[key] = i
+            order.append(i)
+        else:
+            merged[j] += merged[i]
+            keep[i] = False
+    if keep.all():
+        return xs, ys, weights
+    idx = np.array(order)
+    return xs[idx], ys[idx], merged[idx]
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# few distinct coordinates, so rows repeat, with 0.0 and -0.0 both present
+_coords = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 3e-300])
+
+
+@st.composite
+def atom_arrays(draw):
+    """Validated (xs, ys, weights) arrays, as __post_init__ hands them over."""
+    d = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(_coords, min_size=d, max_size=d), min_size=1, max_size=4))
+    n = draw(st.integers(1, 40))
+    rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    ys = [draw(st.sampled_from([-1, 1])) for _ in range(n)]
+    ws = [draw(st.floats(1e-3, 1.0)) for _ in range(n)]
+    return (np.array(rows, dtype=float), np.array(ys, dtype=int),
+            np.array(ws, dtype=float))
 
 
 def atoms_by_key(dist):
@@ -84,6 +132,39 @@ class TestConstruction:
         dist = make_counterexample(0.1)
         with pytest.raises(ValueError):
             dist.weights[0] = 0.3
+
+
+class TestMergeDuplicates:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays=atom_arrays())
+    @example(arrays=(np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0]]),
+                     np.array([1, 1, -1]), np.array([0.25, 0.25, 0.5])))
+    @example(arrays=(np.array([[2.0]]), np.array([-1]), np.array([1.0])))
+    @example(arrays=(np.full((30, 1), 0.1), np.ones(30, dtype=int),
+                     np.full(30, 1.0 / 30.0)))
+    def test_matches_reference_loop(self, arrays):
+        got = _merge_duplicates(*arrays)
+        want = reference_merge_duplicates(*arrays)
+        assert_same_bytes(got, want)
+        assert [g is a for g, a in zip(got, arrays)] == [w is a for w, a in zip(want, arrays)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(dist=helpers.small_distributions(), eta=helpers.etas, flip=st.integers(0, 4))
+    def test_corrupt_rcn_matches_reference(self, dist, eta, flip):
+        # add (x, -y) for one atom, so corruption also merges across labels
+        i = flip % dist.n_atoms
+        xs = np.vstack([dist.xs, dist.xs[i:i + 1]])
+        ys = np.append(dist.ys, -dist.ys[i])
+        ws = np.append(dist.weights, 0.5) / 1.5
+        both = DiscreteDistribution(xs, ys, ws)
+        n = both.n_atoms
+        split_ys = np.empty(2 * n, dtype=int)
+        split_ys[0::2], split_ys[1::2] = both.ys, -both.ys
+        split_ws = np.empty(2 * n)
+        split_ws[0::2], split_ws[1::2] = (1.0 - eta) * both.weights, eta * both.weights
+        want = reference_merge_duplicates(np.repeat(both.xs, 2, axis=0), split_ys, split_ws)
+        noisy = corrupt_rcn(both, eta)
+        assert_same_bytes((noisy.xs, noisy.ys, noisy.weights), want)
 
 
 class TestCounterexample:
@@ -273,6 +354,41 @@ class TestCsv:
         path.write_text("a,b,weight\n1.0,1,1.0\n")
         with pytest.raises(ValueError, match="header"):
             DiscreteDistribution.from_csv(path)
+
+    def test_ragged_row_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,y,weight\n1.0,1,0.5\n2.0,1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 3 fields, got 2")):
+            DiscreteDistribution.from_csv(path)
+
+    def test_non_numeric_field_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,y,weight\n1.0,0.0,1,0.5\n1.0,abc,1,0.5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: field 2 is not a number")):
+            DiscreteDistribution.from_csv(path)
+
+    def test_bad_label_after_blank_line_names_physical_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,y,weight\n1.0,1,0.5\n\n2.0,0,0.5\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:4: label must be -1 or 1, got 0")):
+            DiscreteDistribution.from_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("x1,y,weight\n\n1.0,1,0.5\n\n\n2.0,-1,0.5\n\n")
+        dist = DiscreteDistribution.from_csv(path)
+        assert dist.xs[:, 0].tolist() == [1.0, 2.0]
+        assert dist.ys.tolist() == [1, -1]
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_only_rejected_without_warning(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("x1,y,weight\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least one atom"):
+                DiscreteDistribution.from_csv(path)
 
     def test_margins_helper(self):
         dist = make_counterexample(0.05)
