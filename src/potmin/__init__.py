@@ -5,11 +5,10 @@ from .analysis import (RayProbe, RobustnessReport, check_rcn_robustness,
                        expected_loss, misclassification_error, recession_probe,
                        slope_identity_fuzz, slope_identity_residual,
                        DEFAULT_RAY_GRID)
-from .distributions import (DiscreteDistribution, LabeledPoint, MarginCertificate,
-                            certify_margin, corrupt_rcn, l1_margin,
-                            make_counterexample, mean_label_feature,
-                            random_distribution)
-from .dynamics import Trajectory, cd_unhinged, gd_unhinged, label_sum, make_sample
+from .distributions import (DiscreteDistribution, MarginCertificate, certify_margin,
+                            corrupt_rcn, l1_margin, make_counterexample,
+                            mean_label_feature, random_distribution)
+from .dynamics import Trajectory, cd_unhinged, gd_unhinged, label_sum
 from .loss_zoo import (CONVEX_POTENTIAL, LOSS_NAMES, NEITHER, RELAXED_ONLY,
                        CheckResult, LossOverflowError, PotentialFunction,
                        PredicateReport, check_def1, check_def3, default_grid,
@@ -26,7 +25,6 @@ __all__ = [
     "DiscreteDistribution",
     "FitResult",
     "LOSS_NAMES",
-    "LabeledPoint",
     "LossOverflowError",
     "MarginCertificate",
     "NEITHER",
@@ -52,7 +50,6 @@ __all__ = [
     "label_sum",
     "make_counterexample",
     "make_loss",
-    "make_sample",
     "mean_label_feature",
     "misclassification_error",
     "pgd_minimizer",

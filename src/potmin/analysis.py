@@ -18,7 +18,8 @@ import numpy as np
 
 from .distributions import DiscreteDistribution, corrupt_rcn, random_distribution
 from .loss_zoo import LossOverflowError, PotentialFunction, check_def1, make_loss
-from .minimizers import FitResult, PGDConfig, WeightVector, pgd_minimizer, unhinged_minimizer
+from .minimizers import (FitResult, PGDConfig, WeightVector, _locate_overflow, pgd_minimizer,
+                         unhinged_minimizer)
 
 _ERROR_EQUALITY_TOL = 1e-12
 _BOUND_SLACK = 1e-9
@@ -38,11 +39,7 @@ def expected_loss(dist: DiscreteDistribution, phi: PotentialFunction, v) -> floa
     try:
         vals = phi.eval(margins)
     except LossOverflowError as err:
-        idx = int(np.nonzero(margins == err.z)[0][0])
-        raise LossOverflowError(
-            err.loss, err.z, atom_index=idx,
-            atom=(dist.xs[idx].tolist(), int(dist.ys[idx])),
-        ) from None
+        raise _locate_overflow(err, dist, margins) from None
     return float(dist.weights @ vals)
 
 

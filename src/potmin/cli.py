@@ -21,9 +21,9 @@ import numpy as np
 from . import svg
 from .analysis import (check_rcn_robustness, expected_loss,
                        misclassification_error, recession_probe)
-from .distributions import (DiscreteDistribution, LabeledPoint, _read_labeled_csv,
-                            make_counterexample, mean_label_feature)
-from .dynamics import Trajectory, cd_unhinged, gd_unhinged, make_sample
+from .distributions import (DiscreteDistribution, _read_labeled_csv, make_counterexample,
+                            mean_label_feature)
+from .dynamics import Trajectory, cd_unhinged, gd_unhinged
 from .loss_zoo import LOSS_NAMES, check_def1, make_loss
 from .minimizers import unhinged_minimizer
 
@@ -44,11 +44,7 @@ _EXPECTED_VERDICTS = ("Yes", "Yes", "Yes", "No", "No")
 
 @dataclass
 class ExperimentConfig:
-    """Knobs for one experiment run; JSON configs mirror these fields.
-
-    ``seed`` is reserved for randomized fuzz experiments; the shipped
-    subcommands are fully deterministic and ignore it.
-    """
+    """Knobs for one experiment run; JSON configs mirror these fields."""
 
     experiment: str = ""
     grid_start: float | None = None
@@ -72,7 +68,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     format: str = "csv"
     plot: bool = False
-    seed: int | None = None
 
     def __post_init__(self):
         if self.format not in ("csv", "json"):
@@ -100,6 +95,11 @@ class ExperimentConfig:
             values.update(loaded)
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
+
+    @property
+    def route(self) -> str:
+        """The minimizer route: as given, else closed form for the unhinged loss only."""
+        return self.minimizer or ("closed-form" if self.loss == "unhinged" else "pgd")
 
 
 @dataclass(frozen=True)
@@ -196,23 +196,21 @@ def _grid(cfg: ExperimentConfig, default_start: float, default_stop: float,
     return np.linspace(start, stop, count)
 
 
-def counterexample_sample(gamma: float) -> list[LabeledPoint]:
-    """The three-point construction as a uniform 4-point sample.
+def counterexample_sample(gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The three-point construction as a uniform 4-point sample (xs, ys).
 
     Duplicating the heavy point reproduces the 1/4, 1/4, 1/2 masses
     under the uniform distribution on the sample.
     """
-    dist = make_counterexample(gamma)
-    rows = [dist.xs[0], dist.xs[1], dist.xs[2], dist.xs[2]]
-    return [LabeledPoint(x, 1) for x in rows]
+    return make_counterexample(gamma).xs[[0, 1, 2, 2]], np.ones(4)
 
 
-def load_sample_csv(path) -> list[LabeledPoint]:
-    """Load an unweighted sample: header x1,...,xd,y, one point per row."""
+def load_sample_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Load an unweighted sample (xs, ys): header x1,...,xd,y, one point per row."""
     d, table = _read_labeled_csv(path, ("y",), "sample header")
     if len(table) == 0:
         raise ValueError(f"{path}: no sample rows")
-    return make_sample(table[:, :d], table[:, d])
+    return table[:, :d], table[:, d]
 
 
 def _load_dist(cfg: ExperimentConfig) -> DiscreteDistribution:
@@ -301,10 +299,9 @@ def run_eta_sweep(cfg: ExperimentConfig) -> SweepOutcome:
         raise ValueError("eta grid must lie inside (0, 1/2)")
     dist = _load_dist(cfg)
     phi = make_loss(cfg.loss)
-    route = cfg.minimizer or ("closed-form" if phi.name == "unhinged" else "pgd")
     records = []
     for eta in etas:
-        report = check_rcn_robustness(dist, phi, cfg.r, float(eta), route)
+        report = check_rcn_robustness(dist, phi, cfg.r, float(eta), cfg.route)
         drift = float(np.max(np.abs(report.minimizer_clean.v - report.minimizer_noisy.v)))
         records.append(SweepRecord(
             param_name="eta",
@@ -322,7 +319,7 @@ def run_eta_sweep(cfg: ExperimentConfig) -> SweepOutcome:
     # (PGD only stops at a 1e-9 gradient tolerance)
     if phi.name == "unhinged":
         claim_ok = all(r.extras["robust"] for r in records)
-        if route == "closed-form":
+        if cfg.route == "closed-form":
             claim_ok = claim_ok and all(
                 r.extras["minimizer_drift"] <= _DRIFT_TOL for r in records)
     else:
@@ -332,7 +329,7 @@ def run_eta_sweep(cfg: ExperimentConfig) -> SweepOutcome:
     summary = {
         "experiment": name,
         "loss": phi.name,
-        "minimizer_route": route,
+        "minimizer_route": cfg.route,
         "claim_ok": claim_ok,
         "r": cfg.r,
         "source": cfg.data or f"counterexample(gamma={cfg.gamma})",
@@ -355,13 +352,13 @@ def run_dynamics(cfg: ExperimentConfig) -> DynamicsOutcome:
     if cfg.mode not in ("gd", "cd"):
         raise ValueError(f"mode must be gd or cd, got {cfg.mode!r}")
     name = cfg.experiment or f"dynamics_{cfg.mode}"
-    sample = load_sample_csv(cfg.data) if cfg.data else counterexample_sample(cfg.gamma)
-    d = sample[0].dimension
+    xs, ys = load_sample_csv(cfg.data) if cfg.data else counterexample_sample(cfg.gamma)
+    d = xs.shape[1]
 
     if cfg.mode == "gd":
         step = 0.1 if cfg.step_size is None else float(cfg.step_size)
         v0 = np.zeros(d) if cfg.v0 is None else np.asarray(cfg.v0, dtype=float)
-        traj = gd_unhinged(sample, v0, step, cfg.steps)
+        traj = gd_unhinged(xs, ys, v0, step, cfg.steps)
         t = np.arange(traj.iterates.shape[0])
         closed = v0 + step * t[:, None] * traj.target
         residual = float(np.max(np.abs(traj.iterates - closed)))
@@ -377,11 +374,10 @@ def run_dynamics(cfg: ExperimentConfig) -> DynamicsOutcome:
         }
     else:
         step = 1.0 if cfg.step_size is None else float(cfg.step_size)
-        traj = cd_unhinged(sample, cfg.steps, cfg.tie_rule, step)
-        support_ok = all(
-            set(np.nonzero(traj.iterates[t])[0]) <= set(traj.argmax_coords)
-            for t in range(traj.iterates.shape[0])
-        )
+        traj = cd_unhinged(xs, ys, cfg.steps, cfg.tie_rule, step)
+        # a coordinate is in some iterate's support iff its column has a nonzero
+        touched = np.flatnonzero(traj.iterates.any(axis=0))
+        support_ok = set(touched.tolist()) <= set(traj.argmax_coords)
         claim_ok = support_ok
         summary = {
             "experiment": name, "mode": "cd", "steps": cfg.steps,
@@ -454,8 +450,7 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
-def cmd_gamma_sweep(args) -> int:
-    cfg = ExperimentConfig.from_sources(args.config, _overrides(args))
+def cmd_gamma_sweep(cfg: ExperimentConfig) -> int:
     outcome = run_gamma_sweep(cfg)
     print(f"gamma-sweep: {len(outcome.records)} grid points -> {outcome.table_path}")
     if outcome.threshold is None:
@@ -467,8 +462,7 @@ def cmd_gamma_sweep(args) -> int:
     return 0 if outcome.claim_ok else 1
 
 
-def cmd_eta_sweep(args) -> int:
-    cfg = ExperimentConfig.from_sources(args.config, _overrides(args))
+def cmd_eta_sweep(cfg: ExperimentConfig) -> int:
     outcome = run_eta_sweep(cfg)
     print(f"eta-sweep ({outcome.summary['loss']}, {outcome.summary['minimizer_route']}): "
           f"{len(outcome.records)} noise rates -> {outcome.table_path}")
@@ -479,8 +473,7 @@ def cmd_eta_sweep(args) -> int:
     return 0 if outcome.claim_ok else 1
 
 
-def cmd_dynamics(args) -> int:
-    cfg = ExperimentConfig.from_sources(args.config, _overrides(args))
+def cmd_dynamics(cfg: ExperimentConfig) -> int:
     outcome = run_dynamics(cfg)
     print(f"dynamics ({cfg.mode}): {outcome.summary['steps']} steps -> {outcome.table_path}")
     for key in ("closed_form_residual_max", "argmax_coords", "support_ok", "stationary"):
@@ -490,8 +483,7 @@ def cmd_dynamics(args) -> int:
     return 0 if outcome.claim_ok else 1
 
 
-def cmd_loss_report(args) -> int:
-    cfg = ExperimentConfig.from_sources(args.config, _overrides(args))
+def cmd_loss_report(cfg: ExperimentConfig) -> int:
     rows, claim_ok = run_loss_report()
     if cfg.format == "json":
         print(json.dumps(rows, indent=2))
@@ -504,19 +496,16 @@ def cmd_loss_report(args) -> int:
     return 0 if claim_ok else 1
 
 
-def cmd_robust_check(args) -> int:
-    cfg = ExperimentConfig.from_sources(args.config, _overrides(args))
+def cmd_robust_check(cfg: ExperimentConfig) -> int:
     dist = _load_dist(cfg)
     phi = make_loss(cfg.loss)
-    route = cfg.minimizer or ("closed-form" if phi.name == "unhinged" else "pgd")
-    report = check_rcn_robustness(dist, phi, cfg.r, cfg.eta, route)
+    report = check_rcn_robustness(dist, phi, cfg.r, cfg.eta, cfg.route)
     print(report.to_json(indent=2))
     _write_summary(cfg, cfg.experiment or "robust_check", report.to_dict())
     return 0 if report.robust else 1
 
 
-def cmd_recession_probe(args) -> int:
-    cfg = ExperimentConfig.from_sources(args.config, _overrides(args))
+def cmd_recession_probe(cfg: ExperimentConfig) -> int:
     dist = _load_dist(cfg)
     phi = make_loss(cfg.loss)
     d = dist.dimension
@@ -624,7 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = ExperimentConfig.from_sources(args.config, _overrides(args))
+        return args.func(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ marked read-only.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,30 +23,6 @@ _WEIGHT_SUM_TOL = 1e-12
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledPoint:
-    """A feature vector in R^d with a binary label in {-1, +1}."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        if x.ndim != 1 or x.size < 1:
-            raise ValueError("x must be a 1-d vector with at least one coordinate")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x must be finite")
-        y = int(self.y)
-        if y * y != 1:
-            raise ValueError(f"label must be -1 or +1, got {self.y!r}")
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "y", y)
-
-    @property
-    def dimension(self) -> int:
-        return self.x.size
 
 
 def _merge_duplicates(xs, ys, weights):
@@ -84,8 +61,9 @@ def _read_labeled_csv(path, tail: tuple[str, ...], header_name: str):
     """Parse a CSV with header x1,...,xd followed by ``tail`` (which starts with y).
 
     Returns d and the (n, d + len(tail)) float table, n >= 0, with every
-    label in column d checked to be -1 or 1.  Empty lines are skipped;
-    every error names the file and its physical line.
+    field checked to be finite and every label in column d to be -1 or 1.
+    Empty lines are skipped; every error names the file and its physical
+    line.
     """
     path = Path(path)
     with open(path) as fh:
@@ -109,6 +87,8 @@ def _read_labeled_csv(path, tail: tuple[str, ...], header_name: str):
         return d, np.empty((0, ncols))
     if table.shape[1] != ncols:
         raise _csv_error(path, d, ncols, f"expected {ncols} fields")
+    if not np.all(np.isfinite(table)):
+        raise _csv_error(path, d, ncols, "fields must be finite")
     if not np.all(np.abs(table[:, d]) == 1.0):
         raise _csv_error(path, d, ncols, "label must be -1 or 1")
     return d, table
@@ -137,6 +117,9 @@ def _csv_error(path: Path, d: int, ncols: int, cause: str) -> ValueError:
             for j, field in enumerate(fields):
                 if not _is_number(field):
                     return ValueError(f"{path}:{lineno}: field {j + 1} is not a number: "
+                                      f"{field!r}")
+                if not math.isfinite(float(field)):
+                    return ValueError(f"{path}:{lineno}: field {j + 1} is not finite: "
                                       f"{field!r}")
             if float(fields[d]) not in (-1.0, 1.0):
                 return ValueError(f"{path}:{lineno}: label must be -1 or 1, got {fields[d]}")
@@ -182,20 +165,6 @@ class DiscreteDistribution:
         object.__setattr__(self, "ys", _readonly(ys))
         object.__setattr__(self, "weights", _readonly(weights))
 
-    @classmethod
-    def from_atoms(cls, atoms) -> "DiscreteDistribution":
-        """Build from an iterable of (LabeledPoint, weight) pairs."""
-        pts, ws = [], []
-        for point, w in atoms:
-            pts.append(point)
-            ws.append(w)
-        if not pts:
-            raise ValueError("distribution needs at least one atom")
-        dims = {p.dimension for p in pts}
-        if len(dims) != 1:
-            raise ValueError(f"atoms must share one dimension, got {sorted(dims)}")
-        return cls(np.stack([p.x for p in pts]), [p.y for p in pts], ws)
-
     @property
     def dimension(self) -> int:
         return self.xs.shape[1]
@@ -203,13 +172,6 @@ class DiscreteDistribution:
     @property
     def n_atoms(self) -> int:
         return self.xs.shape[0]
-
-    @property
-    def atoms(self) -> list[tuple[LabeledPoint, float]]:
-        return [
-            (LabeledPoint(self.xs[i], int(self.ys[i])), float(self.weights[i]))
-            for i in range(self.n_atoms)
-        ]
 
     def margins(self, v) -> np.ndarray:
         """Per-atom classification margins y * (v . x)."""

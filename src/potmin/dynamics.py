@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import LabeledPoint
-
 TIE_RULES = ("lowest-index", "report-all")
 
 
@@ -23,7 +21,8 @@ TIE_RULES = ("lowest-index", "report-all")
 class Trajectory:
     """Iterates of a descent run plus per-iterate diagnostics.
 
-    ``loss_values`` holds the total (sample-summed) unhinged loss.
+    ``loss_values`` holds the total (sample-summed) unhinged loss,
+    sum_i (1 - y_i v.x_i) = n - v.g with g the label sum.
     ``angles_to_target`` holds the angle in [0, pi] between each iterate
     and the label-sum vector; entries at a zero iterate (or zero target)
     are NaN, a deliberate undefined marker rather than a fake 0.
@@ -74,27 +73,29 @@ class Trajectory:
                 )
 
 
-def _sample_arrays(sample) -> tuple[np.ndarray, np.ndarray]:
-    points = list(sample)
-    if not points:
+def _check_sample(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a sample of rows xs (n, d) with labels ys; labels come back as floats."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if ys.size == 0:
         raise ValueError("sample must be nonempty")
-    dims = {p.dimension for p in points}
-    if len(dims) != 1:
-        raise ValueError(f"sample points must share one dimension, got {sorted(dims)}")
-    xs = np.stack([p.x for p in points])
-    ys = np.array([p.y for p in points], dtype=float)
+    if xs.ndim != 2 or xs.shape[1] < 1:
+        raise ValueError(f"xs must be a 2-d array of sample rows with d >= 1, "
+                         f"got shape {xs.shape}")
+    if ys.shape != (xs.shape[0],):
+        raise ValueError(f"xs and ys must agree in length, got {xs.shape[0]} rows "
+                         f"and labels of shape {ys.shape}")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("sample coordinates must be finite")
+    if not np.all(np.abs(ys) == 1.0):
+        raise ValueError("labels must be -1 or +1")
     return xs, ys
 
 
-def label_sum(sample) -> np.ndarray:
+def label_sum(xs, ys) -> np.ndarray:
     """sum_i y_i x_i over the sample: the negated gradient of the total loss."""
-    xs, ys = _sample_arrays(sample)
+    xs, ys = _check_sample(xs, ys)
     return (ys[:, None] * xs).sum(axis=0)
-
-
-def _total_losses(iterates: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    margins = iterates @ (ys[:, None] * xs).T  # (T+1, n)
-    return np.sum(1.0 - margins, axis=1)
 
 
 def _angles(iterates: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -113,20 +114,21 @@ def _angles(iterates: np.ndarray, g: np.ndarray) -> np.ndarray:
     return angles
 
 
-def gd_unhinged(sample, v0, step: float, T: int) -> Trajectory:
+def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
     """Run T gradient-descent updates of the total unhinged loss from v0.
 
-    The gradient is constant, so iterate t must equal
-    v0 + step * t * sum_i y_i x_i; the loop computes iterates
-    incrementally anyway so that identity can be checked against it.
-    A zero label sum leaves every iterate at v0 (stationary flag set).
+    The sample is the rows of xs with labels ys.  The gradient is
+    constant, so iterate t must equal v0 + step * t * sum_i y_i x_i;
+    iterates are still summed one step at a time (a cumulative sum) so
+    that identity can be checked against them.  A zero label sum leaves
+    every iterate at v0 (stationary flag set).
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     step = float(step)
     if not step > 0:
         raise ValueError(f"step must be positive, got {step!r}")
-    xs, ys = _sample_arrays(sample)
+    xs, ys = _check_sample(xs, ys)
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (xs.shape[1],):
         raise ValueError(f"v0 must have shape ({xs.shape[1]},), got {v0.shape}")
@@ -135,31 +137,29 @@ def gd_unhinged(sample, v0, step: float, T: int) -> Trajectory:
 
     iterates = np.empty((T + 1, xs.shape[1]))
     iterates[0] = v0
-    v = v0.copy()
-    increment = step * g
-    for t in range(1, T + 1):
-        v = v + increment
-        iterates[t] = v
+    iterates[1:] = step * g
+    np.cumsum(iterates, axis=0, out=iterates)
     return Trajectory(
         iterates=iterates,
         step_size=step,
-        loss_values=_total_losses(iterates, xs, ys),
+        loss_values=len(ys) - iterates @ g,
         angles_to_target=_angles(iterates, g),
         target=g,
         stationary=stationary,
     )
 
 
-def cd_unhinged(sample, T: int, tie_rule: str = "lowest-index",
+def cd_unhinged(xs, ys, T: int, tie_rule: str = "lowest-index",
                 step_size: float = 1.0) -> Trajectory:
     """Run T rounds of steepest coordinate descent from the zero vector.
 
-    Each round picks j* maximizing |sum_i y_i x_ij| and moves that single
-    coordinate by step_size in the descending direction.  The gradient is
-    constant, so the same coordinate (and sign) wins every round; the
-    per-round log records the winner, or the whole argmax set under the
-    "report-all" tie rule.  The update itself always takes the lowest
-    argmax index, keeping runs reproducible under ties.
+    The sample is the rows of xs with labels ys.  Each round picks j*
+    maximizing |sum_i y_i x_ij| and moves that single coordinate by
+    step_size in the descending direction.  The gradient is constant, so
+    the same coordinate (and sign) wins every round; the per-round log
+    records the winner, or the whole argmax set under the "report-all"
+    tie rule.  The update itself always takes the lowest argmax index,
+    keeping runs reproducible under ties.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -168,7 +168,7 @@ def cd_unhinged(sample, T: int, tie_rule: str = "lowest-index",
     step_size = float(step_size)
     if not step_size > 0:
         raise ValueError(f"step_size must be positive, got {step_size!r}")
-    xs, ys = _sample_arrays(sample)
+    xs, ys = _check_sample(xs, ys)
     d = xs.shape[1]
     g = (ys[:, None] * xs).sum(axis=0)
 
@@ -177,7 +177,7 @@ def cd_unhinged(sample, T: int, tie_rule: str = "lowest-index",
         return Trajectory(
             iterates=iterates,
             step_size=step_size,
-            loss_values=_total_losses(iterates, xs, ys),
+            loss_values=len(ys) - iterates @ g,
             angles_to_target=_angles(iterates, g),
             target=g,
             stationary=True,
@@ -193,15 +193,13 @@ def cd_unhinged(sample, T: int, tie_rule: str = "lowest-index",
     sign = 1 if g[j_star] > 0 else -1
     logged = argmax_set if tie_rule == "report-all" else (j_star,)
 
-    v = np.zeros(d)
-    for t in range(1, T + 1):
-        v = v.copy()
-        v[j_star] += sign * step_size
-        iterates[t] = v
+    column = iterates[:, j_star]
+    column[1:] = sign * step_size
+    np.cumsum(column, out=column)
     return Trajectory(
         iterates=iterates,
         step_size=step_size,
-        loss_values=_total_losses(iterates, xs, ys),
+        loss_values=len(ys) - iterates @ g,
         angles_to_target=_angles(iterates, g),
         target=g,
         stationary=False,
@@ -209,14 +207,3 @@ def cd_unhinged(sample, T: int, tie_rule: str = "lowest-index",
         step_signs=(sign,) * T,
         argmax_coords=argmax_set,
     )
-
-
-def make_sample(xs, ys) -> list[LabeledPoint]:
-    """Convenience builder: rows of xs with labels ys as LabeledPoints."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError("xs must be a 2-d array of sample rows")
-    ys = np.asarray(ys).reshape(-1)
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError("xs and ys must agree in length")
-    return [LabeledPoint(xs[i], int(ys[i])) for i in range(xs.shape[0])]

@@ -111,6 +111,7 @@ def _project_ball(v: np.ndarray, r: float) -> np.ndarray:
 
 def _locate_overflow(err: LossOverflowError, dist: DiscreteDistribution,
                      margins: np.ndarray) -> LossOverflowError:
+    """The overflow error, naming the first atom whose margin overflowed."""
     idx = int(np.nonzero(margins == err.z)[0][0])
     return LossOverflowError(
         err.loss, err.z, atom_index=idx,

@@ -12,7 +12,7 @@ import pytest
 
 import helpers
 from potmin import (cd_unhinged, check_rcn_robustness, corrupt_rcn, gd_unhinged,
-                    make_loss, make_sample, pgd_minimizer, recession_probe,
+                    make_loss, pgd_minimizer, recession_probe,
                     slope_identity_fuzz, unhinged_minimizer)
 from potmin.cli import ExperimentConfig, run_gamma_sweep, run_loss_report
 
@@ -104,16 +104,15 @@ def test_criterion_5_gradient_descent_structure():
         n, d = 5, 3
         xs = rng.integers(-8, 9, size=(n, d)) / 16.0
         ys = rng.choice([-1, 1], n)
-        sample = make_sample(xs, ys)
         v0 = rng.integers(-8, 9, size=d) / 16.0
         step = 2.0 ** -8
         T = 100_000
-        traj = gd_unhinged(sample, v0, step, T)
+        traj = gd_unhinged(xs, ys, v0, step, T)
         t = np.arange(T + 1)
         closed = v0 + step * t[:, None] * traj.target
         assert np.max(np.abs(traj.iterates - closed)) <= 1e-12
 
-        ortho = gd_unhinged(make_sample([[1.0, 0.0]], [1]), [0.0, 1.0],
+        ortho = gd_unhinged([[1.0, 0.0]], [1], [0.0, 1.0],
                             1.0, 1_000_000)
         assert ortho.angles_to_target[-1] <= 1e-5
 
@@ -125,15 +124,14 @@ def test_criterion_6_coordinate_descent_support():
         rng = np.random.default_rng(20260205)
         for _ in range(100):
             n, d = int(rng.integers(1, 9)), int(rng.integers(1, 6))
-            sample = make_sample(rng.uniform(-1, 1, (n, d)),
-                                 rng.choice([-1, 1], n))
-            traj = cd_unhinged(sample, 12)
+            xs, ys = rng.uniform(-1, 1, (n, d)), rng.choice([-1, 1], n)
+            traj = cd_unhinged(xs, ys, 12)
             allowed = set(traj.argmax_coords)
             for t in range(traj.iterates.shape[0]):
                 assert set(np.nonzero(traj.iterates[t])[0]) <= allowed
         # constructed ties, both tie rules
         for rule in ("lowest-index", "report-all"):
-            tied = cd_unhinged(make_sample([[2.0, 2.0, 1.0]], [1]), 6, rule)
+            tied = cd_unhinged([[2.0, 2.0, 1.0]], [1], 6, rule)
             assert tied.argmax_coords == (0, 1)
             for t in range(7):
                 assert set(np.nonzero(tied.iterates[t])[0]) <= {0, 1}

@@ -239,25 +239,37 @@ class TestDynamics:
                      "--out-dir", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,header,body", [
+        (["dynamics", "--mode", "gd"], "x1,y", "0.5,1\nnan,1\n"),
+        (["robust-check", "--eta", "0.1"], "x1,y,weight", "0.5,1,0.5\ninf,1,0.5\n"),
+    ])
+    def test_non_finite_csv_field_exits_two(self, tmp_path, capsys, argv, header, body):
+        data = tmp_path / "data.csv"
+        data.write_text(f"{header}\n{body}")
+        code = main(argv + ["--data", str(data), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"{data}:3: field 1 is not finite" in capsys.readouterr().err
+
     def test_counterexample_sample_matches_distribution(self):
-        sample = counterexample_sample(0.05)
-        assert len(sample) == 4
+        xs, ys = counterexample_sample(0.05)
+        assert len(xs) == 4
         dist = make_counterexample(0.05)
-        uniform_mean = np.mean([p.y * p.x for p in sample], axis=0)
+        uniform_mean = np.mean(ys[:, None] * xs, axis=0)
         np.testing.assert_allclose(uniform_mean, mean_label_feature(dist),
                                    atol=1e-15)
 
     def test_load_sample_roundtrip(self, tmp_path):
         data = tmp_path / "s.csv"
         data.write_text("x1,x2,y\n0.5,-1.5,1\n2.0,3.0,-1\n")
-        pts = load_sample_csv(data)
-        assert [p.y for p in pts] == [1, -1]
-        assert pts[1].x.tolist() == [2.0, 3.0]
+        xs, ys = load_sample_csv(data)
+        assert ys.tolist() == [1, -1]
+        assert xs[1].tolist() == [2.0, 3.0]
 
     @pytest.mark.parametrize("body,message", [
         ("0.5,1\n\n2.0,2\n", "{path}:4: label must be -1 or 1, got 2"),
         ("0.5,1\n2.0\n", "{path}:3: expected 2 fields, got 1"),
         ("\n", "{path}: no sample rows"),
+        ("0.5,1\nnan,1\n", "{path}:3: field 1 is not finite: 'nan'"),
     ])
     def test_load_sample_errors_name_the_line(self, tmp_path, body, message):
         data = tmp_path / "s.csv"
@@ -357,6 +369,12 @@ class TestConfigFile:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"grid_counts": 5}))
         assert main(["gamma-sweep", "--config", str(cfg_path)]) == 2
+
+    def test_seed_key_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 3}))
+        assert main(["gamma-sweep", "--config", str(cfg_path)]) == 2
+        assert "unknown config keys: seed" in capsys.readouterr().err
 
     def test_malformed_json_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -10,9 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from potmin import (DiscreteDistribution, LabeledPoint, MarginCertificate,
-                    certify_margin, corrupt_rcn, l1_margin, make_counterexample,
-                    mean_label_feature)
+from potmin import (DiscreteDistribution, MarginCertificate, certify_margin, corrupt_rcn,
+                    l1_margin, make_counterexample, mean_label_feature)
 from potmin.distributions import _merge_duplicates
 
 
@@ -67,25 +66,6 @@ def atoms_by_key(dist):
     }
 
 
-class TestLabeledPoint:
-    def test_valid(self):
-        p = LabeledPoint([1.0, -2.0], -1)
-        assert p.dimension == 2
-        assert p.y == -1
-
-    @pytest.mark.parametrize("x,y", [
-        ([1.0], 0), ([1.0], 2), ([np.inf], 1), ([], 1),
-    ])
-    def test_invalid_rejected(self, x, y):
-        with pytest.raises(ValueError):
-            LabeledPoint(x, y)
-
-    def test_immutable(self):
-        p = LabeledPoint([1.0, 2.0], 1)
-        with pytest.raises(ValueError):
-            p.x[0] = 3.0
-
-
 class TestConstruction:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -121,12 +101,6 @@ class TestConstruction:
             [[2.0], [1.0], [2.0]], [1, -1, 1], [0.25, 0.5, 0.25])
         assert dist.xs[:, 0].tolist() == [2.0, 1.0]
         assert dist.weights.tolist() == [0.5, 0.5]
-
-    def test_from_atoms(self):
-        dist = DiscreteDistribution.from_atoms(
-            [(LabeledPoint([0.0, 1.0], 1), 0.5), (LabeledPoint([1.0, 0.0], -1), 0.5)])
-        assert dist.dimension == 2
-        assert dist.n_atoms == 2
 
     def test_immutable_arrays(self):
         dist = make_counterexample(0.1)
@@ -366,6 +340,18 @@ class TestCsv:
         path.write_text("x1,x2,y,weight\n1.0,0.0,1,0.5\n1.0,abc,1,0.5\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: field 2 is not a number")):
             DiscreteDistribution.from_csv(path)
+
+    @pytest.mark.parametrize("body,message", [
+        ("1.0,1,0.5\ninf,1,0.5\n", "{path}:3: field 1 is not finite: 'inf'"),
+        ("1.0,1,nan\n", "{path}:2: field 3 is not finite: 'nan'"),
+        ("1.0,-inf,1.0\n", "{path}:2: field 2 is not finite: '-inf'"),
+    ])
+    def test_non_finite_field_names_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,y,weight\n" + body)
+        with pytest.raises(ValueError) as err:
+            DiscreteDistribution.from_csv(path)
+        assert str(err.value) == message.format(path=path)
 
     def test_bad_label_after_blank_line_names_physical_line(self, tmp_path):
         path = tmp_path / "bad.csv"
