@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DiscreteDistribution, corrupt_rcn, random_distribution
-from .loss_zoo import LossOverflowError, PotentialFunction, check_def1, make_loss
-from .minimizers import (FitResult, PGDConfig, WeightVector, _locate_overflow, pgd_minimizer,
+from .loss_zoo import PotentialFunction, check_def1, make_loss
+from .minimizers import (FitResult, PGDConfig, WeightVector, _per_atom, pgd_minimizer,
                          unhinged_minimizer)
 
 _ERROR_EQUALITY_TOL = 1e-12
@@ -35,12 +35,7 @@ _UNHINGED = make_loss("unhinged")
 
 def expected_loss(dist: DiscreteDistribution, phi: PotentialFunction, v) -> float:
     """Exact weighted expectation of phi(y (v . x)) over the atoms."""
-    margins = dist.margins(v)
-    try:
-        vals = phi.eval(margins)
-    except LossOverflowError as err:
-        raise _locate_overflow(err, dist, margins) from None
-    return float(dist.weights @ vals)
+    return float(dist.weights @ _per_atom(phi.eval, dist, dist.margins(v)))
 
 
 def misclassification_error(dist: DiscreteDistribution, v) -> float:

@@ -15,15 +15,16 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import svg
-from .analysis import (check_rcn_robustness, expected_loss,
+from .analysis import (MINIMIZER_ROUTES, check_rcn_robustness, expected_loss,
                        misclassification_error, recession_probe)
 from .distributions import (DiscreteDistribution, _read_labeled_csv, make_counterexample,
                             mean_label_feature)
-from .dynamics import Trajectory, cd_unhinged, gd_unhinged
+from .dynamics import TIE_RULES, Trajectory, cd_unhinged, gd_unhinged
 from .loss_zoo import LOSS_NAMES, check_def1, make_loss
 from .minimizers import unhinged_minimizer
 
@@ -40,6 +41,54 @@ _LOSS_TAGS = {
 }
 
 _EXPECTED_VERDICTS = ("Yes", "Yes", "Yes", "No", "No")
+
+# Every subcommand flag with its add_argument keywords.  Each flag's dest
+# is an ExperimentConfig field (--config aside), and its keywords also
+# give the type a JSON config value for that field must have.
+_FLAGS = {
+    "--config": dict(help="JSON config; keys mirror ExperimentConfig"),
+    "--out-dir": dict(help="output directory"),
+    "--format": dict(choices=["csv", "json"], help="table format"),
+    "--plot": dict(action="store_true", default=None, help="also write an SVG figure"),
+    "--experiment": dict(help="experiment id used in file names"),
+    "--grid-start": dict(type=float),
+    "--grid-stop": dict(type=float),
+    "--grid-count": dict(type=int),
+    "--spacing": dict(dest="grid_spacing", choices=["linear", "log"]),
+    "--r": dict(type=float, help="ball radius"),
+    "--eta": dict(type=float),
+    "--loss": dict(choices=list(LOSS_NAMES)),
+    "--gamma": dict(type=float, help="builtin distribution parameter (when --data is absent)"),
+    "--data": dict(help="distribution CSV, or for dynamics a sample CSV (README: File formats)"),
+    "--minimizer": dict(choices=list(MINIMIZER_ROUTES)),
+    "--mode": dict(choices=["gd", "cd"]),
+    "--steps": dict(type=int),
+    "--step-size": dict(type=float),
+    "--v0": dict(type=float, nargs="+"),
+    "--tie-rule": dict(choices=list(TIE_RULES)),
+    "--x0": dict(type=float, nargs="+"),
+    "--u": dict(type=float, nargs="+"),
+    "--lambdas": dict(type=float, nargs="+"),
+}
+_FIELD_FLAGS = {kw.get("dest", flag[2:].replace("-", "_")): kw for flag, kw in _FLAGS.items()}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_kind(flag_kwargs: dict) -> tuple[str, Callable[[object], bool]]:
+    """What a JSON config value must be, read from its flag's add_argument keywords."""
+    if flag_kwargs.get("action") == "store_true":
+        return "true or false", lambda value: isinstance(value, bool)
+    if "nargs" in flag_kwargs:
+        return "a list of numbers", lambda value: (isinstance(value, list)
+                                                   and all(map(_is_number, value)))
+    if flag_kwargs.get("type") is int:
+        return "an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)
+    if flag_kwargs.get("type") is float:
+        return "a number", _is_number
+    return "a string", lambda value: isinstance(value, str)
 
 
 @dataclass
@@ -88,10 +137,15 @@ class ExperimentConfig:
                 loaded = json.load(fh)
             if not isinstance(loaded, dict):
                 raise ValueError(f"{config_path}: config must be a JSON object")
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = sorted(set(loaded) - known)
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            unknown = sorted(set(loaded) - set(defaults))
             if unknown:
                 raise ValueError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
+            for key, value in loaded.items():
+                kind, has_kind = _config_kind(_FIELD_FLAGS[key])
+                if not (has_kind(value) or value is None and defaults[key] is None):
+                    raise ValueError(
+                        f"{config_path}: config key {key!r} must be {kind}, got {value!r}")
             values.update(loaded)
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
@@ -531,82 +585,39 @@ def cmd_recession_probe(cfg: ExperimentConfig) -> int:
     return 0 if probe.bound_holds else 1
 
 
+_COMMON_FLAGS = ("--config", "--out-dir", "--format", "--plot", "--experiment")
+_GRID_FLAGS = ("--grid-start", "--grid-stop", "--grid-count", "--spacing")
+
+# subcommand -> (handler, help, flags beyond the common ones)
+_COMMANDS = {
+    "gamma-sweep": (cmd_gamma_sweep, "error of the centroid minimizer across the "
+                    "construction parameter, with threshold bisection",
+                    _GRID_FLAGS + ("--r",)),
+    "eta-sweep": (cmd_eta_sweep, "noise-robustness check across noise rates",
+                  _GRID_FLAGS + ("--r", "--loss", "--gamma", "--data", "--minimizer")),
+    "dynamics": (cmd_dynamics, "gradient / coordinate descent trajectory dump",
+                 ("--mode", "--steps", "--step-size", "--v0", "--tie-rule", "--gamma",
+                  "--data")),
+    "loss-report": (cmd_loss_report, "axiom verdict table for the shipped losses", ()),
+    "robust-check": (cmd_robust_check, "single robustness check",
+                     ("--r", "--eta", "--loss", "--gamma", "--data", "--minimizer")),
+    "recession-probe": (cmd_recession_probe, "corrupted objective along a ray versus "
+                        "its coercivity bound",
+                        ("--eta", "--loss", "--gamma", "--data", "--x0", "--u", "--lambdas")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="potmin",
         description="Potential-minimization experiments on finite labeled distributions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="JSON config; keys mirror ExperimentConfig")
-        sp.add_argument("--out-dir", dest="out_dir", help="output directory")
-        sp.add_argument("--format", choices=["csv", "json"], help="table format")
-        sp.add_argument("--plot", action="store_true", default=None,
-                        help="also write an SVG figure")
-        sp.add_argument("--experiment", help="experiment id used in file names")
-
-    def grid_flags(sp):
-        sp.add_argument("--grid-start", dest="grid_start", type=float)
-        sp.add_argument("--grid-stop", dest="grid_stop", type=float)
-        sp.add_argument("--grid-count", dest="grid_count", type=int, default=None)
-        sp.add_argument("--spacing", dest="grid_spacing", choices=["linear", "log"],
-                        default=None)
-
-    sp = sub.add_parser("gamma-sweep", help="error of the centroid minimizer "
-                        "across the construction parameter, with threshold bisection")
-    common(sp); grid_flags(sp)
-    sp.add_argument("--r", type=float, default=None, help="ball radius")
-    sp.set_defaults(func=cmd_gamma_sweep)
-
-    sp = sub.add_parser("eta-sweep", help="noise-robustness check across noise rates")
-    common(sp); grid_flags(sp)
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--loss", default=None, choices=list(LOSS_NAMES))
-    sp.add_argument("--gamma", type=float, default=None,
-                    help="builtin distribution parameter (when --data is absent)")
-    sp.add_argument("--data", default=None, help="distribution CSV to sweep instead")
-    sp.add_argument("--minimizer", choices=["closed-form", "pgd"], default=None)
-    sp.set_defaults(func=cmd_eta_sweep)
-
-    sp = sub.add_parser("dynamics", help="gradient / coordinate descent trajectory dump")
-    common(sp)
-    sp.add_argument("--mode", choices=["gd", "cd"], default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--step-size", dest="step_size", type=float, default=None)
-    sp.add_argument("--v0", type=float, nargs="+", default=None)
-    sp.add_argument("--tie-rule", dest="tie_rule",
-                    choices=["lowest-index", "report-all"], default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--data", default=None, help="sample CSV (header x1,...,xd,y)")
-    sp.set_defaults(func=cmd_dynamics)
-
-    sp = sub.add_parser("loss-report", help="axiom verdict table for the shipped losses")
-    common(sp)
-    sp.set_defaults(func=cmd_loss_report)
-
-    sp = sub.add_parser("robust-check", help="single robustness check")
-    common(sp)
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--loss", default=None, choices=list(LOSS_NAMES))
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--minimizer", choices=["closed-form", "pgd"], default=None)
-    sp.set_defaults(func=cmd_robust_check)
-
-    sp = sub.add_parser("recession-probe", help="corrupted objective along a ray "
-                        "versus its coercivity bound")
-    common(sp)
-    sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--loss", default=None, choices=list(LOSS_NAMES))
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--x0", type=float, nargs="+", default=None)
-    sp.add_argument("--u", type=float, nargs="+", default=None)
-    sp.add_argument("--lambdas", type=float, nargs="+", default=None)
-    sp.set_defaults(func=cmd_recession_probe)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in _COMMON_FLAGS + flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -109,14 +109,39 @@ def _project_ball(v: np.ndarray, r: float) -> np.ndarray:
     return v if n <= r else v * (r / n)
 
 
-def _locate_overflow(err: LossOverflowError, dist: DiscreteDistribution,
-                     margins: np.ndarray) -> LossOverflowError:
-    """The overflow error, naming the first atom whose margin overflowed."""
-    idx = int(np.nonzero(margins == err.z)[0][0])
+def _overflow_at(loss: str, dist: DiscreteDistribution, margins: np.ndarray,
+                 idx: int) -> LossOverflowError:
     return LossOverflowError(
-        err.loss, err.z, atom_index=idx,
+        loss, float(margins[idx]), atom_index=idx,
         atom=(dist.xs[idx].tolist(), int(dist.ys[idx])),
     )
+
+
+def _per_atom(fn, dist: DiscreteDistribution, margins: np.ndarray) -> np.ndarray:
+    """fn(margins); an overflow names the first atom whose margin overflowed."""
+    try:
+        return fn(margins)
+    except LossOverflowError as err:
+        idx = int(np.nonzero(margins == err.z)[0][0])
+        raise _overflow_at(err.loss, dist, margins, idx) from None
+
+
+def _gradient(phi: PotentialFunction, dist: DiscreteDistribution,
+              margins: np.ndarray, yx: np.ndarray) -> np.ndarray:
+    """sum_i w_i phi'(m_i) y_i x_i, naming the atom whose term overflowed.
+
+    That is the first atom with a non-finite term; when every term is
+    finite and only the sum overflowed, the atom with the largest term.
+    """
+    scaled = dist.weights * _per_atom(phi.deriv, dist, margins)
+    g = scaled @ yx
+    if not np.all(np.isfinite(g)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = scaled[:, None] * yx
+        bad = ~np.all(np.isfinite(terms), axis=1)
+        idx = np.argmax(bad) if bad.any() else np.argmax(np.max(np.abs(terms), axis=1))
+        raise _overflow_at(phi.name, dist, margins, int(idx))
+    return g
 
 
 def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
@@ -142,38 +167,16 @@ def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
 
     yx = dist.ys[:, None] * dist.xs
     w = dist.weights
-
-    def objective(v: np.ndarray) -> float:
-        margins = dist.margins(v)
-        try:
-            vals = phi.eval(margins)
-        except LossOverflowError as err:
-            raise _locate_overflow(err, dist, margins) from None
-        return float(w @ vals)
-
-    def gradient(v: np.ndarray) -> np.ndarray:
-        margins = dist.margins(v)
-        try:
-            slopes = phi.deriv(margins)
-        except LossOverflowError as err:
-            raise _locate_overflow(err, dist, margins) from None
-        g = (w * slopes) @ yx
-        if not np.all(np.isfinite(g)):
-            worst = int(np.argmax(np.abs(margins)))
-            raise LossOverflowError(
-                phi.name, float(margins[worst]), atom_index=worst,
-                atom=(dist.xs[worst].tolist(), int(dist.ys[worst])),
-            )
-        return g
-
     v = np.zeros(dist.dimension)
-    best_v, best_obj = v, objective(v)
+    # one margin vector per iterate: the value at v and the slope taken from v
+    margins = dist.margins(v)
+    best_v, best_obj = v, float(w @ _per_atom(phi.eval, dist, margins))
     history = [best_obj] if cfg.record_history else None
     converged = False
     pg_norm = float("nan")
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        g = gradient(v)
+        g = _gradient(phi, dist, margins, yx)
         if step > 0:
             candidate = _project_ball(v - step * g, r)
             pg_norm = float(np.linalg.norm(v - candidate)) / step
@@ -181,7 +184,8 @@ def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
             candidate = v
             pg_norm = float(np.linalg.norm(g))
         v = candidate
-        obj = objective(v)
+        margins = dist.margins(v)
+        obj = float(w @ _per_atom(phi.eval, dist, margins))
         if history is not None:
             history.append(obj)
         if obj < best_obj:

@@ -1,5 +1,6 @@
 """End-to-end checks of the experiment harness and its file outputs."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -376,10 +377,59 @@ class TestConfigFile:
         assert main(["gamma-sweep", "--config", str(cfg_path)]) == 2
         assert "unknown config keys: seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("gamma-sweep", "r", "1", "must be a number, got '1'"),
+        ("gamma-sweep", "r", None, "must be a number, got None"),
+        ("dynamics", "steps", "10", "must be an integer, got '10'"),
+        ("gamma-sweep", "plot", "no", "must be true or false, got 'no'"),
+        ("gamma-sweep", "grid_count", 2.5, "must be an integer, got 2.5"),
+        ("dynamics", "v0", "abc", "must be a list of numbers, got 'abc'"),
+    ])
+    def test_mistyped_value_exits_two(self, tmp_path, capsys, command, key, value,
+                                      message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value, "out_dir": str(tmp_path)}))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert f"config key {key!r} {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_typed_values_accepted(self, tmp_path):
+        # an integer for a float field, null where the default is None
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "step_size": 1, "v0": [0, 0.5], "steps": 5, "data": None,
+            "plot": False, "out_dir": str(tmp_path),
+        }))
+        assert main(["dynamics", "--config", str(cfg_path)]) == 0
+        assert len(read_csv(tmp_path / "dynamics_gd.csv")) == 6
+
     def test_malformed_json_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert main(["gamma-sweep", "--config", str(cfg_path)]) == 2
+
+    def test_subcommand_options_pinned(self):
+        common = {"-h", "--help", "--config", "--out-dir", "--format", "--plot",
+                  "--experiment"}
+        grid = {"--grid-start", "--grid-stop", "--grid-count", "--spacing"}
+        expected = {
+            "gamma-sweep": common | grid | {"--r"},
+            "eta-sweep": common | grid | {"--r", "--loss", "--gamma", "--data",
+                                          "--minimizer"},
+            "dynamics": common | {"--mode", "--steps", "--step-size", "--v0",
+                                  "--tie-rule", "--gamma", "--data"},
+            "loss-report": common,
+            "robust-check": common | {"--r", "--eta", "--loss", "--gamma", "--data",
+                                      "--minimizer"},
+            "recession-probe": common | {"--eta", "--loss", "--gamma", "--data",
+                                         "--x0", "--u", "--lambdas"},
+        }
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(expected)
+        for name, parser in sub.choices.items():
+            options = {s for a in parser._actions for s in a.option_strings}
+            assert options == expected[name], name
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,12 +7,94 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from potmin import (DiscreteDistribution, LossOverflowError, PGDConfig,
-                    WeightVector, corrupt_rcn, expected_loss, make_counterexample,
-                    make_loss, mean_label_feature, pgd_minimizer,
-                    unhinged_minimizer)
+from potmin import (LOSS_NAMES, DiscreteDistribution, FitResult, LossOverflowError,
+                    PGDConfig, WeightVector, corrupt_rcn, expected_loss,
+                    make_counterexample, make_loss, mean_label_feature,
+                    pgd_minimizer, unhinged_minimizer)
+from potmin.minimizers import _project_ball, default_step
 
 UNHINGED = make_loss("unhinged")
+
+
+def _reference_locate_overflow(err, dist, margins):
+    """The overflow error, naming the first atom whose margin overflowed."""
+    idx = int(np.nonzero(margins == err.z)[0][0])
+    return LossOverflowError(
+        err.loss, err.z, atom_index=idx,
+        atom=(dist.xs[idx].tolist(), int(dist.ys[idx])),
+    )
+
+
+def reference_pgd(dist, phi, r, cfg=None):
+    """The projected-gradient loop with separate objective and gradient
+    closures, each computing its own margins: the reference the fit must
+    match bit for bit."""
+    r = float(r)
+    cfg = cfg or PGDConfig()
+    step = default_step(dist) if cfg.step is None else float(cfg.step)
+
+    yx = dist.ys[:, None] * dist.xs
+    w = dist.weights
+
+    def objective(v: np.ndarray) -> float:
+        margins = dist.margins(v)
+        try:
+            vals = phi.eval(margins)
+        except LossOverflowError as err:
+            raise _reference_locate_overflow(err, dist, margins) from None
+        return float(w @ vals)
+
+    def gradient(v: np.ndarray) -> np.ndarray:
+        margins = dist.margins(v)
+        try:
+            slopes = phi.deriv(margins)
+        except LossOverflowError as err:
+            raise _reference_locate_overflow(err, dist, margins) from None
+        g = (w * slopes) @ yx
+        if not np.all(np.isfinite(g)):
+            worst = int(np.argmax(np.abs(margins)))
+            raise LossOverflowError(
+                phi.name, float(margins[worst]), atom_index=worst,
+                atom=(dist.xs[worst].tolist(), int(dist.ys[worst])),
+            )
+        return g
+
+    v = np.zeros(dist.dimension)
+    best_v, best_obj = v, objective(v)
+    history = [best_obj] if cfg.record_history else None
+    converged = False
+    pg_norm = float("nan")
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        g = gradient(v)
+        if step > 0:
+            candidate = _project_ball(v - step * g, r)
+            pg_norm = float(np.linalg.norm(v - candidate)) / step
+        else:
+            candidate = v
+            pg_norm = float(np.linalg.norm(g))
+        v = candidate
+        obj = objective(v)
+        if history is not None:
+            history.append(obj)
+        if obj < best_obj:
+            best_v, best_obj = v, obj
+        if pg_norm <= cfg.tol:
+            converged = True
+            break
+    return FitResult(
+        WeightVector(best_v, r), best_obj, iterations, converged, pg_norm,
+        objective_history=tuple(history) if history is not None else None,
+    )
+
+
+def fit_bytes(fit):
+    """Every FitResult field PGD sets, as exact bytes."""
+    history = fit.objective_history
+    return (fit.weights.v.tobytes(), np.float64(fit.objective).tobytes(),
+            fit.iterations, fit.converged,
+            np.float64(fit.gradient_norm_final).tobytes(),
+            None if history is None else np.array(history).tobytes())
 
 
 def angle_between(a, b):
@@ -177,6 +259,17 @@ class TestPgdMinimizer:
         assert err.value.atom_index is not None
         assert err.value.z <= -700
 
+    def test_gradient_overflow_names_the_overflowing_term(self):
+        # at v_1 = 7e-8 the margins are -700 and 1400; exp(-1400) is 0, so
+        # only atom 0's term 0.1 * exp(700) * 1e10 leaves float64
+        dist = DiscreteDistribution([[-1e10], [2e10]], [1, 1], [0.1, 0.9])
+        with pytest.raises(LossOverflowError) as err:
+            pgd_minimizer(dist, make_loss("exponential"), 1.0,
+                          PGDConfig(step=7e-8 / 1.7e10))
+        assert err.value.atom_index == 0
+        assert err.value.z == -700.0
+        assert err.value.atom == ([-1e10], 1)
+
     def test_ball_feasibility_random(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -192,3 +285,38 @@ class TestPgdMinimizer:
             pgd_minimizer(dist, UNHINGED, 1.0, PGDConfig(max_iters=0))
         with pytest.raises(ValueError, match="radius"):
             pgd_minimizer(dist, UNHINGED, -2.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    PGDConfig(max_iters=3000),
+    PGDConfig(step=0.0, max_iters=20),
+    PGDConfig(record_history=True, max_iters=3000),
+    PGDConfig(step=5.0, max_iters=300, record_history=True),
+], ids=["default-step", "zero-step", "history", "large-step"])
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+@pytest.mark.parametrize("source", ["counterexample", "random"])
+def test_fit_matches_reference_loop_bit_for_bit(source, loss, cfg):
+    if source == "counterexample":
+        dist = make_counterexample(0.05)
+    else:
+        dist = helpers.random_distribution(np.random.default_rng(7), max_dim=4,
+                                           max_atoms=12)
+    phi = make_loss(loss)
+    assert fit_bytes(pgd_minimizer(dist, phi, 1.0, cfg)) == fit_bytes(
+        reference_pgd(dist, phi, 1.0, cfg))
+
+
+def test_one_margin_evaluation_per_iterate(monkeypatch):
+    calls = []
+    margins = DiscreteDistribution.margins
+
+    def counted(self, v):
+        calls.append(1)
+        return margins(self, v)
+
+    monkeypatch.setattr(DiscreteDistribution, "margins", counted)
+    for loss in LOSS_NAMES:
+        calls.clear()
+        fit = pgd_minimizer(make_counterexample(0.05), make_loss(loss), 1.0,
+                            PGDConfig(max_iters=500))
+        assert len(calls) == fit.iterations + 1
