@@ -130,14 +130,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_sources(cls, config_path: str | None, overrides: dict) -> "ExperimentConfig":
-        """Defaults, then JSON config file, then explicit CLI overrides."""
+        """Defaults, then JSON config file, then the fields set in ``overrides`` (CLI flags)."""
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         values: dict = {}
         if config_path:
             with open(config_path) as fh:
                 loaded = json.load(fh)
             if not isinstance(loaded, dict):
                 raise ValueError(f"{config_path}: config must be a JSON object")
-            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
             unknown = sorted(set(loaded) - set(defaults))
             if unknown:
                 raise ValueError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
@@ -147,7 +147,7 @@ class ExperimentConfig:
                     raise ValueError(
                         f"{config_path}: config key {key!r} must be {kind}, got {value!r}")
             values.update(loaded)
-        values.update({k: v for k, v in overrides.items() if v is not None})
+        values.update({k: v for k, v in overrides.items() if k in defaults and v is not None})
         return cls(**values)
 
     @property
@@ -499,11 +499,6 @@ def _print_loss_report(rows: list[dict]) -> None:
 # subcommand wrappers
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
-
-
 def cmd_gamma_sweep(cfg: ExperimentConfig) -> int:
     outcome = run_gamma_sweep(cfg)
     print(f"gamma-sweep: {len(outcome.records)} grid points -> {outcome.table_path}")
@@ -624,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = ExperimentConfig.from_sources(args.config, _overrides(args))
+        cfg = ExperimentConfig.from_sources(args.config, vars(args))
         return args.func(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
