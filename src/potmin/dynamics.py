@@ -9,7 +9,6 @@ steepest coordinate.  These runs exist to certify exactly that.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,22 +54,21 @@ class Trajectory:
         multi-coordinate logs are ';'-joined.
         """
         d = self.dimension
+        angles = ["" if a != a else repr(a) for a in self.angles_to_target.tolist()]
+        chosen = [""] * len(angles)
+        if self.chosen_coords is not None:
+            chosen[1:] = [";".join(map(str, c)) for c in self.chosen_coords]
+        lines = [",".join(["t"] + [f"v_{j + 1}" for j in range(d)]
+                          + ["loss", "angle_rad", "chosen_coord"])]
+        # csv.writer's bytes: no field holds a comma or quote, so none is
+        # quoted, and every row ends in "\r\n"
+        lines.extend(
+            f"{t},{','.join(map(repr, row))},{loss!r},{angle},{choice}"
+            for t, (row, loss, angle, choice) in enumerate(
+                zip(self.iterates.tolist(), self.loss_values.tolist(), angles, chosen))
+        )
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"v_{j + 1}" for j in range(d)]
-                            + ["loss", "angle_rad", "chosen_coord"])
-            for t in range(self.iterates.shape[0]):
-                angle = self.angles_to_target[t]
-                chosen = ""
-                if self.chosen_coords is not None and t >= 1:
-                    chosen = ";".join(str(j) for j in self.chosen_coords[t - 1])
-                writer.writerow(
-                    [str(t)]
-                    + [repr(float(c)) for c in self.iterates[t]]
-                    + [repr(float(self.loss_values[t])),
-                       "" if np.isnan(angle) else repr(float(angle)),
-                       chosen]
-                )
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _check_sample(xs, ys) -> tuple[np.ndarray, np.ndarray]:

@@ -8,15 +8,18 @@ loss goes through projected gradient descent.  Both return the same
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DiscreteDistribution, mean_label_feature
-from .loss_zoo import LossOverflowError, PotentialFunction
+from .loss_zoo import NEITHER, LossOverflowError, PotentialFunction
 
 _BALL_SLACK = 1e-12
 _DEGENERATE_CENTROID_TOL = 1e-14
+# rounding allowance on |P(v)| in the sufficient-decrease test
+_DECREASE_ULPS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +94,14 @@ def unhinged_minimizer(dist: DiscreteDistribution, r: float) -> FitResult:
 
 @dataclass(frozen=True)
 class PGDConfig:
-    """Projected-gradient settings; step=None picks a scale-aware default."""
+    """Projected-gradient settings.
+
+    With ``step=None`` the loss picks the step rule.  A loss that declares
+    a C1 axiom class (every class but ``"neither"``) backtracks: the step
+    starts at 1/lambda_max(E[x x^T]) and halves until the trial point
+    passes a sufficient-decrease test.  Hinge takes the fixed
+    :func:`default_step`.  An explicit ``step`` is always fixed.
+    """
 
     step: float | None = None
     max_iters: int = 50_000
@@ -100,8 +110,22 @@ class PGDConfig:
 
 
 def default_step(dist: DiscreteDistribution) -> float:
-    """0.1 / (1 + E||x||^2): deterministic and scale-aware."""
+    """0.1 / (1 + E||x||^2): deterministic and scale-aware.
+
+    The fixed step of the hinge subgradient path (any loss whose axiom
+    class is ``"neither"``) when no step is given.
+    """
     return 0.1 / (1.0 + float(dist.weights @ np.sum(dist.xs ** 2, axis=1)))
+
+
+def _curvature_step(dist: DiscreteDistribution) -> float:
+    """1 / lambda_max(E[x x^T]), the step for a loss with 0 <= phi'' <= 1.
+
+    Zero features (lambda_max = 0) get the largest finite reciprocal.
+    """
+    second = (dist.xs * dist.weights[:, None]).T @ dist.xs
+    lam = float(np.linalg.eigvalsh(second)[-1])
+    return 1.0 / max(lam, np.finfo(float).tiny)
 
 
 def _project_ball(v: np.ndarray, r: float) -> np.ndarray:
@@ -144,6 +168,13 @@ def _gradient(phi: PotentialFunction, dist: DiscreteDistribution,
     return g
 
 
+def _sufficient_decrease(obj: float, trial_obj: float, g: np.ndarray,
+                        d: np.ndarray, step: float) -> bool:
+    """P(v + d) <= P(v) + <g, d> + ||d||^2 / (2 step), up to rounding in P."""
+    slack = _DECREASE_ULPS * np.finfo(float).eps * abs(obj)
+    return trial_obj <= obj + float(g @ d) + float(d @ d) / (2.0 * step) + slack
+
+
 def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
                   cfg: PGDConfig | None = None) -> FitResult:
     """Projected gradient descent on E[phi(y v.x)] over the radius-r ball.
@@ -152,8 +183,15 @@ def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
     gradient-mapping norm ||v - proj(v - step g)|| / step drops to the
     tolerance or the iteration budget runs out.  Returns the best iterate
     seen, so the objective contract holds even with an aggressive step.
-    A zero step is allowed for diagnostics; the raw gradient norm is then
-    reported and the iterate never moves.
+
+    Step rule: with ``cfg.step`` None and a loss of a C1 axiom class
+    (exponential, mixed, logistic, unhinged) the step starts at
+    1/lambda_max(E[x x^T]) and is halved (never raised again) whenever the
+    trial point fails P(v+) <= P(v) + <g, v+ - v> + ||v+ - v||^2 / (2 step)
+    (Beck & Teboulle 2009); if halving would reach zero the fit stops as
+    not converged.  Hinge takes the fixed :func:`default_step`, and an
+    explicit step is fixed.  A zero step is allowed for diagnostics; the
+    raw gradient norm is then reported and the iterate never moves.
     """
     r = float(r)
     if not r > 0:
@@ -161,31 +199,46 @@ def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
     cfg = cfg or PGDConfig()
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    step = default_step(dist) if cfg.step is None else float(cfg.step)
-    if step < 0:
-        raise ValueError(f"step must be nonnegative, got {step!r}")
+    for field in ("step", "tol"):
+        value = getattr(cfg, field)
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{field} must be finite and nonnegative, got {value!r}")
+    backtrack = cfg.step is None and phi.axiom_class != NEITHER
+    if backtrack:
+        step = _curvature_step(dist)
+    else:
+        step = default_step(dist) if cfg.step is None else float(cfg.step)
 
     yx = dist.ys[:, None] * dist.xs
     w = dist.weights
     v = np.zeros(dist.dimension)
-    # one margin vector per iterate: the value at v and the slope taken from v
+    # one margin vector per trial point: an accepted trial's margins give
+    # the value at the new iterate and the slope taken from it
     margins = dist.margins(v)
-    best_v, best_obj = v, float(w @ _per_atom(phi.eval, dist, margins))
-    history = [best_obj] if cfg.record_history else None
+    obj = float(w @ _per_atom(phi.eval, dist, margins))
+    best_v, best_obj = v, obj
+    history = [obj] if cfg.record_history else None
     converged = False
     pg_norm = float("nan")
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         g = _gradient(phi, dist, margins, yx)
+        while True:
+            candidate = _project_ball(v - step * g, r) if step > 0 else v
+            trial = dist.margins(candidate)
+            trial_obj = float(w @ _per_atom(phi.eval, dist, trial))
+            accepted = not backtrack or _sufficient_decrease(
+                obj, trial_obj, g, candidate - v, step)
+            if accepted or step / 2.0 == 0.0:
+                break
+            step /= 2.0
+        if not accepted:
+            break  # halving would reach a zero step: stop, not converged
         if step > 0:
-            candidate = _project_ball(v - step * g, r)
             pg_norm = float(np.linalg.norm(v - candidate)) / step
         else:
-            candidate = v
             pg_norm = float(np.linalg.norm(g))
-        v = candidate
-        margins = dist.margins(v)
-        obj = float(w @ _per_atom(phi.eval, dist, margins))
+        v, margins, obj = candidate, trial, trial_obj
         if history is not None:
             history.append(obj)
         if obj < best_obj:

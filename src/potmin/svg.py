@@ -70,7 +70,11 @@ class _Canvas:
                      f'font-family="sans-serif" font-size="10">{_fmt(t)}</text>')
 
     def polyline(self, xs, ys, color: str):
-        pts = " ".join(f"{_fmt(self.px(x))},{_fmt(self.py(y))}" for x, y in zip(xs, ys))
+        # px/py on whole arrays: the same operations in the same order, so
+        # every coordinate string matches the per-point mapping
+        px = self.px(np.asarray(xs, dtype=float)).tolist()
+        py = self.py(np.asarray(ys, dtype=float)).tolist()
+        pts = " ".join(map("{:.6g},{:.6g}".format, px, py))
         self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                           f'stroke-width="1.5"/>')
 

@@ -1,5 +1,6 @@
 """Gradient- and coordinate-descent trajectories on the unhinged loss."""
 
+import csv
 import math
 import tracemalloc
 
@@ -268,7 +269,50 @@ class TestCoordinateDescent:
             cd_unhinged(xs, ys, 3, step_size=0.0)
 
 
+def reference_to_csv(traj, path):
+    """The csv.writer row loop whose bytes Trajectory.to_csv must reproduce."""
+    d = traj.dimension
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"v_{j + 1}" for j in range(d)]
+                        + ["loss", "angle_rad", "chosen_coord"])
+        for t in range(traj.iterates.shape[0]):
+            angle = traj.angles_to_target[t]
+            chosen = ""
+            if traj.chosen_coords is not None and t >= 1:
+                chosen = ";".join(str(j) for j in traj.chosen_coords[t - 1])
+            writer.writerow(
+                [str(t)]
+                + [repr(float(c)) for c in traj.iterates[t]]
+                + [repr(float(traj.loss_values[t])),
+                   "" if np.isnan(angle) else repr(float(angle)),
+                   chosen]
+            )
+
+
 class TestTrajectoryCsv:
+    @pytest.mark.parametrize("run", ["gd", "cd-lowest-index", "cd-report-all",
+                                     "stationary"])
+    def test_bytes_match_reference_writer(self, tmp_path, run):
+        rng = np.random.default_rng(17)
+        xs = rng.standard_normal((50, 4))
+        ys = rng.choice([-1, 1], 50)
+        if run == "gd":
+            traj = gd_unhinged(xs, ys, rng.standard_normal(4), 0.0137, 300)
+        elif run == "cd-lowest-index":
+            traj = cd_unhinged(xs, ys, 300, step_size=1 / 3)
+        elif run == "cd-report-all":
+            # columns 1 and 4 tie for the largest |label sum|, 3
+            traj = cd_unhinged([[2.0, -1.0, 0.5, 1.0, 1.0], [0.0, 2.0, 0.5, 1.0, -2.0]],
+                               [1, -1], 300, tie_rule="report-all")
+            assert traj.argmax_coords == (1, 4)
+        else:
+            traj = gd_unhinged([[1.0, -2.0], [1.0, -2.0]], [1, -1], [0.0, 0.0], 0.5, 300)
+            assert traj.stationary and np.all(np.isnan(traj.angles_to_target))
+        traj.to_csv(tmp_path / "fast.csv")
+        reference_to_csv(traj, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_columns_and_markers(self, tmp_path):
         xs, ys = [[3.0, 1.0]], [1]
         traj = cd_unhinged(xs, ys, 2)

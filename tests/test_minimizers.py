@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from potmin import (LOSS_NAMES, DiscreteDistribution, FitResult, LossOverflowError,
-                    PGDConfig, WeightVector, corrupt_rcn, expected_loss,
-                    make_counterexample, make_loss, mean_label_feature,
-                    pgd_minimizer, unhinged_minimizer)
+from potmin import (LOSS_NAMES, RELAXED_ONLY, DiscreteDistribution, FitResult,
+                    LossOverflowError, PGDConfig, PotentialFunction, WeightVector,
+                    corrupt_rcn, expected_loss, make_counterexample, make_loss,
+                    mean_label_feature, pgd_minimizer, unhinged_minimizer)
+from potmin import minimizers
 from potmin.minimizers import _project_ball, default_step
 
 UNHINGED = make_loss("unhinged")
@@ -287,6 +288,16 @@ class TestPgdMinimizer:
             pgd_minimizer(dist, UNHINGED, -2.0)
 
 
+SMOOTH = ("exponential", "mixed_linear_exponential", "logistic")
+C1_LOSSES = SMOOTH + ("unhinged",)
+
+
+def frank_wolfe_gap(dist, phi, v, r):
+    """<grad P(v), v> + r ||grad P(v)||: an upper bound on P(v) - min over the ball."""
+    g = (dist.weights * phi.deriv(dist.margins(v))) @ (dist.ys[:, None] * dist.xs)
+    return float(g @ v + r * np.linalg.norm(g))
+
+
 @pytest.mark.parametrize("cfg", [
     PGDConfig(max_iters=3000),
     PGDConfig(step=0.0, max_iters=20),
@@ -296,27 +307,113 @@ class TestPgdMinimizer:
 @pytest.mark.parametrize("loss", LOSS_NAMES)
 @pytest.mark.parametrize("source", ["counterexample", "random"])
 def test_fit_matches_reference_loop_bit_for_bit(source, loss, cfg):
+    """Fixed-step fits (hinge, or an explicit step) equal the reference byte
+    for byte; a C1 loss at the default step backtracks instead, and must
+    converge to an objective no worse in no more iterations."""
     if source == "counterexample":
         dist = make_counterexample(0.05)
     else:
         dist = helpers.random_distribution(np.random.default_rng(7), max_dim=4,
                                            max_atoms=12)
     phi = make_loss(loss)
-    assert fit_bytes(pgd_minimizer(dist, phi, 1.0, cfg)) == fit_bytes(
-        reference_pgd(dist, phi, 1.0, cfg))
+    fit = pgd_minimizer(dist, phi, 1.0, cfg)
+    reference = reference_pgd(dist, phi, 1.0, cfg)
+    if cfg.step is None and loss in C1_LOSSES:
+        assert fit.converged
+        assert fit.objective <= reference.objective + 1e-12
+        assert fit.iterations <= reference.iterations
+    else:
+        assert fit_bytes(fit) == fit_bytes(reference)
 
 
 def test_one_margin_evaluation_per_iterate(monkeypatch):
-    calls = []
+    # one margin vector per trial point: the start, plus every projected
+    # trial, accepted or rejected
+    calls, trials = [], []
     margins = DiscreteDistribution.margins
 
     def counted(self, v):
         calls.append(1)
         return margins(self, v)
 
+    def projected(v, r):
+        trials.append(1)
+        return _project_ball(v, r)
+
     monkeypatch.setattr(DiscreteDistribution, "margins", counted)
-    for loss in LOSS_NAMES:
+    monkeypatch.setattr(minimizers, "_project_ball", projected)
+    cases = [(make_counterexample(0.05), loss, 1.0) for loss in LOSS_NAMES]
+    # the first trial puts atom 1 at margin -4.5, where exp(-z)'' = exp(-z)
+    # is far above 1, so 1/lambda_max is rejected
+    cases.append((DiscreteDistribution([[1.0], [-10.0]], [1, 1], [0.99, 0.01]),
+                  "exponential", 1.0))
+    for dist, loss, r in cases:
         calls.clear()
-        fit = pgd_minimizer(make_counterexample(0.05), make_loss(loss), 1.0,
-                            PGDConfig(max_iters=500))
-        assert len(calls) == fit.iterations + 1
+        trials.clear()
+        fit = pgd_minimizer(dist, make_loss(loss), r, PGDConfig(max_iters=500))
+        assert len(calls) == len(trials) + 1
+        if loss == "hinge":
+            assert len(trials) == fit.iterations
+    assert len(trials) > fit.iterations
+
+
+def test_backtracking_halves_to_an_accepted_step():
+    # 1/lambda_max = 1/1.99 overshoots; every accepted step decreases P, up
+    # to the few-ulp rounding slack of the test
+    dist = DiscreteDistribution([[1.0], [-10.0]], [1, 1], [0.99, 0.01])
+    fit = pgd_minimizer(dist, make_loss("exponential"), 1.0,
+                        PGDConfig(record_history=True))
+    assert fit.converged
+    assert np.all(np.diff(np.array(fit.objective_history)) <= 1e-15)
+    # P(v) = 0.99 e^-v + 0.01 e^10v is least at v = log(9.9)/11, inside the ball
+    assert fit.weights.v[0] == pytest.approx(math.log(9.9) / 11, abs=1e-9)
+
+
+def test_backtracking_stops_when_the_step_would_reach_zero():
+    # a NaN objective fails every decrease test, so the step halves down to
+    # the last subnormal; the fit must then stop instead of looping
+    nan_loss = PotentialFunction("nan", lambda z: np.full_like(z, np.nan),
+                                 lambda z: np.full_like(z, -1.0), RELAXED_ONLY)
+    fit = pgd_minimizer(make_counterexample(0.05), nan_loss, 1.0)
+    assert not fit.converged
+    assert fit.iterations == 1
+    assert fit.weights.v.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("loss", C1_LOSSES)
+def test_default_step_certifies_frank_wolfe_gap(loss):
+    phi = make_loss(loss)
+    rng = np.random.default_rng(29)
+    dists = [make_counterexample(g) for g in (0.05, 0.1, 0.2, 0.3)]
+    dists += [helpers.random_distribution(rng) for _ in range(20)]
+    for dist in dists:
+        for fitted in (dist, corrupt_rcn(dist, 0.2)):
+            fit = pgd_minimizer(fitted, phi, 1.0)
+            assert fit.converged
+            assert frank_wolfe_gap(fitted, phi, fit.weights.v, 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("loss", SMOOTH)
+def test_smooth_losses_converge_in_few_iterations(loss):
+    # n=1e3, d=10 Gaussian features under a noisy halfspace; the fixed step
+    # 0.1/(1 + E||x||^2) needed about 3,000 iterations here
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal(10)
+    xs = rng.standard_normal((1000, 10))
+    ys = np.where(xs @ w + 0.5 * np.linalg.norm(w) * rng.standard_normal(1000) >= 0.0,
+                  1, -1)
+    weights = rng.uniform(0.5, 1.5, 1000)
+    dist = DiscreteDistribution(xs, ys, weights / weights.sum())
+    fit = pgd_minimizer(dist, make_loss(loss), 1.0)
+    assert fit.converged
+    assert fit.iterations < 200
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step", math.nan), ("step", math.inf), ("step", -math.inf),
+    ("tol", math.nan), ("tol", math.inf), ("tol", -1e-9),
+])
+def test_non_finite_settings_rejected(field, value):
+    cfg = PGDConfig(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be .*{value!r}"):
+        pgd_minimizer(make_counterexample(0.05), make_loss("logistic"), 1.0, cfg)
