@@ -112,21 +112,32 @@ def check_rcn_robustness(dist: DiscreteDistribution, phi: PotentialFunction,
     otherwise); it is a witness pair, not a quantification over all
     minimizers of either objective.
     """
+    return _robustness_sweep(dist, phi, r, [eta], minimizer)[0]
+
+
+def _robustness_sweep(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
+                      etas, minimizer: str) -> list[RobustnessReport]:
+    """check_rcn_robustness at each noise rate, fitting the clean side once."""
     if minimizer not in MINIMIZER_ROUTES:
         raise ValueError(f"minimizer must be one of {MINIMIZER_ROUTES}, got {minimizer!r}")
-    eta = float(eta)
-    if not 0.0 < eta < 0.5:
-        raise ValueError(f"noise rate must satisfy 0 < eta < 1/2, got {eta!r}")
+    etas = [float(eta) for eta in etas]
+    for eta in etas:
+        if not 0.0 < eta < 0.5:
+            raise ValueError(f"noise rate must satisfy 0 < eta < 1/2, got {eta!r}")
     fit_clean = _fit(dist, phi, r, minimizer)
-    fit_noisy = _fit(corrupt_rcn(dist, eta), phi, r, minimizer)
-    return RobustnessReport(
-        eta=eta,
-        clean_fit_error=misclassification_error(dist, fit_clean.weights.v),
-        noisy_fit_error=misclassification_error(dist, fit_noisy.weights.v),
-        minimizer_clean=fit_clean.weights,
-        minimizer_noisy=fit_noisy.weights,
-        degenerate=fit_clean.degenerate_centroid or fit_noisy.degenerate_centroid,
-    )
+    clean_fit_error = misclassification_error(dist, fit_clean.weights.v)
+    reports = []
+    for eta in etas:
+        fit_noisy = _fit(corrupt_rcn(dist, eta), phi, r, minimizer)
+        reports.append(RobustnessReport(
+            eta=eta,
+            clean_fit_error=clean_fit_error,
+            noisy_fit_error=misclassification_error(dist, fit_noisy.weights.v),
+            minimizer_clean=fit_clean.weights,
+            minimizer_noisy=fit_noisy.weights,
+            degenerate=fit_clean.degenerate_centroid or fit_noisy.degenerate_centroid,
+        ))
+    return reports
 
 
 def slope_identity_residual(dist: DiscreteDistribution, eta: float, w) -> float:

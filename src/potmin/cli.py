@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import svg
-from .analysis import (MINIMIZER_ROUTES, check_rcn_robustness, expected_loss,
-                       misclassification_error, recession_probe)
+from .analysis import (MINIMIZER_ROUTES, _robustness_sweep, check_rcn_robustness,
+                       expected_loss, misclassification_error, recession_probe)
 from .distributions import (DiscreteDistribution, _read_labeled_csv, make_counterexample,
                             mean_label_feature)
 from .dynamics import TIE_RULES, Trajectory, cd_unhinged, gd_unhinged
@@ -354,12 +354,11 @@ def run_eta_sweep(cfg: ExperimentConfig) -> SweepOutcome:
     dist = _load_dist(cfg)
     phi = make_loss(cfg.loss)
     records = []
-    for eta in etas:
-        report = check_rcn_robustness(dist, phi, cfg.r, float(eta), cfg.route)
+    for report in _robustness_sweep(dist, phi, cfg.r, etas, cfg.route):
         drift = float(np.max(np.abs(report.minimizer_clean.v - report.minimizer_noisy.v)))
         records.append(SweepRecord(
             param_name="eta",
-            param_value=float(eta),
+            param_value=report.eta,
             minimizer=tuple(float(c) for c in report.minimizer_noisy.v),
             clean_error=report.clean_fit_error,
             noisy_fit_error=report.noisy_fit_error,

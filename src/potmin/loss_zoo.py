@@ -60,6 +60,7 @@ def _elementwise(core: Callable[[np.ndarray], np.ndarray]):
         out = core(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
+    wrapped.__wrapped__ = core
     return wrapped
 
 

@@ -1,25 +1,32 @@
 """Minimizers of the expected potential over a Euclidean norm ball.
 
 The unhinged loss admits a closed form: the expected loss is linear in
-v, so the ball minimizer is the rescaled label centroid.  Every other
-loss goes through projected gradient descent.  Both return the same
-:class:`FitResult` shape.
+v, so the ball minimizer is the rescaled label centroid.  The hinge loss
+is fit to a certified duality gap (the closed form when it certifies,
+else a primal-dual interior point), and every other loss goes through
+projected gradient descent.  All return the same :class:`FitResult` shape.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DiscreteDistribution, mean_label_feature
-from .loss_zoo import NEITHER, LossOverflowError, PotentialFunction
+from .loss_zoo import NEITHER, LossOverflowError, PotentialFunction, _hinge_eval
 
 _BALL_SLACK = 1e-12
 _DEGENERATE_CENTROID_TOL = 1e-14
 # rounding allowance on |P(v)| in the sufficient-decrease test
 _DECREASE_ULPS = 4
+# least share of the way to the boundary of the positive orthant (and the
+# ball) that an interior-point step takes; it rises to 1 - sqrt(mu) as the
+# mean complementarity mu falls, so that the last steps converge
+# superlinearly instead of cutting the gap only 100-fold each
+_STEP_TO_BOUNDARY = 0.99
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +47,8 @@ class WeightVector:
             r = float(self.radius_bound)
             if not r > 0:
                 raise ValueError(f"radius bound must be positive, got {r!r}")
-            if np.linalg.norm(v) > r + _BALL_SLACK:
+            # r m/||m|| and a projection onto the ball round relative to r
+            if np.linalg.norm(v) > r + _BALL_SLACK * max(1.0, r):
                 raise ValueError(
                     f"||v|| = {np.linalg.norm(v)!r} exceeds radius bound {r!r}"
                 )
@@ -51,6 +59,16 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted ball minimizer and how its fit stopped.
+
+    ``gradient_norm_final`` is PGD's last gradient-mapping norm (0.0 for a
+    closed form, nan for the interior-point hinge fit, which has none).
+    ``gap`` is a certified bound on ``objective`` minus the optimum: 0.0
+    for the unhinged closed form (r ||m|| when the centroid m is
+    degenerate), P(v) - D(a) for a hinge fit at the default step, and
+    None for PGD.
+    """
+
     weights: WeightVector
     objective: float
     iterations: int
@@ -58,6 +76,7 @@ class FitResult:
     gradient_norm_final: float
     degenerate_centroid: bool = False
     objective_history: tuple[float, ...] | None = None
+    gap: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -68,6 +87,7 @@ class FitResult:
             "converged": self.converged,
             "gradient_norm_final": self.gradient_norm_final,
             "degenerate_centroid": self.degenerate_centroid,
+            "gap": self.gap,
         }
 
 
@@ -87,19 +107,21 @@ def unhinged_minimizer(dist: DiscreteDistribution, r: float) -> FitResult:
     if norm_m <= _DEGENERATE_CENTROID_TOL:
         zero = np.zeros(dist.dimension)
         return FitResult(WeightVector(zero, r), 1.0, 0, True, 0.0,
-                         degenerate_centroid=True)
+                         degenerate_centroid=True, gap=r * norm_m)
     v = (r / norm_m) * m
-    return FitResult(WeightVector(v, r), 1.0 - r * norm_m, 0, True, 0.0)
+    return FitResult(WeightVector(v, r), 1.0 - r * norm_m, 0, True, 0.0, gap=0.0)
 
 
 @dataclass(frozen=True)
 class PGDConfig:
     """Projected-gradient settings.
 
-    With ``step=None`` the loss picks the step rule.  A loss that declares
+    With ``step=None`` the loss picks the method.  A loss that declares
     a C1 axiom class (every class but ``"neither"``) backtracks: the step
     starts at 1/lambda_max(E[x x^T]) and halves until the trial point
-    passes a sufficient-decrease test.  Hinge takes the fixed
+    passes a sufficient-decrease test.  The shipped hinge loss is fit to a
+    certified duality gap, ``tol`` being the gap and ``max_iters`` the
+    number of Newton steps.  Any other ``"neither"`` loss takes the fixed
     :func:`default_step`.  An explicit ``step`` is always fixed.
     """
 
@@ -112,8 +134,9 @@ class PGDConfig:
 def default_step(dist: DiscreteDistribution) -> float:
     """0.1 / (1 + E||x||^2): deterministic and scale-aware.
 
-    The fixed step of the hinge subgradient path (any loss whose axiom
-    class is ``"neither"``) when no step is given.
+    The fixed step, when no step is given, of the subgradient path of a
+    loss whose axiom class is ``"neither"``, other than the shipped hinge
+    (which is fit to a certified gap instead).
     """
     return 0.1 / (1.0 + float(dist.weights @ np.sum(dist.xs ** 2, axis=1)))
 
@@ -158,14 +181,15 @@ def _gradient(phi: PotentialFunction, dist: DiscreteDistribution,
     finite and only the sum overflowed, the atom with the largest term.
     """
     scaled = dist.weights * _per_atom(phi.deriv, dist, margins)
-    g = scaled @ yx
-    if not np.all(np.isfinite(g)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = scaled[:, None] * yx
-        bad = ~np.all(np.isfinite(terms), axis=1)
-        idx = np.argmax(bad) if bad.any() else np.argmax(np.max(np.abs(terms), axis=1))
-        raise _overflow_at(phi.name, dist, margins, int(idx))
-    return g
+    # an overflow is reported as the error below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = scaled @ yx
+        if np.all(np.isfinite(g)):
+            return g
+        terms = scaled[:, None] * yx
+    bad = ~np.all(np.isfinite(terms), axis=1)
+    idx = np.argmax(bad) if bad.any() else np.argmax(np.max(np.abs(terms), axis=1))
+    raise _overflow_at(phi.name, dist, margins, int(idx))
 
 
 def _sufficient_decrease(obj: float, trial_obj: float, g: np.ndarray,
@@ -173,6 +197,161 @@ def _sufficient_decrease(obj: float, trial_obj: float, g: np.ndarray,
     """P(v + d) <= P(v) + <g, d> + ||d||^2 / (2 step), up to rounding in P."""
     slack = _DECREASE_ULPS * np.finfo(float).eps * abs(obj)
     return trial_obj <= obj + float(g @ d) + float(d @ d) / (2.0 * step) + slack
+
+
+def _is_shipped_hinge(phi: PotentialFunction) -> bool:
+    """Whether phi's value is the shipped hinge, through any timing wrappers."""
+    return inspect.unwrap(phi.eval) is _hinge_eval
+
+
+def _hinge_dual(w: np.ndarray, yx: np.ndarray, lam: np.ndarray, r: float) -> float:
+    """D(a) = sum_i w_i a_i - r ||sum_i w_i a_i y_i x_i|| at a = clip(lam / w, 0, 1).
+
+    Every a in the box [0, 1]^n makes D(a) a lower bound on the hinge
+    optimum over the radius-r ball.
+    """
+    wa = w * np.clip(lam / w, 0.0, 1.0)
+    return float(wa.sum()) - r * float(np.linalg.norm(wa @ yx))
+
+
+def _to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
+    """The largest alpha with x + alpha dx >= 0, for x > 0 (inf if dx >= 0)."""
+    shrink = dx < 0.0
+    return float(np.min(-x[shrink] / dx[shrink])) if shrink.any() else math.inf
+
+
+def _to_ball(s3: float, v: np.ndarray, dv: np.ndarray) -> float:
+    """The largest alpha with (r^2 - ||v + alpha dv||^2) / 2 >= 0, given s3 at v."""
+    b, c = float(v @ dv), float(dv @ dv)
+    root = math.sqrt(b * b + 2.0 * c * s3)
+    if b >= 0.0:
+        return 2.0 * s3 / (b + root) if b + root > 0.0 else math.inf
+    return (root - b) / c
+
+
+def _mehrotra_step(w: np.ndarray, yx: np.ndarray, r: float, v: np.ndarray,
+                   margins: np.ndarray, t: np.ndarray, lam1: np.ndarray,
+                   lam2: np.ndarray, lam3: float):
+    """One predictor-corrector step of the hinge epigraph problem.
+
+    The primal slacks are s1 = t, s2 = t - 1 + y x.v and
+    s3 = (r^2 - ||v||^2) / 2; the dual residuals are w - lam1 - lam2 and
+    lam3 v - A^T lam2, with A the rows y_i x_i.  Eliminating t and the
+    multipliers leaves one d x d system M dv = rhs, solved by Cholesky,
+    with M = A^T E A + lam3 I + (lam3 / s3) v v^T.  Returns the next
+    (v, t, lam1, lam2, lam3); raises ArithmeticError or LinAlgError when
+    rounding leaves no interior step.
+    """
+    n = w.size
+    s1, s2, s3 = t, t - 1.0 + margins, (r * r - float(v @ v)) / 2.0
+    res_t = w - lam1 - lam2
+    res_v = lam3 * v - lam2 @ yx
+    d1, d2, d3 = lam1 / s1, lam2 / s2, lam3 / s3
+    e = d1 * d2 / (d1 + d2)
+    system = (yx * e[:, None]).T @ yx + d3 * np.outer(v, v)
+    # the shift keeps M positive definite under rounding where A has a
+    # null space and lam3 tends to 0 (an optimum inside the ball)
+    system[np.diag_indices_from(system)] += (
+        lam3 + np.finfo(float).eps * np.trace(system) * v.size)
+    chol = np.linalg.cholesky(system)
+
+    def newton(c1, c2, c3):
+        # the step that moves each product s * lam by -c, to first order;
+        # returns (dv, ds1, ds2, ds3, dlam1, dlam2, dlam3), with dt = ds1
+        q1, q2, q3 = c1 / s1, c2 / s2, c3 / s3
+        h = d2 * (res_t + q1 + q2) / (d1 + d2) - q2
+        dv = np.linalg.solve(chol.T, np.linalg.solve(chol, h @ yx - res_v + q3 * v))
+        adv = yx @ dv
+        dt = -(res_t + q1 + q2 + d2 * adv) / (d1 + d2)
+        return (dv, dt, adv + dt, -float(v @ dv),
+                -d1 * dt - q1, -d2 * (adv + dt) - q2, d3 * float(v @ dv) - q3)
+
+    def longest(dv, ds1, ds2, ds3, dl1, dl2, dl3):
+        # ds3 is linearized; the ball test uses the exact ||v + alpha dv||
+        return min(_to_boundary(s1, ds1), _to_boundary(s2, ds2), _to_ball(s3, v, dv),
+                   _to_boundary(lam1, dl1), _to_boundary(lam2, dl2),
+                   -lam3 / dl3 if dl3 < 0.0 else math.inf)
+
+    mu = (s1 @ lam1 + s2 @ lam2 + s3 * lam3) / (2 * n + 1)
+    # predictor: the affine-scaling step, aiming at s * lam = 0
+    aff = newton(s1 * lam1, s2 * lam2, s3 * lam3)
+    _, ds1, ds2, ds3, dl1, dl2, dl3 = aff
+    alpha = min(1.0, longest(*aff))
+    mu_aff = ((s1 + alpha * ds1) @ (lam1 + alpha * dl1)
+              + (s2 + alpha * ds2) @ (lam2 + alpha * dl2)
+              + (s3 + alpha * ds3) * (lam3 + alpha * dl3)) / (2 * n + 1)
+    sigma_mu = (mu_aff / mu) ** 3 * mu
+    # corrector: centre at sigma mu and cancel the predictor's
+    # second-order term ds * dlam
+    dv, dt, _, _, dl1, dl2, dl3 = step = newton(s1 * lam1 + ds1 * dl1 - sigma_mu,
+                                               s2 * lam2 + ds2 * dl2 - sigma_mu,
+                                               s3 * lam3 + ds3 * dl3 - sigma_mu)
+    alpha = min(1.0, max(_STEP_TO_BOUNDARY, 1.0 - math.sqrt(mu)) * longest(*step))
+    if not alpha > 0.0:
+        raise FloatingPointError("no interior step is left")
+    return (v + alpha * dv, t + alpha * dt, lam1 + alpha * dl1, lam2 + alpha * dl2,
+            lam3 + alpha * dl3)
+
+
+def _hinge_fit(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
+               cfg: PGDConfig) -> FitResult:
+    """Certified hinge fit over the ball, stopping on a duality gap <= tol.
+
+    First the unhinged closed form: hinge >= unhinged pointwise, so the
+    dual point a = 1, D(1) = 1 - r ||m||, bounds the optimum, and the
+    closed form is returned (0 iterations) when its hinge value is within
+    tol of that bound.  Otherwise a primal-dual interior point (Mehrotra
+    1992) on min w.t s.t. t >= 0, t >= 1 - y x.v, ||v||^2 <= r^2, with
+    multipliers lam1, lam2, lam3, starting at v = 0.  Every iterate lies
+    strictly inside the ball; the fit returns the best one and stops when
+    P(best v) - max D(clip(lam2 / w, 0, 1)) <= tol, when max_iters
+    Newton steps are spent, or when rounding leaves no interior step.
+    """
+    w = dist.weights
+    yx = dist.ys[:, None] * dist.xs
+
+    closed = unhinged_minimizer(dist, r)
+    obj = float(w @ _per_atom(phi.eval, dist, dist.margins(closed.weights.v)))
+    gap = obj - _hinge_dual(w, yx, w, r)
+    if gap <= cfg.tol:
+        return FitResult(closed.weights, obj, 0, True, 0.0, gap=gap,
+                         objective_history=(obj,) if cfg.record_history else None)
+
+    v = np.zeros(dist.dimension)
+    margins = dist.margins(v)
+    t = np.full(w.size, 2.0)
+    lam1, lam2 = w / 2.0, w / 2.0
+    # centred start: lam3 s3 equals the mean of the other 2n products
+    lam3 = float(t @ lam1 + (t - 1.0) @ lam2) / (2 * w.size) / (r * r / 2.0)
+    best_v = v
+    best_obj = float(w @ _per_atom(phi.eval, dist, margins))
+    best_dual = _hinge_dual(w, yx, lam2, r)
+    history = [best_obj] if cfg.record_history else None
+    converged = False
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                v, t, lam1, lam2, lam3 = _mehrotra_step(w, yx, r, v, margins, t,
+                                                        lam1, lam2, lam3)
+        except (ArithmeticError, np.linalg.LinAlgError):
+            iterations -= 1
+            break
+        margins = dist.margins(v)
+        obj = float(w @ _per_atom(phi.eval, dist, margins))
+        if history is not None:
+            history.append(obj)
+        if obj < best_obj:
+            best_v, best_obj = v, obj
+        best_dual = max(best_dual, _hinge_dual(w, yx, lam2, r))
+        if best_obj - best_dual <= cfg.tol:
+            converged = True
+            break
+    return FitResult(
+        WeightVector(best_v, r), best_obj, iterations, converged, math.nan,
+        gap=best_obj - best_dual,
+        objective_history=tuple(history) if history is not None else None,
+    )
 
 
 def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
@@ -188,10 +367,16 @@ def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
     (exponential, mixed, logistic, unhinged) the step starts at
     1/lambda_max(E[x x^T]) and is halved (never raised again) whenever the
     trial point fails P(v+) <= P(v) + <g, v+ - v> + ||v+ - v||^2 / (2 step)
-    (Beck & Teboulle 2009); if halving would reach zero the fit stops as
-    not converged.  Hinge takes the fixed :func:`default_step`, and an
-    explicit step is fixed.  A zero step is allowed for diagnostics; the
-    raw gradient norm is then reported and the iterate never moves.
+    (Beck & Teboulle 2009); if halving would reach zero, or the trial
+    point stops moving while the Frank-Wolfe gap <g, v> + r ||g|| exceeds
+    the tolerance, the fit stops as not converged.  The shipped hinge loss
+    with ``cfg.step`` None is fit to a certified duality gap instead (see
+    :func:`_hinge_fit`): the unhinged closed form when it certifies, else
+    a primal-dual interior point, stopping when the gap is at most
+    ``cfg.tol``.  Any other ``"neither"`` loss takes the fixed
+    :func:`default_step`, and an explicit step is fixed for every loss.
+    A zero step is allowed for diagnostics; the raw gradient norm is then
+    reported and the iterate never moves.
     """
     r = float(r)
     if not r > 0:
@@ -203,6 +388,8 @@ def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
         value = getattr(cfg, field)
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{field} must be finite and nonnegative, got {value!r}")
+    if cfg.step is None and _is_shipped_hinge(phi):
+        return _hinge_fit(dist, phi, r, cfg)
     backtrack = cfg.step is None and phi.axiom_class != NEITHER
     if backtrack:
         step = _curvature_step(dist)
@@ -238,6 +425,9 @@ def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
             pg_norm = float(np.linalg.norm(v - candidate)) / step
         else:
             pg_norm = float(np.linalg.norm(g))
+        if (backtrack and pg_norm == 0.0
+                and float(g @ v) + r * float(np.linalg.norm(g)) > cfg.tol):
+            break  # step * g underflowed: v cannot move, yet its Frank-Wolfe gap is open
         v, margins, obj = candidate, trial, trial_obj
         if history is not None:
             history.append(obj)

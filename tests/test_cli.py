@@ -10,9 +10,9 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from potmin import (make_counterexample, mean_label_feature,
-                    misclassification_error, unhinged_minimizer)
-from potmin import cli
+from potmin import (check_rcn_robustness, expected_loss, make_counterexample, make_loss,
+                    mean_label_feature, misclassification_error, unhinged_minimizer)
+from potmin import analysis, cli
 from potmin.cli import (ExperimentConfig, counterexample_sample, load_sample_csv,
                         main, run_dynamics, run_eta_sweep, run_gamma_sweep,
                         run_loss_report)
@@ -142,6 +142,31 @@ class TestEtaSweep:
         code = main(["eta-sweep", "--out-dir", str(tmp_path),
                      "--data", str(data), "--grid-count", "3"])
         assert code == 0
+
+    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    def test_clean_distribution_fit_once(self, tmp_path, monkeypatch, loss):
+        # one clean fit and one fit per noise rate; every row is the one
+        # check_rcn_robustness gives at its rate
+        fitted = []
+        pgd = analysis.pgd_minimizer
+
+        def counted(dist, *args):
+            fitted.append(dist)
+            return pgd(dist, *args)
+
+        monkeypatch.setattr(analysis, "pgd_minimizer", counted)
+        cfg = ExperimentConfig(out_dir=str(tmp_path), loss=loss, grid_count=3)
+        outcome = run_eta_sweep(cfg)
+        assert len(fitted) == 4
+        dist, phi = make_counterexample(cfg.gamma), make_loss(loss)
+        for rec in outcome.records:
+            report = check_rcn_robustness(dist, phi, cfg.r, rec.param_value, "pgd")
+            assert rec.minimizer == tuple(report.minimizer_noisy.v.tolist())
+            assert (rec.clean_error, rec.noisy_fit_error) == (
+                report.clean_fit_error, report.noisy_fit_error)
+            assert rec.objective == expected_loss(dist, phi, report.minimizer_noisy.v)
+            assert rec.extras == {"robust": report.robust, "minimizer_drift": float(
+                np.max(np.abs(report.minimizer_clean.v - report.minimizer_noisy.v)))}
 
     def test_eta_grid_validated(self, tmp_path):
         code = main(["eta-sweep", "--out-dir", str(tmp_path),

@@ -1,5 +1,6 @@
 """Closed-form and projected-gradient ball minimizers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -109,6 +110,19 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="exceeds"):
             WeightVector(np.array([3.0, 4.0]), 4.9)
 
+    def test_rounding_slack_scales_with_the_radius(self):
+        # r m/||m|| at r = 1e8 has norm r (1 + eps), 1.5e-8 above r
+        dist = DiscreteDistribution([[2.0, 1.0], [1.0, -3.0], [0.5, 0.5]], [1, -1, -1],
+                                    [0.3, 0.3, 0.4])
+        for r in (1e6, 1e8, 1e12):
+            for fit in (unhinged_minimizer(dist, r),
+                        pgd_minimizer(dist, make_loss("hinge"), r)):
+                assert np.linalg.norm(fit.weights.v) <= r * (1 + 1e-12)
+        with pytest.raises(ValueError, match="exceeds"):
+            WeightVector(np.array([3.0, 4.0]), 5.0 - 1e-10)
+        with pytest.raises(ValueError, match="exceeds"):
+            WeightVector(np.array([3e8, 4e8]), 5e8 - 1e-2)
+
     def test_unbounded_allowed(self):
         wv = WeightVector(np.array([100.0]), None)
         assert wv.radius_bound is None
@@ -158,7 +172,8 @@ class TestUnhingedMinimizer:
         fit = unhinged_minimizer(make_counterexample(0.05), 2.0)
         data = fit.to_dict()
         assert set(data) == {"v", "r", "objective", "iterations", "converged",
-                             "gradient_norm_final", "degenerate_centroid"}
+                             "gradient_norm_final", "degenerate_centroid", "gap"}
+        assert data["gap"] == 0.0
         assert data["r"] == 2.0
 
     @settings(max_examples=50, deadline=None)
@@ -207,7 +222,8 @@ class TestPgdMinimizer:
         # the kink subgradient (-1 at margin 1) still drives the iterate to
         # the boundary on a separable atom and parks it there
         dist = DiscreteDistribution([[1.0]], [1], [1.0])
-        fit = pgd_minimizer(dist, make_loss("hinge"), 1.0)
+        fit = pgd_minimizer(dist, make_loss("hinge"), 1.0,
+                            PGDConfig(step=default_step(dist)))
         assert fit.converged
         np.testing.assert_allclose(fit.weights.v, [1.0], atol=1e-9)
         assert fit.objective == pytest.approx(0.0, abs=1e-9)
@@ -307,9 +323,10 @@ def frank_wolfe_gap(dist, phi, v, r):
 @pytest.mark.parametrize("loss", LOSS_NAMES)
 @pytest.mark.parametrize("source", ["counterexample", "random"])
 def test_fit_matches_reference_loop_bit_for_bit(source, loss, cfg):
-    """Fixed-step fits (hinge, or an explicit step) equal the reference byte
-    for byte; a C1 loss at the default step backtracks instead, and must
-    converge to an objective no worse in no more iterations."""
+    """Fits at an explicit step equal the reference byte for byte.  At the
+    default step a C1 loss backtracks instead, and must converge to an
+    objective no worse in no more iterations; hinge is fit to a certified
+    duality gap, and must converge to an objective no worse."""
     if source == "counterexample":
         dist = make_counterexample(0.05)
     else:
@@ -322,6 +339,10 @@ def test_fit_matches_reference_loop_bit_for_bit(source, loss, cfg):
         assert fit.converged
         assert fit.objective <= reference.objective + 1e-12
         assert fit.iterations <= reference.iterations
+    elif cfg.step is None:
+        assert fit.converged
+        assert fit.gap <= cfg.tol
+        assert fit.objective <= reference.objective + 1e-12
     else:
         assert fit_bytes(fit) == fit_bytes(reference)
 
@@ -417,3 +438,136 @@ def test_non_finite_settings_rejected(field, value):
     cfg = PGDConfig(**{field: value})
     with pytest.raises(ValueError, match=f"{field} must be .*{value!r}"):
         pgd_minimizer(make_counterexample(0.05), make_loss("logistic"), 1.0, cfg)
+
+
+def test_backtracking_does_not_converge_where_the_step_underflows():
+    # the value jumps from 1 to 2 at margin 0, so every trial step * m is
+    # rejected until it underflows and the trial equals v = 0; the
+    # Frank-Wolfe gap there is r ||m|| > 0, so the fit has not converged
+    jump = PotentialFunction("jump", lambda z: np.where(z <= 0.0, 1.0, 2.0),
+                             lambda z: np.full_like(z, -1.0), RELAXED_ONLY)
+    fit = pgd_minimizer(make_counterexample(0.05), jump, 1.0)
+    assert not fit.converged
+    assert fit.weights.v.tolist() == [0.0, 0.0]
+
+
+HINGE = make_loss("hinge")
+TOL = PGDConfig().tol
+
+
+def hinge_lower_bound(dist, v, r):
+    """P(v) - <g, v> - r ||g|| for a subgradient g of the hinge objective at v:
+    a lower bound on its minimum over the ball."""
+    return expected_loss(dist, HINGE, v) - frank_wolfe_gap(dist, HINGE, v, r)
+
+
+def gaussian_halfspace(seed, n=1000, d=10):
+    """Gaussian features under a noisy halfspace, with random weights."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(d)
+    xs = rng.standard_normal((n, d))
+    ys = np.where(xs @ w + 0.5 * np.linalg.norm(w) * rng.standard_normal(n) >= 0.0,
+                  1, -1)
+    weights = rng.uniform(0.5, 1.5, n)
+    return DiscreteDistribution(xs, ys, weights / weights.sum())
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.05, 0.09016845961056069, 0.1, 0.2, 0.3])
+def test_hinge_fit_is_the_closed_form_on_the_construction(gamma):
+    # every margin at r m/||m|| is at most 1, so hinge equals unhinged there
+    # and the dual point a = 1 certifies the closed form
+    dist = make_counterexample(gamma)
+    for fitted in (dist, corrupt_rcn(dist, 0.1), corrupt_rcn(dist, 0.3)):
+        fit = pgd_minimizer(fitted, HINGE, 1.0)
+        closed = unhinged_minimizer(fitted, 1.0)
+        assert fit.weights.v.tobytes() == closed.weights.v.tobytes()
+        assert fit.iterations == 0
+        assert fit.converged and fit.gap <= TOL
+
+
+def test_hinge_fit_certifies_against_the_subgradient_reference():
+    # the reference is the 50,000-iteration fixed-step subgradient loop; the
+    # certified objective must be no worse than its best iterate, and not
+    # below the lower bound its subgradient gives
+    rng = np.random.default_rng(29)
+    dists = [make_counterexample(g) for g in (0.05, 0.1, 0.2, 0.3)]
+    dists += [helpers.random_distribution(rng) for _ in range(20)]
+    for dist in dists:
+        for fitted in (dist, corrupt_rcn(dist, 0.2)):
+            fit = pgd_minimizer(fitted, HINGE, 1.0)
+            assert fit.converged and fit.gap <= TOL
+            assert np.linalg.norm(fit.weights.v) <= 1.0 + 1e-12
+            assert fit.objective == expected_loss(fitted, HINGE, fit.weights.v)
+            reference = reference_pgd(fitted, HINGE, 1.0)
+            assert fit.objective <= reference.objective + 1e-12
+            assert fit.objective >= hinge_lower_bound(
+                fitted, reference.weights.v, 1.0) - 1e-12
+
+
+def test_hinge_dual_point_is_clipped_to_the_box():
+    # D(a) bounds the optimum only for a in [0, 1]^n; multipliers outside
+    # the box must be read as its nearest point
+    dist = make_counterexample(0.05)
+    w, yx = dist.weights, dist.ys[:, None] * dist.xs
+    assert minimizers._hinge_dual(w, yx, 3.0 * w, 1.0) == minimizers._hinge_dual(w, yx, w, 1.0)
+    assert minimizers._hinge_dual(w, yx, -w, 1.0) == 0.0
+
+
+def test_hinge_fit_finds_an_interior_optimum():
+    # one atom at x = 2: every v in [0.5, 1] has hinge value 0, and the
+    # closed form v = 1 (margin 2) does not certify, since D(1) = -1
+    dist = DiscreteDistribution([[2.0]], [1], [1.0])
+    fit = pgd_minimizer(dist, HINGE, 1.0)
+    assert fit.converged and fit.gap <= TOL
+    assert fit.iterations > 0
+    assert fit.objective == 0.0
+    assert 0.5 <= fit.weights.v[0] < 1.0
+
+
+@pytest.mark.parametrize("eta", [None, 0.2])
+def test_hinge_fit_certifies_in_few_newton_steps(eta):
+    # the fixed-step subgradient loop spent its whole 50,000-iteration
+    # budget on such a fit without converging
+    dist = gaussian_halfspace(5)
+    fitted = dist if eta is None else corrupt_rcn(dist, eta)
+    fit = pgd_minimizer(fitted, HINGE, 1.0)
+    assert fit.converged and fit.gap <= TOL
+    assert fit.iterations <= 50
+    assert np.linalg.norm(fit.weights.v) < 1.0
+
+
+def test_hinge_fit_out_of_budget_returns_the_best_iterate():
+    dist = gaussian_halfspace(5)
+    fit = pgd_minimizer(dist, HINGE, 1.0, PGDConfig(max_iters=3, record_history=True))
+    assert not fit.converged
+    assert fit.iterations == 3
+    assert fit.gap > TOL
+    assert np.linalg.norm(fit.weights.v) < 1.0
+    assert len(fit.objective_history) == 4
+    assert fit.objective == min(fit.objective_history)
+    assert fit.objective == expected_loss(dist, HINGE, fit.weights.v)
+
+
+def test_hinge_fit_stops_where_rounding_leaves_no_step():
+    # a zero tolerance cannot be certified in floating point; the fit must
+    # still stop, long before its budget, without a numpy warning
+    fit = pgd_minimizer(gaussian_halfspace(5), HINGE, 1.0, PGDConfig(tol=0.0))
+    assert fit.iterations <= 100
+    assert fit.gap <= TOL
+    assert fit.converged == (fit.gap <= 0.0)
+
+
+def test_hinge_fit_sees_through_timing_wrappers():
+    # a wrapper that records the function it wraps, as functools.wraps
+    # does, keeps the certified fit; a look-alike value function does not
+    def timed(fn):
+        def wrapper(z):
+            return fn(z)
+        wrapper.__wrapped__ = fn
+        return wrapper
+
+    dist = gaussian_halfspace(5, n=50, d=3)
+    wrapped = dataclasses.replace(HINGE, eval=timed(HINGE.eval))
+    assert pgd_minimizer(dist, wrapped, 1.0).gap is not None
+    look_alike = dataclasses.replace(HINGE, eval=lambda z: np.maximum(0.0, 1.0 - z))
+    assert pgd_minimizer(dist, look_alike, 1.0, PGDConfig(max_iters=10)).gap is None
