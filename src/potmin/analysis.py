@@ -5,7 +5,11 @@ is no sampling noise anywhere.  The module hosts the noise-robustness
 checker (fit on clean and corrupted data, compare clean-data errors),
 the affine identity tying clean and corrupted unhinged objectives, and a
 ray probe certifying the coercivity bound that guarantees corrupted
-objectives attain their minimum.
+objectives attain their minimum.  The checker and the probe see the
+corrupted distribution as a view of the clean margins,
+(1 - eta) E[phi(m)] + eta E[phi(-m)], each noisy fit folding the noise
+into its own per-atom terms; the affine identity alone compares against
+the distribution :func:`corrupt_rcn` materializes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, corrupt_rcn, random_distribution
+from .distributions import (DiscreteDistribution, _NoisyView, corrupt_rcn,
+                            random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
 from .minimizers import (FitResult, PGDConfig, WeightVector, _per_atom, pgd_minimizer,
                          unhinged_minimizer)
@@ -33,8 +38,13 @@ DEFAULT_RAY_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
 _UNHINGED = make_loss("unhinged")
 
 
-def expected_loss(dist: DiscreteDistribution, phi: PotentialFunction, v) -> float:
-    """Exact weighted expectation of phi(y (v . x)) over the atoms."""
+def expected_loss(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
+                  v) -> float:
+    """Exact weighted expectation of phi(y (v . x)) over the atoms.
+
+    Over a noise view it is (1 - eta) E[phi(m)] + eta E[phi(-m)] at the
+    clean margins m.
+    """
     return float(dist.weights @ _per_atom(phi.eval, dist, dist.margins(v)))
 
 
@@ -90,7 +100,7 @@ class RobustnessReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _fit(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
+def _fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, r: float,
          route: str) -> FitResult:
     if route == "closed-form":
         if phi.name != "unhinged":
@@ -110,7 +120,11 @@ def check_rcn_robustness(dist: DiscreteDistribution, phi: PotentialFunction,
     The check uses the one deterministic minimizer the library computes
     for each side (closed form for the unhinged loss, best PGD iterate
     otherwise); it is a witness pair, not a quantification over all
-    minimizers of either objective.
+    minimizers of either objective.  The corrupted side is fit on the
+    noise view of the clean atoms (each atom's label kept with mass
+    (1 - eta) w_i and flipped with eta w_i), never on a materialized
+    :func:`corrupt_rcn` distribution; the noisy fit computes its own
+    centroid, values and slopes from those per-atom terms.
     """
     return _robustness_sweep(dist, phi, r, [eta], minimizer)[0]
 
@@ -128,7 +142,7 @@ def _robustness_sweep(dist: DiscreteDistribution, phi: PotentialFunction, r: flo
     clean_fit_error = misclassification_error(dist, fit_clean.weights.v)
     reports = []
     for eta in etas:
-        fit_noisy = _fit(corrupt_rcn(dist, eta), phi, r, minimizer)
+        fit_noisy = _fit(_NoisyView(dist, eta), phi, r, minimizer)
         reports.append(RobustnessReport(
             eta=eta,
             clean_fit_error=clean_fit_error,
@@ -231,6 +245,10 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     direction to have positive width E|u . x| > 0 under the clean
     distribution; a zero-width direction is rejected because the
     objective simply does not vary along it (project it out instead).
+    Each value is (1 - eta) E[phi(m)] + eta E[phi(-m)] at the clean
+    margins m of the ray point, computed from the noise view with no
+    corrupted distribution built; an overflow at -m_i names clean atom i
+    with its flipped label.
     """
     eta = float(eta)
     if not 0.0 < eta < 0.5:
@@ -264,7 +282,7 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     phi0 = float(phi.eval(0.0))
     dphi0 = float(phi.deriv(0.0))
 
-    noisy = corrupt_rcn(dist, eta)
+    noisy = _NoisyView(dist, eta)
     values = np.array([expected_loss(noisy, phi, x0 + l * u) for l in lam])
     bounds = eta * (phi0 - dphi0 * lam * width + dphi0 * base_overlap)
     slack = values - bounds

@@ -2,17 +2,20 @@
 
 Label-flip corruption is applied analytically by weight splitting, never
 by sampling, so every downstream identity (centroid scaling, error
-equalities) holds to floating-point rounding.  Distributions are
-immutable values: the backing arrays are copied on construction and
-marked read-only.
+equalities) holds to floating-point rounding.  Fits and probes see the
+noise through :class:`_NoisyView`: clean atom i keeps (1 - eta) w_i at its
+margin m_i and puts eta w_i at -m_i, so a noisy expectation needs only the
+n clean margins.  :func:`corrupt_rcn` builds the same distribution row by
+row (merging collisions); it is the reference the view is tested
+against.  Distributions are immutable values: the backing arrays are
+copied on construction and marked read-only.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -182,15 +185,15 @@ class DiscreteDistribution:
 
     def to_csv(self, path) -> None:
         """Write as CSV with header x1,...,xd,y,weight (round-trip exact)."""
-        d = self.dimension
+        lines = [",".join([f"x{j + 1}" for j in range(self.dimension)] + ["y", "weight"])]
+        # csv.writer's bytes: no field holds a comma or quote, so none is
+        # quoted, and every row ends in "\r\n"
+        lines.extend(
+            f"{','.join(map(repr, x))},{y},{w!r}"
+            for x, y, w in zip(self.xs.tolist(), self.ys.tolist(), self.weights.tolist())
+        )
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(d)] + ["y", "weight"])
-            for i in range(self.n_atoms):
-                writer.writerow(
-                    [repr(float(c)) for c in self.xs[i]]
-                    + [str(int(self.ys[i])), repr(float(self.weights[i]))]
-                )
+            fh.write("\r\n".join(lines) + "\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteDistribution":
@@ -238,6 +241,61 @@ def corrupt_rcn(clean: DiscreteDistribution, eta: float) -> DiscreteDistribution
     return DiscreteDistribution(xs, ys, weights)
 
 
+def _interleave(own: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+    """Rows 2i = own[i] and 2i + 1 = flipped[i]: a noise view's row layout."""
+    rows = np.empty((2 * len(own),) + own.shape[1:])
+    rows[0::2] = own
+    rows[1::2] = flipped
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
+class _NoisyView:
+    """Label flips at rate eta in (0, 1/2), seen through the clean atoms.
+
+    It stands for 2n interleaved rows, none of them built: row 2i is clean
+    atom i with mass (1 - eta) w_i and row 2i + 1 the same point with the
+    flipped label and mass eta w_i, as :func:`corrupt_rcn` splits them
+    before it merges collisions.  ``weights`` holds the 2n row masses and
+    ``margins(v)`` the 2n row margins, m_i and -m_i from one clean margin
+    vector m; ``xs`` and ``ys`` are the n clean atoms'.
+    """
+
+    clean: DiscreteDistribution
+    eta: float
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        eta = float(self.eta)
+        if not 0.0 < eta < 0.5:
+            raise ValueError(f"noise rate must satisfy 0 < eta < 1/2, got {eta!r}")
+        object.__setattr__(self, "eta", eta)
+        w = self.clean.weights
+        object.__setattr__(self, "weights", _readonly(_interleave((1.0 - eta) * w, eta * w)))
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.clean.xs
+
+    @property
+    def ys(self) -> np.ndarray:
+        return self.clean.ys
+
+    @property
+    def dimension(self) -> int:
+        return self.clean.dimension
+
+    def margins(self, v) -> np.ndarray:
+        """Row margins: m_i = y_i (v . x_i) at row 2i and -m_i at row 2i + 1."""
+        m = self.clean.margins(v)
+        return _interleave(m, -m)
+
+    @staticmethod
+    def fold(rows: np.ndarray) -> np.ndarray:
+        """Per-row coefficients of y x, as per-atom ones of y_i x_i: own row minus flipped."""
+        return rows[0::2] - rows[1::2]
+
+
 def l1_margin(dist: DiscreteDistribution, w) -> float:
     """Smallest per-atom margin y (w . x) / ||w||_1 over the distribution.
 
@@ -275,8 +333,14 @@ def make_counterexample(gamma: float) -> DiscreteDistribution:
     return DiscreteDistribution(xs, [1, 1, 1], [0.25, 0.25, 0.5])
 
 
-def mean_label_feature(dist: DiscreteDistribution) -> np.ndarray:
-    """Weighted mean of y * x over the distribution (the label centroid)."""
+def mean_label_feature(dist: DiscreteDistribution | _NoisyView) -> np.ndarray:
+    """Weighted mean of y * x over the distribution (the label centroid).
+
+    Under a noise view each clean atom counts with its kept minus its
+    flipped mass, (1 - eta) w_i - eta w_i.
+    """
+    if isinstance(dist, _NoisyView):
+        return (dist.fold(dist.weights) * dist.ys) @ dist.xs
     return (dist.weights * dist.ys) @ dist.xs
 
 

@@ -5,6 +5,14 @@ v, so the ball minimizer is the rescaled label centroid.  The hinge loss
 is fit to a certified duality gap (the closed form when it certifies,
 else a primal-dual interior point), and every other loss goes through
 projected gradient descent.  All return the same :class:`FitResult` shape.
+
+Each fit also takes a label-noise view (``distributions._NoisyView``) in
+place of a distribution.  Its values and slopes are taken over 2n rows,
+clean atom i's own label at m_i and its flipped one at -m_i, from one
+margin vector per point; every product with x (the centroid and the
+gradient) folds each atom's two rows into one coefficient of y_i x_i, and
+only the hinge fit expands the view into 2n interleaved rows y x, never
+sorted or merged.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, mean_label_feature
+from .distributions import DiscreteDistribution, _interleave, _NoisyView, mean_label_feature
 from .loss_zoo import NEITHER, LossOverflowError, PotentialFunction, _hinge_eval
 
 _BALL_SLACK = 1e-12
@@ -47,11 +55,11 @@ class WeightVector:
             r = float(self.radius_bound)
             if not r > 0:
                 raise ValueError(f"radius bound must be positive, got {r!r}")
-            # r m/||m|| and a projection onto the ball round relative to r
-            if np.linalg.norm(v) > r + _BALL_SLACK * max(1.0, r):
-                raise ValueError(
-                    f"||v|| = {np.linalg.norm(v)!r} exceeds radius bound {r!r}"
-                )
+            # r m/||m|| and a projection onto the ball round relative to r;
+            # hypot scales, so it stays finite where ||v||^2 would overflow
+            norm = math.hypot(*v.tolist())
+            if norm > r + _BALL_SLACK * max(1.0, r):
+                raise ValueError(f"||v|| = {norm!r} exceeds radius bound {r!r}")
             object.__setattr__(self, "radius_bound", r)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
@@ -91,13 +99,15 @@ class FitResult:
         }
 
 
-def unhinged_minimizer(dist: DiscreteDistribution, r: float) -> FitResult:
+def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> FitResult:
     """Closed-form ball minimizer of the expected unhinged loss.
 
     The objective equals 1 - v . m with m the label centroid, so the
     minimizer is the boundary point r m/||m|| and the optimum value is
     1 - r ||m||.  A (near-)zero centroid makes every ball point optimal;
     that case returns the zero vector with the degeneracy flag set.
+    Under a noise view m is the noisy centroid
+    sum_i ((1 - eta) w_i - eta w_i) y_i x_i, folded atom by atom.
     """
     r = float(r)
     if not r > 0:
@@ -156,15 +166,18 @@ def _project_ball(v: np.ndarray, r: float) -> np.ndarray:
     return v if n <= r else v * (r / n)
 
 
-def _overflow_at(loss: str, dist: DiscreteDistribution, margins: np.ndarray,
+def _overflow_at(loss: str, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray,
                  idx: int) -> LossOverflowError:
+    """The error naming row idx: an atom, or for a noise view clean atom
+    idx // 2 with its own label (even idx) or its flipped one (odd idx)."""
+    atom, sign = (idx // 2, 1 - 2 * (idx % 2)) if isinstance(dist, _NoisyView) else (idx, 1)
     return LossOverflowError(
-        loss, float(margins[idx]), atom_index=idx,
-        atom=(dist.xs[idx].tolist(), int(dist.ys[idx])),
+        loss, float(margins[idx]), atom_index=atom,
+        atom=(dist.xs[atom].tolist(), sign * int(dist.ys[atom])),
     )
 
 
-def _per_atom(fn, dist: DiscreteDistribution, margins: np.ndarray) -> np.ndarray:
+def _per_atom(fn, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray) -> np.ndarray:
     """fn(margins); an overflow names the first atom whose margin overflowed."""
     try:
         return fn(margins)
@@ -173,14 +186,19 @@ def _per_atom(fn, dist: DiscreteDistribution, margins: np.ndarray) -> np.ndarray
         raise _overflow_at(err.loss, dist, margins, idx) from None
 
 
-def _gradient(phi: PotentialFunction, dist: DiscreteDistribution,
+def _gradient(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
               margins: np.ndarray, yx: np.ndarray) -> np.ndarray:
     """sum_i w_i phi'(m_i) y_i x_i, naming the atom whose term overflowed.
 
     That is the first atom with a non-finite term; when every term is
     finite and only the sum overflowed, the atom with the largest term.
+    Under a noise view atom i's term is
+    ((1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i)) y_i x_i, and the row
+    named is the one of its two with the larger slope term.
     """
-    scaled = dist.weights * _per_atom(phi.deriv, dist, margins)
+    rows = dist.weights * _per_atom(phi.deriv, dist, margins)
+    noisy = isinstance(dist, _NoisyView)
+    scaled = dist.fold(rows) if noisy else rows
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         g = scaled @ yx
@@ -188,8 +206,10 @@ def _gradient(phi: PotentialFunction, dist: DiscreteDistribution,
             return g
         terms = scaled[:, None] * yx
     bad = ~np.all(np.isfinite(terms), axis=1)
-    idx = np.argmax(bad) if bad.any() else np.argmax(np.max(np.abs(terms), axis=1))
-    raise _overflow_at(phi.name, dist, margins, int(idx))
+    idx = int(np.argmax(bad) if bad.any() else np.argmax(np.max(np.abs(terms), axis=1)))
+    if noisy:
+        idx = 2 * idx + int(abs(rows[2 * idx + 1]) > abs(rows[2 * idx]))
+    raise _overflow_at(phi.name, dist, margins, idx)
 
 
 def _sufficient_decrease(obj: float, trial_obj: float, g: np.ndarray,
@@ -204,14 +224,32 @@ def _is_shipped_hinge(phi: PotentialFunction) -> bool:
     return inspect.unwrap(phi.eval) is _hinge_eval
 
 
+def _signed_rows(dist: DiscreteDistribution | _NoisyView) -> np.ndarray:
+    """The rows y x of the hinge fit, one per weight.
+
+    A noise view's 2n rows interleave clean atom i's y_i x_i and -y_i x_i;
+    they are built here for the interior point, never sorted or merged.
+    """
+    yx = dist.ys[:, None] * dist.xs
+    return _interleave(yx, -yx) if isinstance(dist, _NoisyView) else yx
+
+
 def _hinge_dual(w: np.ndarray, yx: np.ndarray, lam: np.ndarray, r: float) -> float:
     """D(a) = sum_i w_i a_i - r ||sum_i w_i a_i y_i x_i|| at a = clip(lam / w, 0, 1).
 
     Every a in the box [0, 1]^n makes D(a) a lower bound on the hinge
-    optimum over the radius-r ball.
+    optimum over the radius-r ball.  Where the optimum lies inside the
+    ball, sum_i w_i a_i y_i x_i tends to 0, and r would scale the rounding
+    of that sum past any tolerance: a norm within the sum's rounding
+    bound, (n + d) eps ||sum_i w_i a_i |y_i x_i|||, is taken as 0, so D
+    is then exact to r times that bound.
     """
     wa = w * np.clip(lam / w, 0.0, 1.0)
-    return float(wa.sum()) - r * float(np.linalg.norm(wa @ yx))
+    norm = float(np.linalg.norm(wa @ yx))
+    if norm <= (w.size + yx.shape[1]) * np.finfo(float).eps * float(
+            np.linalg.norm(wa @ np.abs(yx))):
+        norm = 0.0
+    return float(wa.sum()) - r * norm
 
 
 def _to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
@@ -293,7 +331,7 @@ def _mehrotra_step(w: np.ndarray, yx: np.ndarray, r: float, v: np.ndarray,
             lam3 + alpha * dl3)
 
 
-def _hinge_fit(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
+def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, r: float,
                cfg: PGDConfig) -> FitResult:
     """Certified hinge fit over the ball, stopping on a duality gap <= tol.
 
@@ -308,7 +346,7 @@ def _hinge_fit(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
     Newton steps are spent, or when rounding leaves no interior step.
     """
     w = dist.weights
-    yx = dist.ys[:, None] * dist.xs
+    yx = _signed_rows(dist)
 
     closed = unhinged_minimizer(dist, r)
     obj = float(w @ _per_atom(phi.eval, dist, dist.margins(closed.weights.v)))
@@ -354,8 +392,8 @@ def _hinge_fit(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
     )
 
 
-def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
-                  cfg: PGDConfig | None = None) -> FitResult:
+def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
+                  r: float, cfg: PGDConfig | None = None) -> FitResult:
     """Projected gradient descent on E[phi(y v.x)] over the radius-r ball.
 
     Starts at v = 0, runs v <- proj(v - step * grad), and stops when the
@@ -376,7 +414,8 @@ def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
     ``cfg.tol``.  Any other ``"neither"`` loss takes the fixed
     :func:`default_step`, and an explicit step is fixed for every loss.
     A zero step is allowed for diagnostics; the raw gradient norm is then
-    reported and the iterate never moves.
+    reported and the iterate never moves.  Under a noise view the step
+    comes from the clean atoms, whose feature masses the noise keeps.
     """
     r = float(r)
     if not r > 0:
@@ -391,10 +430,11 @@ def pgd_minimizer(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
     if cfg.step is None and _is_shipped_hinge(phi):
         return _hinge_fit(dist, phi, r, cfg)
     backtrack = cfg.step is None and phi.axiom_class != NEITHER
+    atoms = dist.clean if isinstance(dist, _NoisyView) else dist
     if backtrack:
-        step = _curvature_step(dist)
+        step = _curvature_step(atoms)
     else:
-        step = default_step(dist) if cfg.step is None else float(cfg.step)
+        step = default_step(atoms) if cfg.step is None else float(cfg.step)
 
     yx = dist.ys[:, None] * dist.xs
     w = dist.weights

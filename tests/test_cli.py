@@ -10,8 +10,9 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from potmin import (check_rcn_robustness, expected_loss, make_counterexample, make_loss,
-                    mean_label_feature, misclassification_error, unhinged_minimizer)
+from potmin import (LossOverflowError, check_rcn_robustness, expected_loss,
+                    make_counterexample, make_loss, mean_label_feature,
+                    misclassification_error, unhinged_minimizer)
 from potmin import analysis, cli
 from potmin.cli import (ExperimentConfig, counterexample_sample, load_sample_csv,
                         main, run_dynamics, run_eta_sweep, run_gamma_sweep,
@@ -359,6 +360,15 @@ class TestRecessionProbe:
     def test_unhinged_probe_is_invalid_input(self, tmp_path):
         assert main(["recession-probe", "--loss", "unhinged",
                      "--out-dir", str(tmp_path)]) == 2
+
+    def test_exponential_overflow_names_the_clean_atom(self, tmp_path):
+        # the listed known defect: the default ray grid reaches lambda = 1024,
+        # where exp(-z) leaves float64 at the flipped label of atom 0
+        with pytest.raises(LossOverflowError) as err:
+            main(["recession-probe", "--loss", "exponential", "--out-dir", str(tmp_path)])
+        assert err.value.atom_index == 0
+        assert err.value.atom == ([1.0, 0.0], -1)
+        assert err.value.z == pytest.approx(-841.035521922265, abs=1e-9)
 
     def test_explicit_direction_normalized(self, tmp_path):
         code = main(["recession-probe", "--loss", "exponential", "--eta", "0.2",

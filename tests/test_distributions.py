@@ -1,5 +1,6 @@
 """Distribution construction, corruption, margins, and CSV round trips."""
 
+import csv
 import math
 import re
 import warnings
@@ -293,7 +294,33 @@ class TestMarginCertificate:
             MarginCertificate(np.zeros(2), 0.1)
 
 
+def reference_to_csv(dist, path):
+    """The csv.writer row loop whose bytes DiscreteDistribution.to_csv must reproduce."""
+    d = dist.dimension
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(d)] + ["y", "weight"])
+        for i in range(dist.n_atoms):
+            writer.writerow(
+                [repr(float(c)) for c in dist.xs[i]]
+                + [str(int(dist.ys[i])), repr(float(dist.weights[i]))]
+            )
+
+
 class TestCsv:
+    @pytest.mark.parametrize("dist", [
+        make_counterexample(0.05),
+        # -0.0, integers stored as floats, 17-digit values and tiny/huge magnitudes
+        DiscreteDistribution([[-0.0, 3.0, 0.1 + 0.2], [2.0, -0.0, 1 / 3], [1e-300, -1e300, 0.0]],
+                             [1, -1, 1], [0.1 + 0.2, 0.25, 1.0 - (0.1 + 0.2) - 0.25]),
+        DiscreteDistribution([[5.0]], [-1], [1.0]),
+        helpers.random_distribution(np.random.default_rng(9), max_dim=6, max_atoms=40),
+    ])
+    def test_bytes_match_the_row_loop(self, dist, tmp_path):
+        dist.to_csv(tmp_path / "fast.csv")
+        reference_to_csv(dist, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         dist = helpers.random_distribution(rng, max_dim=4, max_atoms=7)

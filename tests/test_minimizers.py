@@ -123,6 +123,22 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="exceeds"):
             WeightVector(np.array([3e8, 4e8]), 5e8 - 1e-2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norm_past_the_square_root_of_the_float_range(self):
+        # ||v||^2 = 1e310 leaves float64; the norm is taken scaled by max |v_i|
+        dist = DiscreteDistribution([[2.0, 1.0], [1.0, -3.0], [0.5, 0.5]], [1, -1, -1],
+                                    [0.3, 0.3, 0.4])
+        fit = unhinged_minimizer(dist, 1e155)
+        m = mean_label_feature(dist)
+        np.testing.assert_allclose(fit.weights.v, 1e155 * m / np.linalg.norm(m), rtol=1e-15)
+        assert fit.objective == 1.0 - 1e155 * float(np.linalg.norm(m))
+        assert math.isfinite(fit.objective)
+        WeightVector(np.array([3e154, 4e154]), 5e154)
+        with pytest.raises(ValueError, match="exceeds"):
+            WeightVector(np.array([3e154, 4e154]), 4.9e154)
+        with pytest.raises(ValueError, match="exceeds"):
+            WeightVector(np.array([1e300, 1e300]), 1.0)
+
     def test_unbounded_allowed(self):
         wv = WeightVector(np.array([100.0]), None)
         assert wv.radius_bound is None
@@ -546,6 +562,30 @@ def test_hinge_fit_out_of_budget_returns_the_best_iterate():
     assert len(fit.objective_history) == 4
     assert fit.objective == min(fit.objective_history)
     assert fit.objective == expected_loss(dist, HINGE, fit.weights.v)
+
+
+@pytest.mark.parametrize("r", [1e6, 1e8, 1e12])
+def test_hinge_fit_certifies_an_interior_optimum_in_a_large_ball(r):
+    # the optimum 19/35 lies inside the ball; r times the rounding of
+    # ||sum_i w_i a_i y_i x_i|| (about 1e-16) left the gap at 1.1e-8
+    # (r = 1e8) and 1.1e-4 (r = 1e12), uncertified
+    dist = DiscreteDistribution([[2.0, 1.0], [1.0, -3.0], [0.5, 0.5]], [1, -1, -1],
+                                [0.3, 0.3, 0.4])
+    fit = pgd_minimizer(dist, HINGE, r)
+    assert fit.converged
+    assert 0.0 <= fit.gap <= TOL
+    assert fit.iterations <= 10
+    assert abs(fit.objective - 19.0 / 35.0) <= TOL
+    assert fit.objective == expected_loss(dist, HINGE, fit.weights.v)
+
+
+def test_hinge_dual_drops_only_a_norm_within_its_rounding():
+    dist = DiscreteDistribution([[1.0], [1.0 + 2**-52]], [1, -1], [0.5, 0.5])
+    w, yx = dist.weights, dist.ys[:, None] * dist.xs
+    # sum w y x = -2^-53 is within the rounding of its own sum
+    assert minimizers._hinge_dual(w, yx, w, 1e12) == 1.0
+    # a norm above that rounding is scaled by r as before
+    assert minimizers._hinge_dual(w, yx, np.array([0.5, 0.0]), 2.0) == 0.5 - 2.0 * 0.5
 
 
 def test_hinge_fit_stops_where_rounding_leaves_no_step():

@@ -1,0 +1,217 @@
+"""Label noise as a view of the clean margins, pinned against corrupt_rcn."""
+
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import helpers
+import potmin
+from potmin import (LOSS_NAMES, DiscreteDistribution, LossOverflowError,
+                    check_rcn_robustness, corrupt_rcn, expected_loss, make_counterexample,
+                    make_loss, mean_label_feature, pgd_minimizer, recession_probe,
+                    unhinged_minimizer)
+from potmin import minimizers
+from potmin.cli import ExperimentConfig, run_eta_sweep
+from potmin.distributions import _NoisyView
+
+EPS = np.finfo(float).eps
+LOSSES = {name: make_loss(name) for name in LOSS_NAMES}
+
+
+@st.composite
+def colliding_distributions(draw):
+    """Small distributions where corrupt_rcn has something to merge.
+
+    Some atoms repeat an earlier x with the opposite label (corrupt_rcn
+    then merges the flipped copy of one into the other), and some
+    coordinates are -0.0 (which the merge key folds into 0.0).
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    xs = [[draw(coords) for _ in range(d)] for _ in range(n)]
+    ys = [draw(st.sampled_from([-1, 1])) for _ in range(n)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        xs.append(list(xs[i]))
+        ys.append(-ys[i])
+    xs = np.array(xs)
+    zeros = draw(st.lists(st.booleans(), min_size=xs.size, max_size=xs.size))
+    xs[np.array(zeros).reshape(xs.shape)] = -0.0
+    ws = np.array([draw(st.floats(0.05, 1.0)) for _ in range(len(ys))])
+    return DiscreteDistribution(xs, np.array(ys), ws / ws.sum())
+
+
+COLLIDING = DiscreteDistribution([[-0.0, 1.0], [0.0, 1.0], [0.5, -0.0]], [1, -1, 1],
+                                 [0.3, 0.5, 0.2])
+
+
+# Both sides sum at most 2n nonnegative-weighted terms, each in a different
+# order; a sum of k terms rounds by at most k eps times the sum of their
+# magnitudes, and splitting and merging weights adds a few eps per term.
+def _rounding(dist, terms):
+    return 4 * (dist.n_atoms + 2) * EPS * terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(dist=colliding_distributions(), eta=helpers.etas, seed=st.integers(0, 2**16))
+@example(dist=COLLIDING, eta=0.25, seed=0)
+def test_view_matches_corrupt_rcn(dist, eta, seed):
+    view, noisy = _NoisyView(dist, eta), corrupt_rcn(dist, eta)
+    v = np.random.default_rng(seed).uniform(-3.0, 3.0, dist.dimension)
+    m = dist.margins(v)
+    yx_view = dist.ys[:, None] * dist.xs
+    yx_noisy = noisy.ys[:, None] * noisy.xs
+    for phi in LOSSES.values():
+        # expected loss: sum_i w_i ((1 - eta) phi(m_i) + eta phi(-m_i))
+        mass = dist.weights @ (np.abs(phi.eval(m)) + np.abs(phi.eval(-m)))
+        assert abs(expected_loss(view, phi, v) - expected_loss(noisy, phi, v)) <= (
+            _rounding(dist, mass))
+        # the PGD gradient, coordinate by coordinate
+        slopes = dist.weights * (np.abs(phi.deriv(m)) + np.abs(phi.deriv(-m)))
+        g_view = minimizers._gradient(phi, view, view.margins(v), yx_view)
+        g_noisy = minimizers._gradient(phi, noisy, noisy.margins(v), yx_noisy)
+        assert np.all(np.abs(g_view - g_noisy) <= _rounding(dist, slopes @ np.abs(dist.xs)))
+
+    # the noisy unhinged fit: r m / ||m|| for the noisy centroid m
+    reference = unhinged_minimizer(noisy, 1.0)
+    fit = unhinged_minimizer(view, 1.0)
+    centroid = np.linalg.norm(noisy.weights @ np.abs(noisy.xs))
+    norm_m = 1.0 - reference.objective
+    assume(norm_m > 1e3 * _rounding(dist, centroid))
+    assert fit.degenerate_centroid == reference.degenerate_centroid
+    assert abs(fit.objective - reference.objective) <= _rounding(dist, centroid)
+    assert np.all(np.abs(fit.weights.v - reference.weights.v)
+                  <= 2.0 * _rounding(dist, centroid) / norm_m)
+
+
+def test_noisy_centroid_is_folded_atom_by_atom():
+    # (1 - eta) w_i - eta w_i per atom, not (1 - 2 eta) times the clean
+    # centroid: the two round differently, so the robust check can fail
+    dist = helpers.random_distribution(np.random.default_rng(4), max_atoms=10)
+    view = _NoisyView(dist, 0.3)
+    np.testing.assert_array_equal(
+        mean_label_feature(view),
+        (((1.0 - 0.3) * dist.weights - 0.3 * dist.weights) * dist.ys) @ dist.xs)
+
+
+def test_view_rows_interleave_own_and_flipped_labels():
+    view = _NoisyView(COLLIDING, 0.2)
+    v = np.array([0.5, -2.0])
+    m = COLLIDING.margins(v)
+    assert view.weights.tolist() == [c for w in COLLIDING.weights for c in (0.8 * w, 0.2 * w)]
+    assert view.margins(v).tolist() == [c for mi in m for c in (mi, -mi)]
+    yx = minimizers._signed_rows(view)
+    clean_yx = COLLIDING.ys[:, None] * COLLIDING.xs
+    np.testing.assert_array_equal(yx[0::2], clean_yx)
+    np.testing.assert_array_equal(yx[1::2], -clean_yx)
+    # corrupt_rcn merges atoms 0 and 1 (opposite labels at one x); the view does not
+    assert corrupt_rcn(COLLIDING, 0.2).n_atoms == 4 and len(yx) == 6
+
+    hinge = LOSSES["hinge"]
+    fit = pgd_minimizer(view, hinge, 1.0)
+    reference = pgd_minimizer(corrupt_rcn(COLLIDING, 0.2), hinge, 1.0)
+    assert fit.converged and reference.converged
+    assert abs(fit.objective - reference.objective) <= 2e-9
+    assert fit.objective == expected_loss(view, hinge, fit.weights.v)
+
+
+def test_view_hinge_fit_takes_the_materialized_newton_steps():
+    # with no two atoms at one x, corrupt_rcn merges nothing and keeps the
+    # interleaved order, so the interior point sees the same rows
+    rng = np.random.default_rng(3)
+    xs = rng.standard_normal((200, 5))
+    ys = np.where(xs[:, 0] + rng.standard_normal(200) >= 0.0, 1, -1)
+    dist = DiscreteDistribution(xs, ys, np.full(200, 1 / 200))
+    hinge = LOSSES["hinge"]
+    fit = pgd_minimizer(_NoisyView(dist, 0.2), hinge, 1.0)
+    reference = pgd_minimizer(corrupt_rcn(dist, 0.2), hinge, 1.0)
+    assert fit.converged and fit.iterations > 0
+    assert fit.iterations == reference.iterations
+    np.testing.assert_allclose(fit.weights.v, reference.weights.v, rtol=0, atol=1e-12)
+    assert abs(fit.objective - reference.objective) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["exponential", "mixed_linear_exponential", "logistic"])
+def test_smooth_noisy_fit_matches_the_materialized_fit(name):
+    dist = helpers.random_distribution(np.random.default_rng(8), max_atoms=10)
+    fit = pgd_minimizer(_NoisyView(dist, 0.2), LOSSES[name], 1.0)
+    reference = pgd_minimizer(corrupt_rcn(dist, 0.2), LOSSES[name], 1.0)
+    assert fit.converged and reference.converged
+    assert abs(fit.objective - reference.objective) <= 1e-12
+
+
+def test_view_rejects_noise_rates_outside_the_open_half_interval():
+    for eta in (0.0, 0.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="noise rate"):
+            _NoisyView(COLLIDING, eta)
+
+
+def test_flipped_overflow_names_the_clean_atom_and_flipped_label():
+    dist = DiscreteDistribution([[1.0], [0.5]], [1, 1], [0.5, 0.5])
+    view = _NoisyView(dist, 0.1)
+    with pytest.raises(LossOverflowError) as err:
+        expected_loss(view, LOSSES["exponential"], [800.0])
+    assert err.value.atom_index == 0
+    assert err.value.atom == ([1.0], -1)
+    assert err.value.z == -800.0
+
+
+def test_gradient_overflow_names_the_flipped_row():
+    # atom 1's flipped row has slope exp(700) ~ 1e304, and its term
+    # eta w_1 exp(700) x_1 overflows at x_1 = 1e10; its own row's is ~0
+    dist = DiscreteDistribution([[1.0], [1e10]], [1, 1], [0.5, 0.5])
+    view = _NoisyView(dist, 0.1)
+    v = np.array([7e-8])
+    with pytest.raises(LossOverflowError) as err:
+        minimizers._gradient(LOSSES["exponential"], view, view.margins(v),
+                             dist.ys[:, None] * dist.xs)
+    assert err.value.atom_index == 1
+    assert err.value.atom == ([1e10], -1)
+    assert err.value.z == -dist.margins(v)[1]
+
+
+def test_checks_and_probe_never_materialize_the_noise(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("corrupt_rcn called")
+
+    original = corrupt_rcn
+    for name, module in list(sys.modules.items()):
+        if name == "potmin" or name.startswith("potmin."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+
+    dist = make_counterexample(0.05)
+    for loss, route in (("unhinged", "closed-form"), ("unhinged", "pgd"),
+                        ("logistic", "pgd"), ("hinge", "pgd")):
+        check_rcn_robustness(dist, LOSSES[loss], 1.0, 0.2, route)
+        run_eta_sweep(ExperimentConfig(out_dir=str(tmp_path), loss=loss, minimizer=route,
+                                       grid_count=3))
+    u = np.array([1.0, 0.0])
+    recession_probe(dist, LOSSES["logistic"], 0.2, np.zeros(2), u)
+    # the patch reached the public binding too
+    with pytest.raises(AssertionError, match="corrupt_rcn"):
+        potmin.corrupt_rcn(dist, 0.2)
+
+
+def test_unhinged_robust_check_allocates_no_corrupted_copy():
+    # n = 1e5, d = 20: the corrupted distribution's 2n rows and their sort
+    # peaked at about 155 MB; the view needs a few n-vectors
+    rng = np.random.default_rng(12)
+    n, d = 100_000, 20
+    xs = rng.standard_normal((n, d))
+    ys = np.where(xs[:, 0] + 0.5 * rng.standard_normal(n) >= 0.0, 1, -1)
+    w = rng.uniform(0.5, 1.5, n)
+    dist = DiscreteDistribution(xs, ys, w / w.sum())
+    tracemalloc.start()
+    try:
+        report = check_rcn_robustness(dist, LOSSES["unhinged"], 1.0, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.robust
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
