@@ -1,9 +1,8 @@
 """Experiment harness: sweeps, dynamics dumps, and axiom reports as a CLI.
 
 Every CSV row an experiment emits is a straight transcription of library
-calls; the CLI adds bookkeeping, bisection bracketing, and file output,
-never numerics of its own.  Exit codes: 0 success, 1 a checked claim
-failed, 2 invalid input.
+calls; the CLI adds bookkeeping and file output, never numerics of its
+own.  Exit codes: 0 success, 1 a checked claim failed, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import csv
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -22,14 +21,13 @@ import numpy as np
 from . import svg
 from .analysis import (MINIMIZER_ROUTES, _robustness_sweep, check_rcn_robustness,
                        expected_loss, misclassification_error, recession_probe)
-from .distributions import (DiscreteDistribution, _read_labeled_csv, make_counterexample,
-                            mean_label_feature)
-from .dynamics import TIE_RULES, Trajectory, cd_unhinged, gd_unhinged
+from .distributions import (GAMMA_STAR, DiscreteDistribution, _read_labeled_csv,
+                            make_counterexample, mean_label_feature)
+from .dynamics import TIE_RULES, cd_unhinged, gd_unhinged
 from .loss_zoo import LOSS_NAMES, check_def1, make_loss
 from .minimizers import unhinged_minimizer
 
 _DRIFT_TOL = 1e-12
-_BISECT_WIDTH = 1e-9
 
 # Method tags for the axiom report table.
 _LOSS_TAGS = {
@@ -156,47 +154,6 @@ class ExperimentConfig:
         return self.minimizer or ("closed-form" if self.loss == "unhinged" else "pgd")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a parameter sweep."""
-
-    param_name: str
-    param_value: float
-    minimizer: tuple[float, ...]
-    clean_error: float
-    noisy_fit_error: float | None
-    objective: float
-    flags: tuple[str, ...] = ()
-    extras: dict = field(default_factory=dict)
-
-    def row(self) -> dict:
-        out = {self.param_name: self.param_value}
-        out.update({f"v_{j + 1}": c for j, c in enumerate(self.minimizer)})
-        out["objective"] = self.objective
-        out["clean_error"] = self.clean_error
-        out["noisy_fit_error"] = self.noisy_fit_error
-        out.update(self.extras)
-        out["flags"] = ";".join(self.flags)
-        return out
-
-
-@dataclass
-class SweepOutcome:
-    records: list[SweepRecord]
-    threshold: float | None
-    claim_ok: bool
-    summary: dict
-    table_path: Path | None = None
-
-
-@dataclass
-class DynamicsOutcome:
-    trajectory: Trajectory
-    claim_ok: bool
-    summary: dict
-    table_path: Path | None = None
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -207,33 +164,28 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if rows:
-            writer.writerow(list(rows[0]))
-            for row in rows:
-                writer.writerow([_cell(v) for v in row.values()])
+def _out_path(cfg: ExperimentConfig, filename: str) -> Path:
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / filename
 
 
 def _write_table(cfg: ExperimentConfig, name: str, rows: list[dict]) -> Path:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """The rows as a JSON list, or as CSV with one column per key (a grid
+    has at least two rows)."""
+    path = _out_path(cfg, f"{name}.{cfg.format}")
     if cfg.format == "json":
-        path = out_dir / f"{name}.json"
         path.write_text(json.dumps(rows, indent=2) + "\n")
-    else:
-        path = out_dir / f"{name}.csv"
-        _write_rows(path, rows)
+        return path
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(rows[0]))
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
     return path
 
 
-def _write_summary(cfg: ExperimentConfig, name: str, summary: dict) -> Path:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{name}_summary.json"
-    path.write_text(json.dumps(summary, indent=2) + "\n")
-    return path
+def _write_summary(cfg: ExperimentConfig, name: str, summary: dict) -> None:
+    _out_path(cfg, f"{name}_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
 def _grid(cfg: ExperimentConfig, default_start: float, default_stop: float,
@@ -273,79 +225,58 @@ def _load_dist(cfg: ExperimentConfig) -> DiscreteDistribution:
     return make_counterexample(cfg.gamma)
 
 
-def _third_point_overlap(gamma: float) -> float:
-    """Centroid inner product with the heavy third point, as a function of gamma."""
-    dist = make_counterexample(gamma)
-    return float(mean_label_feature(dist) @ dist.xs[2])
-
-
-def _bisect_threshold(lo: float, hi: float) -> float:
-    f_lo = _third_point_overlap(lo)
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        f_mid = _third_point_overlap(mid)
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def run_gamma_sweep(cfg: ExperimentConfig) -> SweepOutcome:
-    """Sweep the construction parameter, fit the centroid minimizer, and
-    locate the sign change of the heavy point's overlap by bisection."""
+def run_gamma_sweep(cfg: ExperimentConfig) -> int:
+    """Sweep the construction parameter and fit the centroid minimizer;
+    its clean error steps from 0.5 to 0.0 at the closed-form GAMMA_STAR."""
     name = cfg.experiment or "gamma_sweep"
     gammas = _grid(cfg, 0.01, 0.3, 30)
     if gammas[0] <= 0.0 or gammas[-1] >= 1.0:
         raise ValueError("gamma grid must lie inside (0, 1)")
-    records = []
+    rows = []
     for gamma in gammas:
         dist = make_counterexample(float(gamma))
         fit = unhinged_minimizer(dist, cfg.r)
         v = fit.weights.v
-        records.append(SweepRecord(
-            param_name="gamma",
-            param_value=float(gamma),
-            minimizer=tuple(float(c) for c in v),
-            clean_error=misclassification_error(dist, v),
-            noisy_fit_error=None,
-            objective=fit.objective,
-            flags=("degenerate",) if fit.degenerate_centroid else (),
-            extras={"v_dot_x3": float(v @ dist.xs[2])},
-        ))
+        rows.append({
+            "gamma": float(gamma), **{f"v_{j + 1}": float(c) for j, c in enumerate(v)},
+            "objective": fit.objective,
+            "clean_error": misclassification_error(dist, v), "noisy_fit_error": None,
+            "v_dot_x3": float(v @ dist.xs[2]),
+            "flags": "degenerate" if fit.degenerate_centroid else "",
+        })
 
-    threshold = None
-    for a, b in zip(records, records[1:]):
-        if (a.extras["v_dot_x3"] < 0) != (b.extras["v_dot_x3"] < 0):
-            threshold = _bisect_threshold(a.param_value, b.param_value)
-            break
+    # the float pipeline misclassifies the heavy point up to GAMMA_STAR itself
+    threshold = GAMMA_STAR if gammas[0] <= GAMMA_STAR < gammas[-1] else None
     claim_ok = threshold is not None and all(
-        rec.clean_error == (0.5 if rec.param_value < threshold else 0.0)
-        for rec in records
-    )
+        row["clean_error"] == (0.5 if row["gamma"] <= GAMMA_STAR else 0.0) for row in rows)
 
-    table_path = _write_table(cfg, name, [r.row() for r in records])
-    summary = {
+    table_path = _write_table(cfg, name, rows)
+    _write_summary(cfg, name, {
         "experiment": name,
         "threshold": threshold,
         "claim_ok": claim_ok,
-        "grid": [records[0].param_value, records[-1].param_value, len(records)],
+        "grid": [rows[0]["gamma"], rows[-1]["gamma"], len(rows)],
         "r": cfg.r,
-    }
-    _write_summary(cfg, name, summary)
+    })
     if cfg.plot:
         svg.step_plot(
-            Path(cfg.out_dir) / f"{name}.svg",
-            [r.param_value for r in records],
-            [r.clean_error for r in records],
+            _out_path(cfg, f"{name}.svg"),
+            [row["gamma"] for row in rows],
+            [row["clean_error"] for row in rows],
             title="clean error of the centroid minimizer",
             xlabel="gamma", ylabel="error",
             vlines=[threshold] if threshold is not None else (),
         )
-    return SweepOutcome(records, threshold, claim_ok, summary, table_path)
+    print(f"gamma-sweep: {len(rows)} grid points -> {table_path}")
+    if threshold is None:
+        print("no sign change of v.x3 inside the grid; threshold not located")
+    else:
+        print(f"threshold gamma* = {threshold!r}")
+    print(f"claim {'PASS' if claim_ok else 'FAIL'}: error 0.5 below threshold, 0.0 above")
+    return 0 if claim_ok else 1
 
 
-def run_eta_sweep(cfg: ExperimentConfig) -> SweepOutcome:
+def run_eta_sweep(cfg: ExperimentConfig) -> int:
     """Robustness check across noise rates on a fixed distribution."""
     name = cfg.experiment or "eta_sweep"
     etas = _grid(cfg, 0.05, 0.45, 9)
@@ -353,54 +284,52 @@ def run_eta_sweep(cfg: ExperimentConfig) -> SweepOutcome:
         raise ValueError("eta grid must lie inside (0, 1/2)")
     dist = _load_dist(cfg)
     phi = make_loss(cfg.loss)
-    records = []
+    rows = []
     for report in _robustness_sweep(dist, phi, cfg.r, etas, cfg.route):
-        drift = float(np.max(np.abs(report.minimizer_clean.v - report.minimizer_noisy.v)))
-        records.append(SweepRecord(
-            param_name="eta",
-            param_value=report.eta,
-            minimizer=tuple(float(c) for c in report.minimizer_noisy.v),
-            clean_error=report.clean_fit_error,
-            noisy_fit_error=report.noisy_fit_error,
-            objective=expected_loss(dist, phi, report.minimizer_noisy.v),
-            flags=("degenerate",) if report.degenerate else (),
-            extras={"robust": report.robust, "minimizer_drift": drift},
-        ))
+        v = report.minimizer_noisy.v
+        rows.append({
+            "eta": report.eta, **{f"v_{j + 1}": float(c) for j, c in enumerate(v)},
+            "objective": expected_loss(dist, phi, v),
+            "clean_error": report.clean_fit_error, "noisy_fit_error": report.noisy_fit_error,
+            "robust": report.robust,
+            "minimizer_drift": float(np.max(np.abs(report.minimizer_clean.v - v))),
+            "flags": "degenerate" if report.degenerate else "",
+        })
 
     # the robustness claim is only made for the unhinged loss; the strict
     # zero-drift clause additionally needs the exact closed-form route
     # (PGD only stops at a 1e-9 gradient tolerance)
-    if phi.name == "unhinged":
-        claim_ok = all(r.extras["robust"] for r in records)
-        if cfg.route == "closed-form":
-            claim_ok = claim_ok and all(
-                r.extras["minimizer_drift"] <= _DRIFT_TOL for r in records)
-    else:
-        claim_ok = True
+    claim_ok = phi.name != "unhinged" or all(
+        row["robust"] and (cfg.route != "closed-form" or row["minimizer_drift"] <= _DRIFT_TOL)
+        for row in rows)
 
-    table_path = _write_table(cfg, name, [r.row() for r in records])
-    summary = {
+    table_path = _write_table(cfg, name, rows)
+    _write_summary(cfg, name, {
         "experiment": name,
         "loss": phi.name,
         "minimizer_route": cfg.route,
         "claim_ok": claim_ok,
         "r": cfg.r,
         "source": cfg.data or f"counterexample(gamma={cfg.gamma})",
-    }
-    _write_summary(cfg, name, summary)
+    })
     if cfg.plot:
-        xs = [r.param_value for r in records]
+        xs = [row["eta"] for row in rows]
         svg.line_plot(
-            Path(cfg.out_dir) / f"{name}.svg",
-            [(xs, [r.clean_error for r in records]),
-             (xs, [r.noisy_fit_error for r in records])],
+            _out_path(cfg, f"{name}.svg"),
+            [(xs, [row["clean_error"] for row in rows]),
+             (xs, [row["noisy_fit_error"] for row in rows])],
             title=f"clean-data errors vs noise rate ({phi.name})",
             xlabel="eta", ylabel="error",
         )
-    return SweepOutcome(records, None, claim_ok, summary, table_path)
+    print(f"eta-sweep ({phi.name}, {cfg.route}): {len(rows)} noise rates -> {table_path}")
+    for row in rows:
+        print(f"  eta={row['eta']:.3f}  clean_fit={row['clean_error']!r}  "
+              f"noisy_fit={row['noisy_fit_error']!r}  robust={row['robust']}")
+    print(f"claim {'PASS' if claim_ok else 'FAIL'}")
+    return 0 if claim_ok else 1
 
 
-def run_dynamics(cfg: ExperimentConfig) -> DynamicsOutcome:
+def run_dynamics(cfg: ExperimentConfig) -> int:
     """Dump a descent trajectory and verify its structural claim."""
     if cfg.mode not in ("gd", "cd"):
         raise ValueError(f"mode must be gd or cd, got {cfg.mode!r}")
@@ -430,34 +359,34 @@ def run_dynamics(cfg: ExperimentConfig) -> DynamicsOutcome:
         traj = cd_unhinged(xs, ys, cfg.steps, cfg.tie_rule, step)
         # a coordinate is in some iterate's support iff its column has a nonzero
         touched = np.flatnonzero(traj.iterates.any(axis=0))
-        support_ok = set(touched.tolist()) <= set(traj.argmax_coords)
-        claim_ok = support_ok
+        claim_ok = set(touched.tolist()) <= set(traj.argmax_coords)
         summary = {
             "experiment": name, "mode": "cd", "steps": cfg.steps,
             "step_size": step, "tie_rule": cfg.tie_rule,
             "stationary": traj.stationary,
             "argmax_coords": list(traj.argmax_coords),
-            "support_ok": support_ok, "claim_ok": claim_ok,
+            "support_ok": claim_ok, "claim_ok": claim_ok,
         }
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table_path = out_dir / f"{name}.csv"
+    table_path = _out_path(cfg, f"{name}.csv")
     traj.to_csv(table_path)
     _write_summary(cfg, name, summary)
     if cfg.plot:
         t = np.arange(traj.iterates.shape[0])
         if cfg.mode == "gd":
-            svg.line_plot(out_dir / f"{name}.svg",
-                          [(t, traj.angles_to_target)],
+            svg.line_plot(_out_path(cfg, f"{name}.svg"), [(t, traj.angles_to_target)],
                           title="angle to the label-sum direction",
                           xlabel="t", ylabel="angle (rad)")
         else:
-            svg.line_plot(out_dir / f"{name}.svg",
-                          [(t, traj.loss_values)],
+            svg.line_plot(_out_path(cfg, f"{name}.svg"), [(t, traj.loss_values)],
                           title="total unhinged loss along coordinate descent",
                           xlabel="t", ylabel="loss")
-    return DynamicsOutcome(traj, claim_ok, summary, table_path)
+    print(f"dynamics ({cfg.mode}): {cfg.steps} steps -> {table_path}")
+    for key in ("closed_form_residual_max", "argmax_coords", "support_ok", "stationary"):
+        if key in summary:
+            print(f"  {key} = {summary[key]}")
+    print(f"claim {'PASS' if claim_ok else 'FAIL'}")
+    return 0 if claim_ok else 1
 
 
 def run_loss_report() -> tuple[list[dict], bool]:
@@ -492,43 +421,6 @@ def _print_loss_report(rows: list[dict]) -> None:
             witness = (f"{r['failing_clause']} at z={r['witness_z']:g} "
                        f"(value {r['witness_value']:.6g})")
         print(f"{r['loss']:<26} {r['tag']:<26} {r['verdict']:<7} {witness}")
-
-
-# ---------------------------------------------------------------------------
-# subcommand wrappers
-
-
-def cmd_gamma_sweep(cfg: ExperimentConfig) -> int:
-    outcome = run_gamma_sweep(cfg)
-    print(f"gamma-sweep: {len(outcome.records)} grid points -> {outcome.table_path}")
-    if outcome.threshold is None:
-        print("no sign change of v.x3 inside the grid; threshold not located")
-    else:
-        print(f"threshold gamma* = {outcome.threshold!r}")
-    print(f"claim {'PASS' if outcome.claim_ok else 'FAIL'}: error 0.5 below "
-          "threshold, 0.0 above")
-    return 0 if outcome.claim_ok else 1
-
-
-def cmd_eta_sweep(cfg: ExperimentConfig) -> int:
-    outcome = run_eta_sweep(cfg)
-    print(f"eta-sweep ({outcome.summary['loss']}, {outcome.summary['minimizer_route']}): "
-          f"{len(outcome.records)} noise rates -> {outcome.table_path}")
-    for rec in outcome.records:
-        print(f"  eta={rec.param_value:.3f}  clean_fit={rec.clean_error!r}  "
-              f"noisy_fit={rec.noisy_fit_error!r}  robust={rec.extras['robust']}")
-    print(f"claim {'PASS' if outcome.claim_ok else 'FAIL'}")
-    return 0 if outcome.claim_ok else 1
-
-
-def cmd_dynamics(cfg: ExperimentConfig) -> int:
-    outcome = run_dynamics(cfg)
-    print(f"dynamics ({cfg.mode}): {outcome.summary['steps']} steps -> {outcome.table_path}")
-    for key in ("closed_form_residual_max", "argmax_coords", "support_ok", "stationary"):
-        if key in outcome.summary:
-            print(f"  {key} = {outcome.summary[key]}")
-    print(f"claim {'PASS' if outcome.claim_ok else 'FAIL'}")
-    return 0 if outcome.claim_ok else 1
 
 
 def cmd_loss_report(cfg: ExperimentConfig) -> int:
@@ -579,20 +471,23 @@ def cmd_recession_probe(cfg: ExperimentConfig) -> int:
     return 0 if probe.bound_holds else 1
 
 
-_COMMON_FLAGS = ("--config", "--out-dir", "--format", "--plot", "--experiment")
-_GRID_FLAGS = ("--grid-start", "--grid-stop", "--grid-count", "--spacing")
+_COMMON_FLAGS = ("--config", "--out-dir", "--experiment")
+# the table sweeps: a grid, a table format and an optional figure
+_SWEEP_FLAGS = ("--format", "--plot", "--grid-start", "--grid-stop", "--grid-count",
+                "--spacing")
 
 # subcommand -> (handler, help, flags beyond the common ones)
 _COMMANDS = {
-    "gamma-sweep": (cmd_gamma_sweep, "error of the centroid minimizer across the "
-                    "construction parameter, with threshold bisection",
-                    _GRID_FLAGS + ("--r",)),
-    "eta-sweep": (cmd_eta_sweep, "noise-robustness check across noise rates",
-                  _GRID_FLAGS + ("--r", "--loss", "--gamma", "--data", "--minimizer")),
-    "dynamics": (cmd_dynamics, "gradient / coordinate descent trajectory dump",
-                 ("--mode", "--steps", "--step-size", "--v0", "--tie-rule", "--gamma",
-                  "--data")),
-    "loss-report": (cmd_loss_report, "axiom verdict table for the shipped losses", ()),
+    "gamma-sweep": (run_gamma_sweep, "error of the centroid minimizer across the "
+                    "construction parameter, with its closed-form threshold",
+                    _SWEEP_FLAGS + ("--r",)),
+    "eta-sweep": (run_eta_sweep, "noise-robustness check across noise rates",
+                  _SWEEP_FLAGS + ("--r", "--loss", "--gamma", "--data", "--minimizer")),
+    "dynamics": (run_dynamics, "gradient / coordinate descent trajectory dump",
+                 ("--plot", "--mode", "--steps", "--step-size", "--v0", "--tie-rule",
+                  "--gamma", "--data")),
+    "loss-report": (cmd_loss_report, "axiom verdict table for the shipped losses",
+                    ("--format",)),
     "robust-check": (cmd_robust_check, "single robustness check",
                      ("--r", "--eta", "--loss", "--gamma", "--data", "--minimizer")),
     "recession-probe": (cmd_recession_probe, "corrupted objective along a ray versus "

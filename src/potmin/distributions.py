@@ -314,6 +314,16 @@ def certify_margin(dist: DiscreteDistribution, w) -> MarginCertificate:
     return MarginCertificate(np.asarray(w, dtype=float), l1_margin(dist, w))
 
 
+# The construction's threshold.  The label centroid is
+# m = ((1 + 3 gamma) / 4, sqrt(1 - gamma^2) / 4 - gamma), so
+# m . x3 = gamma ((1 + 11 gamma) / 4 - sqrt(1 - gamma^2) / 2); for gamma in
+# (0, 1) it vanishes where (1 + 11 gamma)^2 = 4 (1 - gamma^2), the root of
+# 125 gamma^2 + 22 gamma - 3 = 0, and is negative below it.  In floating
+# point the centroid minimizer's v . x3 is -1.6e-17 at this float (error
+# 0.5) and positive one ulp above it (error 0.0).
+GAMMA_STAR = (4 * math.sqrt(31) - 11) / 125
+
+
 def make_counterexample(gamma: float) -> DiscreteDistribution:
     """Three-point planar distribution, all labels +1, parametrized by gamma.
 

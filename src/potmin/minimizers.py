@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ _DECREASE_ULPS = 4
 # mean complementarity mu falls, so that the last steps converge
 # superlinearly instead of cutting the gap only 100-fold each
 _STEP_TO_BOUNDARY = 0.99
+# largest ball radius the interior point works in: r^2 stays finite
+_INTERIOR_RADIUS = math.sqrt(sys.float_info.max) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,6 +347,9 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     strictly inside the ball; the fit returns the best one and stops when
     P(best v) - max D(clip(lam2 / w, 0, 1)) <= tol, when max_iters
     Newton steps are spent, or when rounding leaves no interior step.
+    Beyond ``_INTERIOR_RADIUS`` the steps run on that smaller ball, whose
+    points also lie in the radius-r ball, so that r^2 stays finite; D
+    keeps the true r, so the certificate still bounds the radius-r problem.
     """
     w = dist.weights
     yx = _signed_rows(dist)
@@ -360,7 +366,8 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     t = np.full(w.size, 2.0)
     lam1, lam2 = w / 2.0, w / 2.0
     # centred start: lam3 s3 equals the mean of the other 2n products
-    lam3 = float(t @ lam1 + (t - 1.0) @ lam2) / (2 * w.size) / (r * r / 2.0)
+    rho = min(r, _INTERIOR_RADIUS)
+    lam3 = float(t @ lam1 + (t - 1.0) @ lam2) / (2 * w.size) / (rho * rho / 2.0)
     best_v = v
     best_obj = float(w @ _per_atom(phi.eval, dist, margins))
     best_dual = _hinge_dual(w, yx, lam2, r)
@@ -370,7 +377,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     for iterations in range(1, cfg.max_iters + 1):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                v, t, lam1, lam2, lam3 = _mehrotra_step(w, yx, r, v, margins, t,
+                v, t, lam1, lam2, lam3 = _mehrotra_step(w, yx, rho, v, margins, t,
                                                         lam1, lam2, lam3)
         except (ArithmeticError, np.linalg.LinAlgError):
             iterations -= 1

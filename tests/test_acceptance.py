@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one pass/fail
 line per criterion, including the measured runtime against its budget.
 """
 
+import csv
+import json
 import math
 import time
 
@@ -14,7 +16,7 @@ import helpers
 from potmin import (cd_unhinged, check_rcn_robustness, corrupt_rcn, gd_unhinged,
                     make_loss, pgd_minimizer, recession_probe,
                     slope_identity_fuzz, unhinged_minimizer)
-from potmin.cli import ExperimentConfig, run_gamma_sweep, run_loss_report
+from potmin.cli import main, run_loss_report
 
 GAMMA_STAR = (-22.0 + math.sqrt(1984.0)) / 250.0  # root of 125 g^2 + 22 g - 3
 ETAS = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
@@ -36,19 +38,22 @@ def criterion(number: int, description: str, budget_s: float, body) -> None:
 
 def test_criterion_1_gamma_sweep_threshold(tmp_path):
     def body():
-        cfg = ExperimentConfig(out_dir=str(tmp_path), grid_start=0.01,
-                               grid_stop=0.3, grid_count=30)
-        outcome = run_gamma_sweep(cfg)
-        assert outcome.threshold is not None
-        for rec in outcome.records:
-            if rec.param_value < outcome.threshold:
-                assert rec.clean_error == 0.5
+        assert main(["gamma-sweep", "--out-dir", str(tmp_path), "--grid-start", "0.01",
+                     "--grid-stop", "0.3", "--grid-count", "30"]) == 0
+        threshold = json.loads((tmp_path / "gamma_sweep_summary.json").read_text())["threshold"]
+        assert threshold is not None
+        with open(tmp_path / "gamma_sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 30
+        for row in rows:
+            if float(row["gamma"]) <= threshold:
+                assert float(row["clean_error"]) == 0.5
             else:
-                assert rec.clean_error == 0.0
-        assert abs(outcome.threshold - GAMMA_STAR) <= 1e-6
+                assert float(row["clean_error"]) == 0.0
+        assert abs(threshold - GAMMA_STAR) <= 1e-6
         assert 0.0901 < GAMMA_STAR  # the quoted regime sits just below the root
 
-    criterion(1, "three-point sweep: error step and bisected threshold", 1.0, body)
+    criterion(1, "three-point sweep: error step and closed-form threshold", 1.0, body)
 
 
 def test_criterion_2_noise_invariance():

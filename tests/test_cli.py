@@ -5,6 +5,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -13,10 +17,8 @@ import pytest
 from potmin import (LossOverflowError, check_rcn_robustness, expected_loss,
                     make_counterexample, make_loss, mean_label_feature,
                     misclassification_error, unhinged_minimizer)
-from potmin import analysis, cli
-from potmin.cli import (ExperimentConfig, counterexample_sample, load_sample_csv,
-                        main, run_dynamics, run_eta_sweep, run_gamma_sweep,
-                        run_loss_report)
+from potmin import analysis, cli, distributions
+from potmin.cli import counterexample_sample, load_sample_csv, main, run_loss_report
 
 GAMMA_STAR = (-22.0 + math.sqrt(1984.0)) / 250.0
 
@@ -24,6 +26,10 @@ GAMMA_STAR = (-22.0 + math.sqrt(1984.0)) / 250.0
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_json(path):
+    return json.loads(path.read_text())
 
 
 class TestGammaSweep:
@@ -53,13 +59,34 @@ class TestGammaSweep:
             assert float(row["v_dot_x3"]) == float(fit.weights.v @ dist.xs[2])
 
     def test_errors_step_at_threshold(self, tmp_path):
-        cfg = ExperimentConfig(out_dir=str(tmp_path), grid_start=0.01,
-                               grid_stop=0.3, grid_count=30)
-        outcome = run_gamma_sweep(cfg)
-        assert outcome.claim_ok
-        for rec in outcome.records:
-            expected = 0.5 if rec.param_value < outcome.threshold else 0.0
-            assert rec.clean_error == expected
+        assert main(["gamma-sweep", "--out-dir", str(tmp_path), "--grid-start", "0.01",
+                     "--grid-stop", "0.3", "--grid-count", "30"]) == 0
+        summary = read_json(tmp_path / "gamma_sweep_summary.json")
+        assert summary["claim_ok"] is True
+        for row in read_csv(tmp_path / "gamma_sweep.csv"):
+            expected = 0.5 if float(row["gamma"]) <= summary["threshold"] else 0.0
+            assert float(row["clean_error"]) == expected
+
+    def test_grid_starting_at_the_threshold_passes(self, tmp_path):
+        # error 0.5 holds at GAMMA_STAR itself, so a grid that starts there
+        # still shows the step
+        start = distributions.GAMMA_STAR
+        assert main(["gamma-sweep", "--out-dir", str(tmp_path), "--grid-start", repr(start),
+                     "--grid-stop", "0.3", "--grid-count", "5"]) == 0
+        assert read_json(tmp_path / "gamma_sweep_summary.json")["threshold"] == start
+        rows = read_csv(tmp_path / "gamma_sweep.csv")
+        assert float(rows[0]["gamma"]) == start
+        assert [float(r["clean_error"]) for r in rows] == [0.5, 0.0, 0.0, 0.0, 0.0]
+
+    def test_grid_above_the_threshold_fails(self, tmp_path, capsys):
+        assert main(["gamma-sweep", "--out-dir", str(tmp_path), "--grid-start", "0.1",
+                     "--grid-stop", "0.3"]) == 1
+        summary = read_json(tmp_path / "gamma_sweep_summary.json")
+        assert summary["threshold"] is None
+        assert summary["claim_ok"] is False
+        out = capsys.readouterr().out
+        assert "no sign change of v.x3 inside the grid; threshold not located" in out
+        assert "claim FAIL" in out
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -113,29 +140,28 @@ class TestEtaSweep:
             assert float(row["minimizer_drift"]) <= 1e-12
 
     def test_above_threshold_all_zero(self, tmp_path):
-        cfg = ExperimentConfig(out_dir=str(tmp_path), gamma=0.2)
-        outcome = run_eta_sweep(cfg)
-        assert outcome.claim_ok
-        for rec in outcome.records:
-            assert rec.clean_error == 0.0
-            assert rec.noisy_fit_error == 0.0
+        assert main(["eta-sweep", "--out-dir", str(tmp_path), "--gamma", "0.2"]) == 0
+        assert read_json(tmp_path / "eta_sweep_summary.json")["claim_ok"] is True
+        for row in read_csv(tmp_path / "eta_sweep.csv"):
+            assert float(row["clean_error"]) == 0.0
+            assert float(row["noisy_fit_error"]) == 0.0
 
     def test_logistic_route_is_informational(self, tmp_path):
-        cfg = ExperimentConfig(out_dir=str(tmp_path), loss="logistic",
-                               grid_count=3)
-        outcome = run_eta_sweep(cfg)
-        assert outcome.summary["minimizer_route"] == "pgd"
-        assert outcome.claim_ok  # no robustness claim for this loss
+        assert main(["eta-sweep", "--out-dir", str(tmp_path), "--loss", "logistic",
+                     "--grid-count", "3"]) == 0
+        summary = read_json(tmp_path / "eta_sweep_summary.json")
+        assert summary["minimizer_route"] == "pgd"
+        assert summary["claim_ok"] is True  # no robustness claim for this loss
 
     def test_pgd_route_for_unhinged_checks_errors_not_drift(self, tmp_path):
         # the strict zero-drift clause belongs to the exact closed form;
         # the pgd route claims error equality only
-        cfg = ExperimentConfig(out_dir=str(tmp_path), minimizer="pgd",
-                               grid_count=3)
-        outcome = run_eta_sweep(cfg)
-        assert outcome.summary["minimizer_route"] == "pgd"
-        assert outcome.claim_ok
-        assert all(r.extras["robust"] for r in outcome.records)
+        assert main(["eta-sweep", "--out-dir", str(tmp_path), "--minimizer", "pgd",
+                     "--grid-count", "3"]) == 0
+        summary = read_json(tmp_path / "eta_sweep_summary.json")
+        assert summary["minimizer_route"] == "pgd"
+        assert summary["claim_ok"] is True
+        assert all(r["robust"] == "true" for r in read_csv(tmp_path / "eta_sweep.csv"))
 
     def test_distribution_csv_source(self, tmp_path):
         data = tmp_path / "dist.csv"
@@ -156,18 +182,23 @@ class TestEtaSweep:
             return pgd(dist, *args)
 
         monkeypatch.setattr(analysis, "pgd_minimizer", counted)
-        cfg = ExperimentConfig(out_dir=str(tmp_path), loss=loss, grid_count=3)
-        outcome = run_eta_sweep(cfg)
+        assert main(["eta-sweep", "--out-dir", str(tmp_path), "--loss", loss,
+                     "--grid-count", "3"]) == 0
         assert len(fitted) == 4
-        dist, phi = make_counterexample(cfg.gamma), make_loss(loss)
-        for rec in outcome.records:
-            report = check_rcn_robustness(dist, phi, cfg.r, rec.param_value, "pgd")
-            assert rec.minimizer == tuple(report.minimizer_noisy.v.tolist())
-            assert (rec.clean_error, rec.noisy_fit_error) == (
+        dist, phi = make_counterexample(0.05), make_loss(loss)
+        rows = read_csv(tmp_path / "eta_sweep.csv")
+        assert len(rows) == 3
+        for row in rows:
+            assert list(row) == ["eta", "v_1", "v_2", "objective", "clean_error",
+                                 "noisy_fit_error", "robust", "minimizer_drift", "flags"]
+            report = check_rcn_robustness(dist, phi, 1.0, float(row["eta"]), "pgd")
+            assert [float(row["v_1"]), float(row["v_2"])] == report.minimizer_noisy.v.tolist()
+            assert (float(row["clean_error"]), float(row["noisy_fit_error"])) == (
                 report.clean_fit_error, report.noisy_fit_error)
-            assert rec.objective == expected_loss(dist, phi, report.minimizer_noisy.v)
-            assert rec.extras == {"robust": report.robust, "minimizer_drift": float(
-                np.max(np.abs(report.minimizer_clean.v - report.minimizer_noisy.v)))}
+            assert float(row["objective"]) == expected_loss(dist, phi, report.minimizer_noisy.v)
+            assert row["robust"] == ("true" if report.robust else "false")
+            assert float(row["minimizer_drift"]) == float(
+                np.max(np.abs(report.minimizer_clean.v - report.minimizer_noisy.v)))
 
     def test_eta_grid_validated(self, tmp_path):
         code = main(["eta-sweep", "--out-dir", str(tmp_path),
@@ -194,10 +225,11 @@ class TestDynamics:
     def test_gd_long_run_passes_at_rounding_level(self, tmp_path):
         # 2e4 incremental additions drift ~5e-10 from the closed form on
         # iterates of size ~2e3: rounding, well inside (T + 2) eps relative
-        outcome = run_dynamics(ExperimentConfig(mode="gd", steps=20000,
-                                                out_dir=str(tmp_path)))
-        assert outcome.summary["closed_form_residual_max"] > 1e-12
-        assert outcome.claim_ok
+        assert main(["dynamics", "--mode", "gd", "--steps", "20000",
+                     "--out-dir", str(tmp_path)]) == 0
+        summary = read_json(tmp_path / "dynamics_gd_summary.json")
+        assert summary["closed_form_residual_max"] > 1e-12
+        assert summary["claim_ok"] is True
 
     def test_gd_claim_fails_on_a_perturbed_iterate(self, tmp_path, monkeypatch):
         # the bound must still catch a 1e-9 relative error in one iterate
@@ -210,9 +242,9 @@ class TestDynamics:
             return dataclasses.replace(traj, iterates=iterates)
 
         monkeypatch.setattr(cli, "gd_unhinged", perturbed)
-        outcome = run_dynamics(ExperimentConfig(mode="gd", steps=20000,
-                                                out_dir=str(tmp_path)))
-        assert not outcome.claim_ok
+        assert main(["dynamics", "--mode", "gd", "--steps", "20000",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert read_json(tmp_path / "dynamics_gd_summary.json")["claim_ok"] is False
 
     def test_cd_builtin_sample(self, tmp_path):
         code = main(["dynamics", "--mode", "cd", "--steps", "6",
@@ -444,16 +476,17 @@ class TestConfigFile:
         assert main(["gamma-sweep", "--config", str(cfg_path)]) == 2
 
     def test_subcommand_options_pinned(self):
-        common = {"-h", "--help", "--config", "--out-dir", "--format", "--plot",
-                  "--experiment"}
-        grid = {"--grid-start", "--grid-stop", "--grid-count", "--spacing"}
+        # --format and --plot only where the subcommand reads them
+        common = {"-h", "--help", "--config", "--out-dir", "--experiment"}
+        sweep = {"--format", "--plot", "--grid-start", "--grid-stop", "--grid-count",
+                 "--spacing"}
         expected = {
-            "gamma-sweep": common | grid | {"--r"},
-            "eta-sweep": common | grid | {"--r", "--loss", "--gamma", "--data",
-                                          "--minimizer"},
-            "dynamics": common | {"--mode", "--steps", "--step-size", "--v0",
+            "gamma-sweep": common | sweep | {"--r"},
+            "eta-sweep": common | sweep | {"--r", "--loss", "--gamma", "--data",
+                                           "--minimizer"},
+            "dynamics": common | {"--plot", "--mode", "--steps", "--step-size", "--v0",
                                   "--tie-rule", "--gamma", "--data"},
-            "loss-report": common,
+            "loss-report": common | {"--format"},
             "robust-check": common | {"--r", "--eta", "--loss", "--gamma", "--data",
                                       "--minimizer"},
             "recession-probe": common | {"--eta", "--loss", "--gamma", "--data",
@@ -470,3 +503,21 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestEntryPoint:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["loss-report"], 0, "stdout", "claim PASS: verdicts Yes/Yes/Yes/No/No"),
+        (["gamma-sweep", "--grid-start", "0.1", "--grid-stop", "0.3"], 1, "stdout",
+         "threshold not located"),
+        (["robust-check", "--eta", "0.6"], 2, "stderr", "error: "),
+    ], ids=["loss-report-0", "gamma-sweep-1", "robust-check-2"])
+    def test_python_m_potmin_exit_code(self, tmp_path, argv, code, stream, text):
+        # __main__ -> entrypoint -> sys.exit(main()) in a fresh interpreter
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        proc = subprocess.run([sys.executable, "-m", "potmin", *argv, "--out-dir", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert text in getattr(proc, stream)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import helpers
 from potmin import (DiscreteDistribution, MarginCertificate, certify_margin, corrupt_rcn,
-                    l1_margin, make_counterexample, mean_label_feature)
-from potmin.distributions import _merge_duplicates
+                    l1_margin, make_counterexample, mean_label_feature,
+                    misclassification_error, unhinged_minimizer)
+from potmin.distributions import GAMMA_STAR, _merge_duplicates
 
 
 def reference_merge_duplicates(xs, ys, weights):
@@ -164,6 +165,16 @@ class TestCounterexample:
         # but the builder is permissive on (0, 1)
         assert make_counterexample(0.0901).n_atoms == 3
         assert make_counterexample(0.99).n_atoms == 3
+
+    def test_gamma_star_is_the_float_where_the_heavy_point_flips(self):
+        # the root of 125 g^2 + 22 g - 3, and the last float at which the
+        # centroid minimizer misclassifies the heavy third point
+        assert abs(125 * GAMMA_STAR ** 2 + 22 * GAMMA_STAR - 3) <= 1e-15
+        for gamma, error in ((GAMMA_STAR, 0.5), (np.nextafter(GAMMA_STAR, 1.0), 0.0)):
+            dist = make_counterexample(float(gamma))
+            v = unhinged_minimizer(dist, 1.0).weights.v
+            assert (float(v @ dist.xs[2]) < 0.0) == (error == 0.5)
+            assert misclassification_error(dist, v) == error
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.2, 1.5])
     def test_out_of_range_rejected(self, gamma):

@@ -579,6 +579,21 @@ def test_hinge_fit_certifies_an_interior_optimum_in_a_large_ball(r):
     assert fit.objective == expected_loss(dist, HINGE, fit.weights.v)
 
 
+@pytest.mark.parametrize("r", [1e155, 1e300])
+def test_hinge_fit_certifies_where_r_squared_overflows(r):
+    # r * r is inf beyond sqrt(float max) ~ 1.34e154: the centred start
+    # and the ball slack were 0 and inf, and r = 1e155 spent all 50,000
+    # steps at v = 0 (gap 5.0e154); the steps now run on a finite ball
+    dist = DiscreteDistribution([[2.0, 1.0], [1.0, -3.0], [0.5, 0.5]], [1, -1, -1],
+                                [0.3, 0.3, 0.4])
+    fit = pgd_minimizer(dist, HINGE, r)
+    assert fit.converged
+    assert 0.0 <= fit.gap <= TOL
+    assert fit.iterations <= 10
+    assert abs(fit.objective - pgd_minimizer(dist, HINGE, 1e12).objective) <= TOL
+    assert fit.weights.radius_bound == r
+
+
 def test_hinge_dual_drops_only_a_norm_within_its_rounding():
     dist = DiscreteDistribution([[1.0], [1.0 + 2**-52]], [1, -1], [0.5, 0.5])
     w, yx = dist.weights, dist.ys[:, None] * dist.xs

@@ -19,6 +19,7 @@ from potmin.cli import ExperimentConfig, run_eta_sweep
 from potmin.distributions import _NoisyView
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
 LOSSES = {name: make_loss(name) for name in LOSS_NAMES}
 
 
@@ -47,18 +48,25 @@ def colliding_distributions(draw):
 
 COLLIDING = DiscreteDistribution([[-0.0, 1.0], [0.0, 1.0], [0.5, -0.0]], [1, -1, 1],
                                  [0.3, 0.5, 0.2])
+# each product of a gradient coefficient with this x underflows
+SUBNORMAL = DiscreteDistribution([[3.7441951251601e-310]], [-1], [1.0])
 
 
 # Both sides sum at most 2n nonnegative-weighted terms, each in a different
 # order; a sum of k terms rounds by at most k eps times the sum of their
 # magnitudes, and splitting and merging weights adds a few eps per term.
+# The standard rounding model also lets each rounded operation whose
+# result underflows err by up to the smallest subnormal, absolutely; the
+# same 4 (n + 2) operations bound the 2n products per side with x.
 def _rounding(dist, terms):
-    return 4 * (dist.n_atoms + 2) * EPS * terms
+    ops = 4 * (dist.n_atoms + 2)
+    return ops * EPS * terms + ops * TINY
 
 
 @settings(max_examples=150, deadline=None)
 @given(dist=colliding_distributions(), eta=helpers.etas, seed=st.integers(0, 2**16))
 @example(dist=COLLIDING, eta=0.25, seed=0)
+@example(dist=SUBNORMAL, eta=0.25, seed=0)
 def test_view_matches_corrupt_rcn(dist, eta, seed):
     view, noisy = _NoisyView(dist, eta), corrupt_rcn(dist, eta)
     v = np.random.default_rng(seed).uniform(-3.0, 3.0, dist.dimension)
