@@ -264,11 +264,16 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     u = np.asarray(u, dtype=float)
     if x0.shape != (dist.dimension,) or u.shape != (dist.dimension,):
         raise ValueError(f"x0 and u must have shape ({dist.dimension},)")
-    if abs(float(np.linalg.norm(u)) - 1.0) > _UNIT_NORM_TOL:
-        raise ValueError(f"u must be a unit vector, got ||u|| = {np.linalg.norm(u)!r}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    norm_u = float(np.linalg.norm(u))
+    if not abs(norm_u - 1.0) <= _UNIT_NORM_TOL:
+        raise ValueError(f"u must be a unit vector, got ||u|| = {norm_u!r}")
     lam = np.asarray(DEFAULT_RAY_GRID if lambdas is None else lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 2:
         raise ValueError("lambdas must be a 1-d grid with at least 2 points")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"lambdas must be finite, got {lam.tolist()}")
     if lam[0] < 0 or not np.all(np.diff(lam) > 0):
         raise ValueError("lambdas must be nonnegative and strictly increasing")
 

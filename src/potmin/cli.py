@@ -2,17 +2,17 @@
 
 Every CSV row an experiment emits is a straight transcription of library
 calls; the CLI adds bookkeeping and file output, never numerics of its
-own.  Exit codes: 0 success, 1 a checked claim failed, 2 invalid input.
+own.  Each setting is one flag in ``_FLAGS``, default included; a JSON
+``--config`` sets only its subcommand's flag dests, and flags win over it.
+Exit codes: 0 success, 1 a checked claim failed, 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -40,35 +40,33 @@ _LOSS_TAGS = {
 
 _EXPECTED_VERDICTS = ("Yes", "Yes", "Yes", "No", "No")
 
-# Every subcommand flag with its add_argument keywords.  Each flag's dest
-# is an ExperimentConfig field (--config aside), and its keywords also
-# give the type a JSON config value for that field must have.
+# Every subcommand flag with its add_argument keywords, default included;
+# a JSON config value for its dest must have the kind those keywords give.
 _FLAGS = {
-    "--config": dict(help="JSON config; keys mirror ExperimentConfig"),
-    "--out-dir": dict(help="output directory"),
-    "--format": dict(choices=["csv", "json"], help="table format"),
-    "--plot": dict(action="store_true", default=None, help="also write an SVG figure"),
-    "--experiment": dict(help="experiment id used in file names"),
+    "--config": dict(help="JSON config; keys are this subcommand's flag dests"),
+    "--out-dir": dict(default="out", help="output directory"),
+    "--format": dict(choices=["csv", "json"], default="csv", help="table format"),
+    "--plot": dict(action="store_true", default=False, help="also write an SVG figure"),
+    "--experiment": dict(default="", help="experiment id used in file names"),
     "--grid-start": dict(type=float),
     "--grid-stop": dict(type=float),
     "--grid-count": dict(type=int),
-    "--spacing": dict(dest="grid_spacing", choices=["linear", "log"]),
-    "--r": dict(type=float, help="ball radius"),
-    "--eta": dict(type=float),
-    "--loss": dict(choices=list(LOSS_NAMES)),
-    "--gamma": dict(type=float, help="builtin distribution parameter (when --data is absent)"),
+    "--spacing": dict(dest="grid_spacing", choices=["linear", "log"], default="linear"),
+    "--r": dict(type=float, default=1.0, help="ball radius"),
+    "--eta": dict(type=float, default=0.1),
+    "--loss": dict(choices=list(LOSS_NAMES), default="unhinged"),
+    "--gamma": dict(type=float, default=0.05, help="construction parameter (without --data)"),
     "--data": dict(help="distribution CSV, or for dynamics a sample CSV (README: File formats)"),
     "--minimizer": dict(choices=list(MINIMIZER_ROUTES)),
-    "--mode": dict(choices=["gd", "cd"]),
-    "--steps": dict(type=int),
+    "--mode": dict(choices=["gd", "cd"], default="gd"),
+    "--steps": dict(type=int, default=100),
     "--step-size": dict(type=float),
     "--v0": dict(type=float, nargs="+"),
-    "--tie-rule": dict(choices=list(TIE_RULES)),
+    "--tie-rule": dict(choices=list(TIE_RULES), default="lowest-index"),
     "--x0": dict(type=float, nargs="+"),
     "--u": dict(type=float, nargs="+"),
     "--lambdas": dict(type=float, nargs="+"),
 }
-_FIELD_FLAGS = {kw.get("dest", flag[2:].replace("-", "_")): kw for flag, kw in _FLAGS.items()}
 
 
 def _is_number(value) -> bool:
@@ -77,6 +75,9 @@ def _is_number(value) -> bool:
 
 def _config_kind(flag_kwargs: dict) -> tuple[str, Callable[[object], bool]]:
     """What a JSON config value must be, read from its flag's add_argument keywords."""
+    if "choices" in flag_kwargs:
+        choices = flag_kwargs["choices"]
+        return f"one of {', '.join(choices)}", lambda value: value in choices
     if flag_kwargs.get("action") == "store_true":
         return "true or false", lambda value: isinstance(value, bool)
     if "nargs" in flag_kwargs:
@@ -89,69 +90,27 @@ def _config_kind(flag_kwargs: dict) -> tuple[str, Callable[[object], bool]]:
     return "a string", lambda value: isinstance(value, str)
 
 
-@dataclass
-class ExperimentConfig:
-    """Knobs for one experiment run; JSON configs mirror these fields."""
+def _read_config(path: str, flags: tuple[str, ...]) -> dict:
+    """The JSON config at path, checked against the dests of one subcommand's flags."""
+    with open(path) as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    dest_kwargs = {kw.get("dest", flag[2:].replace("-", "_")): kw
+                   for flag, kw in _FLAGS.items() if flag in flags and flag != "--config"}
+    unknown = sorted(set(loaded) - set(dest_kwargs))
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key, value in loaded.items():
+        kind, has_kind = _config_kind(dest_kwargs[key])
+        if not (has_kind(value) or value is None and dest_kwargs[key].get("default") is None):
+            raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
+    return loaded
 
-    experiment: str = ""
-    grid_start: float | None = None
-    grid_stop: float | None = None
-    grid_count: int | None = None
-    grid_spacing: str = "linear"
-    loss: str = "unhinged"
-    r: float = 1.0
-    eta: float = 0.1
-    gamma: float = 0.05
-    minimizer: str | None = None
-    mode: str = "gd"
-    steps: int = 100
-    step_size: float | None = None
-    v0: list[float] | None = None
-    tie_rule: str = "lowest-index"
-    data: str | None = None
-    x0: list[float] | None = None
-    u: list[float] | None = None
-    lambdas: list[float] | None = None
-    out_dir: str = "out"
-    format: str = "csv"
-    plot: bool = False
 
-    def __post_init__(self):
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.grid_spacing not in ("linear", "log"):
-            raise ValueError(f"grid_spacing must be linear or log, got {self.grid_spacing!r}")
-        if self.grid_count is not None and self.grid_count < 2:
-            raise ValueError("grid_count must be at least 2")
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r!r}")
-
-    @classmethod
-    def from_sources(cls, config_path: str | None, overrides: dict) -> "ExperimentConfig":
-        """Defaults, then JSON config file, then the fields set in ``overrides`` (CLI flags)."""
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        values: dict = {}
-        if config_path:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise ValueError(f"{config_path}: config must be a JSON object")
-            unknown = sorted(set(loaded) - set(defaults))
-            if unknown:
-                raise ValueError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
-            for key, value in loaded.items():
-                kind, has_kind = _config_kind(_FIELD_FLAGS[key])
-                if not (has_kind(value) or value is None and defaults[key] is None):
-                    raise ValueError(
-                        f"{config_path}: config key {key!r} must be {kind}, got {value!r}")
-            values.update(loaded)
-        values.update({k: v for k, v in overrides.items() if k in defaults and v is not None})
-        return cls(**values)
-
-    @property
-    def route(self) -> str:
-        """The minimizer route: as given, else closed form for the unhinged loss only."""
-        return self.minimizer or ("closed-form" if self.loss == "unhinged" else "pgd")
+def _route(args: argparse.Namespace) -> str:
+    """The minimizer route: as given, else closed form for the unhinged loss only."""
+    return args.minimizer or ("closed-form" if args.loss == "unhinged" else "pgd")
 
 
 def _cell(value) -> str:
@@ -164,17 +123,17 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _out_path(cfg: ExperimentConfig, filename: str) -> Path:
-    out_dir = Path(cfg.out_dir)
+def _out_path(args: argparse.Namespace, filename: str) -> Path:
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / filename
 
 
-def _write_table(cfg: ExperimentConfig, name: str, rows: list[dict]) -> Path:
+def _write_table(args: argparse.Namespace, name: str, rows: list[dict]) -> Path:
     """The rows as a JSON list, or as CSV with one column per key (a grid
     has at least two rows)."""
-    path = _out_path(cfg, f"{name}.{cfg.format}")
-    if cfg.format == "json":
+    path = _out_path(args, f"{name}.{args.format}")
+    if args.format == "json":
         path.write_text(json.dumps(rows, indent=2) + "\n")
         return path
     with open(path, "w", newline="") as fh:
@@ -184,18 +143,20 @@ def _write_table(cfg: ExperimentConfig, name: str, rows: list[dict]) -> Path:
     return path
 
 
-def _write_summary(cfg: ExperimentConfig, name: str, summary: dict) -> None:
-    _out_path(cfg, f"{name}_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+def _write_summary(args: argparse.Namespace, name: str, summary: dict) -> None:
+    _out_path(args, f"{name}_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
-def _grid(cfg: ExperimentConfig, default_start: float, default_stop: float,
+def _grid(args: argparse.Namespace, default_start: float, default_stop: float,
           default_count: int) -> np.ndarray:
-    start = default_start if cfg.grid_start is None else float(cfg.grid_start)
-    stop = default_stop if cfg.grid_stop is None else float(cfg.grid_stop)
-    count = default_count if cfg.grid_count is None else int(cfg.grid_count)
+    start = default_start if args.grid_start is None else float(args.grid_start)
+    stop = default_stop if args.grid_stop is None else float(args.grid_stop)
+    count = default_count if args.grid_count is None else int(args.grid_count)
+    if count < 2:
+        raise ValueError("grid_count must be at least 2")
     if not stop > start:
         raise ValueError(f"grid requires stop > start, got [{start}, {stop}]")
-    if cfg.grid_spacing == "log":
+    if args.grid_spacing == "log":
         if start <= 0:
             raise ValueError("log spacing requires a positive grid start")
         return np.geomspace(start, stop, count)
@@ -219,23 +180,23 @@ def load_sample_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return table[:, :d], table[:, d]
 
 
-def _load_dist(cfg: ExperimentConfig) -> DiscreteDistribution:
-    if cfg.data:
-        return DiscreteDistribution.from_csv(cfg.data)
-    return make_counterexample(cfg.gamma)
+def _load_dist(args: argparse.Namespace) -> DiscreteDistribution:
+    if args.data:
+        return DiscreteDistribution.from_csv(args.data)
+    return make_counterexample(args.gamma)
 
 
-def run_gamma_sweep(cfg: ExperimentConfig) -> int:
+def run_gamma_sweep(args: argparse.Namespace) -> int:
     """Sweep the construction parameter and fit the centroid minimizer;
     its clean error steps from 0.5 to 0.0 at the closed-form GAMMA_STAR."""
-    name = cfg.experiment or "gamma_sweep"
-    gammas = _grid(cfg, 0.01, 0.3, 30)
+    name = args.experiment or "gamma_sweep"
+    gammas = _grid(args, 0.01, 0.3, 30)
     if gammas[0] <= 0.0 or gammas[-1] >= 1.0:
         raise ValueError("gamma grid must lie inside (0, 1)")
     rows = []
     for gamma in gammas:
         dist = make_counterexample(float(gamma))
-        fit = unhinged_minimizer(dist, cfg.r)
+        fit = unhinged_minimizer(dist, args.r)
         v = fit.weights.v
         rows.append({
             "gamma": float(gamma), **{f"v_{j + 1}": float(c) for j, c in enumerate(v)},
@@ -250,17 +211,17 @@ def run_gamma_sweep(cfg: ExperimentConfig) -> int:
     claim_ok = threshold is not None and all(
         row["clean_error"] == (0.5 if row["gamma"] <= GAMMA_STAR else 0.0) for row in rows)
 
-    table_path = _write_table(cfg, name, rows)
-    _write_summary(cfg, name, {
+    table_path = _write_table(args, name, rows)
+    _write_summary(args, name, {
         "experiment": name,
         "threshold": threshold,
         "claim_ok": claim_ok,
         "grid": [rows[0]["gamma"], rows[-1]["gamma"], len(rows)],
-        "r": cfg.r,
+        "r": args.r,
     })
-    if cfg.plot:
+    if args.plot:
         svg.step_plot(
-            _out_path(cfg, f"{name}.svg"),
+            _out_path(args, f"{name}.svg"),
             [row["gamma"] for row in rows],
             [row["clean_error"] for row in rows],
             title="clean error of the centroid minimizer",
@@ -276,16 +237,17 @@ def run_gamma_sweep(cfg: ExperimentConfig) -> int:
     return 0 if claim_ok else 1
 
 
-def run_eta_sweep(cfg: ExperimentConfig) -> int:
+def run_eta_sweep(args: argparse.Namespace) -> int:
     """Robustness check across noise rates on a fixed distribution."""
-    name = cfg.experiment or "eta_sweep"
-    etas = _grid(cfg, 0.05, 0.45, 9)
+    name = args.experiment or "eta_sweep"
+    etas = _grid(args, 0.05, 0.45, 9)
     if etas[0] <= 0.0 or etas[-1] >= 0.5:
         raise ValueError("eta grid must lie inside (0, 1/2)")
-    dist = _load_dist(cfg)
-    phi = make_loss(cfg.loss)
+    dist = _load_dist(args)
+    phi = make_loss(args.loss)
+    route = _route(args)
     rows = []
-    for report in _robustness_sweep(dist, phi, cfg.r, etas, cfg.route):
+    for report in _robustness_sweep(dist, phi, args.r, etas, route):
         v = report.minimizer_noisy.v
         rows.append({
             "eta": report.eta, **{f"v_{j + 1}": float(c) for j, c in enumerate(v)},
@@ -300,28 +262,28 @@ def run_eta_sweep(cfg: ExperimentConfig) -> int:
     # zero-drift clause additionally needs the exact closed-form route
     # (PGD only stops at a 1e-9 gradient tolerance)
     claim_ok = phi.name != "unhinged" or all(
-        row["robust"] and (cfg.route != "closed-form" or row["minimizer_drift"] <= _DRIFT_TOL)
+        row["robust"] and (route != "closed-form" or row["minimizer_drift"] <= _DRIFT_TOL)
         for row in rows)
 
-    table_path = _write_table(cfg, name, rows)
-    _write_summary(cfg, name, {
+    table_path = _write_table(args, name, rows)
+    _write_summary(args, name, {
         "experiment": name,
         "loss": phi.name,
-        "minimizer_route": cfg.route,
+        "minimizer_route": route,
         "claim_ok": claim_ok,
-        "r": cfg.r,
-        "source": cfg.data or f"counterexample(gamma={cfg.gamma})",
+        "r": args.r,
+        "source": args.data or f"counterexample(gamma={args.gamma})",
     })
-    if cfg.plot:
+    if args.plot:
         xs = [row["eta"] for row in rows]
         svg.line_plot(
-            _out_path(cfg, f"{name}.svg"),
+            _out_path(args, f"{name}.svg"),
             [(xs, [row["clean_error"] for row in rows]),
              (xs, [row["noisy_fit_error"] for row in rows])],
             title=f"clean-data errors vs noise rate ({phi.name})",
             xlabel="eta", ylabel="error",
         )
-    print(f"eta-sweep ({phi.name}, {cfg.route}): {len(rows)} noise rates -> {table_path}")
+    print(f"eta-sweep ({phi.name}, {route}): {len(rows)} noise rates -> {table_path}")
     for row in rows:
         print(f"  eta={row['eta']:.3f}  clean_fit={row['clean_error']!r}  "
               f"noisy_fit={row['noisy_fit_error']!r}  robust={row['robust']}")
@@ -329,18 +291,16 @@ def run_eta_sweep(cfg: ExperimentConfig) -> int:
     return 0 if claim_ok else 1
 
 
-def run_dynamics(cfg: ExperimentConfig) -> int:
+def run_dynamics(args: argparse.Namespace) -> int:
     """Dump a descent trajectory and verify its structural claim."""
-    if cfg.mode not in ("gd", "cd"):
-        raise ValueError(f"mode must be gd or cd, got {cfg.mode!r}")
-    name = cfg.experiment or f"dynamics_{cfg.mode}"
-    xs, ys = load_sample_csv(cfg.data) if cfg.data else counterexample_sample(cfg.gamma)
+    name = args.experiment or f"dynamics_{args.mode}"
+    xs, ys = load_sample_csv(args.data) if args.data else counterexample_sample(args.gamma)
     d = xs.shape[1]
 
-    if cfg.mode == "gd":
-        step = 0.1 if cfg.step_size is None else float(cfg.step_size)
-        v0 = np.zeros(d) if cfg.v0 is None else np.asarray(cfg.v0, dtype=float)
-        traj = gd_unhinged(xs, ys, v0, step, cfg.steps)
+    if args.mode == "gd":
+        step = 0.1 if args.step_size is None else float(args.step_size)
+        v0 = np.zeros(d) if args.v0 is None else np.asarray(args.v0, dtype=float)
+        traj = gd_unhinged(xs, ys, v0, step, args.steps)
         t = np.arange(traj.iterates.shape[0])
         closed = v0 + step * t[:, None] * traj.target
         residual = float(np.max(np.abs(traj.iterates - closed)))
@@ -348,40 +308,40 @@ def run_dynamics(cfg: ExperimentConfig) -> int:
         # so the incremental path stays within about (T + 2) eps of the
         # largest closed-form coordinate; a fixed bound fails long exact runs
         scale = max(1.0, float(np.max(np.abs(closed))))
-        claim_ok = residual <= (cfg.steps + 2) * sys.float_info.epsilon * scale
+        claim_ok = residual <= (args.steps + 2) * sys.float_info.epsilon * scale
         summary = {
-            "experiment": name, "mode": "gd", "steps": cfg.steps,
+            "experiment": name, "mode": "gd", "steps": args.steps,
             "step_size": step, "stationary": traj.stationary,
             "closed_form_residual_max": residual, "claim_ok": claim_ok,
         }
     else:
-        step = 1.0 if cfg.step_size is None else float(cfg.step_size)
-        traj = cd_unhinged(xs, ys, cfg.steps, cfg.tie_rule, step)
+        step = 1.0 if args.step_size is None else float(args.step_size)
+        traj = cd_unhinged(xs, ys, args.steps, args.tie_rule, step)
         # a coordinate is in some iterate's support iff its column has a nonzero
         touched = np.flatnonzero(traj.iterates.any(axis=0))
         claim_ok = set(touched.tolist()) <= set(traj.argmax_coords)
         summary = {
-            "experiment": name, "mode": "cd", "steps": cfg.steps,
-            "step_size": step, "tie_rule": cfg.tie_rule,
+            "experiment": name, "mode": "cd", "steps": args.steps,
+            "step_size": step, "tie_rule": args.tie_rule,
             "stationary": traj.stationary,
             "argmax_coords": list(traj.argmax_coords),
             "support_ok": claim_ok, "claim_ok": claim_ok,
         }
 
-    table_path = _out_path(cfg, f"{name}.csv")
+    table_path = _out_path(args, f"{name}.csv")
     traj.to_csv(table_path)
-    _write_summary(cfg, name, summary)
-    if cfg.plot:
+    _write_summary(args, name, summary)
+    if args.plot:
         t = np.arange(traj.iterates.shape[0])
-        if cfg.mode == "gd":
-            svg.line_plot(_out_path(cfg, f"{name}.svg"), [(t, traj.angles_to_target)],
+        if args.mode == "gd":
+            svg.line_plot(_out_path(args, f"{name}.svg"), [(t, traj.angles_to_target)],
                           title="angle to the label-sum direction",
                           xlabel="t", ylabel="angle (rad)")
         else:
-            svg.line_plot(_out_path(cfg, f"{name}.svg"), [(t, traj.loss_values)],
+            svg.line_plot(_out_path(args, f"{name}.svg"), [(t, traj.loss_values)],
                           title="total unhinged loss along coordinate descent",
                           xlabel="t", ylabel="loss")
-    print(f"dynamics ({cfg.mode}): {cfg.steps} steps -> {table_path}")
+    print(f"dynamics ({args.mode}): {args.steps} steps -> {table_path}")
     for key in ("closed_form_residual_max", "argmax_coords", "support_ok", "stationary"):
         if key in summary:
             print(f"  {key} = {summary[key]}")
@@ -423,38 +383,38 @@ def _print_loss_report(rows: list[dict]) -> None:
         print(f"{r['loss']:<26} {r['tag']:<26} {r['verdict']:<7} {witness}")
 
 
-def cmd_loss_report(cfg: ExperimentConfig) -> int:
+def cmd_loss_report(args: argparse.Namespace) -> int:
     rows, claim_ok = run_loss_report()
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:
         _print_loss_report(rows)
-    _write_summary(cfg, cfg.experiment or "loss_report",
+    _write_summary(args, args.experiment or "loss_report",
                    {"rows": rows, "claim_ok": claim_ok})
     print(f"claim {'PASS' if claim_ok else 'FAIL'}: verdicts "
           f"{'/'.join(r['verdict'] for r in rows)}")
     return 0 if claim_ok else 1
 
 
-def cmd_robust_check(cfg: ExperimentConfig) -> int:
-    dist = _load_dist(cfg)
-    phi = make_loss(cfg.loss)
-    report = check_rcn_robustness(dist, phi, cfg.r, cfg.eta, cfg.route)
+def cmd_robust_check(args: argparse.Namespace) -> int:
+    dist = _load_dist(args)
+    phi = make_loss(args.loss)
+    report = check_rcn_robustness(dist, phi, args.r, args.eta, _route(args))
     print(report.to_json(indent=2))
-    _write_summary(cfg, cfg.experiment or "robust_check", report.to_dict())
+    _write_summary(args, args.experiment or "robust_check", report.to_dict())
     return 0 if report.robust else 1
 
 
-def cmd_recession_probe(cfg: ExperimentConfig) -> int:
-    dist = _load_dist(cfg)
-    phi = make_loss(cfg.loss)
+def cmd_recession_probe(args: argparse.Namespace) -> int:
+    dist = _load_dist(args)
+    phi = make_loss(args.loss)
     d = dist.dimension
-    x0 = np.zeros(d) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
-    if cfg.u is not None:
-        u = np.asarray(cfg.u, dtype=float)
+    x0 = np.zeros(d) if args.x0 is None else np.asarray(args.x0, dtype=float)
+    if args.u is not None:
+        u = np.asarray(args.u, dtype=float)
         norm_u = float(np.linalg.norm(u))
-        if norm_u == 0.0:
-            raise ValueError("direction u must be nonzero")
+        if not 0.0 < norm_u < np.inf:
+            raise ValueError(f"direction u must be nonzero and finite, got ||u|| = {norm_u!r}")
         u = u / norm_u
     else:
         m = mean_label_feature(dist)
@@ -462,9 +422,9 @@ def cmd_recession_probe(cfg: ExperimentConfig) -> int:
         if norm_m == 0.0:
             raise ValueError("label centroid is zero; pass an explicit direction u")
         u = m / norm_m
-    probe = recession_probe(dist, phi, cfg.eta, x0, u, cfg.lambdas)
+    probe = recession_probe(dist, phi, args.eta, x0, u, args.lambdas)
     print(probe.to_json(indent=2))
-    _write_summary(cfg, cfg.experiment or "recession_probe", probe.to_dict())
+    _write_summary(args, args.experiment or "recession_probe", probe.to_dict())
     print(f"bound {'PASS' if probe.bound_holds else 'FAIL'} "
           f"(min slack {probe.min_slack:.3e}); "
           f"eventually increasing: {probe.eventually_increasing}")
@@ -511,10 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        cfg = ExperimentConfig.from_sources(args.config, vars(args))
-        return args.func(cfg)
+        if args.config:
+            # config values become the subcommand's defaults, so flags still win
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            sub.choices[args.command].set_defaults(
+                **_read_config(args.config, _COMMON_FLAGS + _COMMANDS[args.command][2]))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -143,7 +143,7 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         xs = np.array(self.xs, dtype=float, ndmin=2)
-        ys = np.array(self.ys, dtype=int).reshape(-1)
+        ys = np.array(self.ys, dtype=float).reshape(-1)
         weights = np.array(self.weights, dtype=float).reshape(-1)
         n = len(ys)
         if n == 0:
@@ -156,8 +156,9 @@ class DiscreteDistribution:
             raise ValueError("dimension must be at least 1")
         if not np.all(np.isfinite(xs)):
             raise ValueError("feature coordinates must be finite")
-        if not np.all(ys * ys == 1):
+        if not np.all(np.abs(ys) == 1):
             raise ValueError("labels must be -1 or +1")
+        ys = ys.astype(int)
         if not np.all(np.isfinite(weights)) or not np.all(weights > 0):
             raise ValueError("weights must be finite and strictly positive")
         xs, ys, weights = _merge_duplicates(xs, ys, weights)

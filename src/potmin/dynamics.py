@@ -124,12 +124,14 @@ def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
     if T < 1:
         raise ValueError("T must be at least 1")
     step = float(step)
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    if not (step > 0 and np.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     xs, ys = _check_sample(xs, ys)
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (xs.shape[1],):
         raise ValueError(f"v0 must have shape ({xs.shape[1]},), got {v0.shape}")
+    if not np.all(np.isfinite(v0)):
+        raise ValueError(f"v0 must be finite, got {v0.tolist()}")
     g = (ys[:, None] * xs).sum(axis=0)
     stationary = not np.any(g != 0.0)
 
@@ -164,8 +166,8 @@ def cd_unhinged(xs, ys, T: int, tie_rule: str = "lowest-index",
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
     step_size = float(step_size)
-    if not step_size > 0:
-        raise ValueError(f"step_size must be positive, got {step_size!r}")
+    if not (step_size > 0 and np.isfinite(step_size)):
+        raise ValueError(f"step_size must be positive and finite, got {step_size!r}")
     xs, ys = _check_sample(xs, ys)
     d = xs.shape[1]
     g = (ys[:, None] * xs).sum(axis=0)

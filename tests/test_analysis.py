@@ -236,6 +236,16 @@ class TestRecessionProbe:
         with pytest.raises(ValueError, match="unit"):
             recession_probe(dist, EXPONENTIAL, 0.2, np.zeros(2), [2.0, 0.0])
 
+    @pytest.mark.parametrize("x0, u, lambdas, match", [
+        ([np.inf, 0.0], [1.0, 0.0], None, r"x0 must be finite, got \[inf, 0.0\]"),
+        ([np.nan, 0.0], [1.0, 0.0], None, r"x0 must be finite, got \[nan, 0.0\]"),
+        ([0.0, 0.0], [np.nan, 0.0], None, r"u must be a unit vector, got \|\|u\|\| = nan"),
+        ([0.0, 0.0], [1.0, 0.0], [0.0, np.inf], r"lambdas must be finite, got \[0.0, inf\]"),
+    ], ids=["x0-inf", "x0-nan", "u-nan", "lambdas-inf"])
+    def test_non_finite_input_rejected(self, x0, u, lambdas, match):
+        with pytest.raises(ValueError, match=match):
+            recession_probe(make_counterexample(0.1), LOGISTIC, 0.2, x0, u, lambdas)
+
     def test_lambda_grid_validated(self):
         dist = make_counterexample(0.1)
         u = np.array([1.0, 0.0])

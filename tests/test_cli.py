@@ -118,6 +118,14 @@ class TestGammaSweep:
                      "--grid-start", "0.5", "--grid-stop", "1.5"])
         assert code == 2
 
+    def test_grid_count_below_two_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid_count": 1}))
+        for argv in (["--grid-count", "1"], ["--config", str(cfg_path)]):
+            assert main(["gamma-sweep", "--out-dir", str(tmp_path / "out"), *argv]) == 2
+            assert "grid_count must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_json_format(self, tmp_path):
         code = main(["gamma-sweep", "--out-dir", str(tmp_path),
                      "--format", "json", "--grid-count", "5"])
@@ -409,6 +417,23 @@ class TestRecessionProbe:
         assert code == 0
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, field", [
+        (["dynamics", "--step-size", "inf"], "step"),
+        (["dynamics", "--mode", "cd", "--step-size", "inf"], "step_size"),
+        (["dynamics", "--v0", "inf", "0"], "v0"),
+        (["recession-probe", "--loss", "logistic", "--lambdas", "0", "inf"], "lambdas"),
+        (["recession-probe", "--loss", "logistic", "--x0", "inf", "0"], "x0"),
+        (["recession-probe", "--loss", "logistic", "--u", "inf", "0"], "u"),
+    ], ids=["gd-step", "cd-step", "v0", "lambdas", "x0", "u"])
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, argv, field):
+        # invalid input, not a claim checked on inf iterates or values
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f" {field} must be " in err and "finite" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -438,6 +463,29 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({"grid_counts": 5}))
         assert main(["gamma-sweep", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("loss-report", "plot", True),
+        ("dynamics", "format", "json"),
+        ("robust-check", "grid_count", 5),
+        ("gamma-sweep", "config", "other.json"),
+    ])
+    def test_key_of_another_subcommand_rejected(self, tmp_path, capsys, command, key, value):
+        # a config sets only its own subcommand's flags
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_example_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Configs are plain JSON", 1)[1].split("```json", 1)[1]
+        config = {**json.loads(block.split("```", 1)[0]), "out_dir": str(tmp_path)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["gamma-sweep", "--config", str(cfg_path)]) == 0
+        assert len(read_csv(tmp_path / "gamma_sweep.csv")) == config["grid_count"]
+
     def test_seed_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 3}))
@@ -451,6 +499,10 @@ class TestConfigFile:
         ("gamma-sweep", "plot", "no", "must be true or false, got 'no'"),
         ("gamma-sweep", "grid_count", 2.5, "must be an integer, got 2.5"),
         ("dynamics", "v0", "abc", "must be a list of numbers, got 'abc'"),
+        ("gamma-sweep", "format", "xml", "must be one of csv, json, got 'xml'"),
+        ("dynamics", "mode", "x", "must be one of gd, cd, got 'x'"),
+        ("gamma-sweep", "grid_spacing", "cubic", "must be one of linear, log, got 'cubic'"),
+        ("gamma-sweep", "plot", None, "must be true or false, got None"),
     ])
     def test_mistyped_value_exits_two(self, tmp_path, capsys, command, key, value,
                                       message):

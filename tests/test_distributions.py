@@ -81,6 +81,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="label"):
             DiscreteDistribution([[1.0]], [2], [1.0])
 
+    @pytest.mark.parametrize("ys", [[1.5, -1.9], [np.nan, 1.0], [1.0, 0.5]])
+    def test_non_integer_labels_rejected_not_truncated(self, ys):
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            DiscreteDistribution([[1.0], [2.0]], ys, [0.5, 0.5])
+
+    def test_float_labels_stored_as_integers(self):
+        dist = DiscreteDistribution([[1.0], [2.0]], [1.0, -1.0], [0.5, 0.5])
+        assert dist.ys.dtype.kind == "i" and dist.ys.tolist() == [1, -1]
+
     def test_feature_array_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match="2-d"):
             DiscreteDistribution(np.ones((1, 2, 2)), [1], [1.0])

@@ -122,6 +122,15 @@ class TestGradientDescent:
         with pytest.raises(ValueError, match="shape"):
             gd_unhinged(xs, ys, [0.0, 1.0], 0.1, 5)
 
+    @pytest.mark.parametrize("v0, step, match", [
+        ([0.0], np.inf, "step must be positive and finite, got inf"),
+        ([np.inf], 0.1, r"v0 must be finite, got \[inf\]"),
+        ([np.nan], 0.1, r"v0 must be finite, got \[nan\]"),
+    ], ids=["step-inf", "v0-inf", "v0-nan"])
+    def test_non_finite_input_rejected(self, v0, step, match):
+        with pytest.raises(ValueError, match=match):
+            gd_unhinged([[1.0]], [1], v0, step, 3)
+
 
 class TestCheckSample:
     def test_valid(self):
@@ -267,6 +276,8 @@ class TestCoordinateDescent:
             cd_unhinged(xs, ys, 3, tie_rule="random")
         with pytest.raises(ValueError, match="step_size"):
             cd_unhinged(xs, ys, 3, step_size=0.0)
+        with pytest.raises(ValueError, match="step_size must be positive and finite, got inf"):
+            cd_unhinged(xs, ys, 3, step_size=np.inf)
 
 
 def reference_to_csv(traj, path):

@@ -15,7 +15,7 @@ from potmin import (LOSS_NAMES, DiscreteDistribution, LossOverflowError,
                     make_loss, mean_label_feature, pgd_minimizer, recession_probe,
                     unhinged_minimizer)
 from potmin import minimizers
-from potmin.cli import ExperimentConfig, run_eta_sweep
+from potmin.cli import main
 from potmin.distributions import _NoisyView
 
 EPS = np.finfo(float).eps
@@ -197,8 +197,8 @@ def test_checks_and_probe_never_materialize_the_noise(monkeypatch, tmp_path):
     for loss, route in (("unhinged", "closed-form"), ("unhinged", "pgd"),
                         ("logistic", "pgd"), ("hinge", "pgd")):
         check_rcn_robustness(dist, LOSSES[loss], 1.0, 0.2, route)
-        run_eta_sweep(ExperimentConfig(out_dir=str(tmp_path), loss=loss, minimizer=route,
-                                       grid_count=3))
+        assert main(["eta-sweep", "--out-dir", str(tmp_path), "--loss", loss,
+                     "--minimizer", route, "--grid-count", "3"]) != 2
     u = np.array([1.0, 0.0])
     recession_probe(dist, LOSSES["logistic"], 0.2, np.zeros(2), u)
     # the patch reached the public binding too
