@@ -118,13 +118,15 @@ def check_rcn_robustness(dist: DiscreteDistribution, phi: PotentialFunction,
     """Fit on clean and corrupted data; compare both errors on clean data.
 
     The check uses the one deterministic minimizer the library computes
-    for each side (closed form for the unhinged loss, best PGD iterate
-    otherwise); it is a witness pair, not a quantification over all
-    minimizers of either objective.  The corrupted side is fit on the
-    noise view of the clean atoms (each atom's label kept with mass
-    (1 - eta) w_i and flipped with eta w_i), never on a materialized
-    :func:`corrupt_rcn` distribution; the noisy fit computes its own
-    centroid, values and slopes from those per-atom terms.
+    for each side (closed form for the unhinged loss, else the fit
+    :func:`pgd_minimizer` picks: Newton for a smooth loss, the certified
+    hinge fit, or the best PGD iterate); it is a witness pair, not a
+    quantification over all minimizers of either objective.  The
+    corrupted side is fit on the noise view of the clean atoms (each
+    atom's label kept with mass (1 - eta) w_i and flipped with eta w_i),
+    never on a materialized :func:`corrupt_rcn` distribution; the noisy
+    fit computes its own centroid, values, slopes and curvatures from
+    those per-atom terms.
     """
     return _robustness_sweep(dist, phi, r, [eta], minimizer)[0]
 

@@ -259,8 +259,9 @@ def run_eta_sweep(args: argparse.Namespace) -> int:
         })
 
     # the robustness claim is only made for the unhinged loss; the strict
-    # zero-drift clause additionally needs the exact closed-form route
-    # (PGD only stops at a 1e-9 gradient tolerance)
+    # zero-drift clause additionally needs the exact closed-form route (the
+    # pgd route fits the unhinged loss by projected gradient descent, which
+    # stops within a 1e-9 gradient-mapping norm of the minimizer, not at it)
     claim_ok = phi.name != "unhinged" or all(
         row["robust"] and (route != "closed-form" or row["minimizer_drift"] <= _DRIFT_TOL)
         for row in rows)

@@ -119,7 +119,8 @@ def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
     constant, so iterate t must equal v0 + step * t * sum_i y_i x_i;
     iterates are still summed one step at a time (a cumulative sum) so
     that identity can be checked against them.  A zero label sum leaves
-    every iterate at v0 (stationary flag set).
+    every iterate at v0 (stationary flag set).  Iterates or losses that
+    leave float64 raise ValueError naming the step and T.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -137,12 +138,18 @@ def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
 
     iterates = np.empty((T + 1, xs.shape[1]))
     iterates[0] = v0
-    iterates[1:] = step * g
-    np.cumsum(iterates, axis=0, out=iterates)
+    # an overflow is reported as the error below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        iterates[1:] = step * g
+        np.cumsum(iterates, axis=0, out=iterates)
+        loss_values = len(ys) - iterates @ g
+    if not (np.all(np.isfinite(iterates)) and np.all(np.isfinite(loss_values))):
+        raise ValueError(f"gradient descent with step {step!r} leaves float64 "
+                         f"within T = {T} steps")
     return Trajectory(
         iterates=iterates,
         step_size=step,
-        loss_values=len(ys) - iterates @ g,
+        loss_values=loss_values,
         angles_to_target=_angles(iterates, g),
         target=g,
         stationary=stationary,

@@ -69,14 +69,18 @@ class PotentialFunction:
     """A scalar margin loss phi together with its derivative.
 
     ``eval`` and ``deriv`` map a margin (scalar or ndarray) to the loss
-    value / slope at that margin.  Instances are immutable and safe to
-    share across threads.
+    value / slope at that margin.  ``curv``, when given, maps it to the
+    second derivative phi'' (nonnegative, as phi is convex); a loss that
+    declares one is fit by a Newton method, one without by projected
+    gradient descent.  Instances are immutable and safe to share across
+    threads.
     """
 
     name: str
     eval: Callable
     deriv: Callable
     axiom_class: str
+    curv: Callable | None = None
 
     def __post_init__(self):
         if self.axiom_class not in _AXIOM_CLASSES:
@@ -117,6 +121,14 @@ def _mixed_deriv(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mixed_curv(z: np.ndarray) -> np.ndarray:
+    # 0 on the linear branch, including at the kink z = 0
+    out = np.zeros_like(z)
+    pos = z > 0.0
+    out[pos] = np.exp(-z[pos])
+    return out
+
+
 def _logistic_eval(z: np.ndarray) -> np.ndarray:
     # log(1 + exp(-2z)) evaluated stably for large |z|
     return np.logaddexp(0.0, -2.0 * z)
@@ -125,6 +137,12 @@ def _logistic_eval(z: np.ndarray) -> np.ndarray:
 def _logistic_deriv(z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return -2.0 / (1.0 + np.exp(2.0 * z))
+
+
+def _logistic_curv(z: np.ndarray) -> np.ndarray:
+    # 4 s(2z) s(-2z) with s the sigmoid, as e / (1 + e)^2 at e = exp(-2|z|) <= 1
+    e = np.exp(-2.0 * np.abs(z))
+    return 4.0 * e / (1.0 + e) ** 2
 
 
 def _hinge_eval(z: np.ndarray) -> np.ndarray:
@@ -144,12 +162,14 @@ def _unhinged_deriv(z: np.ndarray) -> np.ndarray:
     return np.full_like(z, -1.0)
 
 
+# name -> (eval, deriv, axiom class, curv or None); exp(-z) is its own
+# second derivative, with eval's overflow rule
 _REGISTRY = {
-    "exponential": (_exp_eval, _exp_deriv, CONVEX_POTENTIAL),
-    "mixed_linear_exponential": (_mixed_eval, _mixed_deriv, CONVEX_POTENTIAL),
-    "logistic": (_logistic_eval, _logistic_deriv, CONVEX_POTENTIAL),
-    "hinge": (_hinge_eval, _hinge_deriv, NEITHER),
-    "unhinged": (_unhinged_eval, _unhinged_deriv, RELAXED_ONLY),
+    "exponential": (_exp_eval, _exp_deriv, CONVEX_POTENTIAL, _exp_eval),
+    "mixed_linear_exponential": (_mixed_eval, _mixed_deriv, CONVEX_POTENTIAL, _mixed_curv),
+    "logistic": (_logistic_eval, _logistic_deriv, CONVEX_POTENTIAL, _logistic_curv),
+    "hinge": (_hinge_eval, _hinge_deriv, NEITHER, None),
+    "unhinged": (_unhinged_eval, _unhinged_deriv, RELAXED_ONLY, None),
 }
 
 
@@ -159,12 +179,13 @@ def make_loss(name: str) -> PotentialFunction:
     Raises ValueError for unknown names, listing the valid ones.
     """
     try:
-        ev, de, cls = _REGISTRY[name]
+        ev, de, cls, cu = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown loss {name!r}; valid names: {', '.join(LOSS_NAMES)}"
         ) from None
-    return PotentialFunction(name, _elementwise(ev), _elementwise(de), cls)
+    return PotentialFunction(name, _elementwise(ev), _elementwise(de), cls,
+                             None if cu is None else _elementwise(cu))
 
 
 @dataclass(frozen=True)

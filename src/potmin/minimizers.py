@@ -3,8 +3,10 @@
 The unhinged loss admits a closed form: the expected loss is linear in
 v, so the ball minimizer is the rescaled label centroid.  The hinge loss
 is fit to a certified duality gap (the closed form when it certifies,
-else a primal-dual interior point), and every other loss goes through
-projected gradient descent.  All return the same :class:`FitResult` shape.
+else a primal-dual interior point), a loss that declares its curvature
+(the shipped smooth losses) by Newton steps over the ball to a certified
+Frank-Wolfe gap, and every other loss goes through projected gradient
+descent.  All return the same :class:`FitResult` shape.
 
 Each fit also takes a label-noise view (``distributions._NoisyView``) in
 place of a distribution.  Its values and slopes are taken over 2n rows,
@@ -12,7 +14,8 @@ clean atom i's own label at m_i and its flipped one at -m_i, from one
 margin vector per point; every product with x (the centroid and the
 gradient) folds each atom's two rows into one coefficient of y_i x_i, and
 only the hinge fit expands the view into 2n interleaved rows y x, never
-sorted or merged.
+sorted or merged.  The curvature sum_i c_i x_i x_i^T adds each atom's two
+rows instead, since (y x)(y x)^T = (-y x)(-y x)^T.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 from .distributions import DiscreteDistribution, _interleave, _NoisyView, mean_label_feature
 from .loss_zoo import NEITHER, LossOverflowError, PotentialFunction, _hinge_eval
 
+_EPS = float(np.finfo(float).eps)
 _BALL_SLACK = 1e-12
 _DEGENERATE_CENTROID_TOL = 1e-14
 # rounding allowance on |P(v)| in the sufficient-decrease test
@@ -38,6 +42,20 @@ _DECREASE_ULPS = 4
 _STEP_TO_BOUNDARY = 0.99
 # largest ball radius the interior point works in: r^2 stays finite
 _INTERIOR_RADIUS = math.sqrt(sys.float_info.max) / 2.0
+# a Newton fit whose gap is at most tol stops once the gap no longer
+# halves, or once it is at most this share of tol: stopping at the first
+# gap <= tol left objectives up to 5e-10 above what one more step reached
+_GAP_FLOOR = 1e-3
+# sufficient-decrease constant of the Newton line search (Armijo)
+_ARMIJO = 1e-4
+# cap on the Newton iterations of the secular equation; they converge
+# quadratically, and a step that leaves the bracket bisects it instead
+_SECULAR_ITERS = 100
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||, by hypot: it scales, so it stays finite where ||x||^2 would overflow."""
+    return math.hypot(*x.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +76,8 @@ class WeightVector:
             r = float(self.radius_bound)
             if not r > 0:
                 raise ValueError(f"radius bound must be positive, got {r!r}")
-            # r m/||m|| and a projection onto the ball round relative to r;
-            # hypot scales, so it stays finite where ||v||^2 would overflow
-            norm = math.hypot(*v.tolist())
+            # r m/||m|| and a projection onto the ball round relative to r
+            norm = _norm(v)
             if norm > r + _BALL_SLACK * max(1.0, r):
                 raise ValueError(f"||v|| = {norm!r} exceeds radius bound {r!r}")
             object.__setattr__(self, "radius_bound", r)
@@ -73,11 +90,20 @@ class FitResult:
     """A fitted ball minimizer and how its fit stopped.
 
     ``gradient_norm_final`` is PGD's last gradient-mapping norm (0.0 for a
-    closed form, nan for the interior-point hinge fit, which has none).
-    ``gap`` is a certified bound on ``objective`` minus the optimum: 0.0
-    for the unhinged closed form (r ||m|| when the centroid m is
-    degenerate), P(v) - D(a) for a hinge fit at the default step, and
-    None for PGD.
+    closed form, nan for the interior-point hinge fit and the Newton fit,
+    which have none).  ``gap`` bounds ``objective`` minus the optimum over
+    the ball: 0.0 for the unhinged closed form (r ||m|| when the centroid m
+    is degenerate), P(v) - D(a) for a hinge fit at the default step, and
+    for every other fit the Frank-Wolfe gap <g, v> + r ||g|| at the
+    returned v, g being the gradient or, for a nonsmooth loss, the
+    subgradient the fit uses (a bound whenever the loss is convex).
+    ``stop_reason`` says why the fit stopped: ``"closed-form"``;
+    ``"gap"`` (the certified fits: gap <= tol);
+    ``"gradient-mapping"`` (PGD: gradient-mapping norm <= tol);
+    ``"budget"`` (max_iters spent); ``"step-underflow"`` (PGD: the step
+    would reach zero, or the iterate stopped moving with its gap open);
+    ``"no-decrease"`` (Newton: no step lowers the objective, with the gap
+    above tol); ``"rounding"`` (hinge: no interior step is left).
     """
 
     weights: WeightVector
@@ -88,6 +114,7 @@ class FitResult:
     degenerate_centroid: bool = False
     objective_history: tuple[float, ...] | None = None
     gap: float | None = None
+    stop_reason: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -99,7 +126,16 @@ class FitResult:
             "gradient_norm_final": self.gradient_norm_final,
             "degenerate_centroid": self.degenerate_centroid,
             "gap": self.gap,
+            "stop_reason": self.stop_reason,
         }
+
+
+def _radius(r) -> float:
+    """r as a float, rejected unless positive and finite."""
+    r = float(r)
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError(f"radius must be positive and finite, got {r!r}")
+    return r
 
 
 def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> FitResult:
@@ -112,30 +148,40 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     Under a noise view m is the noisy centroid
     sum_i ((1 - eta) w_i - eta w_i) y_i x_i, folded atom by atom.
     """
-    r = float(r)
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r!r}")
+    r = _radius(r)
     m = mean_label_feature(dist)
     norm_m = float(np.linalg.norm(m))
     if norm_m <= _DEGENERATE_CENTROID_TOL:
         zero = np.zeros(dist.dimension)
         return FitResult(WeightVector(zero, r), 1.0, 0, True, 0.0,
-                         degenerate_centroid=True, gap=r * norm_m)
-    v = (r / norm_m) * m
-    return FitResult(WeightVector(v, r), 1.0 - r * norm_m, 0, True, 0.0, gap=0.0)
+                         degenerate_centroid=True, gap=r * norm_m,
+                         stop_reason="closed-form")
+    with np.errstate(over="ignore"):
+        v = (r / norm_m) * m
+    objective = 1.0 - r * norm_m
+    if not (np.all(np.isfinite(v)) and math.isfinite(objective)):
+        raise ValueError(f"radius {r!r} overflows float64 in r m/||m|| "
+                         f"(||m|| = {norm_m!r})")
+    return FitResult(WeightVector(v, r), objective, 0, True, 0.0, gap=0.0,
+                     stop_reason="closed-form")
 
 
 @dataclass(frozen=True)
 class PGDConfig:
-    """Projected-gradient settings.
+    """Fit settings for :func:`pgd_minimizer`.
 
-    With ``step=None`` the loss picks the method.  A loss that declares
-    a C1 axiom class (every class but ``"neither"``) backtracks: the step
-    starts at 1/lambda_max(E[x x^T]) and halves until the trial point
-    passes a sufficient-decrease test.  The shipped hinge loss is fit to a
-    certified duality gap, ``tol`` being the gap and ``max_iters`` the
-    number of Newton steps.  Any other ``"neither"`` loss takes the fixed
-    :func:`default_step`.  An explicit ``step`` is always fixed.
+    With ``step=None`` the loss picks the method.  A loss that declares a
+    curvature (``PotentialFunction.curv``: the shipped exponential, mixed
+    and logistic losses) is fit by Newton steps over the ball, ``tol``
+    being the absolute Frank-Wolfe gap and ``max_iters`` the number of
+    Newton steps.  The shipped hinge loss is fit to a certified duality
+    gap, ``tol`` being the gap and ``max_iters`` the number of
+    interior-point steps.  Any other loss of a C1 axiom class (every class
+    but ``"neither"``) backtracks: the step starts at
+    1/lambda_max(E[x x^T]) and halves until the trial point passes a
+    sufficient-decrease test, and ``tol`` bounds the gradient-mapping norm.
+    Any other ``"neither"`` loss takes the fixed :func:`default_step`.  An
+    explicit ``step`` is always a fixed-step (sub)gradient loop.
     """
 
     step: float | None = None
@@ -215,11 +261,83 @@ def _gradient(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
     raise _overflow_at(phi.name, dist, margins, idx)
 
 
+def _rounding_slack(obj: float) -> float:
+    """The rounding allowance on P(v) = obj in a sufficient-decrease test."""
+    return _DECREASE_ULPS * _EPS * abs(obj)
+
+
 def _sufficient_decrease(obj: float, trial_obj: float, g: np.ndarray,
                         d: np.ndarray, step: float) -> bool:
     """P(v + d) <= P(v) + <g, d> + ||d||^2 / (2 step), up to rounding in P."""
-    slack = _DECREASE_ULPS * np.finfo(float).eps * abs(obj)
-    return trial_obj <= obj + float(g @ d) + float(d @ d) / (2.0 * step) + slack
+    return trial_obj <= obj + float(g @ d) + float(d @ d) / (2.0 * step) + _rounding_slack(obj)
+
+
+def _curvature(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
+               margins: np.ndarray) -> np.ndarray:
+    """H = sum_i c_i x_i x_i^T with c_i = w_i phi''(m_i).
+
+    An overflow names the atom with the largest term.  Under a noise view
+    clean atom i's two rows add, c_i = (1 - eta) w_i phi''(m_i)
+    + eta w_i phi''(-m_i), and the row named is the one of its two with
+    the larger curvature term.
+    """
+    rows = dist.weights * _per_atom(phi.curv, dist, margins)
+    noisy = isinstance(dist, _NoisyView)
+    c = rows[0::2] + rows[1::2] if noisy else rows
+    xs = dist.xs
+    # an overflow is reported as the error below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (xs * c[:, None]).T @ xs
+        if np.all(np.isfinite(h)):
+            return h
+        terms = c * np.sum(xs * xs, axis=1)
+    idx = int(np.argmax(terms))
+    if noisy:
+        idx = 2 * idx + int(rows[2 * idx + 1] > rows[2 * idx])
+    raise _overflow_at(phi.name, dist, margins, idx)
+
+
+def _ball_model_minimizer(h: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
+    """argmin of <b, x> + x^T h x / 2 over ||x|| <= r, for a symmetric PSD h.
+
+    With h = Q diag(mu) Q^T and beta = Q^T b, the minimizer is
+    x(lam) = -Q (beta / (mu + lam)) at the least lam >= 0 with
+    ||x(lam)|| <= r (More & Sorensen 1983).  Eigenvalues within the
+    rounding of eigh, d eps max(mu), count as 0.  lam = 0 is taken when
+    beta has no component there beyond its own rounding and x(0) lies in
+    the ball; otherwise the model falls along that null space (a loss on
+    its linear branch) or its minimizer lies outside, and lam > 0 solves
+    ||x(lam)|| = r by Newton's method on 1/||x(lam)|| - 1/r, which is
+    nearly linear in lam, kept inside a bisection bracket.  The result is
+    scaled into the ball.
+    """
+    mu, q = np.linalg.eigh(h)
+    null = mu <= h.shape[0] * _EPS * max(float(mu[-1]), 0.0)
+    mu = np.where(null, 0.0, mu)
+    beta = q.T @ b
+    norm_beta = float(np.linalg.norm(beta))
+    if float(np.linalg.norm(beta[null])) <= h.shape[0] * _EPS * norm_beta:
+        x = -q[:, ~null] @ (beta[~null] / mu[~null])
+        if _norm(x) <= r:
+            return x
+    # ||x(lam)|| lies between ||beta|| / (max(mu) + lam) and ||beta|| / lam
+    lam_lo, lam_hi = max(0.0, norm_beta / r - float(mu[-1])), norm_beta / r
+    lam = lam_hi
+    for _ in range(_SECULAR_ITERS):
+        p = beta / (mu + lam)
+        size = _norm(p)
+        if size > r:
+            lam_lo = lam
+        else:
+            lam_hi = lam
+        if abs(size - r) <= 4.0 * _EPS * r or lam_hi - lam_lo <= 4.0 * _EPS * lam_hi:
+            break
+        # d/dlam (1/||p||) = <u, u / (mu + lam)> / ||p|| at the unit vector u = p / ||p||
+        u = p / size
+        lam += (size / r - 1.0) / float(u @ (u / (mu + lam)))
+        if not lam_lo < lam < lam_hi:
+            lam = (lam_lo + lam_hi) / 2.0
+    return -(q @ p) * min(1.0, r / size)
 
 
 def _is_shipped_hinge(phi: PotentialFunction) -> bool:
@@ -358,7 +476,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     obj = float(w @ _per_atom(phi.eval, dist, dist.margins(closed.weights.v)))
     gap = obj - _hinge_dual(w, yx, w, r)
     if gap <= cfg.tol:
-        return FitResult(closed.weights, obj, 0, True, 0.0, gap=gap,
+        return FitResult(closed.weights, obj, 0, True, 0.0, gap=gap, stop_reason="gap",
                          objective_history=(obj,) if cfg.record_history else None)
 
     v = np.zeros(dist.dimension)
@@ -373,6 +491,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     best_dual = _hinge_dual(w, yx, lam2, r)
     history = [best_obj] if cfg.record_history else None
     converged = False
+    reason = "budget"
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         try:
@@ -381,6 +500,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
                                                         lam1, lam2, lam3)
         except (ArithmeticError, np.linalg.LinAlgError):
             iterations -= 1
+            reason = "rounding"
             break
         margins = dist.margins(v)
         obj = float(w @ _per_atom(phi.eval, dist, margins))
@@ -391,42 +511,126 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
         best_dual = max(best_dual, _hinge_dual(w, yx, lam2, r))
         if best_obj - best_dual <= cfg.tol:
             converged = True
+            reason = "gap"
             break
     return FitResult(
         WeightVector(best_v, r), best_obj, iterations, converged, math.nan,
-        gap=best_obj - best_dual,
+        gap=best_obj - best_dual, stop_reason=reason,
+        objective_history=tuple(history) if history is not None else None,
+    )
+
+
+def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, r: float,
+                cfg: PGDConfig) -> FitResult:
+    """Certified fit of a loss with a curvature: Newton steps over the ball.
+
+    From v = 0, each step takes the gradient g and the curvature
+    H = sum_i w_i phi''(m_i) x_i x_i^T at v, minimizes the quadratic model
+    <g, x - v> + (x - v)^T H (x - v) / 2 over the ball
+    (:func:`_ball_model_minimizer`), and searches the segment from v to
+    that x, which stays in the ball, for the first t = 1, 1/2, ... with
+    P(v + t (x - v)) <= P(v) + 1e-4 t <g, x - v>, up to the rounding slack
+    of the PGD decrease test.  The Frank-Wolfe gap <g, v> + r ||g|| bounds
+    P(v) minus the optimum over the ball, and ``cfg.tol`` bounds it in
+    absolute terms, whatever r.  The fit stops, certified, once the gap
+    is at most tol and no longer halves (or is at most 1e-3 tol).
+    Otherwise it stops when ``cfg.max_iters`` Newton steps are spent, when
+    no t passes the test before t (x - v) underflows, or when a step
+    neither lowered P nor halved the gap; the last two count as certified
+    if the gap is at most tol.  Every step lowers P up to rounding, so the
+    last iterate is the best.  Beyond ``_INTERIOR_RADIUS`` the steps run
+    on that smaller ball, inside the radius-r one, so that the model's
+    multiplier ||beta|| / radius stays a normal float; the gap keeps r.
+    """
+    w = dist.weights
+    yx = dist.ys[:, None] * dist.xs
+    rho = min(r, _INTERIOR_RADIUS)
+    v = np.zeros(dist.dimension)
+    # one margin vector per trial point, as in PGD
+    margins = dist.margins(v)
+    obj = float(w @ _per_atom(phi.eval, dist, margins))
+    history = [obj] if cfg.record_history else None
+    last_gap = math.inf
+    stalled = False
+    iterations = 0
+    while True:
+        g = _gradient(phi, dist, margins, yx)
+        gap = float(g @ v) + r * _norm(g)
+        halved = 2.0 * gap <= last_gap
+        if gap <= cfg.tol and (gap <= _GAP_FLOOR * cfg.tol or not halved):
+            reason = "gap"
+            break
+        if stalled and not halved:
+            reason = "no-decrease"  # neither P nor the gap falls any more
+            break
+        if iterations == cfg.max_iters:
+            reason = "budget"
+            break
+        iterations += 1
+        h = _curvature(phi, dist, margins)
+        d = _ball_model_minimizer(h, g - h @ v, rho) - v
+        slope = float(g @ d)
+        t = 1.0
+        while True:
+            candidate = v + t * d
+            if np.array_equal(candidate, v):
+                accepted = False  # t * d underflowed: no trial point is left
+                break
+            trial = dist.margins(candidate)
+            try:
+                trial_obj = float(w @ _per_atom(phi.eval, dist, trial))
+            except LossOverflowError:
+                trial_obj = math.inf  # far above P(v), which is finite
+            accepted = trial_obj <= obj + _ARMIJO * t * slope + _rounding_slack(obj)
+            if accepted:
+                break
+            t /= 2.0
+        if not accepted:
+            reason = "gap" if gap <= cfg.tol else "no-decrease"
+            break
+        # near an interior optimum the gap, (r - ||v||) ||g|| or more, can
+        # still fall while P moves only within its rounding
+        stalled = not trial_obj < obj
+        v, margins, obj, last_gap = candidate, trial, trial_obj, gap
+        if history is not None:
+            history.append(obj)
+    return FitResult(
+        WeightVector(v, r), obj, iterations, reason == "gap", math.nan,
+        gap=gap, stop_reason=reason,
         objective_history=tuple(history) if history is not None else None,
     )
 
 
 def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
                   r: float, cfg: PGDConfig | None = None) -> FitResult:
-    """Projected gradient descent on E[phi(y v.x)] over the radius-r ball.
+    """Minimize E[phi(y v.x)] over the radius-r ball from v = 0.
 
-    Starts at v = 0, runs v <- proj(v - step * grad), and stops when the
-    gradient-mapping norm ||v - proj(v - step g)|| / step drops to the
-    tolerance or the iteration budget runs out.  Returns the best iterate
-    seen, so the objective contract holds even with an aggressive step.
+    With ``cfg.step`` None, a loss that declares a curvature (the shipped
+    exponential, mixed and logistic losses) is fit by Newton steps over
+    the ball to a certified Frank-Wolfe gap <g, v> + r ||g|| <= ``cfg.tol``
+    (see :func:`_newton_fit`), and the shipped hinge loss to a certified
+    duality gap (see :func:`_hinge_fit`): the unhinged closed form when it
+    certifies, else a primal-dual interior point.
 
-    Step rule: with ``cfg.step`` None and a loss of a C1 axiom class
-    (exponential, mixed, logistic, unhinged) the step starts at
-    1/lambda_max(E[x x^T]) and is halved (never raised again) whenever the
-    trial point fails P(v+) <= P(v) + <g, v+ - v> + ||v+ - v||^2 / (2 step)
+    Every other fit is projected gradient descent: v <- proj(v - step g),
+    stopping when the gradient-mapping norm ||v - proj(v - step g)|| / step
+    drops to ``cfg.tol`` or the iteration budget runs out.  It returns the
+    best iterate seen, so the objective contract holds even with an
+    aggressive step, with the Frank-Wolfe gap at that iterate.  Step rule:
+    with ``cfg.step`` None and a loss of a C1 axiom class (the unhinged
+    loss, or a custom one) the step starts at 1/lambda_max(E[x x^T]) and
+    is halved (never raised again) whenever the trial point fails
+    P(v+) <= P(v) + <g, v+ - v> + ||v+ - v||^2 / (2 step)
     (Beck & Teboulle 2009); if halving would reach zero, or the trial
-    point stops moving while the Frank-Wolfe gap <g, v> + r ||g|| exceeds
-    the tolerance, the fit stops as not converged.  The shipped hinge loss
-    with ``cfg.step`` None is fit to a certified duality gap instead (see
-    :func:`_hinge_fit`): the unhinged closed form when it certifies, else
-    a primal-dual interior point, stopping when the gap is at most
-    ``cfg.tol``.  Any other ``"neither"`` loss takes the fixed
-    :func:`default_step`, and an explicit step is fixed for every loss.
-    A zero step is allowed for diagnostics; the raw gradient norm is then
-    reported and the iterate never moves.  Under a noise view the step
-    comes from the clean atoms, whose feature masses the noise keeps.
+    point stops moving while the Frank-Wolfe gap exceeds the tolerance,
+    the fit stops as not converged.  Any other ``"neither"`` loss takes
+    the fixed :func:`default_step`, and an explicit step is fixed for
+    every loss.  A zero step is allowed for diagnostics; the raw gradient
+    norm is then reported and the iterate never moves.  Under a noise view
+    the step comes from the clean atoms, whose feature masses the noise
+    keeps.  A radius that is not positive and finite raises ValueError.
     """
-    r = float(r)
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r!r}")
+    r = _radius(r)
     cfg = cfg or PGDConfig()
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -434,6 +638,8 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
         value = getattr(cfg, field)
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{field} must be finite and nonnegative, got {value!r}")
+    if cfg.step is None and phi.curv is not None:
+        return _newton_fit(dist, phi, r, cfg)
     if cfg.step is None and _is_shipped_hinge(phi):
         return _hinge_fit(dist, phi, r, cfg)
     backtrack = cfg.step is None and phi.axiom_class != NEITHER
@@ -450,9 +656,9 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
     # the value at the new iterate and the slope taken from it
     margins = dist.margins(v)
     obj = float(w @ _per_atom(phi.eval, dist, margins))
-    best_v, best_obj = v, obj
+    best_v, best_obj, best_margins = v, obj, margins
     history = [obj] if cfg.record_history else None
-    converged = False
+    reason = "budget"
     pg_norm = float("nan")
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
@@ -467,23 +673,28 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
                 break
             step /= 2.0
         if not accepted:
-            break  # halving would reach a zero step: stop, not converged
+            reason = "step-underflow"  # halving would reach a zero step
+            break
         if step > 0:
             pg_norm = float(np.linalg.norm(v - candidate)) / step
         else:
             pg_norm = float(np.linalg.norm(g))
         if (backtrack and pg_norm == 0.0
                 and float(g @ v) + r * float(np.linalg.norm(g)) > cfg.tol):
-            break  # step * g underflowed: v cannot move, yet its Frank-Wolfe gap is open
+            # step * g underflowed: v cannot move, yet its Frank-Wolfe gap is open
+            reason = "step-underflow"
+            break
         v, margins, obj = candidate, trial, trial_obj
         if history is not None:
             history.append(obj)
         if obj < best_obj:
-            best_v, best_obj = v, obj
+            best_v, best_obj, best_margins = v, obj, margins
         if pg_norm <= cfg.tol:
-            converged = True
+            reason = "gradient-mapping"
             break
+    g = _gradient(phi, dist, best_margins, yx)
     return FitResult(
-        WeightVector(best_v, r), best_obj, iterations, converged, pg_norm,
+        WeightVector(best_v, r), best_obj, iterations, reason == "gradient-mapping", pg_norm,
+        gap=float(g @ best_v) + r * _norm(g), stop_reason=reason,
         objective_history=tuple(history) if history is not None else None,
     )

@@ -425,12 +425,31 @@ class TestNonFiniteInput:
         (["recession-probe", "--loss", "logistic", "--lambdas", "0", "inf"], "lambdas"),
         (["recession-probe", "--loss", "logistic", "--x0", "inf", "0"], "x0"),
         (["recession-probe", "--loss", "logistic", "--u", "inf", "0"], "u"),
-    ], ids=["gd-step", "cd-step", "v0", "lambdas", "x0", "u"])
+        (["robust-check", "--loss", "logistic", "--r", "inf"], "radius"),
+        (["robust-check", "--loss", "hinge", "--r", "inf"], "radius"),
+        (["robust-check", "--loss", "unhinged", "--r", "inf"], "radius"),
+        (["eta-sweep", "--loss", "exponential", "--r", "nan"], "radius"),
+        (["gamma-sweep", "--r", "inf"], "radius"),
+    ], ids=["gd-step", "cd-step", "v0", "lambdas", "x0", "u", "r-newton", "r-hinge",
+            "r-closed-form", "r-nan", "r-gamma-sweep"])
     def test_non_finite_input_exits_two(self, tmp_path, capsys, argv, field):
         # invalid input, not a claim checked on inf iterates or values
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f" {field} must be " in err and "finite" in err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (["robust-check", "--loss", "unhinged", "--r", "1e308"],
+         "radius 1e+308 overflows float64 in r m/||m||"),
+        (["dynamics", "--step-size", "1e308", "--steps", "3"],
+         "gradient descent with step 1e+308 leaves float64 within T = 3 steps"),
+    ], ids=["closed-form-radius", "gd-step"])
+    def test_finite_input_that_overflows_exits_two(self, tmp_path, capsys, argv, message):
+        # the error names the input, not the float64 vector it overflowed into
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,17 @@ class TestGradientDescent:
     def test_non_finite_input_rejected(self, v0, step, match):
         with pytest.raises(ValueError, match=match):
             gd_unhinged([[1.0]], [1], v0, step, 3)
+
+    @pytest.mark.parametrize("xs, step, T", [
+        ([[2.0]], 1e308, 1),       # step * g overflows
+        ([[1.0]], 1e308, 2),       # the cumulative sum overflows
+        ([[1e200]], 1e100, 1),     # the iterate is finite, its loss n - v.g is not
+    ], ids=["step", "sum", "loss"])
+    def test_iterates_leaving_float64_are_rejected(self, xs, step, T):
+        # raised without a numpy RuntimeWarning, which pytest makes an error
+        message = f"step {step!r} leaves float64 within T = {T} steps"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gd_unhinged(xs, [1], [0.0], step, T)
 
 
 class TestCheckSample:

@@ -25,6 +25,37 @@ def constant_one_loss():
     return PotentialFunction("constant_one", ev, de, NEITHER)
 
 
+SMOOTH_NAMES = ("exponential", "mixed_linear_exponential", "logistic")
+
+
+@pytest.mark.parametrize("name", SMOOTH_NAMES)
+def test_curvature_matches_second_differences(name):
+    # an even count keeps the grid off the mixed loss's kink at 0, where
+    # phi'' jumps from 0 to 1
+    phi = make_loss(name)
+    z = np.linspace(-20.0, 20.0, 400)
+    h = 1e-4
+    second = (phi.eval(z + h) - 2.0 * phi.eval(z) + phi.eval(z - h)) / h ** 2
+    curv = phi.curv(z)
+    assert np.all(curv >= 0.0)
+    np.testing.assert_allclose(curv, second, rtol=1e-5, atol=1e-6)
+    # scalars in, scalars out, as for eval and deriv
+    assert phi.curv(0.5) == float(phi.curv(np.array([0.5]))[0])
+
+
+def test_curvature_follows_the_overflow_rule_of_eval():
+    with pytest.raises(LossOverflowError):
+        make_loss("exponential").curv(np.array([-800.0]))
+    assert make_loss("logistic").curv(np.array([-800.0, 800.0])).tolist() == [0.0, 0.0]
+    assert make_loss("mixed_linear_exponential").curv(np.array([-800.0, 0.0])).tolist() == [
+        0.0, 0.0]
+
+
+@pytest.mark.parametrize("name", ["hinge", "unhinged"])
+def test_losses_without_curvature(name):
+    assert make_loss(name).curv is None
+
+
 class TestMakeLoss:
     def test_unhinged_values(self):
         phi = make_loss("unhinged")

@@ -13,6 +13,7 @@ from potmin import (LOSS_NAMES, RELAXED_ONLY, DiscreteDistribution, FitResult,
                     corrupt_rcn, expected_loss, make_counterexample, make_loss,
                     mean_label_feature, pgd_minimizer, unhinged_minimizer)
 from potmin import minimizers
+from potmin.distributions import _NoisyView
 from potmin.minimizers import _project_ball, default_step
 
 UNHINGED = make_loss("unhinged")
@@ -188,8 +189,10 @@ class TestUnhingedMinimizer:
         fit = unhinged_minimizer(make_counterexample(0.05), 2.0)
         data = fit.to_dict()
         assert set(data) == {"v", "r", "objective", "iterations", "converged",
-                             "gradient_norm_final", "degenerate_centroid", "gap"}
+                             "gradient_norm_final", "degenerate_centroid", "gap",
+                             "stop_reason"}
         assert data["gap"] == 0.0
+        assert data["stop_reason"] == "closed-form"
         assert data["r"] == 2.0
 
     @settings(max_examples=50, deadline=None)
@@ -303,6 +306,16 @@ class TestPgdMinimizer:
         assert err.value.z == -700.0
         assert err.value.atom == ([-1e10], 1)
 
+    def test_curvature_overflow_names_the_overflowing_term(self):
+        # at v = 0 every margin is 0 and the gradient is finite, but atom
+        # 1's curvature term 0.5 phi''(0) x x^T = 0.5e320 leaves float64
+        dist = DiscreteDistribution([[1.0], [1e160]], [1, -1], [0.5, 0.5])
+        for fitted in (dist, _NoisyView(dist, 0.2)):
+            with pytest.raises(LossOverflowError) as err:
+                pgd_minimizer(fitted, make_loss("logistic"), 1.0)
+            assert err.value.atom_index == 1
+            assert err.value.atom == ([1e160], -1)
+
     def test_ball_feasibility_random(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -365,7 +378,8 @@ def test_fit_matches_reference_loop_bit_for_bit(source, loss, cfg):
 
 def test_one_margin_evaluation_per_iterate(monkeypatch):
     # one margin vector per trial point: the start, plus every projected
-    # trial, accepted or rejected
+    # trial, accepted or rejected; a smooth loss reaches PGD without its
+    # curvature
     calls, trials = [], []
     margins = DiscreteDistribution.margins
 
@@ -387,7 +401,8 @@ def test_one_margin_evaluation_per_iterate(monkeypatch):
     for dist, loss, r in cases:
         calls.clear()
         trials.clear()
-        fit = pgd_minimizer(dist, make_loss(loss), r, PGDConfig(max_iters=500))
+        phi = dataclasses.replace(make_loss(loss), curv=None)
+        fit = pgd_minimizer(dist, phi, r, PGDConfig(max_iters=500))
         assert len(calls) == len(trials) + 1
         if loss == "hinge":
             assert len(trials) == fit.iterations
@@ -397,10 +412,11 @@ def test_one_margin_evaluation_per_iterate(monkeypatch):
 def test_backtracking_halves_to_an_accepted_step():
     # 1/lambda_max = 1/1.99 overshoots; every accepted step decreases P, up
     # to the few-ulp rounding slack of the test
+    # (PGD, reached without the loss's curvature)
     dist = DiscreteDistribution([[1.0], [-10.0]], [1, 1], [0.99, 0.01])
-    fit = pgd_minimizer(dist, make_loss("exponential"), 1.0,
-                        PGDConfig(record_history=True))
-    assert fit.converged
+    phi = dataclasses.replace(make_loss("exponential"), curv=None)
+    fit = pgd_minimizer(dist, phi, 1.0, PGDConfig(record_history=True))
+    assert fit.converged and fit.stop_reason == "gradient-mapping"
     assert np.all(np.diff(np.array(fit.objective_history)) <= 1e-15)
     # P(v) = 0.99 e^-v + 0.01 e^10v is least at v = log(9.9)/11, inside the ball
     assert fit.weights.v[0] == pytest.approx(math.log(9.9) / 11, abs=1e-9)
@@ -623,6 +639,131 @@ def test_hinge_fit_sees_through_timing_wrappers():
 
     dist = gaussian_halfspace(5, n=50, d=3)
     wrapped = dataclasses.replace(HINGE, eval=timed(HINGE.eval))
-    assert pgd_minimizer(dist, wrapped, 1.0).gap is not None
+    assert pgd_minimizer(dist, wrapped, 1.0).stop_reason == "gap"
     look_alike = dataclasses.replace(HINGE, eval=lambda z: np.maximum(0.0, 1.0 - z))
-    assert pgd_minimizer(dist, look_alike, 1.0, PGDConfig(max_iters=10)).gap is None
+    assert pgd_minimizer(dist, look_alike, 1.0,
+                         PGDConfig(max_iters=10)).stop_reason == "budget"
+
+
+# PGD's best iterate for the logistic fit of make_counterexample(0.05) at
+# r = 100: it spent its 50,000-iteration budget without converging
+PGD_LOGISTIC_R100_OBJECTIVE = 5.29e-4
+
+
+@pytest.mark.parametrize("loss", SMOOTH)
+def test_newton_fit_certifies_the_construction_at_a_large_radius(loss):
+    # separable data and a large ball: the regime where PGD crawls
+    dist = make_counterexample(0.05)
+    phi = make_loss(loss)
+    fit = pgd_minimizer(dist, phi, 100.0)
+    assert fit.converged and fit.stop_reason == "gap"
+    assert fit.gap <= TOL
+    assert frank_wolfe_gap(dist, phi, fit.weights.v, 100.0) <= TOL
+    assert fit.iterations <= 20
+    assert fit.objective == expected_loss(dist, phi, fit.weights.v)
+    if loss == "logistic":
+        assert fit.objective < PGD_LOGISTIC_R100_OBJECTIVE
+
+
+@pytest.mark.parametrize("loss", SMOOTH)
+def test_newton_fit_on_the_noise_view_matches_the_materialized_noise(loss):
+    # the view folds each atom's two curvature rows into one; the
+    # materialized corrupt_rcn distribution has them as separate atoms
+    phi = make_loss(loss)
+    rng = np.random.default_rng(31)
+    dists = [make_counterexample(0.05)] + [helpers.random_distribution(rng) for _ in range(4)]
+    for dist in dists:
+        view, noisy = _NoisyView(dist, 0.2), corrupt_rcn(dist, 0.2)
+        v = rng.normal(size=dist.dimension)
+        np.testing.assert_allclose(
+            minimizers._curvature(phi, view, view.margins(v)),
+            minimizers._curvature(phi, noisy, noisy.margins(v)), rtol=1e-13, atol=1e-15)
+        for r in (1.0, 10.0):
+            fit, reference = pgd_minimizer(view, phi, r), pgd_minimizer(noisy, phi, r)
+            assert fit.stop_reason == reference.stop_reason == "gap"
+            assert fit.iterations == reference.iterations
+            assert abs(fit.objective - reference.objective) <= 1e-14
+            np.testing.assert_allclose(fit.weights.v, reference.weights.v, atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [1.0, 100.0, 1e4])
+def test_newton_tolerance_is_an_absolute_gap(r):
+    # at an interior optimum the gap is at least (r - ||v||) ||g||, yet tol
+    # is not scaled by r: the gradient must shrink as r grows
+    dist = gaussian_halfspace(5, n=200, d=4)
+    phi = make_loss("logistic")
+    fit = pgd_minimizer(dist, phi, r)
+    assert fit.stop_reason == "gap" and fit.gap <= TOL
+    assert frank_wolfe_gap(dist, phi, fit.weights.v, r) <= TOL
+    loose = pgd_minimizer(dist, phi, r, PGDConfig(tol=1e-3))
+    assert loose.stop_reason == "gap" and loose.gap <= 1e-3
+    assert loose.iterations <= fit.iterations
+
+
+def test_newton_fit_out_of_budget():
+    dist = make_counterexample(0.05)
+    phi = make_loss("logistic")
+    fit = pgd_minimizer(dist, phi, 100.0, PGDConfig(max_iters=2, record_history=True))
+    assert not fit.converged and fit.stop_reason == "budget"
+    assert fit.iterations == 2
+    assert fit.gap == pytest.approx(frank_wolfe_gap(dist, phi, fit.weights.v, 100.0),
+                                    rel=1e-12)
+    assert fit.gap > TOL
+    history = np.array(fit.objective_history)
+    assert len(history) == 3 and history[-1] == fit.objective
+    assert np.all(np.diff(history) < 0.0)
+
+
+def test_newton_one_margin_evaluation_per_trial(monkeypatch):
+    # the start and every line-search trial take one margin vector and one
+    # loss evaluation; slopes and curvatures reuse the margins
+    calls = []
+    margins = DiscreteDistribution.margins
+
+    def counted(self, v):
+        calls.append(1)
+        return margins(self, v)
+
+    monkeypatch.setattr(DiscreteDistribution, "margins", counted)
+    dist = make_counterexample(0.05)
+    for fitted, r in ((dist, 1.0), (dist, 100.0), (_NoisyView(dist, 0.2), 10.0)):
+        for loss in SMOOTH:
+            evals = []
+            phi = make_loss(loss)
+
+            def value(z, ev=phi.eval):
+                evals.append(1)
+                return ev(z)
+
+            calls.clear()
+            fit = pgd_minimizer(fitted, dataclasses.replace(phi, eval=value), r)
+            assert fit.stop_reason == "gap"
+            assert len(calls) == len(evals) >= fit.iterations + 1
+
+
+def test_pgd_reports_the_frank_wolfe_gap_at_its_best_iterate():
+    dist = make_counterexample(0.05)
+    fit = pgd_minimizer(dist, UNHINGED, 1.0)
+    assert fit.stop_reason == "gradient-mapping"
+    assert fit.gap == pytest.approx(frank_wolfe_gap(dist, UNHINGED, fit.weights.v, 1.0),
+                                    abs=1e-15)
+    assert 0.0 <= fit.gap <= 1e-8
+    # a zero step never leaves v = 0, where the gap is r ||m||
+    stuck = pgd_minimizer(dist, UNHINGED, 2.0, PGDConfig(step=0.0, max_iters=5))
+    assert stuck.stop_reason == "budget" and not stuck.converged
+    assert stuck.gap == pytest.approx(2.0 * np.linalg.norm(mean_label_feature(dist)),
+                                      rel=1e-15)
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+@pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
+def test_every_route_rejects_a_non_finite_radius(loss, r):
+    with pytest.raises(ValueError, match=f"radius must be positive and finite, got {r!r}"):
+        pgd_minimizer(make_counterexample(0.05), make_loss(loss), r)
+    with pytest.raises(ValueError, match=f"radius must be positive and finite, got {r!r}"):
+        unhinged_minimizer(make_counterexample(0.05), r)
+
+
+def test_closed_form_names_an_overflowing_radius():
+    with pytest.raises(ValueError, match=r"radius 1e\+308 overflows float64 in r m/\|\|m\|\|"):
+        unhinged_minimizer(make_counterexample(0.05), 1e308)
