@@ -13,8 +13,7 @@ from .loss_zoo import (CONVEX_POTENTIAL, LOSS_NAMES, NEITHER, RELAXED_ONLY,
                        CheckResult, LossOverflowError, PotentialFunction,
                        PredicateReport, check_def1, check_def3, default_grid,
                        make_loss)
-from .minimizers import (FitResult, PGDConfig, WeightVector, default_step,
-                         pgd_minimizer, unhinged_minimizer)
+from .minimizers import FitResult, PGDConfig, WeightVector, pgd_minimizer, unhinged_minimizer
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,6 @@ __all__ = [
     "check_rcn_robustness",
     "corrupt_rcn",
     "default_grid",
-    "default_step",
     "expected_loss",
     "gd_unhinged",
     "l1_margin",

@@ -119,8 +119,8 @@ def check_rcn_robustness(dist: DiscreteDistribution, phi: PotentialFunction,
 
     The check uses the one deterministic minimizer the library computes
     for each side (closed form for the unhinged loss, else the fit
-    :func:`pgd_minimizer` picks: Newton for a smooth loss, the certified
-    hinge fit, or the best PGD iterate); it is a witness pair, not a
+    :func:`pgd_minimizer` picks: Newton for a loss with a curvature, or
+    the certified hinge fit); it is a witness pair, not a
     quantification over all minimizers of either objective.  The
     corrupted side is fit on the noise view of the clean atoms (each
     atom's label kept with mass (1 - eta) w_i and flipped with eta w_i),

@@ -98,7 +98,12 @@ def label_sum(xs, ys) -> np.ndarray:
 
 def _angles(iterates: np.ndarray, g: np.ndarray) -> np.ndarray:
     # atan2 of the orthogonal split; unlike arccos it stays accurate for
-    # near-collinear vectors, where arccos inflates rounding to ~sqrt(eps)
+    # near-collinear vectors, where arccos inflates rounding to ~sqrt(eps).
+    # The angle is scale-free, so each row and g are first scaled by the
+    # exact power of two that puts their largest |entry| in [1/2, 1): the
+    # squares in the norms then stay finite for every finite iterate
+    iterates = np.ldexp(iterates, -np.frexp(np.max(np.abs(iterates), axis=1))[1][:, None])
+    g = np.ldexp(g, -np.frexp(np.max(np.abs(g)))[1])
     norms = np.linalg.norm(iterates, axis=1)
     ng = float(np.linalg.norm(g))
     angles = np.full(iterates.shape[0], np.nan)

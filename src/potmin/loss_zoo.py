@@ -71,9 +71,9 @@ class PotentialFunction:
     ``eval`` and ``deriv`` map a margin (scalar or ndarray) to the loss
     value / slope at that margin.  ``curv``, when given, maps it to the
     second derivative phi'' (nonnegative, as phi is convex); a loss that
-    declares one is fit by a Newton method, one without by projected
-    gradient descent.  Instances are immutable and safe to share across
-    threads.
+    declares one is fit by a Newton method, and of those without one only
+    the shipped hinge has a fit.  Instances are immutable and safe to
+    share across threads.
     """
 
     name: str
@@ -162,6 +162,10 @@ def _unhinged_deriv(z: np.ndarray) -> np.ndarray:
     return np.full_like(z, -1.0)
 
 
+def _unhinged_curv(z: np.ndarray) -> np.ndarray:
+    return np.zeros_like(z)
+
+
 # name -> (eval, deriv, axiom class, curv or None); exp(-z) is its own
 # second derivative, with eval's overflow rule
 _REGISTRY = {
@@ -169,7 +173,7 @@ _REGISTRY = {
     "mixed_linear_exponential": (_mixed_eval, _mixed_deriv, CONVEX_POTENTIAL, _mixed_curv),
     "logistic": (_logistic_eval, _logistic_deriv, CONVEX_POTENTIAL, _logistic_curv),
     "hinge": (_hinge_eval, _hinge_deriv, NEITHER, None),
-    "unhinged": (_unhinged_eval, _unhinged_deriv, RELAXED_ONLY, None),
+    "unhinged": (_unhinged_eval, _unhinged_deriv, RELAXED_ONLY, _unhinged_curv),
 }
 
 

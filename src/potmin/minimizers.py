@@ -1,12 +1,12 @@
 """Minimizers of the expected potential over a Euclidean norm ball.
 
 The unhinged loss admits a closed form: the expected loss is linear in
-v, so the ball minimizer is the rescaled label centroid.  The hinge loss
-is fit to a certified duality gap (the closed form when it certifies,
-else a primal-dual interior point), a loss that declares its curvature
-(the shipped smooth losses) by Newton steps over the ball to a certified
-Frank-Wolfe gap, and every other loss goes through projected gradient
-descent.  All return the same :class:`FitResult` shape.
+v, so the ball minimizer is the rescaled label centroid.  Every iterative
+fit stops on a certificate.  The hinge loss is fit to a duality gap (the
+closed form when it certifies, else a primal-dual interior point), and a
+loss that declares its curvature (every other shipped loss, the unhinged
+one with phi'' = 0) by Newton steps over the ball to a Frank-Wolfe gap.
+All return the same :class:`FitResult` shape.
 
 Each fit also takes a label-noise view (``distributions._NoisyView``) in
 place of a distribution.  Its values and slopes are taken over 2n rows,
@@ -28,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, _interleave, _NoisyView, mean_label_feature
-from .loss_zoo import NEITHER, LossOverflowError, PotentialFunction, _hinge_eval
+from .loss_zoo import LossOverflowError, PotentialFunction, _hinge_eval
 
 _EPS = float(np.finfo(float).eps)
 _BALL_SLACK = 1e-12
 _DEGENERATE_CENTROID_TOL = 1e-14
-# rounding allowance on |P(v)| in the sufficient-decrease test
+# rounding allowance on |P(v)| in the Newton line search
 _DECREASE_ULPS = 4
 # least share of the way to the boundary of the positive orthant (and the
 # ball) that an interior-point step takes; it rises to 1 - sqrt(mu) as the
@@ -89,19 +89,12 @@ class WeightVector:
 class FitResult:
     """A fitted ball minimizer and how its fit stopped.
 
-    ``gradient_norm_final`` is PGD's last gradient-mapping norm (0.0 for a
-    closed form, nan for the interior-point hinge fit and the Newton fit,
-    which have none).  ``gap`` bounds ``objective`` minus the optimum over
-    the ball: 0.0 for the unhinged closed form (r ||m|| when the centroid m
-    is degenerate), P(v) - D(a) for a hinge fit at the default step, and
-    for every other fit the Frank-Wolfe gap <g, v> + r ||g|| at the
-    returned v, g being the gradient or, for a nonsmooth loss, the
-    subgradient the fit uses (a bound whenever the loss is convex).
-    ``stop_reason`` says why the fit stopped: ``"closed-form"``;
-    ``"gap"`` (the certified fits: gap <= tol);
-    ``"gradient-mapping"`` (PGD: gradient-mapping norm <= tol);
-    ``"budget"`` (max_iters spent); ``"step-underflow"`` (PGD: the step
-    would reach zero, or the iterate stopped moving with its gap open);
+    ``gap`` bounds ``objective`` minus the optimum over the ball: 0.0 for
+    the unhinged closed form (r ||m|| when the centroid m is degenerate),
+    P(v) - D(a) for a hinge fit, and for a Newton fit the Frank-Wolfe gap
+    <g, v> + r ||g|| at the returned v (a bound whenever the loss is
+    convex).  ``stop_reason`` says why the fit stopped: ``"closed-form"``;
+    ``"gap"`` (gap <= tol); ``"budget"`` (max_iters spent);
     ``"no-decrease"`` (Newton: no step lowers the objective, with the gap
     above tol); ``"rounding"`` (hinge: no interior step is left).
     """
@@ -110,11 +103,9 @@ class FitResult:
     objective: float
     iterations: int
     converged: bool
-    gradient_norm_final: float
+    gap: float
+    stop_reason: str
     degenerate_centroid: bool = False
-    objective_history: tuple[float, ...] | None = None
-    gap: float | None = None
-    stop_reason: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -123,7 +114,6 @@ class FitResult:
             "objective": self.objective,
             "iterations": self.iterations,
             "converged": self.converged,
-            "gradient_norm_final": self.gradient_norm_final,
             "degenerate_centroid": self.degenerate_centroid,
             "gap": self.gap,
             "stop_reason": self.stop_reason,
@@ -153,66 +143,28 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     norm_m = float(np.linalg.norm(m))
     if norm_m <= _DEGENERATE_CENTROID_TOL:
         zero = np.zeros(dist.dimension)
-        return FitResult(WeightVector(zero, r), 1.0, 0, True, 0.0,
-                         degenerate_centroid=True, gap=r * norm_m,
-                         stop_reason="closed-form")
+        return FitResult(WeightVector(zero, r), 1.0, 0, True, r * norm_m, "closed-form",
+                         degenerate_centroid=True)
     with np.errstate(over="ignore"):
         v = (r / norm_m) * m
     objective = 1.0 - r * norm_m
     if not (np.all(np.isfinite(v)) and math.isfinite(objective)):
         raise ValueError(f"radius {r!r} overflows float64 in r m/||m|| "
                          f"(||m|| = {norm_m!r})")
-    return FitResult(WeightVector(v, r), objective, 0, True, 0.0, gap=0.0,
-                     stop_reason="closed-form")
+    return FitResult(WeightVector(v, r), objective, 0, True, 0.0, "closed-form")
 
 
 @dataclass(frozen=True)
 class PGDConfig:
     """Fit settings for :func:`pgd_minimizer`.
 
-    With ``step=None`` the loss picks the method.  A loss that declares a
-    curvature (``PotentialFunction.curv``: the shipped exponential, mixed
-    and logistic losses) is fit by Newton steps over the ball, ``tol``
-    being the absolute Frank-Wolfe gap and ``max_iters`` the number of
-    Newton steps.  The shipped hinge loss is fit to a certified duality
-    gap, ``tol`` being the gap and ``max_iters`` the number of
-    interior-point steps.  Any other loss of a C1 axiom class (every class
-    but ``"neither"``) backtracks: the step starts at
-    1/lambda_max(E[x x^T]) and halves until the trial point passes a
-    sufficient-decrease test, and ``tol`` bounds the gradient-mapping norm.
-    Any other ``"neither"`` loss takes the fixed :func:`default_step`.  An
-    explicit ``step`` is always a fixed-step (sub)gradient loop.
+    ``max_iters`` bounds the Newton steps of a loss with a curvature and
+    the interior-point steps of the hinge fit; ``tol`` is the absolute gap
+    that certifies either fit, whatever r.
     """
 
-    step: float | None = None
     max_iters: int = 50_000
     tol: float = 1e-9
-    record_history: bool = False
-
-
-def default_step(dist: DiscreteDistribution) -> float:
-    """0.1 / (1 + E||x||^2): deterministic and scale-aware.
-
-    The fixed step, when no step is given, of the subgradient path of a
-    loss whose axiom class is ``"neither"``, other than the shipped hinge
-    (which is fit to a certified gap instead).
-    """
-    return 0.1 / (1.0 + float(dist.weights @ np.sum(dist.xs ** 2, axis=1)))
-
-
-def _curvature_step(dist: DiscreteDistribution) -> float:
-    """1 / lambda_max(E[x x^T]), the step for a loss with 0 <= phi'' <= 1.
-
-    Zero features (lambda_max = 0) get the largest finite reciprocal.
-    """
-    second = (dist.xs * dist.weights[:, None]).T @ dist.xs
-    lam = float(np.linalg.eigvalsh(second)[-1])
-    return 1.0 / max(lam, np.finfo(float).tiny)
-
-
-def _project_ball(v: np.ndarray, r: float) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    return v if n <= r else v * (r / n)
 
 
 def _overflow_at(loss: str, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray,
@@ -236,14 +188,14 @@ def _per_atom(fn, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray) 
 
 
 def _gradient(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
-              margins: np.ndarray, yx: np.ndarray) -> np.ndarray:
-    """sum_i w_i phi'(m_i) y_i x_i, naming the atom whose term overflowed.
+              margins: np.ndarray, yx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = sum_i s_i y_i x_i with s_i = w_i phi'(m_i), and the slope terms s.
 
-    That is the first atom with a non-finite term; when every term is
-    finite and only the sum overflowed, the atom with the largest term.
-    Under a noise view atom i's term is
-    ((1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i)) y_i x_i, and the row
-    named is the one of its two with the larger slope term.
+    An overflow names the first atom with a non-finite term; when every
+    term is finite and only the sum overflowed, the atom with the largest
+    term.  Under a noise view atom i's slope term is
+    s_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i), and the row named
+    is the one of its two with the larger slope term.
     """
     rows = dist.weights * _per_atom(phi.deriv, dist, margins)
     noisy = isinstance(dist, _NoisyView)
@@ -252,24 +204,13 @@ def _gradient(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
     with np.errstate(over="ignore", invalid="ignore"):
         g = scaled @ yx
         if np.all(np.isfinite(g)):
-            return g
+            return g, scaled
         terms = scaled[:, None] * yx
     bad = ~np.all(np.isfinite(terms), axis=1)
     idx = int(np.argmax(bad) if bad.any() else np.argmax(np.max(np.abs(terms), axis=1)))
     if noisy:
         idx = 2 * idx + int(abs(rows[2 * idx + 1]) > abs(rows[2 * idx]))
     raise _overflow_at(phi.name, dist, margins, idx)
-
-
-def _rounding_slack(obj: float) -> float:
-    """The rounding allowance on P(v) = obj in a sufficient-decrease test."""
-    return _DECREASE_ULPS * _EPS * abs(obj)
-
-
-def _sufficient_decrease(obj: float, trial_obj: float, g: np.ndarray,
-                        d: np.ndarray, step: float) -> bool:
-    """P(v + d) <= P(v) + <g, d> + ||d||^2 / (2 step), up to rounding in P."""
-    return trial_obj <= obj + float(g @ d) + float(d @ d) / (2.0 * step) + _rounding_slack(obj)
 
 
 def _curvature(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
@@ -476,8 +417,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     obj = float(w @ _per_atom(phi.eval, dist, dist.margins(closed.weights.v)))
     gap = obj - _hinge_dual(w, yx, w, r)
     if gap <= cfg.tol:
-        return FitResult(closed.weights, obj, 0, True, 0.0, gap=gap, stop_reason="gap",
-                         objective_history=(obj,) if cfg.record_history else None)
+        return FitResult(closed.weights, obj, 0, True, gap, "gap")
 
     v = np.zeros(dist.dimension)
     margins = dist.margins(v)
@@ -489,7 +429,6 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     best_v = v
     best_obj = float(w @ _per_atom(phi.eval, dist, margins))
     best_dual = _hinge_dual(w, yx, lam2, r)
-    history = [best_obj] if cfg.record_history else None
     converged = False
     reason = "budget"
     iterations = 0
@@ -504,8 +443,6 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
             break
         margins = dist.margins(v)
         obj = float(w @ _per_atom(phi.eval, dist, margins))
-        if history is not None:
-            history.append(obj)
         if obj < best_obj:
             best_v, best_obj = v, obj
         best_dual = max(best_dual, _hinge_dual(w, yx, lam2, r))
@@ -513,11 +450,8 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
             converged = True
             reason = "gap"
             break
-    return FitResult(
-        WeightVector(best_v, r), best_obj, iterations, converged, math.nan,
-        gap=best_obj - best_dual, stop_reason=reason,
-        objective_history=tuple(history) if history is not None else None,
-    )
+    return FitResult(WeightVector(best_v, r), best_obj, iterations, converged,
+                     best_obj - best_dual, reason)
 
 
 def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, r: float,
@@ -529,33 +463,45 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     <g, x - v> + (x - v)^T H (x - v) / 2 over the ball
     (:func:`_ball_model_minimizer`), and searches the segment from v to
     that x, which stays in the ball, for the first t = 1, 1/2, ... with
-    P(v + t (x - v)) <= P(v) + 1e-4 t <g, x - v>, up to the rounding slack
-    of the PGD decrease test.  The Frank-Wolfe gap <g, v> + r ||g|| bounds
-    P(v) minus the optimum over the ball, and ``cfg.tol`` bounds it in
-    absolute terms, whatever r.  The fit stops, certified, once the gap
-    is at most tol and no longer halves (or is at most 1e-3 tol).
-    Otherwise it stops when ``cfg.max_iters`` Newton steps are spent, when
-    no t passes the test before t (x - v) underflows, or when a step
-    neither lowered P nor halved the gap; the last two count as certified
-    if the gap is at most tol.  Every step lowers P up to rounding, so the
-    last iterate is the best.  Beyond ``_INTERIOR_RADIUS`` the steps run
-    on that smaller ball, inside the radius-r one, so that the model's
-    multiplier ||beta|| / radius stays a normal float; the gap keeps r.
+    P(v + t (x - v)) <= P(v) + 1e-4 t <g, x - v>, up to a few ulps of P(v).
+    With H = 0 (the unhinged loss) the model minimizer is r m/||m||, the
+    optimum.  The Frank-Wolfe gap <g, v> + r ||g|| bounds P(v) minus the
+    optimum over the ball, and ``cfg.tol`` bounds it in absolute terms,
+    whatever r.  Where the optimum lies inside the ball g tends to 0, and
+    r would scale its rounding past any tolerance: as in
+    :func:`_hinge_dual`, a norm within the rounding bound of the sum,
+    (n + d) eps ||sum_i |s_i| |y_i x_i|||, counts as 0.  On the boundary
+    the two terms cancel, and a gap within their rounding,
+    (d + 2) eps (|g|.|v| + r ||g||), counts as 0 too.  The fit stops,
+    certified, once the gap is at most tol and no longer halves (or is at
+    most 1e-3 tol).  Otherwise it stops when ``cfg.max_iters`` Newton
+    steps are spent, when no t passes the test before t (x - v)
+    underflows, or when a step neither lowered P nor halved the gap; the
+    last two count as certified if the gap is at most tol.  Every step
+    lowers P up to rounding, so the last iterate is the best.  Beyond
+    ``_INTERIOR_RADIUS`` the steps run on that smaller ball, inside the
+    radius-r one, so that the model's multiplier ||beta|| / radius stays
+    a normal float; the gap keeps r.
     """
     w = dist.weights
     yx = dist.ys[:, None] * dist.xs
+    abs_yx = np.abs(yx)
     rho = min(r, _INTERIOR_RADIUS)
     v = np.zeros(dist.dimension)
-    # one margin vector per trial point, as in PGD
+    # one margin vector per trial point
     margins = dist.margins(v)
     obj = float(w @ _per_atom(phi.eval, dist, margins))
-    history = [obj] if cfg.record_history else None
     last_gap = math.inf
     stalled = False
     iterations = 0
     while True:
-        g = _gradient(phi, dist, margins, yx)
-        gap = float(g @ v) + r * _norm(g)
+        g, slopes = _gradient(phi, dist, margins, yx)
+        norm_g = _norm(g)
+        if norm_g <= (slopes.size + v.size) * _EPS * _norm(np.abs(slopes) @ abs_yx):
+            norm_g = 0.0
+        gap = float(g @ v) + r * norm_g
+        if abs(gap) <= (v.size + 2) * _EPS * (float(np.abs(g) @ np.abs(v)) + r * norm_g):
+            gap = 0.0
         halved = 2.0 * gap <= last_gap
         if gap <= cfg.tol and (gap <= _GAP_FLOOR * cfg.tol or not halved):
             reason = "gap"
@@ -581,7 +527,7 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
                 trial_obj = float(w @ _per_atom(phi.eval, dist, trial))
             except LossOverflowError:
                 trial_obj = math.inf  # far above P(v), which is finite
-            accepted = trial_obj <= obj + _ARMIJO * t * slope + _rounding_slack(obj)
+            accepted = trial_obj <= obj + _ARMIJO * t * slope + _DECREASE_ULPS * _EPS * abs(obj)
             if accepted:
                 break
             t /= 2.0
@@ -592,109 +538,31 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
         # still fall while P moves only within its rounding
         stalled = not trial_obj < obj
         v, margins, obj, last_gap = candidate, trial, trial_obj, gap
-        if history is not None:
-            history.append(obj)
-    return FitResult(
-        WeightVector(v, r), obj, iterations, reason == "gap", math.nan,
-        gap=gap, stop_reason=reason,
-        objective_history=tuple(history) if history is not None else None,
-    )
+    return FitResult(WeightVector(v, r), obj, iterations, reason == "gap", gap, reason)
 
 
 def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
                   r: float, cfg: PGDConfig | None = None) -> FitResult:
-    """Minimize E[phi(y v.x)] over the radius-r ball from v = 0.
+    """Minimize E[phi(y v.x)] over the radius-r ball from v = 0, to a certified gap.
 
-    With ``cfg.step`` None, a loss that declares a curvature (the shipped
-    exponential, mixed and logistic losses) is fit by Newton steps over
-    the ball to a certified Frank-Wolfe gap <g, v> + r ||g|| <= ``cfg.tol``
-    (see :func:`_newton_fit`), and the shipped hinge loss to a certified
-    duality gap (see :func:`_hinge_fit`): the unhinged closed form when it
-    certifies, else a primal-dual interior point.
-
-    Every other fit is projected gradient descent: v <- proj(v - step g),
-    stopping when the gradient-mapping norm ||v - proj(v - step g)|| / step
-    drops to ``cfg.tol`` or the iteration budget runs out.  It returns the
-    best iterate seen, so the objective contract holds even with an
-    aggressive step, with the Frank-Wolfe gap at that iterate.  Step rule:
-    with ``cfg.step`` None and a loss of a C1 axiom class (the unhinged
-    loss, or a custom one) the step starts at 1/lambda_max(E[x x^T]) and
-    is halved (never raised again) whenever the trial point fails
-    P(v+) <= P(v) + <g, v+ - v> + ||v+ - v||^2 / (2 step)
-    (Beck & Teboulle 2009); if halving would reach zero, or the trial
-    point stops moving while the Frank-Wolfe gap exceeds the tolerance,
-    the fit stops as not converged.  Any other ``"neither"`` loss takes
-    the fixed :func:`default_step`, and an explicit step is fixed for
-    every loss.  A zero step is allowed for diagnostics; the raw gradient
-    norm is then reported and the iterate never moves.  Under a noise view
-    the step comes from the clean atoms, whose feature masses the noise
-    keeps.  A radius that is not positive and finite raises ValueError.
+    A loss that declares a curvature (every shipped loss but the hinge)
+    is fit by Newton steps over the ball to a Frank-Wolfe gap
+    <g, v> + r ||g|| <= ``cfg.tol`` (see :func:`_newton_fit`), and the
+    shipped hinge loss to a duality gap (see :func:`_hinge_fit`): the
+    unhinged closed form when it certifies, else a primal-dual interior
+    point.  Any other loss raises ValueError naming it, as do a radius
+    that is not positive and finite and a setting out of range.  The name
+    is kept from the projected gradient descent these fits replaced.
     """
     r = _radius(r)
     cfg = cfg or PGDConfig()
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    for field in ("step", "tol"):
-        value = getattr(cfg, field)
-        if value is not None and not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{field} must be finite and nonnegative, got {value!r}")
-    if cfg.step is None and phi.curv is not None:
+    if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {cfg.tol!r}")
+    if phi.curv is not None:
         return _newton_fit(dist, phi, r, cfg)
-    if cfg.step is None and _is_shipped_hinge(phi):
+    if _is_shipped_hinge(phi):
         return _hinge_fit(dist, phi, r, cfg)
-    backtrack = cfg.step is None and phi.axiom_class != NEITHER
-    atoms = dist.clean if isinstance(dist, _NoisyView) else dist
-    if backtrack:
-        step = _curvature_step(atoms)
-    else:
-        step = default_step(atoms) if cfg.step is None else float(cfg.step)
-
-    yx = dist.ys[:, None] * dist.xs
-    w = dist.weights
-    v = np.zeros(dist.dimension)
-    # one margin vector per trial point: an accepted trial's margins give
-    # the value at the new iterate and the slope taken from it
-    margins = dist.margins(v)
-    obj = float(w @ _per_atom(phi.eval, dist, margins))
-    best_v, best_obj, best_margins = v, obj, margins
-    history = [obj] if cfg.record_history else None
-    reason = "budget"
-    pg_norm = float("nan")
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        g = _gradient(phi, dist, margins, yx)
-        while True:
-            candidate = _project_ball(v - step * g, r) if step > 0 else v
-            trial = dist.margins(candidate)
-            trial_obj = float(w @ _per_atom(phi.eval, dist, trial))
-            accepted = not backtrack or _sufficient_decrease(
-                obj, trial_obj, g, candidate - v, step)
-            if accepted or step / 2.0 == 0.0:
-                break
-            step /= 2.0
-        if not accepted:
-            reason = "step-underflow"  # halving would reach a zero step
-            break
-        if step > 0:
-            pg_norm = float(np.linalg.norm(v - candidate)) / step
-        else:
-            pg_norm = float(np.linalg.norm(g))
-        if (backtrack and pg_norm == 0.0
-                and float(g @ v) + r * float(np.linalg.norm(g)) > cfg.tol):
-            # step * g underflowed: v cannot move, yet its Frank-Wolfe gap is open
-            reason = "step-underflow"
-            break
-        v, margins, obj = candidate, trial, trial_obj
-        if history is not None:
-            history.append(obj)
-        if obj < best_obj:
-            best_v, best_obj, best_margins = v, obj, margins
-        if pg_norm <= cfg.tol:
-            reason = "gradient-mapping"
-            break
-    g = _gradient(phi, dist, best_margins, yx)
-    return FitResult(
-        WeightVector(best_v, r), best_obj, iterations, reason == "gradient-mapping", pg_norm,
-        gap=float(g @ best_v) + r * _norm(g), stop_reason=reason,
-        objective_history=tuple(history) if history is not None else None,
-    )
+    raise ValueError(f"loss {phi.name!r} has no certified fit: it declares no curvature "
+                     "and is not the shipped hinge")

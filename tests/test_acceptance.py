@@ -97,7 +97,7 @@ def test_criterion_4_pgd_matches_closed_form():
                            * np.linalg.norm(oracle.weights.v)))
             assert float(np.arccos(np.clip(cos, -1.0, 1.0))) <= 1e-4
 
-    criterion(4, "projected descent reaches the closed-form optimum", 30.0, body)
+    criterion(4, "the certified pgd route reaches the closed-form optimum", 30.0, body)
 
 
 def test_criterion_5_gradient_descent_structure():

@@ -230,6 +230,17 @@ class TestDynamics:
         summary = json.loads((tmp_path / "dynamics_gd_summary.json").read_text())
         assert summary["closed_form_residual_max"] <= 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gd_angles_past_the_square_root_of_the_float_range(self, tmp_path):
+        # iterates of size ~1e200 square past float64; the angles were
+        # written as pi/2 where every iterate lies along the target
+        assert main(["dynamics", "--step-size", "1e200", "--steps", "3",
+                     "--out-dir", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "dynamics_gd.csv")
+        assert float(rows[-1]["v_1"]) > 1e200
+        for row in rows[1:]:
+            assert abs(float(row["angle_rad"])) <= 1e-15
+
     def test_gd_long_run_passes_at_rounding_level(self, tmp_path):
         # 2e4 incremental additions drift ~5e-10 from the closed form on
         # iterates of size ~2e3: rounding, well inside (T + 2) eps relative

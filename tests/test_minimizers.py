@@ -1,103 +1,61 @@
-"""Closed-form and projected-gradient ball minimizers."""
+"""Closed-form and certified ball minimizers."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import helpers
-from potmin import (LOSS_NAMES, RELAXED_ONLY, DiscreteDistribution, FitResult,
-                    LossOverflowError, PGDConfig, PotentialFunction, WeightVector,
-                    corrupt_rcn, expected_loss, make_counterexample, make_loss,
-                    mean_label_feature, pgd_minimizer, unhinged_minimizer)
+from potmin import (LOSS_NAMES, RELAXED_ONLY, DiscreteDistribution, LossOverflowError,
+                    PGDConfig, PotentialFunction, WeightVector, corrupt_rcn, expected_loss,
+                    make_counterexample, make_loss, mean_label_feature, pgd_minimizer,
+                    unhinged_minimizer)
 from potmin import minimizers
 from potmin.distributions import _NoisyView
-from potmin.minimizers import _project_ball, default_step
 
 UNHINGED = make_loss("unhinged")
 
 
-def _reference_locate_overflow(err, dist, margins):
-    """The overflow error, naming the first atom whose margin overflowed."""
-    idx = int(np.nonzero(margins == err.z)[0][0])
-    return LossOverflowError(
-        err.loss, err.z, atom_index=idx,
-        atom=(dist.xs[idx].tolist(), int(dist.ys[idx])),
-    )
-
-
-def reference_pgd(dist, phi, r, cfg=None):
-    """The projected-gradient loop with separate objective and gradient
-    closures, each computing its own margins: the reference the fit must
-    match bit for bit."""
-    r = float(r)
-    cfg = cfg or PGDConfig()
-    step = default_step(dist) if cfg.step is None else float(cfg.step)
-
+def reference_pgd(dist, phi, r, step=None, max_iters=50_000, tol=1e-9):
+    """The fixed-step projected (sub)gradient loop, independent of the
+    library's fits: v <- proj(v - step g) from v = 0, at the step
+    0.1 / (1 + E||x||^2) unless one is given, until
+    ||v - proj(v - step g)|| / step (||g|| at a zero step) is at most tol.
+    Returns the best iterate, its objective, and the objective at every
+    iterate."""
+    if step is None:
+        step = 0.1 / (1.0 + float(dist.weights @ np.sum(dist.xs ** 2, axis=1)))
     yx = dist.ys[:, None] * dist.xs
     w = dist.weights
-
-    def objective(v: np.ndarray) -> float:
-        margins = dist.margins(v)
-        try:
-            vals = phi.eval(margins)
-        except LossOverflowError as err:
-            raise _reference_locate_overflow(err, dist, margins) from None
-        return float(w @ vals)
-
-    def gradient(v: np.ndarray) -> np.ndarray:
-        margins = dist.margins(v)
-        try:
-            slopes = phi.deriv(margins)
-        except LossOverflowError as err:
-            raise _reference_locate_overflow(err, dist, margins) from None
-        g = (w * slopes) @ yx
-        if not np.all(np.isfinite(g)):
-            worst = int(np.argmax(np.abs(margins)))
-            raise LossOverflowError(
-                phi.name, float(margins[worst]), atom_index=worst,
-                atom=(dist.xs[worst].tolist(), int(dist.ys[worst])),
-            )
-        return g
-
     v = np.zeros(dist.dimension)
-    best_v, best_obj = v, objective(v)
-    history = [best_obj] if cfg.record_history else None
-    converged = False
-    pg_norm = float("nan")
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        g = gradient(v)
-        if step > 0:
-            candidate = _project_ball(v - step * g, r)
-            pg_norm = float(np.linalg.norm(v - candidate)) / step
-        else:
-            candidate = v
-            pg_norm = float(np.linalg.norm(g))
+    best_v, best_obj = v, float(w @ phi.eval(dist.margins(v)))
+    history = [best_obj]
+    for iterations in range(1, max_iters + 1):
+        g = (w * phi.deriv(dist.margins(v))) @ yx
+        candidate = v - step * g
+        norm = float(np.linalg.norm(candidate))
+        if norm > r:
+            candidate = candidate * (r / norm)
+        moved = float(np.linalg.norm(v - candidate)) / step if step > 0 else float(
+            np.linalg.norm(g))
         v = candidate
-        obj = objective(v)
-        if history is not None:
-            history.append(obj)
-        if obj < best_obj:
-            best_v, best_obj = v, obj
-        if pg_norm <= cfg.tol:
-            converged = True
+        history.append(float(w @ phi.eval(dist.margins(v))))
+        if history[-1] < best_obj:
+            best_v, best_obj = v, history[-1]
+        if moved <= tol:
             break
-    return FitResult(
-        WeightVector(best_v, r), best_obj, iterations, converged, pg_norm,
-        objective_history=tuple(history) if history is not None else None,
-    )
+    return SimpleNamespace(v=best_v, objective=best_obj, iterations=iterations,
+                           history=tuple(history))
 
 
-def fit_bytes(fit):
-    """Every FitResult field PGD sets, as exact bytes."""
-    history = fit.objective_history
-    return (fit.weights.v.tobytes(), np.float64(fit.objective).tobytes(),
-            fit.iterations, fit.converged,
-            np.float64(fit.gradient_norm_final).tobytes(),
-            None if history is None else np.array(history).tobytes())
+def budget_objectives(dist, phi, r, iterations):
+    """P(0), then the objectives of the fits at budgets 1, ..., iterations."""
+    return [expected_loss(dist, phi, np.zeros(dist.dimension))] + [
+        pgd_minimizer(dist, phi, r, PGDConfig(max_iters=k)).objective
+        for k in range(1, iterations + 1)]
 
 
 def angle_between(a, b):
@@ -189,8 +147,7 @@ class TestUnhingedMinimizer:
         fit = unhinged_minimizer(make_counterexample(0.05), 2.0)
         data = fit.to_dict()
         assert set(data) == {"v", "r", "objective", "iterations", "converged",
-                             "gradient_norm_final", "degenerate_centroid", "gap",
-                             "stop_reason"}
+                             "degenerate_centroid", "gap", "stop_reason"}
         assert data["gap"] == 0.0
         assert data["stop_reason"] == "closed-form"
         assert data["r"] == 2.0
@@ -238,70 +195,63 @@ class TestPgdMinimizer:
         assert fit.objective == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_hinge_subgradient_path(self):
-        # the kink subgradient (-1 at margin 1) still drives the iterate to
-        # the boundary on a separable atom and parks it there
+        # the kink subgradient (-1 at margin 1) certifies the boundary point
+        # of a separable atom: its Frank-Wolfe gap there is 0
         dist = DiscreteDistribution([[1.0]], [1], [1.0])
-        fit = pgd_minimizer(dist, make_loss("hinge"), 1.0,
-                            PGDConfig(step=default_step(dist)))
+        fit = pgd_minimizer(dist, make_loss("hinge"), 1.0)
         assert fit.converged
-        np.testing.assert_allclose(fit.weights.v, [1.0], atol=1e-9)
-        assert fit.objective == pytest.approx(0.0, abs=1e-9)
-
-    def test_zero_step_reports_raw_gradient(self):
-        dist = make_counterexample(0.05)
-        fit = pgd_minimizer(dist, UNHINGED, 1.0,
-                            PGDConfig(step=0.0, max_iters=50))
-        assert not fit.converged
-        assert fit.iterations == 50
-        assert np.all(fit.weights.v == 0.0)
-        m = mean_label_feature(dist)
-        assert fit.gradient_norm_final == pytest.approx(np.linalg.norm(m), abs=1e-15)
+        assert fit.weights.v.tolist() == [1.0]
+        assert fit.objective == 0.0
+        assert frank_wolfe_gap(dist, make_loss("hinge"), fit.weights.v, 1.0) == 0.0
 
     def test_converged_respects_tolerance_contract(self):
         fit = pgd_minimizer(make_counterexample(0.2), UNHINGED, 1.0)
-        assert fit.converged
-        assert fit.gradient_norm_final <= PGDConfig().tol
+        assert fit.converged and fit.stop_reason == "gap"
+        assert fit.gap <= PGDConfig().tol
 
     def test_monotone_descent_below_curvature_bound(self):
-        # L = sum_i w_i ||x_i||^2 * max |phi''|, the curvature estimated by
-        # second differences over the reachable margin range
+        # each Newton step passes a sufficient-decrease test on the segment
+        # to its curvature model's minimizer, so the fits at budgets
+        # 1, 2, ... descend, up to a few ulps of P
         dist = make_counterexample(0.3)
         phi = make_loss("exponential")
-        r = 1.0
-        reach = r * float(np.max(np.linalg.norm(dist.xs, axis=1)))
-        z = np.linspace(-reach, reach, 201)
-        h = 1e-4
-        curv = np.max(np.abs(
-            (phi.eval(z + h) - 2.0 * phi.eval(z) + phi.eval(z - h)) / h ** 2))
-        lips = float(dist.weights @ np.sum(dist.xs ** 2, axis=1)) * float(curv)
-        fit = pgd_minimizer(dist, phi, r,
-                            PGDConfig(step=0.9 / lips, record_history=True))
-        diffs = np.diff(np.array(fit.objective_history))
-        assert np.all(diffs <= 1e-12)
+        fit = pgd_minimizer(dist, phi, 1.0)
+        objectives = budget_objectives(dist, phi, 1.0, fit.iterations)
+        assert fit.iterations >= 2
+        assert np.all(np.diff(objectives) <= 1e-12)
+        assert objectives[-1] == fit.objective
 
     def test_best_iterate_contract_with_large_step(self):
+        # at r = 100 the first model steps reach far out; at every budget
+        # the fit returns a point no worse than v = 0 and no better than
+        # the certified optimum, with the objective of the point returned
         dist = make_counterexample(0.1)
         phi = make_loss("exponential")
-        wild = pgd_minimizer(dist, phi, 1.0, PGDConfig(step=5.0, max_iters=500))
-        calm = pgd_minimizer(dist, phi, 1.0)
-        assert wild.objective <= expected_loss(dist, phi, np.zeros(2))
-        assert wild.objective >= calm.objective - 1e-9
+        calm = pgd_minimizer(dist, phi, 100.0)
+        for k in range(1, calm.iterations + 1):
+            wild = pgd_minimizer(dist, phi, 100.0, PGDConfig(max_iters=k))
+            assert wild.objective == expected_loss(dist, phi, wild.weights.v)
+            assert wild.objective <= expected_loss(dist, phi, np.zeros(2))
+            assert wild.objective >= calm.objective - calm.gap
 
     def test_overflow_reports_offending_atom(self):
+        # at v = -1000 atom 0's slope exp(1000) leaves float64
         dist = DiscreteDistribution([[1.0], [-2.0]], [1, 1], [0.5, 0.5])
+        v = np.array([-1000.0])
         with pytest.raises(LossOverflowError) as err:
-            pgd_minimizer(dist, make_loss("exponential"), 1e9,
-                          PGDConfig(step=2000.0, max_iters=10))
-        assert err.value.atom_index is not None
-        assert err.value.z <= -700
+            minimizers._gradient(make_loss("exponential"), dist, dist.margins(v),
+                                 dist.ys[:, None] * dist.xs)
+        assert err.value.atom_index == 0
+        assert err.value.z == -1000.0
 
     def test_gradient_overflow_names_the_overflowing_term(self):
         # at v_1 = 7e-8 the margins are -700 and 1400; exp(-1400) is 0, so
         # only atom 0's term 0.1 * exp(700) * 1e10 leaves float64
         dist = DiscreteDistribution([[-1e10], [2e10]], [1, 1], [0.1, 0.9])
+        v = np.array([7e-8])
         with pytest.raises(LossOverflowError) as err:
-            pgd_minimizer(dist, make_loss("exponential"), 1.0,
-                          PGDConfig(step=7e-8 / 1.7e10))
+            minimizers._gradient(make_loss("exponential"), dist, dist.margins(v),
+                                 dist.ys[:, None] * dist.xs)
         assert err.value.atom_index == 0
         assert err.value.z == -700.0
         assert err.value.atom == ([-1e10], 1)
@@ -343,92 +293,95 @@ def frank_wolfe_gap(dist, phi, v, r):
     return float(g @ v + r * np.linalg.norm(g))
 
 
-@pytest.mark.parametrize("cfg", [
-    PGDConfig(max_iters=3000),
-    PGDConfig(step=0.0, max_iters=20),
-    PGDConfig(record_history=True, max_iters=3000),
-    PGDConfig(step=5.0, max_iters=300, record_history=True),
-], ids=["default-step", "zero-step", "history", "large-step"])
+@pytest.mark.parametrize("setting", ["default-step", "zero-step", "history", "large-step"])
 @pytest.mark.parametrize("loss", LOSS_NAMES)
 @pytest.mark.parametrize("source", ["counterexample", "random"])
-def test_fit_matches_reference_loop_bit_for_bit(source, loss, cfg):
-    """Fits at an explicit step equal the reference byte for byte.  At the
-    default step a C1 loss backtracks instead, and must converge to an
-    objective no worse in no more iterations; hinge is fit to a certified
-    duality gap, and must converge to an objective no worse."""
+def test_fit_matches_reference_loop_bit_for_bit(source, loss, setting):
+    """Every fit certifies its gap, and its objective is bit for bit the
+    expected loss at its v.  It is no worse than the best iterate of the
+    fixed-step reference loop at the loop's default, zero or large step;
+    with "history", the fits at budgets 1, 2, ... descend to it."""
     if source == "counterexample":
         dist = make_counterexample(0.05)
     else:
         dist = helpers.random_distribution(np.random.default_rng(7), max_dim=4,
                                            max_atoms=12)
     phi = make_loss(loss)
-    fit = pgd_minimizer(dist, phi, 1.0, cfg)
-    reference = reference_pgd(dist, phi, 1.0, cfg)
-    if cfg.step is None and loss in C1_LOSSES:
-        assert fit.converged
-        assert fit.objective <= reference.objective + 1e-12
-        assert fit.iterations <= reference.iterations
-    elif cfg.step is None:
-        assert fit.converged
-        assert fit.gap <= cfg.tol
-        assert fit.objective <= reference.objective + 1e-12
-    else:
-        assert fit_bytes(fit) == fit_bytes(reference)
+    fit = pgd_minimizer(dist, phi, 1.0, PGDConfig(max_iters=3000))
+    assert fit.converged and fit.stop_reason == "gap" and fit.gap <= PGDConfig().tol
+    assert fit.objective == expected_loss(dist, phi, fit.weights.v)
+    if setting == "history":
+        objectives = budget_objectives(dist, phi, 1.0, fit.iterations) + [fit.objective]
+        assert np.all(np.diff(objectives) <= 1e-12)
+        assert fit.iterations == 0 or objectives[-2] == fit.objective
+        return
+    step, max_iters = {"default-step": (None, 3000), "zero-step": (0.0, 20),
+                       "large-step": (5.0, 300)}[setting]
+    reference = reference_pgd(dist, phi, 1.0, step, max_iters)
+    assert fit.objective <= reference.objective + 1e-12
+    if step == 0.0:
+        assert reference.v.tolist() == [0.0] * dist.dimension
 
 
 def test_one_margin_evaluation_per_iterate(monkeypatch):
-    # one margin vector per trial point: the start, plus every projected
-    # trial, accepted or rejected; a smooth loss reaches PGD without its
-    # curvature
-    calls, trials = [], []
+    # one margin vector per point whose value is taken, on every route:
+    # the start and every trial, accepted or rejected
+    calls, evals = [], []
     margins = DiscreteDistribution.margins
 
     def counted(self, v):
         calls.append(1)
         return margins(self, v)
 
-    def projected(v, r):
-        trials.append(1)
-        return _project_ball(v, r)
+    def timed(fn):
+        def wrapper(z):
+            evals.append(1)
+            return fn(z)
+        wrapper.__wrapped__ = fn
+        return wrapper
 
     monkeypatch.setattr(DiscreteDistribution, "margins", counted)
-    monkeypatch.setattr(minimizers, "_project_ball", projected)
-    cases = [(make_counterexample(0.05), loss, 1.0) for loss in LOSS_NAMES]
-    # the first trial puts atom 1 at margin -4.5, where exp(-z)'' = exp(-z)
-    # is far above 1, so 1/lambda_max is rejected
-    cases.append((DiscreteDistribution([[1.0], [-10.0]], [1, 1], [0.99, 0.01]),
-                  "exponential", 1.0))
-    for dist, loss, r in cases:
+    cases = [(make_counterexample(0.05), loss) for loss in LOSS_NAMES]
+    # the interior-point hinge fit, past the closed form
+    cases.append((gaussian_halfspace(5, n=50, d=3), "hinge"))
+    # the first Newton trial puts atom 1 at margin -4.5 and is rejected
+    rejected = (DiscreteDistribution([[1.0], [-10.0]], [1, 1], [0.99, 0.01]), "exponential")
+    cases.append(rejected)
+    for dist, loss in cases:
         calls.clear()
-        trials.clear()
-        phi = dataclasses.replace(make_loss(loss), curv=None)
-        fit = pgd_minimizer(dist, phi, r, PGDConfig(max_iters=500))
-        assert len(calls) == len(trials) + 1
-        if loss == "hinge":
-            assert len(trials) == fit.iterations
-    assert len(trials) > fit.iterations
+        evals.clear()
+        phi = make_loss(loss)
+        fit = pgd_minimizer(dist, dataclasses.replace(phi, eval=timed(phi.eval)), 1.0)
+        assert fit.stop_reason == "gap"
+        assert len(calls) == len(evals) >= fit.iterations + 1
+    assert len(calls) > fit.iterations + 1
 
 
 def test_backtracking_halves_to_an_accepted_step():
-    # 1/lambda_max = 1/1.99 overshoots; every accepted step decreases P, up
-    # to the few-ulp rounding slack of the test
-    # (PGD, reached without the loss's curvature)
+    # the full Newton step overshoots; the line search halves it until
+    # the trial passes, so every accepted step decreases P, up to the
+    # few-ulp rounding slack of the test
     dist = DiscreteDistribution([[1.0], [-10.0]], [1, 1], [0.99, 0.01])
-    phi = dataclasses.replace(make_loss("exponential"), curv=None)
-    fit = pgd_minimizer(dist, phi, 1.0, PGDConfig(record_history=True))
-    assert fit.converged and fit.stop_reason == "gradient-mapping"
-    assert np.all(np.diff(np.array(fit.objective_history)) <= 1e-15)
+    phi = make_loss("exponential")
+    fit = pgd_minimizer(dist, phi, 1.0)
+    assert fit.converged and fit.stop_reason == "gap"
+    assert np.all(np.diff(budget_objectives(dist, phi, 1.0, fit.iterations)) <= 1e-15)
     # P(v) = 0.99 e^-v + 0.01 e^10v is least at v = log(9.9)/11, inside the ball
     assert fit.weights.v[0] == pytest.approx(math.log(9.9) / 11, abs=1e-9)
 
 
+def zero_curvature(z):
+    return np.zeros_like(z)
+
+
 def test_backtracking_stops_when_the_step_would_reach_zero():
-    # a NaN objective fails every decrease test, so the step halves down to
-    # the last subnormal; the fit must then stop instead of looping
+    # a NaN objective fails every decrease test, so t halves until t d
+    # underflows; the fit must then stop instead of looping
     nan_loss = PotentialFunction("nan", lambda z: np.full_like(z, np.nan),
-                                 lambda z: np.full_like(z, -1.0), RELAXED_ONLY)
+                                 lambda z: np.full_like(z, -1.0), RELAXED_ONLY,
+                                 zero_curvature)
     fit = pgd_minimizer(make_counterexample(0.05), nan_loss, 1.0)
-    assert not fit.converged
+    assert not fit.converged and fit.stop_reason == "no-decrease"
     assert fit.iterations == 1
     assert fit.weights.v.tolist() == [0.0, 0.0]
 
@@ -463,7 +416,6 @@ def test_smooth_losses_converge_in_few_iterations(loss):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("step", math.nan), ("step", math.inf), ("step", -math.inf),
     ("tol", math.nan), ("tol", math.inf), ("tol", -1e-9),
 ])
 def test_non_finite_settings_rejected(field, value):
@@ -473,14 +425,25 @@ def test_non_finite_settings_rejected(field, value):
 
 
 def test_backtracking_does_not_converge_where_the_step_underflows():
-    # the value jumps from 1 to 2 at margin 0, so every trial step * m is
-    # rejected until it underflows and the trial equals v = 0; the
-    # Frank-Wolfe gap there is r ||m|| > 0, so the fit has not converged
+    # the value jumps from 1 to 2 at margin 0, so every trial t d with
+    # d = r m/||m|| is rejected until it underflows and the trial equals
+    # v = 0; the Frank-Wolfe gap there is r ||m|| > 0, so the fit has not
+    # converged
     jump = PotentialFunction("jump", lambda z: np.where(z <= 0.0, 1.0, 2.0),
-                             lambda z: np.full_like(z, -1.0), RELAXED_ONLY)
+                             lambda z: np.full_like(z, -1.0), RELAXED_ONLY, zero_curvature)
     fit = pgd_minimizer(make_counterexample(0.05), jump, 1.0)
-    assert not fit.converged
+    assert not fit.converged and fit.stop_reason == "no-decrease"
+    assert fit.gap == pytest.approx(np.linalg.norm(mean_label_feature(make_counterexample(0.05))),
+                                    rel=1e-15)
     assert fit.weights.v.tolist() == [0.0, 0.0]
+
+
+def test_a_loss_without_a_certified_fit_is_named():
+    # a loss with no curvature that is not the shipped hinge has no fit
+    softplus = PotentialFunction("softplus", lambda z: np.logaddexp(0.0, -z),
+                                 lambda z: -1.0 / (1.0 + np.exp(z)), RELAXED_ONLY)
+    with pytest.raises(ValueError, match="loss 'softplus' has no certified fit"):
+        pgd_minimizer(make_counterexample(0.05), softplus, 1.0)
 
 
 HINGE = make_loss("hinge")
@@ -532,8 +495,7 @@ def test_hinge_fit_certifies_against_the_subgradient_reference():
             assert fit.objective == expected_loss(fitted, HINGE, fit.weights.v)
             reference = reference_pgd(fitted, HINGE, 1.0)
             assert fit.objective <= reference.objective + 1e-12
-            assert fit.objective >= hinge_lower_bound(
-                fitted, reference.weights.v, 1.0) - 1e-12
+            assert fit.objective >= hinge_lower_bound(fitted, reference.v, 1.0) - 1e-12
 
 
 def test_hinge_dual_point_is_clipped_to_the_box():
@@ -570,13 +532,13 @@ def test_hinge_fit_certifies_in_few_newton_steps(eta):
 
 def test_hinge_fit_out_of_budget_returns_the_best_iterate():
     dist = gaussian_halfspace(5)
-    fit = pgd_minimizer(dist, HINGE, 1.0, PGDConfig(max_iters=3, record_history=True))
-    assert not fit.converged
+    fit = pgd_minimizer(dist, HINGE, 1.0, PGDConfig(max_iters=3))
+    assert not fit.converged and fit.stop_reason == "budget"
     assert fit.iterations == 3
     assert fit.gap > TOL
     assert np.linalg.norm(fit.weights.v) < 1.0
-    assert len(fit.objective_history) == 4
-    assert fit.objective == min(fit.objective_history)
+    # the best of the start and the first three iterates
+    assert fit.objective == min(budget_objectives(dist, HINGE, 1.0, 3))
     assert fit.objective == expected_loss(dist, HINGE, fit.weights.v)
 
 
@@ -641,8 +603,8 @@ def test_hinge_fit_sees_through_timing_wrappers():
     wrapped = dataclasses.replace(HINGE, eval=timed(HINGE.eval))
     assert pgd_minimizer(dist, wrapped, 1.0).stop_reason == "gap"
     look_alike = dataclasses.replace(HINGE, eval=lambda z: np.maximum(0.0, 1.0 - z))
-    assert pgd_minimizer(dist, look_alike, 1.0,
-                         PGDConfig(max_iters=10)).stop_reason == "budget"
+    with pytest.raises(ValueError, match="loss 'hinge' has no certified fit"):
+        pgd_minimizer(dist, look_alike, 1.0)
 
 
 # PGD's best iterate for the logistic fit of make_counterexample(0.05) at
@@ -703,15 +665,15 @@ def test_newton_tolerance_is_an_absolute_gap(r):
 def test_newton_fit_out_of_budget():
     dist = make_counterexample(0.05)
     phi = make_loss("logistic")
-    fit = pgd_minimizer(dist, phi, 100.0, PGDConfig(max_iters=2, record_history=True))
+    fit = pgd_minimizer(dist, phi, 100.0, PGDConfig(max_iters=2))
     assert not fit.converged and fit.stop_reason == "budget"
     assert fit.iterations == 2
     assert fit.gap == pytest.approx(frank_wolfe_gap(dist, phi, fit.weights.v, 100.0),
                                     rel=1e-12)
     assert fit.gap > TOL
-    history = np.array(fit.objective_history)
-    assert len(history) == 3 and history[-1] == fit.objective
-    assert np.all(np.diff(history) < 0.0)
+    objectives = budget_objectives(dist, phi, 100.0, 2)
+    assert objectives[-1] == fit.objective
+    assert np.all(np.diff(objectives) < 0.0)
 
 
 def test_newton_one_margin_evaluation_per_trial(monkeypatch):
@@ -744,15 +706,48 @@ def test_newton_one_margin_evaluation_per_trial(monkeypatch):
 def test_pgd_reports_the_frank_wolfe_gap_at_its_best_iterate():
     dist = make_counterexample(0.05)
     fit = pgd_minimizer(dist, UNHINGED, 1.0)
-    assert fit.stop_reason == "gradient-mapping"
+    assert fit.stop_reason == "gap"
     assert fit.gap == pytest.approx(frank_wolfe_gap(dist, UNHINGED, fit.weights.v, 1.0),
                                     abs=1e-15)
-    assert 0.0 <= fit.gap <= 1e-8
-    # a zero step never leaves v = 0, where the gap is r ||m||
-    stuck = pgd_minimizer(dist, UNHINGED, 2.0, PGDConfig(step=0.0, max_iters=5))
-    assert stuck.stop_reason == "budget" and not stuck.converged
-    assert stuck.gap == pytest.approx(2.0 * np.linalg.norm(mean_label_feature(dist)),
-                                      rel=1e-15)
+    assert abs(fit.gap) <= 1e-15
+    # a fit out of budget reports the gap at the point it returns
+    early = pgd_minimizer(dist, make_loss("logistic"), 2.0, PGDConfig(max_iters=1))
+    assert early.stop_reason == "budget" and not early.converged
+    assert early.gap == pytest.approx(
+        frank_wolfe_gap(dist, make_loss("logistic"), early.weights.v, 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [1.0, 1e6, 1e100])
+def test_unhinged_fit_certifies_in_at_most_two_newton_steps(r):
+    # phi'' = 0 makes the ball model linear, and its minimizer r m/||m|| is
+    # the optimum; projected gradient descent stopped on its budget at
+    # r = 1e6, 0.77 r from it on the construction
+    rng = np.random.default_rng(13)
+    dists = [make_counterexample(0.05), gaussian_halfspace(5),
+             helpers.random_distribution(rng, min_centroid_norm=0.05)]
+    for dist in dists:
+        for fitted in (dist, _NoisyView(dist, 0.2)):
+            fit = pgd_minimizer(fitted, UNHINGED, r)
+            closed = unhinged_minimizer(fitted, r)
+            assert fit.converged and fit.stop_reason == "gap" and fit.gap <= TOL
+            assert fit.iterations <= 2
+            assert np.linalg.norm(fit.weights.v - closed.weights.v) <= 1e-15 * r
+
+
+@pytest.mark.parametrize("r", [1e100, 1e300])
+@pytest.mark.parametrize("loss", SMOOTH)
+def test_newton_fit_certifies_an_interior_optimum_at_a_huge_radius(loss, r):
+    # the optimum of a non-separable sample lies inside the ball, where g
+    # tends to 0; r times its rounding left gaps near 1e84 at r = 1e100
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal((50, 3))
+    ys = np.where(xs[:, 0] + rng.standard_normal(50) >= 0.0, 1, -1)
+    dist = DiscreteDistribution(xs, ys, np.full(50, 1 / 50))
+    phi = make_loss(loss)
+    fit = pgd_minimizer(dist, phi, r)
+    assert fit.converged and fit.stop_reason == "gap" and fit.gap <= TOL
+    assert abs(fit.objective - pgd_minimizer(dist, phi, 1e6).objective) <= 1e-15
+    assert fit.weights.radius_bound == r
 
 
 @pytest.mark.parametrize("loss", LOSS_NAMES)

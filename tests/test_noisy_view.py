@@ -80,8 +80,8 @@ def test_view_matches_corrupt_rcn(dist, eta, seed):
             _rounding(dist, mass))
         # the PGD gradient, coordinate by coordinate
         slopes = dist.weights * (np.abs(phi.deriv(m)) + np.abs(phi.deriv(-m)))
-        g_view = minimizers._gradient(phi, view, view.margins(v), yx_view)
-        g_noisy = minimizers._gradient(phi, noisy, noisy.margins(v), yx_noisy)
+        g_view, _ = minimizers._gradient(phi, view, view.margins(v), yx_view)
+        g_noisy, _ = minimizers._gradient(phi, noisy, noisy.margins(v), yx_noisy)
         assert np.all(np.abs(g_view - g_noisy) <= _rounding(dist, slopes @ np.abs(dist.xs)))
 
     # the noisy unhinged fit: r m / ||m|| for the noisy centroid m
