@@ -23,14 +23,11 @@ import numpy as np
 from .distributions import (DiscreteDistribution, _NoisyView, corrupt_rcn,
                             random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
-from .minimizers import (FitResult, PGDConfig, WeightVector, _per_atom, pgd_minimizer,
-                         unhinged_minimizer)
+from .minimizers import WeightVector, _per_atom, pgd_minimizer
 
 _ERROR_EQUALITY_TOL = 1e-12
 _BOUND_SLACK = 1e-9
 _UNIT_NORM_TOL = 1e-12
-
-MINIMIZER_ROUTES = ("closed-form", "pgd")
 
 DEFAULT_RAY_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
                     128.0, 256.0, 512.0, 1024.0)
@@ -100,27 +97,13 @@ class RobustnessReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, r: float,
-         route: str) -> FitResult:
-    if route == "closed-form":
-        if phi.name != "unhinged":
-            raise ValueError(
-                "the closed-form route applies to the unhinged loss only; "
-                f"use route='pgd' for {phi.name!r}"
-            )
-        return unhinged_minimizer(dist, r)
-    return pgd_minimizer(dist, phi, r, PGDConfig())
-
-
 def check_rcn_robustness(dist: DiscreteDistribution, phi: PotentialFunction,
-                         r: float, eta: float,
-                         minimizer: str = "closed-form") -> RobustnessReport:
+                         r: float, eta: float) -> RobustnessReport:
     """Fit on clean and corrupted data; compare both errors on clean data.
 
-    The check uses the one deterministic minimizer the library computes
-    for each side (closed form for the unhinged loss, else the fit
-    :func:`pgd_minimizer` picks: Newton for a loss with a curvature, or
-    the certified hinge fit); it is a witness pair, not a
+    Each side takes the one fit :func:`pgd_minimizer` picks for phi: the
+    closed form for the unhinged loss, Newton for a loss with a
+    curvature, or the certified hinge fit; the pair is a witness, not a
     quantification over all minimizers of either objective.  The
     corrupted side is fit on the noise view of the clean atoms (each
     atom's label kept with mass (1 - eta) w_i and flipped with eta w_i),
@@ -128,23 +111,21 @@ def check_rcn_robustness(dist: DiscreteDistribution, phi: PotentialFunction,
     fit computes its own centroid, values, slopes and curvatures from
     those per-atom terms.
     """
-    return _robustness_sweep(dist, phi, r, [eta], minimizer)[0]
+    return _robustness_sweep(dist, phi, r, [eta])[0]
 
 
 def _robustness_sweep(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
-                      etas, minimizer: str) -> list[RobustnessReport]:
+                      etas) -> list[RobustnessReport]:
     """check_rcn_robustness at each noise rate, fitting the clean side once."""
-    if minimizer not in MINIMIZER_ROUTES:
-        raise ValueError(f"minimizer must be one of {MINIMIZER_ROUTES}, got {minimizer!r}")
     etas = [float(eta) for eta in etas]
     for eta in etas:
         if not 0.0 < eta < 0.5:
             raise ValueError(f"noise rate must satisfy 0 < eta < 1/2, got {eta!r}")
-    fit_clean = _fit(dist, phi, r, minimizer)
+    fit_clean = pgd_minimizer(dist, phi, r)
     clean_fit_error = misclassification_error(dist, fit_clean.weights.v)
     reports = []
     for eta in etas:
-        fit_noisy = _fit(_NoisyView(dist, eta), phi, r, minimizer)
+        fit_noisy = pgd_minimizer(_NoisyView(dist, eta), phi, r)
         reports.append(RobustnessReport(
             eta=eta,
             clean_fit_error=clean_fit_error,

@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import svg
-from .analysis import (MINIMIZER_ROUTES, _robustness_sweep, check_rcn_robustness,
-                       expected_loss, misclassification_error, recession_probe)
+from .analysis import (_robustness_sweep, check_rcn_robustness, expected_loss,
+                       misclassification_error, recession_probe)
 from .distributions import (GAMMA_STAR, DiscreteDistribution, _read_labeled_csv,
                             make_counterexample, mean_label_feature)
 from .dynamics import TIE_RULES, cd_unhinged, gd_unhinged
@@ -57,7 +57,6 @@ _FLAGS = {
     "--loss": dict(choices=list(LOSS_NAMES), default="unhinged"),
     "--gamma": dict(type=float, default=0.05, help="construction parameter (without --data)"),
     "--data": dict(help="distribution CSV, or for dynamics a sample CSV (README: File formats)"),
-    "--minimizer": dict(choices=list(MINIMIZER_ROUTES)),
     "--mode": dict(choices=["gd", "cd"], default="gd"),
     "--steps": dict(type=int, default=100),
     "--step-size": dict(type=float),
@@ -106,11 +105,6 @@ def _read_config(path: str, flags: tuple[str, ...]) -> dict:
         if not (has_kind(value) or value is None and dest_kwargs[key].get("default") is None):
             raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
     return loaded
-
-
-def _route(args: argparse.Namespace) -> str:
-    """The minimizer route: as given, else closed form for the unhinged loss only."""
-    return args.minimizer or ("closed-form" if args.loss == "unhinged" else "pgd")
 
 
 def _cell(value) -> str:
@@ -245,9 +239,8 @@ def run_eta_sweep(args: argparse.Namespace) -> int:
         raise ValueError("eta grid must lie inside (0, 1/2)")
     dist = _load_dist(args)
     phi = make_loss(args.loss)
-    route = _route(args)
     rows = []
-    for report in _robustness_sweep(dist, phi, args.r, etas, route):
+    for report in _robustness_sweep(dist, phi, args.r, etas):
         v = report.minimizer_noisy.v
         rows.append({
             "eta": report.eta, **{f"v_{j + 1}": float(c) for j, c in enumerate(v)},
@@ -258,19 +251,14 @@ def run_eta_sweep(args: argparse.Namespace) -> int:
             "flags": "degenerate" if report.degenerate else "",
         })
 
-    # the robustness claim is only made for the unhinged loss; the strict
-    # zero-drift clause additionally needs the exact closed-form route (the
-    # pgd route's Newton fit of the unhinged loss certifies a 1e-9 gap and
-    # lands within rounding of r m/||m||, not bit for bit on it)
+    # the robustness claim is only made for the unhinged loss
     claim_ok = phi.name != "unhinged" or all(
-        row["robust"] and (route != "closed-form" or row["minimizer_drift"] <= _DRIFT_TOL)
-        for row in rows)
+        row["robust"] and row["minimizer_drift"] <= _DRIFT_TOL for row in rows)
 
     table_path = _write_table(args, name, rows)
     _write_summary(args, name, {
         "experiment": name,
         "loss": phi.name,
-        "minimizer_route": route,
         "claim_ok": claim_ok,
         "r": args.r,
         "source": args.data or f"counterexample(gamma={args.gamma})",
@@ -284,7 +272,7 @@ def run_eta_sweep(args: argparse.Namespace) -> int:
             title=f"clean-data errors vs noise rate ({phi.name})",
             xlabel="eta", ylabel="error",
         )
-    print(f"eta-sweep ({phi.name}, {route}): {len(rows)} noise rates -> {table_path}")
+    print(f"eta-sweep ({phi.name}): {len(rows)} noise rates -> {table_path}")
     for row in rows:
         print(f"  eta={row['eta']:.3f}  clean_fit={row['clean_error']!r}  "
               f"noisy_fit={row['noisy_fit_error']!r}  robust={row['robust']}")
@@ -400,7 +388,7 @@ def cmd_loss_report(args: argparse.Namespace) -> int:
 def cmd_robust_check(args: argparse.Namespace) -> int:
     dist = _load_dist(args)
     phi = make_loss(args.loss)
-    report = check_rcn_robustness(dist, phi, args.r, args.eta, _route(args))
+    report = check_rcn_robustness(dist, phi, args.r, args.eta)
     print(report.to_json(indent=2))
     _write_summary(args, args.experiment or "robust_check", report.to_dict())
     return 0 if report.robust else 1
@@ -443,14 +431,14 @@ _COMMANDS = {
                     "construction parameter, with its closed-form threshold",
                     _SWEEP_FLAGS + ("--r",)),
     "eta-sweep": (run_eta_sweep, "noise-robustness check across noise rates",
-                  _SWEEP_FLAGS + ("--r", "--loss", "--gamma", "--data", "--minimizer")),
+                  _SWEEP_FLAGS + ("--r", "--loss", "--gamma", "--data")),
     "dynamics": (run_dynamics, "gradient / coordinate descent trajectory dump",
                  ("--plot", "--mode", "--steps", "--step-size", "--v0", "--tie-rule",
                   "--gamma", "--data")),
     "loss-report": (cmd_loss_report, "axiom verdict table for the shipped losses",
                     ("--format",)),
     "robust-check": (cmd_robust_check, "single robustness check",
-                     ("--r", "--eta", "--loss", "--gamma", "--data", "--minimizer")),
+                     ("--r", "--eta", "--loss", "--gamma", "--data")),
     "recession-probe": (cmd_recession_probe, "corrupted objective along a ray versus "
                         "its coercivity bound",
                         ("--eta", "--loss", "--gamma", "--data", "--x0", "--u", "--lambdas")),

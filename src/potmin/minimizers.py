@@ -4,9 +4,9 @@ The unhinged loss admits a closed form: the expected loss is linear in
 v, so the ball minimizer is the rescaled label centroid.  Every iterative
 fit stops on a certificate.  The hinge loss is fit to a duality gap (the
 closed form when it certifies, else a primal-dual interior point), and a
-loss that declares its curvature (every other shipped loss, the unhinged
-one with phi'' = 0) by Newton steps over the ball to a Frank-Wolfe gap.
-All return the same :class:`FitResult` shape.
+loss that declares its curvature (every other shipped loss) by Newton
+steps over the ball to a Frank-Wolfe gap.  :func:`pgd_minimizer` picks
+the one fit of each loss; all return the same :class:`FitResult` shape.
 
 Each fit also takes a label-noise view (``distributions._NoisyView``) in
 place of a distribution.  Its values and slopes are taken over 2n rows,
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, _interleave, _NoisyView, mean_label_feature
-from .loss_zoo import LossOverflowError, PotentialFunction, _hinge_eval
+from .loss_zoo import LossOverflowError, PotentialFunction, _hinge_eval, _unhinged_eval
 
 _EPS = float(np.finfo(float).eps)
 _BALL_SLACK = 1e-12
@@ -60,27 +60,23 @@ def _norm(x: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Hypothesis vector with the ball radius it was fit under.
-
-    ``radius_bound`` is None for unconstrained outputs (dynamics).
-    """
+    """Hypothesis vector with the ball radius it was fit under."""
 
     v: np.ndarray
-    radius_bound: float | None
+    radius_bound: float
 
     def __post_init__(self):
         v = np.array(self.v, dtype=float)
         if v.ndim != 1 or not np.all(np.isfinite(v)):
             raise ValueError("v must be a finite 1-d vector")
-        if self.radius_bound is not None:
-            r = float(self.radius_bound)
-            if not r > 0:
-                raise ValueError(f"radius bound must be positive, got {r!r}")
-            # r m/||m|| and a projection onto the ball round relative to r
-            norm = _norm(v)
-            if norm > r + _BALL_SLACK * max(1.0, r):
-                raise ValueError(f"||v|| = {norm!r} exceeds radius bound {r!r}")
-            object.__setattr__(self, "radius_bound", r)
+        r = float(self.radius_bound)
+        if not r > 0:
+            raise ValueError(f"radius bound must be positive, got {r!r}")
+        # r m/||m|| and a projection onto the ball round relative to r
+        norm = _norm(v)
+        if norm > r + _BALL_SLACK * max(1.0, r):
+            raise ValueError(f"||v|| = {norm!r} exceeds radius bound {r!r}")
+        object.__setattr__(self, "radius_bound", r)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
@@ -281,11 +277,6 @@ def _ball_model_minimizer(h: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
     return -(q @ p) * min(1.0, r / size)
 
 
-def _is_shipped_hinge(phi: PotentialFunction) -> bool:
-    """Whether phi's value is the shipped hinge, through any timing wrappers."""
-    return inspect.unwrap(phi.eval) is _hinge_eval
-
-
 def _signed_rows(dist: DiscreteDistribution | _NoisyView) -> np.ndarray:
     """The rows y x of the hinge fit, one per weight.
 
@@ -428,7 +419,8 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     lam3 = float(t @ lam1 + (t - 1.0) @ lam2) / (2 * w.size) / (rho * rho / 2.0)
     best_v = v
     best_obj = float(w @ _per_atom(phi.eval, dist, margins))
-    best_dual = _hinge_dual(w, yx, lam2, r)
+    # the hinge is nonnegative, so a = 0 gives the bound D(0) = 0
+    best_dual = max(0.0, _hinge_dual(w, yx, lam2, r))
     converged = False
     reason = "budget"
     iterations = 0
@@ -464,11 +456,11 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     (:func:`_ball_model_minimizer`), and searches the segment from v to
     that x, which stays in the ball, for the first t = 1, 1/2, ... with
     P(v + t (x - v)) <= P(v) + 1e-4 t <g, x - v>, up to a few ulps of P(v).
-    With H = 0 (the unhinged loss) the model minimizer is r m/||m||, the
-    optimum.  The Frank-Wolfe gap <g, v> + r ||g|| bounds P(v) minus the
-    optimum over the ball, and ``cfg.tol`` bounds it in absolute terms,
-    whatever r.  Where the optimum lies inside the ball g tends to 0, and
-    r would scale its rounding past any tolerance: as in
+    With H = 0 (a loss linear in the margin) the model minimizer
+    -r g/||g|| is the optimum.  The Frank-Wolfe gap <g, v> + r ||g||
+    bounds P(v) minus the optimum over the ball, and ``cfg.tol`` bounds it
+    in absolute terms, whatever r.  Where the optimum lies inside the ball
+    g tends to 0, and r would scale its rounding past any tolerance: as in
     :func:`_hinge_dual`, a norm within the rounding bound of the sum,
     (n + d) eps ||sum_i |s_i| |y_i x_i|||, counts as 0.  On the boundary
     the two terms cancel, and a gap within their rounding,
@@ -543,16 +535,19 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
 
 def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
                   r: float, cfg: PGDConfig | None = None) -> FitResult:
-    """Minimize E[phi(y v.x)] over the radius-r ball from v = 0, to a certified gap.
+    """Minimize E[phi(y v.x)] over the radius-r ball, by the one fit of phi.
 
-    A loss that declares a curvature (every shipped loss but the hinge)
-    is fit by Newton steps over the ball to a Frank-Wolfe gap
-    <g, v> + r ||g|| <= ``cfg.tol`` (see :func:`_newton_fit`), and the
-    shipped hinge loss to a duality gap (see :func:`_hinge_fit`): the
-    unhinged closed form when it certifies, else a primal-dual interior
-    point.  Any other loss raises ValueError naming it, as do a radius
-    that is not positive and finite and a setting out of range.  The name
-    is kept from the projected gradient descent these fits replaced.
+    The fit is chosen by phi's value function, seen through any timing
+    wrappers.  The shipped unhinged loss gets its closed form
+    (:func:`unhinged_minimizer`, gap 0).  A loss that declares a curvature
+    (the other smooth shipped losses) is fit from v = 0 by Newton steps
+    over the ball to a Frank-Wolfe gap <g, v> + r ||g|| <= ``cfg.tol``
+    (see :func:`_newton_fit`), and the shipped hinge loss to a duality gap
+    (see :func:`_hinge_fit`): the unhinged closed form when it certifies,
+    else a primal-dual interior point.  Any other loss raises ValueError
+    naming it, as do a radius that is not positive and finite and a
+    setting out of range.  The name is kept from the projected gradient
+    descent these fits replaced.
     """
     r = _radius(r)
     cfg = cfg or PGDConfig()
@@ -560,9 +555,12 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
         raise ValueError("max_iters must be at least 1")
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {cfg.tol!r}")
+    kernel = inspect.unwrap(phi.eval)
+    if kernel is _unhinged_eval:
+        return unhinged_minimizer(dist, r)
     if phi.curv is not None:
         return _newton_fit(dist, phi, r, cfg)
-    if _is_shipped_hinge(phi):
+    if kernel is _hinge_eval:
         return _hinge_fit(dist, phi, r, cfg)
     raise ValueError(f"loss {phi.name!r} has no certified fit: it declares no curvature "
-                     "and is not the shipped hinge")
+                     "and is neither the shipped unhinged nor the shipped hinge loss")

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from potmin import (DEFAULT_RAY_GRID, DiscreteDistribution, LossOverflowError,
+from potmin import (DEFAULT_RAY_GRID, LOSS_NAMES, DiscreteDistribution, LossOverflowError,
                     check_rcn_robustness, corrupt_rcn, expected_loss,
                     l1_margin, make_counterexample, make_loss,
-                    mean_label_feature, misclassification_error,
+                    mean_label_feature, misclassification_error, pgd_minimizer,
                     recession_probe, slope_identity_fuzz,
                     slope_identity_residual, unhinged_minimizer)
+from potmin.distributions import _NoisyView
 
 UNHINGED = make_loss("unhinged")
 EXPONENTIAL = make_loss("exponential")
@@ -125,15 +126,17 @@ class TestRcnRobustness:
             np.testing.assert_allclose(report.minimizer_clean.v,
                                        report.minimizer_noisy.v, atol=1e-12)
 
-    def test_pgd_route_works_for_other_losses(self):
-        dist = make_counterexample(0.1)
-        report = check_rcn_robustness(dist, LOGISTIC, 1.0, 0.2, minimizer="pgd")
+    @pytest.mark.parametrize("loss", LOSS_NAMES)
+    def test_every_shipped_loss_is_checked_by_its_own_fit(self, loss):
+        # no route to pick: each side is the fit pgd_minimizer gives the loss
+        dist, phi = make_counterexample(0.1), make_loss(loss)
+        report = check_rcn_robustness(dist, phi, 1.0, 0.2)
+        assert report.minimizer_clean.v.tobytes() == pgd_minimizer(
+            dist, phi, 1.0).weights.v.tobytes()
+        assert report.minimizer_noisy.v.tobytes() == pgd_minimizer(
+            _NoisyView(dist, 0.2), phi, 1.0).weights.v.tobytes()
         assert 0.0 <= report.clean_fit_error <= 1.0
         assert 0.0 <= report.noisy_fit_error <= 1.0
-
-    def test_closed_form_route_rejected_for_other_losses(self):
-        with pytest.raises(ValueError, match="closed-form"):
-            check_rcn_robustness(make_counterexample(0.1), LOGISTIC, 1.0, 0.2)
 
     def test_eta_validated(self):
         with pytest.raises(ValueError, match="eta"):

@@ -154,22 +154,21 @@ class TestEtaSweep:
             assert float(row["clean_error"]) == 0.0
             assert float(row["noisy_fit_error"]) == 0.0
 
-    def test_logistic_route_is_informational(self, tmp_path):
+    def test_logistic_claim_is_informational(self, tmp_path, capsys):
         assert main(["eta-sweep", "--out-dir", str(tmp_path), "--loss", "logistic",
                      "--grid-count", "3"]) == 0
+        assert "eta-sweep (logistic): 3 noise rates" in capsys.readouterr().out
         summary = read_json(tmp_path / "eta_sweep_summary.json")
-        assert summary["minimizer_route"] == "pgd"
+        assert "minimizer_route" not in summary
         assert summary["claim_ok"] is True  # no robustness claim for this loss
 
-    def test_pgd_route_for_unhinged_checks_errors_not_drift(self, tmp_path):
-        # the strict zero-drift clause belongs to the exact closed form;
-        # the pgd route claims error equality only
-        assert main(["eta-sweep", "--out-dir", str(tmp_path), "--minimizer", "pgd",
-                     "--grid-count", "3"]) == 0
-        summary = read_json(tmp_path / "eta_sweep_summary.json")
-        assert summary["minimizer_route"] == "pgd"
-        assert summary["claim_ok"] is True
-        assert all(r["robust"] == "true" for r in read_csv(tmp_path / "eta_sweep.csv"))
+    def test_no_minimizer_route_flag(self, tmp_path, capsys):
+        # the loss picks its fit; the flag is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["eta-sweep", "--out-dir", str(tmp_path), "--minimizer", "pgd"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --minimizer pgd" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_distribution_csv_source(self, tmp_path):
         data = tmp_path / "dist.csv"
@@ -178,7 +177,7 @@ class TestEtaSweep:
                      "--data", str(data), "--grid-count", "3"])
         assert code == 0
 
-    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    @pytest.mark.parametrize("loss", ["logistic", "hinge", "unhinged"])
     def test_clean_distribution_fit_once(self, tmp_path, monkeypatch, loss):
         # one clean fit and one fit per noise rate; every row is the one
         # check_rcn_robustness gives at its rate
@@ -199,7 +198,7 @@ class TestEtaSweep:
         for row in rows:
             assert list(row) == ["eta", "v_1", "v_2", "objective", "clean_error",
                                  "noisy_fit_error", "robust", "minimizer_drift", "flags"]
-            report = check_rcn_robustness(dist, phi, 1.0, float(row["eta"]), "pgd")
+            report = check_rcn_robustness(dist, phi, 1.0, float(row["eta"]))
             assert [float(row["v_1"]), float(row["v_2"])] == report.minimizer_noisy.v.tolist()
             assert (float(row["clean_error"]), float(row["noisy_fit_error"])) == (
                 report.clean_fit_error, report.noisy_fit_error)
@@ -516,6 +515,14 @@ class TestConfigFile:
         assert main(["gamma-sweep", "--config", str(cfg_path)]) == 0
         assert len(read_csv(tmp_path / "gamma_sweep.csv")) == config["grid_count"]
 
+    def test_minimizer_key_rejected(self, tmp_path, capsys):
+        # the loss picks its fit; no config key picks a route
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"minimizer": "pgd", "out_dir": str(tmp_path / "out")}))
+        assert main(["robust-check", "--config", str(cfg_path)]) == 2
+        assert "unknown config keys: minimizer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 3}))
@@ -564,13 +571,11 @@ class TestConfigFile:
                  "--spacing"}
         expected = {
             "gamma-sweep": common | sweep | {"--r"},
-            "eta-sweep": common | sweep | {"--r", "--loss", "--gamma", "--data",
-                                           "--minimizer"},
+            "eta-sweep": common | sweep | {"--r", "--loss", "--gamma", "--data"},
             "dynamics": common | {"--plot", "--mode", "--steps", "--step-size", "--v0",
                                   "--tie-rule", "--gamma", "--data"},
             "loss-report": common | {"--format"},
-            "robust-check": common | {"--r", "--eta", "--loss", "--gamma", "--data",
-                                      "--minimizer"},
+            "robust-check": common | {"--r", "--eta", "--loss", "--gamma", "--data"},
             "recession-probe": common | {"--eta", "--loss", "--gamma", "--data",
                                          "--x0", "--u", "--lambdas"},
         }

@@ -28,7 +28,7 @@ def constant_one_loss():
 SMOOTH_NAMES = ("exponential", "mixed_linear_exponential", "logistic")
 
 
-@pytest.mark.parametrize("name", SMOOTH_NAMES + ("unhinged",))
+@pytest.mark.parametrize("name", SMOOTH_NAMES)
 def test_curvature_matches_second_differences(name):
     # an even count keeps the grid off the mixed loss's kink at 0, where
     # phi'' jumps from 0 to 1
@@ -49,12 +49,11 @@ def test_curvature_follows_the_overflow_rule_of_eval():
     assert make_loss("logistic").curv(np.array([-800.0, 800.0])).tolist() == [0.0, 0.0]
     assert make_loss("mixed_linear_exponential").curv(np.array([-800.0, 0.0])).tolist() == [
         0.0, 0.0]
-    # the unhinged loss is linear: phi'' is exactly 0 at every margin
-    assert make_loss("unhinged").curv(np.array([-1e308, 0.0, 1e308])).tolist() == [0.0] * 3
 
 
-@pytest.mark.parametrize("name", ["hinge"])
+@pytest.mark.parametrize("name", ["hinge", "unhinged"])
 def test_losses_without_curvature(name):
+    # the hinge has its own fit and the unhinged loss its closed form
     assert make_loss(name).curv is None
 
 

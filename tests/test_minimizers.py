@@ -19,6 +19,24 @@ from potmin.distributions import _NoisyView
 UNHINGED = make_loss("unhinged")
 
 
+def zero_curvature(z):
+    return np.zeros_like(z)
+
+
+# the unhinged loss 1 - z as a non-shipped kernel that declares phi'' = 0:
+# the shipped one takes its closed form, this one the H = 0 Newton fit
+LINEAR = PotentialFunction("linear", lambda z: 1.0 - z, lambda z: np.full_like(z, -1.0),
+                           RELAXED_ONLY, zero_curvature)
+
+
+def timed(fn):
+    """A timing-style wrapper that records the function it wraps."""
+    def wrapper(z):
+        return fn(z)
+    wrapper.__wrapped__ = fn
+    return wrapper
+
+
 def reference_pgd(dist, phi, r, step=None, max_iters=50_000, tol=1e-9):
     """The fixed-step projected (sub)gradient loop, independent of the
     library's fits: v <- proj(v - step g) from v = 0, at the step
@@ -97,10 +115,6 @@ class TestWeightVector:
             WeightVector(np.array([3e154, 4e154]), 4.9e154)
         with pytest.raises(ValueError, match="exceeds"):
             WeightVector(np.array([1e300, 1e300]), 1.0)
-
-    def test_unbounded_allowed(self):
-        wv = WeightVector(np.array([100.0]), None)
-        assert wv.radius_bound is None
 
 
 class TestUnhingedMinimizer:
@@ -205,7 +219,7 @@ class TestPgdMinimizer:
         assert frank_wolfe_gap(dist, make_loss("hinge"), fit.weights.v, 1.0) == 0.0
 
     def test_converged_respects_tolerance_contract(self):
-        fit = pgd_minimizer(make_counterexample(0.2), UNHINGED, 1.0)
+        fit = pgd_minimizer(make_counterexample(0.2), LINEAR, 1.0)
         assert fit.converged and fit.stop_reason == "gap"
         assert fit.gap <= PGDConfig().tol
 
@@ -300,13 +314,14 @@ def test_fit_matches_reference_loop_bit_for_bit(source, loss, setting):
     """Every fit certifies its gap, and its objective is bit for bit the
     expected loss at its v.  It is no worse than the best iterate of the
     fixed-step reference loop at the loop's default, zero or large step;
-    with "history", the fits at budgets 1, 2, ... descend to it."""
+    with "history", the fits at budgets 1, 2, ... descend to it.  The
+    unhinged loss runs as the Newton stand-in LINEAR."""
     if source == "counterexample":
         dist = make_counterexample(0.05)
     else:
         dist = helpers.random_distribution(np.random.default_rng(7), max_dim=4,
                                            max_atoms=12)
-    phi = make_loss(loss)
+    phi = LINEAR if loss == "unhinged" else make_loss(loss)
     fit = pgd_minimizer(dist, phi, 1.0, PGDConfig(max_iters=3000))
     assert fit.converged and fit.stop_reason == "gap" and fit.gap <= PGDConfig().tol
     assert fit.objective == expected_loss(dist, phi, fit.weights.v)
@@ -341,7 +356,7 @@ def test_one_margin_evaluation_per_iterate(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(DiscreteDistribution, "margins", counted)
-    cases = [(make_counterexample(0.05), loss) for loss in LOSS_NAMES]
+    cases = [(make_counterexample(0.05), loss) for loss in SMOOTH + ("hinge", "linear")]
     # the interior-point hinge fit, past the closed form
     cases.append((gaussian_halfspace(5, n=50, d=3), "hinge"))
     # the first Newton trial puts atom 1 at margin -4.5 and is rejected
@@ -350,7 +365,7 @@ def test_one_margin_evaluation_per_iterate(monkeypatch):
     for dist, loss in cases:
         calls.clear()
         evals.clear()
-        phi = make_loss(loss)
+        phi = LINEAR if loss == "linear" else make_loss(loss)
         fit = pgd_minimizer(dist, dataclasses.replace(phi, eval=timed(phi.eval)), 1.0)
         assert fit.stop_reason == "gap"
         assert len(calls) == len(evals) >= fit.iterations + 1
@@ -368,10 +383,6 @@ def test_backtracking_halves_to_an_accepted_step():
     assert np.all(np.diff(budget_objectives(dist, phi, 1.0, fit.iterations)) <= 1e-15)
     # P(v) = 0.99 e^-v + 0.01 e^10v is least at v = log(9.9)/11, inside the ball
     assert fit.weights.v[0] == pytest.approx(math.log(9.9) / 11, abs=1e-9)
-
-
-def zero_curvature(z):
-    return np.zeros_like(z)
 
 
 def test_backtracking_stops_when_the_step_would_reach_zero():
@@ -572,6 +583,18 @@ def test_hinge_fit_certifies_where_r_squared_overflows(r):
     assert fit.weights.radius_bound == r
 
 
+@pytest.mark.parametrize("r", [1e50, 1e100, 1e300])
+def test_hinge_fit_certifies_the_separable_construction_at_a_huge_radius(r):
+    # the hinge optimum of separable data is 0, which the dual point a = 0
+    # certifies; starting from the interior point's first multipliers the
+    # best bound stayed below 0 and the fit stopped on rounding (gap 4.9e43
+    # at r = 1e100)
+    fit = pgd_minimizer(make_counterexample(0.05), HINGE, r)
+    assert fit.stop_reason == "gap" and fit.converged
+    assert fit.gap == 0.0 and fit.objective == 0.0
+    assert fit.iterations <= 3
+
+
 def test_hinge_dual_drops_only_a_norm_within_its_rounding():
     dist = DiscreteDistribution([[1.0], [1.0 + 2**-52]], [1, -1], [0.5, 0.5])
     w, yx = dist.weights, dist.ys[:, None] * dist.xs
@@ -593,12 +616,6 @@ def test_hinge_fit_stops_where_rounding_leaves_no_step():
 def test_hinge_fit_sees_through_timing_wrappers():
     # a wrapper that records the function it wraps, as functools.wraps
     # does, keeps the certified fit; a look-alike value function does not
-    def timed(fn):
-        def wrapper(z):
-            return fn(z)
-        wrapper.__wrapped__ = fn
-        return wrapper
-
     dist = gaussian_halfspace(5, n=50, d=3)
     wrapped = dataclasses.replace(HINGE, eval=timed(HINGE.eval))
     assert pgd_minimizer(dist, wrapped, 1.0).stop_reason == "gap"
@@ -705,9 +722,9 @@ def test_newton_one_margin_evaluation_per_trial(monkeypatch):
 
 def test_pgd_reports_the_frank_wolfe_gap_at_its_best_iterate():
     dist = make_counterexample(0.05)
-    fit = pgd_minimizer(dist, UNHINGED, 1.0)
+    fit = pgd_minimizer(dist, LINEAR, 1.0)
     assert fit.stop_reason == "gap"
-    assert fit.gap == pytest.approx(frank_wolfe_gap(dist, UNHINGED, fit.weights.v, 1.0),
+    assert fit.gap == pytest.approx(frank_wolfe_gap(dist, LINEAR, fit.weights.v, 1.0),
                                     abs=1e-15)
     assert abs(fit.gap) <= 1e-15
     # a fit out of budget reports the gap at the point it returns
@@ -721,17 +738,32 @@ def test_pgd_reports_the_frank_wolfe_gap_at_its_best_iterate():
 def test_unhinged_fit_certifies_in_at_most_two_newton_steps(r):
     # phi'' = 0 makes the ball model linear, and its minimizer r m/||m|| is
     # the optimum; projected gradient descent stopped on its budget at
-    # r = 1e6, 0.77 r from it on the construction
+    # r = 1e6, 0.77 r from it on the construction.  The unhinged loss runs
+    # as the Newton stand-in LINEAR
     rng = np.random.default_rng(13)
     dists = [make_counterexample(0.05), gaussian_halfspace(5),
              helpers.random_distribution(rng, min_centroid_norm=0.05)]
     for dist in dists:
         for fitted in (dist, _NoisyView(dist, 0.2)):
-            fit = pgd_minimizer(fitted, UNHINGED, r)
+            fit = pgd_minimizer(fitted, LINEAR, r)
             closed = unhinged_minimizer(fitted, r)
             assert fit.converged and fit.stop_reason == "gap" and fit.gap <= TOL
             assert fit.iterations <= 2
             assert np.linalg.norm(fit.weights.v - closed.weights.v) <= 1e-15 * r
+
+
+@pytest.mark.parametrize("r", [1.0, 1e6, 1e100])
+def test_unhinged_fit_is_the_closed_form(r):
+    # the shipped unhinged loss, also behind a timing wrapper, is fit by
+    # r m/||m|| itself, on a distribution and on its noise view
+    dist = make_counterexample(0.05)
+    for fitted in (dist, _NoisyView(dist, 0.2)):
+        closed = unhinged_minimizer(fitted, r)
+        for phi in (UNHINGED, dataclasses.replace(UNHINGED, eval=timed(UNHINGED.eval))):
+            fit = pgd_minimizer(fitted, phi, r)
+            assert fit.weights.v.tobytes() == closed.weights.v.tobytes()
+            assert fit.objective == closed.objective
+            assert (fit.gap, fit.stop_reason, fit.iterations) == (0.0, "closed-form", 0)
 
 
 @pytest.mark.parametrize("r", [1e100, 1e300])
