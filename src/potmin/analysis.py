@@ -14,13 +14,12 @@ the distribution :func:`corrupt_rcn` materializes.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (DiscreteDistribution, _NoisyView, corrupt_rcn,
+from .distributions import (DiscreteDistribution, _NoisyView, _write_csv, corrupt_rcn,
                             random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
 from .minimizers import WeightVector, _per_atom, pgd_minimizer
@@ -177,12 +176,7 @@ def slope_identity_fuzz(trials: int, seed: int, out_csv=None,
             "residual": slope_identity_residual(dist, eta, w),
         })
     if out_csv is not None:
-        with open(out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(rows[0]))
-            for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else str(v)
-                                 for v in row.values()])
+        _write_csv(out_csv, list(rows[0]), [[row[key] for row in rows] for key in rows[0]])
     return rows
 
 

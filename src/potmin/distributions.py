@@ -9,6 +9,10 @@ n clean margins.  :func:`corrupt_rcn` builds the same distribution row by
 row (merging collisions); it is the reference the view is tested
 against.  Distributions are immutable values: the backing arrays are
 copied on construction and marked read-only.
+
+This module also reads and writes potmin's one CSV format: every CSV table
+potmin writes comes from :func:`_write_csv`, and every CSV it reads goes
+through :func:`_read_labeled_csv`.
 """
 
 from __future__ import annotations
@@ -129,6 +133,39 @@ def _csv_error(path: Path, d: int, ncols: int, cause: str) -> ValueError:
     return ValueError(f"{path}: {cause}")
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write a CSV table: the header row, then row i of the columns per line.
+
+    An ndarray column is written as the repr of each entry (exact for
+    float64), with NaN as an empty cell; any other column cell by cell:
+    None empty, a bool true/false, a float its repr, anything else str.
+    No cell holds a comma or quote, so the bytes are csv.writer's: nothing
+    quoted, every row ended by CRLF.  Columns of unequal length raise
+    ValueError.
+    """
+    cells = []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            text = list(map(repr, col.tolist()))
+            if col.dtype.kind == "f":
+                for i in np.flatnonzero(np.isnan(col)).tolist():
+                    text[i] = ""
+        else:
+            text = list(map(_cell, col))
+        cells.append(text)
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Finite weighted set of labeled points; weights sum to 1.
@@ -186,15 +223,8 @@ class DiscreteDistribution:
 
     def to_csv(self, path) -> None:
         """Write as CSV with header x1,...,xd,y,weight (round-trip exact)."""
-        lines = [",".join([f"x{j + 1}" for j in range(self.dimension)] + ["y", "weight"])]
-        # csv.writer's bytes: no field holds a comma or quote, so none is
-        # quoted, and every row ends in "\r\n"
-        lines.extend(
-            f"{','.join(map(repr, x))},{y},{w!r}"
-            for x, y, w in zip(self.xs.tolist(), self.ys.tolist(), self.weights.tolist())
-        )
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
+        _write_csv(path, [f"x{j + 1}" for j in range(self.dimension)] + ["y", "weight"],
+                   [*self.xs.T, self.ys, self.weights])
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteDistribution":

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _write_csv
+
 TIE_RULES = ("lowest-index", "report-all")
 
 
@@ -51,24 +53,16 @@ class Trajectory:
         """Write rows t, v_1..v_d, loss, angle_rad, chosen_coord.
 
         Undefined angles and absent coordinate choices are left empty;
-        multi-coordinate logs are ';'-joined.
+        multi-coordinate logs are ';'-joined.  The bytes are those of
+        :func:`potmin.distributions._write_csv`, potmin's one CSV writer.
         """
-        d = self.dimension
-        angles = ["" if a != a else repr(a) for a in self.angles_to_target.tolist()]
-        chosen = [""] * len(angles)
+        chosen = [""] * (self.n_steps + 1)
         if self.chosen_coords is not None:
             chosen[1:] = [";".join(map(str, c)) for c in self.chosen_coords]
-        lines = [",".join(["t"] + [f"v_{j + 1}" for j in range(d)]
-                          + ["loss", "angle_rad", "chosen_coord"])]
-        # csv.writer's bytes: no field holds a comma or quote, so none is
-        # quoted, and every row ends in "\r\n"
-        lines.extend(
-            f"{t},{','.join(map(repr, row))},{loss!r},{angle},{choice}"
-            for t, (row, loss, angle, choice) in enumerate(
-                zip(self.iterates.tolist(), self.loss_values.tolist(), angles, chosen))
-        )
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
+        _write_csv(path, ["t"] + [f"v_{j + 1}" for j in range(self.dimension)]
+                   + ["loss", "angle_rad", "chosen_coord"],
+                   [np.arange(self.n_steps + 1), *self.iterates.T, self.loss_values,
+                    self.angles_to_target, chosen])
 
 
 def _check_sample(xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -138,13 +132,11 @@ def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
         raise ValueError(f"v0 must have shape ({xs.shape[1]},), got {v0.shape}")
     if not np.all(np.isfinite(v0)):
         raise ValueError(f"v0 must be finite, got {v0.tolist()}")
-    g = (ys[:, None] * xs).sum(axis=0)
-    stationary = not np.any(g != 0.0)
-
     iterates = np.empty((T + 1, xs.shape[1]))
     iterates[0] = v0
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        g = (ys[:, None] * xs).sum(axis=0)
         iterates[1:] = step * g
         np.cumsum(iterates, axis=0, out=iterates)
         loss_values = len(ys) - iterates @ g
@@ -157,7 +149,7 @@ def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
         loss_values=loss_values,
         angles_to_target=_angles(iterates, g),
         target=g,
-        stationary=stationary,
+        stationary=not np.any(g != 0.0),
     )
 
 
@@ -171,7 +163,10 @@ def cd_unhinged(xs, ys, T: int, tie_rule: str = "lowest-index",
     the same coordinate (and sign) wins every round; the per-round log
     records the winner, or the whole argmax set under the "report-all"
     tie rule.  The update itself always takes the lowest argmax index,
-    keeping runs reproducible under ties.
+    keeping runs reproducible under ties.  A zero label sum has no
+    steepest coordinate and leaves every iterate at 0 (stationary flag
+    set).  Iterates or losses that leave float64 raise ValueError naming
+    step_size and T.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -181,40 +176,31 @@ def cd_unhinged(xs, ys, T: int, tie_rule: str = "lowest-index",
     if not (step_size > 0 and np.isfinite(step_size)):
         raise ValueError(f"step_size must be positive and finite, got {step_size!r}")
     xs, ys = _check_sample(xs, ys)
-    d = xs.shape[1]
-    g = (ys[:, None] * xs).sum(axis=0)
-
-    iterates = np.zeros((T + 1, d))
-    if not np.any(g != 0.0):
-        return Trajectory(
-            iterates=iterates,
-            step_size=step_size,
-            loss_values=len(ys) - iterates @ g,
-            angles_to_target=_angles(iterates, g),
-            target=g,
-            stationary=True,
-            chosen_coords=((),) * T,
-            step_signs=(0,) * T,
-            argmax_coords=(),
-        )
-
-    magnitudes = np.abs(g)
-    best = float(magnitudes.max())
-    argmax_set = tuple(int(j) for j in np.nonzero(magnitudes == best)[0])
-    j_star = argmax_set[0]
-    sign = 1 if g[j_star] > 0 else -1
-    logged = argmax_set if tie_rule == "report-all" else (j_star,)
-
-    column = iterates[:, j_star]
-    column[1:] = sign * step_size
-    np.cumsum(column, out=column)
+    iterates = np.zeros((T + 1, xs.shape[1]))
+    # an overflow is reported as the error below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (ys[:, None] * xs).sum(axis=0)
+        magnitudes = np.abs(g)
+        best = magnitudes.max()
+        argmax_set = tuple(np.flatnonzero(magnitudes == best).tolist()) if best > 0 else ()
+        sign = 0
+        if argmax_set:
+            sign = 1 if g[argmax_set[0]] > 0 else -1
+            column = iterates[:, argmax_set[0]]
+            column[1:] = sign * step_size
+            np.cumsum(column, out=column)
+        loss_values = len(ys) - iterates @ g
+    if not (np.all(np.isfinite(iterates)) and np.all(np.isfinite(loss_values))):
+        raise ValueError(f"coordinate descent with step_size {step_size!r} leaves float64 "
+                         f"within T = {T} steps")
+    logged = argmax_set if tie_rule == "report-all" else argmax_set[:1]
     return Trajectory(
         iterates=iterates,
         step_size=step_size,
-        loss_values=len(ys) - iterates @ g,
+        loss_values=loss_values,
         angles_to_target=_angles(iterates, g),
         target=g,
-        stationary=False,
+        stationary=not argmax_set,
         chosen_coords=(logged,) * T,
         step_signs=(sign,) * T,
         argmax_coords=argmax_set,

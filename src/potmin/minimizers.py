@@ -98,10 +98,14 @@ class FitResult:
     weights: WeightVector
     objective: float
     iterations: int
-    converged: bool
     gap: float
     stop_reason: str
     degenerate_centroid: bool = False
+
+    @property
+    def converged(self) -> bool:
+        """Whether the fit is certified: a closed form or a gap within tol."""
+        return self.stop_reason in ("closed-form", "gap")
 
     def to_dict(self) -> dict:
         return {
@@ -139,7 +143,7 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     norm_m = float(np.linalg.norm(m))
     if norm_m <= _DEGENERATE_CENTROID_TOL:
         zero = np.zeros(dist.dimension)
-        return FitResult(WeightVector(zero, r), 1.0, 0, True, r * norm_m, "closed-form",
+        return FitResult(WeightVector(zero, r), 1.0, 0, r * norm_m, "closed-form",
                          degenerate_centroid=True)
     with np.errstate(over="ignore"):
         v = (r / norm_m) * m
@@ -147,7 +151,7 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     if not (np.all(np.isfinite(v)) and math.isfinite(objective)):
         raise ValueError(f"radius {r!r} overflows float64 in r m/||m|| "
                          f"(||m|| = {norm_m!r})")
-    return FitResult(WeightVector(v, r), objective, 0, True, 0.0, "closed-form")
+    return FitResult(WeightVector(v, r), objective, 0, 0.0, "closed-form")
 
 
 @dataclass(frozen=True)
@@ -408,7 +412,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     obj = float(w @ _per_atom(phi.eval, dist, dist.margins(closed.weights.v)))
     gap = obj - _hinge_dual(w, yx, w, r)
     if gap <= cfg.tol:
-        return FitResult(closed.weights, obj, 0, True, gap, "gap")
+        return FitResult(closed.weights, obj, 0, gap, "gap")
 
     v = np.zeros(dist.dimension)
     margins = dist.margins(v)
@@ -421,7 +425,6 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     best_obj = float(w @ _per_atom(phi.eval, dist, margins))
     # the hinge is nonnegative, so a = 0 gives the bound D(0) = 0
     best_dual = max(0.0, _hinge_dual(w, yx, lam2, r))
-    converged = False
     reason = "budget"
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
@@ -439,11 +442,10 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
             best_v, best_obj = v, obj
         best_dual = max(best_dual, _hinge_dual(w, yx, lam2, r))
         if best_obj - best_dual <= cfg.tol:
-            converged = True
             reason = "gap"
             break
-    return FitResult(WeightVector(best_v, r), best_obj, iterations, converged,
-                     best_obj - best_dual, reason)
+    return FitResult(WeightVector(best_v, r), best_obj, iterations, best_obj - best_dual,
+                     reason)
 
 
 def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, r: float,
@@ -530,7 +532,7 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
         # still fall while P moves only within its rounding
         stalled = not trial_obj < obj
         v, margins, obj, last_gap = candidate, trial, trial_obj, gap
-    return FitResult(WeightVector(v, r), obj, iterations, reason == "gap", gap, reason)
+    return FitResult(WeightVector(v, r), obj, iterations, gap, reason)
 
 
 def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,

@@ -99,15 +99,8 @@ def step_plot(path, xs, ys, *, title="", xlabel="", ylabel="", vlines=()):
     """Piecewise-constant plot: each y holds until the next x."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    cv = _Canvas(_limits(xs), _limits(ys), title, xlabel, ylabel)
-    sx, sy = [xs[0]], [ys[0]]
-    for i in range(1, len(xs)):
-        sx.extend([xs[i], xs[i]])
-        sy.extend([ys[i - 1], ys[i]])
-    cv.polyline(sx, sy, _COLORS[0])
-    for x in vlines:
-        cv.vline(x)
-    cv.write(path)
+    # x0, x1, x1, x2, x2, ... against y0, y0, y1, y1, y2, ...
+    _plot(path, [(np.repeat(xs, 2)[1:], np.repeat(ys, 2)[:-1])], title, xlabel, ylabel, vlines)
 
 
 def line_plot(path, series, *, title="", xlabel="", ylabel="", vlines=()):
@@ -116,6 +109,12 @@ def line_plot(path, series, *, title="", xlabel="", ylabel="", vlines=()):
     Non-finite y entries are dropped; a series with no finite points is
     skipped (the figure still renders its axes).
     """
+    _plot(path, series, title, xlabel, ylabel, vlines)
+
+
+def _plot(path, series, title, xlabel, ylabel, vlines):
+    # every figure is drawn here; step_plot calls this rather than
+    # line_plot so that each figure is one call of a public plot function
     series = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
               for x, y in series]
     all_x = np.concatenate([s[0] for s in series])

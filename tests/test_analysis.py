@@ -1,5 +1,6 @@
 """Expectations, error rates, robustness checks, and the ray probe."""
 
+import csv
 import math
 
 import numpy as np
@@ -179,6 +180,16 @@ class TestSlopeIdentity:
         lines = out.read_text().splitlines()
         assert lines[0] == "trial,dimension,n_atoms,eta,residual"
         assert len(lines) == 51  # one row per trial
+
+    def test_fuzz_csv_bytes_match_csv_writer(self, tmp_path):
+        rows = slope_identity_fuzz(30, seed=7, out_csv=tmp_path / "fuzz.csv")
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(rows[0]))
+            for row in rows:
+                writer.writerow([repr(v) if isinstance(v, float) else str(v)
+                                 for v in row.values()])
+        assert (tmp_path / "fuzz.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_fuzz_campaign_deterministic_in_seed(self):
         assert slope_identity_fuzz(10, seed=5) == slope_identity_fuzz(10, seed=5)

@@ -32,6 +32,31 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def reference_cell(value) -> str:
+    """The cell rule the sweep tables were written with through csv.writer."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def test_table_bytes_match_csv_writer(tmp_path):
+    rows = [{"none": None, "yes": True, "no": False, "neg_zero": -0.0, "tiny": 5e-324,
+             "huge": 1e308, "count": 7, "flags": "degenerate"},
+            {"none": 0.1, "yes": False, "no": True, "neg_zero": 0.0, "tiny": -5e-324,
+             "huge": -1e308, "count": -3, "flags": ""}]
+    args = argparse.Namespace(out_dir=str(tmp_path), format="csv")
+    path = cli._write_table(args, "table", rows)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(rows[0]))
+        writer.writerows([reference_cell(v) for v in row.values()] for row in rows)
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 class TestGammaSweep:
     def test_cli_run_and_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -161,6 +186,14 @@ class TestEtaSweep:
         summary = read_json(tmp_path / "eta_sweep_summary.json")
         assert "minimizer_route" not in summary
         assert summary["claim_ok"] is True  # no robustness claim for this loss
+
+    @pytest.mark.parametrize("r", [1e6, 1e100])
+    def test_unhinged_claim_holds_at_large_radius(self, tmp_path, capsys, r):
+        # the clean and noisy closed forms differ by ulps of r, not of 1
+        assert main(["eta-sweep", "--out-dir", str(tmp_path), "--r", repr(r)]) == 0
+        assert capsys.readouterr().out.endswith("claim PASS\n")
+        rows = read_csv(tmp_path / "eta_sweep.csv")
+        assert all(row["robust"] == "true" for row in rows)
 
     def test_no_minimizer_route_flag(self, tmp_path, capsys):
         # the loss picks its fit; the flag is gone
@@ -455,10 +488,24 @@ class TestNonFiniteInput:
          "radius 1e+308 overflows float64 in r m/||m||"),
         (["dynamics", "--step-size", "1e308", "--steps", "3"],
          "gradient descent with step 1e+308 leaves float64 within T = 3 steps"),
-    ], ids=["closed-form-radius", "gd-step"])
+        (["dynamics", "--mode", "cd", "--step-size", "1e308", "--steps", "3"],
+         "coordinate descent with step_size 1e+308 leaves float64 within T = 3 steps"),
+    ], ids=["closed-form-radius", "gd-step", "cd-step"])
     def test_finite_input_that_overflows_exits_two(self, tmp_path, capsys, argv, message):
         # the error names the input, not the float64 vector it overflowed into
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, message", [
+        ("gd", "gradient descent with step 0.1 leaves float64"),
+        ("cd", "coordinate descent with step_size 1.0 leaves float64"),
+    ], ids=["gd", "cd"])
+    def test_label_sum_that_overflows_exits_two(self, tmp_path, capsys, mode, message):
+        data = tmp_path / "sample.csv"
+        data.write_text("x1,y\n1e308,1\n1e308,1\n-1e308,1\n-1e308,1\n")
+        assert main(["dynamics", "--mode", mode, "--data", str(data),
+                     "--out-dir", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -14,7 +14,7 @@ import helpers
 from potmin import (DiscreteDistribution, MarginCertificate, certify_margin, corrupt_rcn,
                     l1_margin, make_counterexample, mean_label_feature,
                     misclassification_error, unhinged_minimizer)
-from potmin.distributions import GAMMA_STAR, _merge_duplicates
+from potmin.distributions import GAMMA_STAR, _merge_duplicates, _write_csv
 
 
 def reference_merge_duplicates(xs, ys, weights):
@@ -340,6 +340,14 @@ class TestCsv:
         dist.to_csv(tmp_path / "fast.csv")
         reference_to_csv(dist, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("columns", [
+        [np.zeros(3), np.zeros(2)], [np.zeros(2), [1, 2, 3]], [[None], []]],
+        ids=["arrays", "array-and-list", "lists"])
+    def test_columns_of_unequal_length_rejected(self, tmp_path, columns):
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)

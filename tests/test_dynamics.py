@@ -48,6 +48,10 @@ def reference_total_losses(iterates, xs, ys):
     return np.sum(1.0 - margins, axis=1)
 
 
+# four finite rows whose label sum leaves float64
+OVERFLOWING_X = [[1e308], [1e308], [-1e308], [-1e308]]
+
+
 class TestGradientDescent:
     def test_iterates_match_closed_form(self):
         xs, ys = [[1.0, 0.5], [-0.25, 2.0], [0.5, -1.0]], [1, -1, 1]
@@ -142,6 +146,10 @@ class TestGradientDescent:
         message = f"step {step!r} leaves float64 within T = {T} steps"
         with pytest.raises(ValueError, match=re.escape(message)):
             gd_unhinged(xs, [1], [0.0], step, T)
+
+    def test_label_sum_leaving_float64_is_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("step 0.5 leaves float64 within T = 2")):
+            gd_unhinged(OVERFLOWING_X, [1] * 4, [0.0], 0.5, 2)
 
 
 class TestCheckSample:
@@ -273,6 +281,22 @@ class TestCoordinateDescent:
         xs, ys = [[2.0, 2.0 - 2 ** -50]], [1]
         traj = cd_unhinged(xs, ys, 2)
         assert traj.argmax_coords == (0,)
+
+    @pytest.mark.parametrize("xs, step, T", [
+        ([[1.0]], 1e308, 2),       # the cumulative sum overflows
+        ([[1e200]], 1e200, 1),     # the iterate is finite, its loss n - v.g is not
+        (OVERFLOWING_X, 1.0, 2),   # the label sum overflows
+    ], ids=["sum", "loss", "label-sum"])
+    def test_iterates_leaving_float64_are_rejected(self, xs, step, T):
+        # raised without a numpy RuntimeWarning, which pytest makes an error
+        message = f"step_size {step!r} leaves float64 within T = {T} steps"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cd_unhinged(xs, [1] * len(xs), T, step_size=step)
+
+    def test_zero_gradient_takes_no_step(self):
+        traj = cd_unhinged([[1.0, 2.0], [1.0, 2.0]], [1, -1], 3)
+        assert traj.step_signs == (0,) * 3
+        np.testing.assert_array_equal(traj.loss_values, [2.0] * 4)
 
     def test_zero_gradient_support_empty(self):
         xs, ys = [[1.0, 2.0], [1.0, 2.0]], [1, -1]

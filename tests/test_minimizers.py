@@ -166,6 +166,16 @@ class TestUnhingedMinimizer:
         assert data["stop_reason"] == "closed-form"
         assert data["r"] == 2.0
 
+    @pytest.mark.parametrize("reason, converged", [
+        ("closed-form", True), ("gap", True), ("budget", False), ("no-decrease", False),
+        ("rounding", False)])
+    def test_converged_follows_stop_reason(self, reason, converged):
+        # certified exactly when the fit is a closed form or stopped on its gap
+        fit = minimizers.FitResult(minimizers.WeightVector([0.6, 0.8], 1.0), 0.25, 3, 1e-3,
+                                   reason)
+        assert fit.converged is converged
+        assert fit.to_dict()["converged"] is converged
+
     @settings(max_examples=50, deadline=None)
     @given(dist=helpers.small_distributions())
     def test_objective_is_affine_in_centroid(self, dist):
