@@ -3,13 +3,17 @@
 Every CSV row an experiment emits is a straight transcription of library
 calls; the CLI adds bookkeeping and file output, never numerics of its
 own.  Each setting is one flag in ``_FLAGS``, default included; a JSON
-``--config`` sets only its subcommand's flag dests, and flags win over it.
+``--config`` sets only its subcommand's flag dests.  Settings resolve as
+default < config < flag, afresh in each ``main()`` call: the parser is
+built once per process and never changed, so nothing one call reads
+carries over to the next.
 Exit codes: 0 success, 1 a checked claim failed, 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -88,14 +92,18 @@ def _config_kind(flag_kwargs: dict) -> tuple[str, Callable[[object], bool]]:
     return "a string", lambda value: isinstance(value, str)
 
 
+def _dest(flag: str) -> str:
+    """The namespace attribute, and the config key, of a flag in ``_FLAGS``."""
+    return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+
+
 def _read_config(path: str, flags: tuple[str, ...]) -> dict:
     """The JSON config at path, checked against the dests of one subcommand's flags."""
     with open(path) as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    dest_kwargs = {kw.get("dest", flag[2:].replace("-", "_")): kw
-                   for flag, kw in _FLAGS.items() if flag in flags and flag != "--config"}
+    dest_kwargs = {_dest(flag): _FLAGS[flag] for flag in flags if flag != "--config"}
     unknown = sorted(set(loaded) - set(dest_kwargs))
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
@@ -433,31 +441,34 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; it is never changed after this call.
+
+    No flag has a parsed default, so the namespace it returns holds only
+    the subcommand and the flags typed; ``main`` adds the rest.
+    """
     parser = argparse.ArgumentParser(
         prog="potmin",
         description="Potential-minimization experiments on finite labeled distributions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, flags) in _COMMANDS.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for flag in _COMMON_FLAGS + flags:
-            sp.add_argument(flag, **_FLAGS[flag])
-        sp.set_defaults(func=func)
+            sp.add_argument(flag, **{**_FLAGS[flag], "default": argparse.SUPPRESS})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    typed = vars(build_parser().parse_args(argv))
+    func, _, flags = _COMMANDS[typed.pop("command")]
+    flags = _COMMON_FLAGS + flags
     try:
-        if args.config:
-            # config values become the subcommand's defaults, so flags still win
-            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            sub.choices[args.command].set_defaults(
-                **_read_config(args.config, _COMMON_FLAGS + _COMMANDS[args.command][2]))
-            args = parser.parse_args(argv)
-        return args.func(args)
+        config = _read_config(typed["config"], flags) if typed.get("config") else {}
+        defaults = {_dest(flag): _FLAGS[flag].get("default") for flag in flags}
+        # default < config < flag typed, in a namespace of this call's own
+        return func(argparse.Namespace(**(defaults | config | typed)))
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -85,9 +85,20 @@ def _check_sample(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def label_sum(xs, ys) -> np.ndarray:
-    """sum_i y_i x_i over the sample: the negated gradient of the total loss."""
-    xs, ys = _check_sample(xs, ys)
-    return (ys[:, None] * xs).sum(axis=0)
+    """sum_i y_i x_i over the sample: the negated gradient of the total loss.
+
+    A sum that leaves float64 raises ValueError naming the label sum.
+    """
+    return _label_sum(*_check_sample(xs, ys))
+
+
+def _label_sum(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # an overflow is reported as the error below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (ys[:, None] * xs).sum(axis=0)
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"the sample's label sum sum_i y_i x_i leaves float64: {g.tolist()}")
+    return g
 
 
 def _angles(iterates: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -118,8 +129,9 @@ def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
     constant, so iterate t must equal v0 + step * t * sum_i y_i x_i;
     iterates are still summed one step at a time (a cumulative sum) so
     that identity can be checked against them.  A zero label sum leaves
-    every iterate at v0 (stationary flag set).  Iterates or losses that
-    leave float64 raise ValueError naming the step and T.
+    every iterate at v0 (stationary flag set).  A label sum that leaves
+    float64 raises ValueError naming it; iterates or losses that leave
+    float64 raise ValueError naming the step and T.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -132,11 +144,11 @@ def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
         raise ValueError(f"v0 must have shape ({xs.shape[1]},), got {v0.shape}")
     if not np.all(np.isfinite(v0)):
         raise ValueError(f"v0 must be finite, got {v0.tolist()}")
+    g = _label_sum(xs, ys)
     iterates = np.empty((T + 1, xs.shape[1]))
     iterates[0] = v0
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        g = (ys[:, None] * xs).sum(axis=0)
         iterates[1:] = step * g
         np.cumsum(iterates, axis=0, out=iterates)
         loss_values = len(ys) - iterates @ g
@@ -165,7 +177,8 @@ def cd_unhinged(xs, ys, T: int, tie_rule: str = "lowest-index",
     tie rule.  The update itself always takes the lowest argmax index,
     keeping runs reproducible under ties.  A zero label sum has no
     steepest coordinate and leaves every iterate at 0 (stationary flag
-    set).  Iterates or losses that leave float64 raise ValueError naming
+    set).  A label sum that leaves float64 raises ValueError naming it;
+    iterates or losses that leave float64 raise ValueError naming
     step_size and T.
     """
     if T < 1:
@@ -176,10 +189,10 @@ def cd_unhinged(xs, ys, T: int, tie_rule: str = "lowest-index",
     if not (step_size > 0 and np.isfinite(step_size)):
         raise ValueError(f"step_size must be positive and finite, got {step_size!r}")
     xs, ys = _check_sample(xs, ys)
+    g = _label_sum(xs, ys)
     iterates = np.zeros((T + 1, xs.shape[1]))
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        g = (ys[:, None] * xs).sum(axis=0)
         magnitudes = np.abs(g)
         best = magnitudes.max()
         argmax_set = tuple(np.flatnonzero(magnitudes == best).tolist()) if best > 0 else ()

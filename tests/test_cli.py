@@ -497,16 +497,15 @@ class TestNonFiniteInput:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("mode, message", [
-        ("gd", "gradient descent with step 0.1 leaves float64"),
-        ("cd", "coordinate descent with step_size 1.0 leaves float64"),
-    ], ids=["gd", "cd"])
-    def test_label_sum_that_overflows_exits_two(self, tmp_path, capsys, mode, message):
+    @pytest.mark.parametrize("mode", ["gd", "cd"])
+    def test_label_sum_that_overflows_exits_two(self, tmp_path, capsys, mode):
+        # no step or T makes this sample finite, so the error names the sum
         data = tmp_path / "sample.csv"
         data.write_text("x1,y\n1e308,1\n1e308,1\n-1e308,1\n-1e308,1\n")
         assert main(["dynamics", "--mode", mode, "--data", str(data),
                      "--out-dir", str(tmp_path / "out")]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "label sum sum_i y_i x_i leaves float64" in err and "step" not in err
         assert not (tmp_path / "out").exists()
 
 
@@ -533,6 +532,32 @@ class TestConfigFile:
                      "--grid-count", "7"])
         assert code == 0
         assert len(read_csv(tmp_path / "gamma_sweep.csv")) == 7
+
+    def test_config_never_outlives_its_call(self, tmp_path, monkeypatch):
+        # the parser is shared by every call in a process; a config is not
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid_count": 5, "out_dir": "cfg_out"}))
+        assert main(["gamma-sweep", "--config", str(cfg_path)]) == 0
+        assert len(read_csv(tmp_path / "cfg_out" / "gamma_sweep.csv")) == 5
+        assert main(["gamma-sweep"]) == 0
+        assert len(read_csv(tmp_path / "out" / "gamma_sweep.csv")) == 30
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_override_config_store_true_and_nargs(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"plot": False, "v0": [0, 0.5], "steps": 2,
+                                        "out_dir": str(tmp_path)}))
+        assert main(["dynamics", "--config", str(cfg_path), "--plot", "--v0", "1", "2"]) == 0
+        assert (tmp_path / "dynamics_gd.svg").exists()
+        first = read_csv(tmp_path / "dynamics_gd.csv")[0]
+        assert (float(first["v_1"]), float(first["v_2"])) == (1.0, 2.0)
+        # without the flags, the config's values hold
+        (tmp_path / "dynamics_gd.svg").unlink()
+        assert main(["dynamics", "--config", str(cfg_path)]) == 0
+        assert not (tmp_path / "dynamics_gd.svg").exists()
+        first = read_csv(tmp_path / "dynamics_gd.csv")[0]
+        assert (float(first["v_1"]), float(first["v_2"])) == (0.0, 0.5)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

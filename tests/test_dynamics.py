@@ -148,7 +148,7 @@ class TestGradientDescent:
             gd_unhinged(xs, [1], [0.0], step, T)
 
     def test_label_sum_leaving_float64_is_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("step 0.5 leaves float64 within T = 2")):
+        with pytest.raises(ValueError, match="label sum sum_i y_i x_i leaves float64"):
             gd_unhinged(OVERFLOWING_X, [1] * 4, [0.0], 0.5, 2)
 
 
@@ -172,6 +172,15 @@ class TestCheckSample:
                     lambda: label_sum(xs, ys)):
             with pytest.raises(ValueError, match=match):
                 run()
+
+    def test_label_sum_leaving_float64_is_rejected(self):
+        # summed without a numpy RuntimeWarning, which pytest makes an error
+        message = "label sum sum_i y_i x_i leaves float64: [inf]"
+        for xs in ([[1e308], [1e308]], OVERFLOWING_X):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                label_sum(xs, [1] * len(xs))
+        # a finite sum of rows past float max / 2 is returned as is
+        np.testing.assert_array_equal(label_sum([[1e308], [-1e308]], [1, 1]), [0.0])
 
 
 class TestIncrementalReference:
@@ -282,14 +291,16 @@ class TestCoordinateDescent:
         traj = cd_unhinged(xs, ys, 2)
         assert traj.argmax_coords == (0,)
 
-    @pytest.mark.parametrize("xs, step, T", [
-        ([[1.0]], 1e308, 2),       # the cumulative sum overflows
-        ([[1e200]], 1e200, 1),     # the iterate is finite, its loss n - v.g is not
-        (OVERFLOWING_X, 1.0, 2),   # the label sum overflows
+    @pytest.mark.parametrize("xs, step, T, message", [
+        # the cumulative sum overflows
+        ([[1.0]], 1e308, 2, "step_size 1e+308 leaves float64 within T = 2 steps"),
+        # the iterate is finite, its loss n - v.g is not
+        ([[1e200]], 1e200, 1, "step_size 1e+200 leaves float64 within T = 1 steps"),
+        # the label sum overflows, whatever the step
+        (OVERFLOWING_X, 1.0, 2, "label sum sum_i y_i x_i leaves float64"),
     ], ids=["sum", "loss", "label-sum"])
-    def test_iterates_leaving_float64_are_rejected(self, xs, step, T):
+    def test_iterates_leaving_float64_are_rejected(self, xs, step, T, message):
         # raised without a numpy RuntimeWarning, which pytest makes an error
-        message = f"step_size {step!r} leaves float64 within T = {T} steps"
         with pytest.raises(ValueError, match=re.escape(message)):
             cd_unhinged(xs, [1] * len(xs), T, step_size=step)
 
