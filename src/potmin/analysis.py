@@ -116,17 +116,14 @@ def check_rcn_robustness(dist: DiscreteDistribution, phi: PotentialFunction,
 def _robustness_sweep(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
                       etas) -> list[RobustnessReport]:
     """check_rcn_robustness at each noise rate, fitting the clean side once."""
-    etas = [float(eta) for eta in etas]
-    for eta in etas:
-        if not 0.0 < eta < 0.5:
-            raise ValueError(f"noise rate must satisfy 0 < eta < 1/2, got {eta!r}")
+    views = [_NoisyView(dist, eta) for eta in etas]
     fit_clean = pgd_minimizer(dist, phi, r)
     clean_fit_error = misclassification_error(dist, fit_clean.weights.v)
     reports = []
-    for eta in etas:
-        fit_noisy = pgd_minimizer(_NoisyView(dist, eta), phi, r)
+    for view in views:
+        fit_noisy = pgd_minimizer(view, phi, r)
         reports.append(RobustnessReport(
-            eta=eta,
+            eta=view.eta,
             clean_fit_error=clean_fit_error,
             noisy_fit_error=misclassification_error(dist, fit_noisy.weights.v),
             minimizer_clean=fit_clean.weights,
@@ -144,11 +141,9 @@ def slope_identity_residual(dist: DiscreteDistribution, eta: float, w) -> float:
     |P_noisy(w) - ((1 - 2 eta) P_clean(w) + 2 eta)|, which should sit at
     floating-point rounding for every w.
     """
-    eta = float(eta)
-    if not 0.0 < eta < 0.5:
-        raise ValueError(f"noise rate must satisfy 0 < eta < 1/2, got {eta!r}")
-    p_clean = expected_loss(dist, _UNHINGED, w)
     p_noisy = expected_loss(corrupt_rcn(dist, eta), _UNHINGED, w)
+    p_clean = expected_loss(dist, _UNHINGED, w)
+    eta = float(eta)
     return abs(p_noisy - ((1.0 - 2.0 * eta) * p_clean + 2.0 * eta))
 
 
@@ -227,9 +222,7 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     corrupted distribution built; an overflow at -m_i names clean atom i
     with its flipped label.
     """
-    eta = float(eta)
-    if not 0.0 < eta < 0.5:
-        raise ValueError(f"noise rate must satisfy 0 < eta < 1/2, got {eta!r}")
+    noisy = _NoisyView(dist, eta)
     report = check_def1(phi)
     if not report.passed:
         failing = [c.name for c in report.checks if not c.passed]
@@ -264,9 +257,8 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     phi0 = float(phi.eval(0.0))
     dphi0 = float(phi.deriv(0.0))
 
-    noisy = _NoisyView(dist, eta)
     values = np.array([expected_loss(noisy, phi, x0 + l * u) for l in lam])
-    bounds = eta * (phi0 - dphi0 * lam * width + dphi0 * base_overlap)
+    bounds = noisy.eta * (phi0 - dphi0 * lam * width + dphi0 * base_overlap)
     slack = values - bounds
     tail = values[-3:] if values.size >= 3 else values
     return RayProbe(

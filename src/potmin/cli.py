@@ -28,7 +28,7 @@ from .distributions import (GAMMA_STAR, DiscreteDistribution, _read_labeled_csv,
                             _write_csv, make_counterexample, mean_label_feature)
 from .dynamics import TIE_RULES, cd_unhinged, gd_unhinged
 from .loss_zoo import LOSS_NAMES, check_def1, make_loss
-from .minimizers import unhinged_minimizer
+from .minimizers import _scaled_norm, unhinged_minimizer
 
 _DRIFT_TOL = 1e-12
 
@@ -397,13 +397,13 @@ def cmd_recession_probe(args: argparse.Namespace) -> int:
     x0 = np.zeros(d) if args.x0 is None else np.asarray(args.x0, dtype=float)
     if args.u is not None:
         u = np.asarray(args.u, dtype=float)
-        norm_u = float(np.linalg.norm(u))
+        norm_u = _scaled_norm(u)
         if not 0.0 < norm_u < np.inf:
             raise ValueError(f"direction u must be nonzero and finite, got ||u|| = {norm_u!r}")
         u = u / norm_u
     else:
         m = mean_label_feature(dist)
-        norm_m = float(np.linalg.norm(m))
+        norm_m = _scaled_norm(m)
         if norm_m == 0.0:
             raise ValueError("label centroid is zero; pass an explicit direction u")
         u = m / norm_m

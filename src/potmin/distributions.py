@@ -2,13 +2,16 @@
 
 Label-flip corruption is applied analytically by weight splitting, never
 by sampling, so every downstream identity (centroid scaling, error
-equalities) holds to floating-point rounding.  Fits and probes see the
-noise through :class:`_NoisyView`: clean atom i keeps (1 - eta) w_i at its
-margin m_i and puts eta w_i at -m_i, so a noisy expectation needs only the
-n clean margins.  :func:`corrupt_rcn` builds the same distribution row by
-row (merging collisions); it is the reference the view is tested
-against.  Distributions are immutable values: the backing arrays are
-copied on construction and marked read-only.
+equalities) holds to floating-point rounding.  A distribution and its
+noise view (:class:`_NoisyView`) each declare one row layout,
+``row_signs``: row k i + j of ``weights`` and ``margins(v)`` is atom i
+with label row_signs[j] y_i, k = len(row_signs); (1.0,) for a
+distribution, (1.0, -1.0) for the view, whose rows give clean atom i mass
+(1 - eta) w_i at its margin m_i and eta w_i at -m_i from the n clean
+margins.  :func:`corrupt_rcn` builds the same rows itself (merging
+collisions); it is the reference the view is tested against.
+Distributions are immutable values: the backing arrays are copied on
+construction and marked read-only.
 
 This module also reads and writes potmin's one CSV format: every CSV table
 potmin writes comes from :func:`_write_csv`, and every CSV it reads goes
@@ -174,6 +177,8 @@ class DiscreteDistribution:
     atoms share one dimension and all weights are strictly positive.
     """
 
+    row_signs = (1.0,)   # row i is atom i at its own label
+
     xs: np.ndarray       # (n, d) feature rows
     ys: np.ndarray       # (n,) labels in {-1, +1}
     weights: np.ndarray  # (n,) probability masses
@@ -252,6 +257,13 @@ class MarginCertificate:
         object.__setattr__(self, "margin", float(self.margin))
 
 
+def _noise_rate(eta) -> float:
+    eta = float(eta)
+    if not 0.0 < eta < 0.5:
+        raise ValueError(f"noise rate must satisfy 0 < eta < 1/2, got {eta!r}")
+    return eta
+
+
 def corrupt_rcn(clean: DiscreteDistribution, eta: float) -> DiscreteDistribution:
     """Exact label-flip corruption at rate eta in (0, 1/2).
 
@@ -259,9 +271,7 @@ def corrupt_rcn(clean: DiscreteDistribution, eta: float) -> DiscreteDistribution
     ((x, -y), eta p); colliding atoms merge.  Total mass and the feature
     support set are preserved exactly.  No sampling is performed.
     """
-    eta = float(eta)
-    if not 0.0 < eta < 0.5:
-        raise ValueError(f"noise rate must satisfy 0 < eta < 1/2, got {eta!r}")
+    eta = _noise_rate(eta)
     xs = np.repeat(clean.xs, 2, axis=0)
     ys = np.empty(2 * clean.n_atoms, dtype=int)
     ys[0::2] = clean.ys
@@ -272,45 +282,49 @@ def corrupt_rcn(clean: DiscreteDistribution, eta: float) -> DiscreteDistribution
     return DiscreteDistribution(xs, ys, weights)
 
 
-def _interleave(own: np.ndarray, flipped: np.ndarray) -> np.ndarray:
-    """Rows 2i = own[i] and 2i + 1 = flipped[i]: a noise view's row layout."""
-    rows = np.empty((2 * len(own),) + own.shape[1:])
-    rows[0::2] = own
-    rows[1::2] = flipped
+def _rows(atoms: np.ndarray, factors) -> np.ndarray:
+    """Row k i + j = factors[j] * atoms[i], for k = len(factors)."""
+    k = len(factors)
+    rows = np.empty((k * len(atoms),) + atoms.shape[1:])
+    for j, f in enumerate(factors):
+        np.multiply(atoms, f, out=rows[j::k])
     return rows
+
+
+def _fold(rows: np.ndarray, signs) -> np.ndarray:
+    """Atom i's sum_j signs[j] rows[k i + j], k = len(signs), each sign +-1 and signs[0] = 1."""
+    k = len(signs)
+    atoms = rows[0::k]
+    for j in range(1, k):
+        atoms = (np.add if signs[j] > 0 else np.subtract)(atoms, rows[j::k])
+    return atoms
 
 
 @dataclass(frozen=True, eq=False)
 class _NoisyView:
     """Label flips at rate eta in (0, 1/2), seen through the clean atoms.
 
-    It stands for 2n interleaved rows, none of them built: row 2i is clean
-    atom i with mass (1 - eta) w_i and row 2i + 1 the same point with the
-    flipped label and mass eta w_i, as :func:`corrupt_rcn` splits them
-    before it merges collisions.  ``weights`` holds the 2n row masses and
-    ``margins(v)`` the 2n row margins, m_i and -m_i from one clean margin
-    vector m; ``xs`` and ``ys`` are the n clean atoms'.
+    It stands for the 2n rows :func:`corrupt_rcn` splits before it merges
+    collisions, none of them built: clean atom i with mass (1 - eta) w_i,
+    then its flipped label with mass eta w_i.  ``xs`` and ``ys`` are the n
+    clean atoms'.
     """
+
+    row_signs = (1.0, -1.0)   # row 2i: own label; row 2i + 1: flipped
 
     clean: DiscreteDistribution
     eta: float
+    xs: np.ndarray = field(init=False)
+    ys: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        eta = float(self.eta)
-        if not 0.0 < eta < 0.5:
-            raise ValueError(f"noise rate must satisfy 0 < eta < 1/2, got {eta!r}")
+        eta = _noise_rate(self.eta)
+        masses = tuple(1.0 - eta if s > 0 else eta for s in self.row_signs)
         object.__setattr__(self, "eta", eta)
-        w = self.clean.weights
-        object.__setattr__(self, "weights", _readonly(_interleave((1.0 - eta) * w, eta * w)))
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.clean.xs
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.clean.ys
+        object.__setattr__(self, "xs", self.clean.xs)
+        object.__setattr__(self, "ys", self.clean.ys)
+        object.__setattr__(self, "weights", _readonly(_rows(self.clean.weights, masses)))
 
     @property
     def dimension(self) -> int:
@@ -318,13 +332,7 @@ class _NoisyView:
 
     def margins(self, v) -> np.ndarray:
         """Row margins: m_i = y_i (v . x_i) at row 2i and -m_i at row 2i + 1."""
-        m = self.clean.margins(v)
-        return _interleave(m, -m)
-
-    @staticmethod
-    def fold(rows: np.ndarray) -> np.ndarray:
-        """Per-row coefficients of y x, as per-atom ones of y_i x_i: own row minus flipped."""
-        return rows[0::2] - rows[1::2]
+        return _rows(self.clean.margins(v), self.row_signs)
 
 
 def l1_margin(dist: DiscreteDistribution, w) -> float:
@@ -377,12 +385,10 @@ def make_counterexample(gamma: float) -> DiscreteDistribution:
 def mean_label_feature(dist: DiscreteDistribution | _NoisyView) -> np.ndarray:
     """Weighted mean of y * x over the distribution (the label centroid).
 
-    Under a noise view each clean atom counts with its kept minus its
-    flipped mass, (1 - eta) w_i - eta w_i.
+    Each atom counts with its row masses signed by their labels: under a
+    noise view its kept minus its flipped mass, (1 - eta) w_i - eta w_i.
     """
-    if isinstance(dist, _NoisyView):
-        return (dist.fold(dist.weights) * dist.ys) @ dist.xs
-    return (dist.weights * dist.ys) @ dist.xs
+    return (_fold(dist.weights, dist.row_signs) * dist.ys) @ dist.xs
 
 
 def random_distribution(rng: np.random.Generator, max_dim: int = 5,

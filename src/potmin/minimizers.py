@@ -9,13 +9,12 @@ steps over the ball to a Frank-Wolfe gap.  :func:`pgd_minimizer` picks
 the one fit of each loss; all return the same :class:`FitResult` shape.
 
 Each fit also takes a label-noise view (``distributions._NoisyView``) in
-place of a distribution.  Its values and slopes are taken over 2n rows,
-clean atom i's own label at m_i and its flipped one at -m_i, from one
-margin vector per point; every product with x (the centroid and the
-gradient) folds each atom's two rows into one coefficient of y_i x_i, and
-only the hinge fit expands the view into 2n interleaved rows y x, never
-sorted or merged.  The curvature sum_i c_i x_i x_i^T adds each atom's two
-rows instead, since (y x)(y x)^T = (-y x)(-y x)^T.
+place of a distribution, both read through one layout: row k i + j is
+atom i with label row_signs[j] y_i, k = len(dist.row_signs).  Values and
+slopes are taken per row; every product with x (the centroid, the
+gradient) folds an atom's rows, signed, into one coefficient of y_i x_i,
+and the curvature adds them unsigned, as (s y x)(s y x)^T = (y x)(y x)^T.
+Only the hinge fit builds the rows s y x, never sorted or merged.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _interleave, _NoisyView, mean_label_feature
+from .distributions import DiscreteDistribution, _fold, _NoisyView, _rows, mean_label_feature
 from .loss_zoo import LossOverflowError, PotentialFunction, _hinge_eval, _unhinged_eval
 
 _EPS = float(np.finfo(float).eps)
@@ -56,6 +55,15 @@ _SECULAR_ITERS = 100
 def _norm(x: np.ndarray) -> float:
     """||x||, by hypot: it scales, so it stays finite where ||x||^2 would overflow."""
     return math.hypot(*x.tolist())
+
+
+def _scaled_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x), taken on x scaled by the exact power of two that puts
+    its largest |entry| in [1/2, 1): the squares then stay finite, and the
+    result keeps np.linalg.norm's bits wherever they do unscaled too."""
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +148,7 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     """
     r = _radius(r)
     m = mean_label_feature(dist)
-    norm_m = float(np.linalg.norm(m))
+    norm_m = _scaled_norm(m)
     if norm_m <= _DEGENERATE_CENTROID_TOL:
         zero = np.zeros(dist.dimension)
         return FitResult(WeightVector(zero, r), 1.0, 0, r * norm_m, "closed-form",
@@ -169,13 +177,17 @@ class PGDConfig:
 
 def _overflow_at(loss: str, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray,
                  idx: int) -> LossOverflowError:
-    """The error naming row idx: an atom, or for a noise view clean atom
-    idx // 2 with its own label (even idx) or its flipped one (odd idx)."""
-    atom, sign = (idx // 2, 1 - 2 * (idx % 2)) if isinstance(dist, _NoisyView) else (idx, 1)
+    """The error naming row idx: atom idx // k with label row_signs[idx % k] y."""
+    atom, j = divmod(idx, len(dist.row_signs))
     return LossOverflowError(
         loss, float(margins[idx]), atom_index=atom,
-        atom=(dist.xs[atom].tolist(), sign * int(dist.ys[atom])),
+        atom=(dist.xs[atom].tolist(), int(dist.row_signs[j] * dist.ys[atom])),
     )
+
+
+def _largest_row(rows: np.ndarray, k: int, atom: int) -> int:
+    """The row of atom's k whose |term| is largest, the first on a tie."""
+    return k * atom + int(np.argmax(np.abs(rows[k * atom:k * atom + k])))
 
 
 def _per_atom(fn, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray) -> np.ndarray:
@@ -193,13 +205,12 @@ def _gradient(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
 
     An overflow names the first atom with a non-finite term; when every
     term is finite and only the sum overflowed, the atom with the largest
-    term.  Under a noise view atom i's slope term is
-    s_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i), and the row named
-    is the one of its two with the larger slope term.
+    term.  Atom i's slope term sums its rows signed by their labels, under
+    a noise view s_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i), and
+    the row named is the one of its rows with the largest slope term.
     """
     rows = dist.weights * _per_atom(phi.deriv, dist, margins)
-    noisy = isinstance(dist, _NoisyView)
-    scaled = dist.fold(rows) if noisy else rows
+    scaled = _fold(rows, dist.row_signs)
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         g = scaled @ yx
@@ -208,23 +219,20 @@ def _gradient(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
         terms = scaled[:, None] * yx
     bad = ~np.all(np.isfinite(terms), axis=1)
     idx = int(np.argmax(bad) if bad.any() else np.argmax(np.max(np.abs(terms), axis=1)))
-    if noisy:
-        idx = 2 * idx + int(abs(rows[2 * idx + 1]) > abs(rows[2 * idx]))
-    raise _overflow_at(phi.name, dist, margins, idx)
+    raise _overflow_at(phi.name, dist, margins, _largest_row(rows, len(dist.row_signs), idx))
 
 
 def _curvature(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
                margins: np.ndarray) -> np.ndarray:
     """H = sum_i c_i x_i x_i^T with c_i = w_i phi''(m_i).
 
-    An overflow names the atom with the largest term.  Under a noise view
-    clean atom i's two rows add, c_i = (1 - eta) w_i phi''(m_i)
-    + eta w_i phi''(-m_i), and the row named is the one of its two with
-    the larger curvature term.
+    An overflow names the atom with the largest term.  Atom i's rows add
+    unsigned, under a noise view c_i = (1 - eta) w_i phi''(m_i)
+    + eta w_i phi''(-m_i), and the row named is the one of its rows with
+    the largest curvature term.
     """
     rows = dist.weights * _per_atom(phi.curv, dist, margins)
-    noisy = isinstance(dist, _NoisyView)
-    c = rows[0::2] + rows[1::2] if noisy else rows
+    c = _fold(rows, [s * s for s in dist.row_signs])
     xs = dist.xs
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -233,9 +241,7 @@ def _curvature(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
             return h
         terms = c * np.sum(xs * xs, axis=1)
     idx = int(np.argmax(terms))
-    if noisy:
-        idx = 2 * idx + int(rows[2 * idx + 1] > rows[2 * idx])
-    raise _overflow_at(phi.name, dist, margins, idx)
+    raise _overflow_at(phi.name, dist, margins, _largest_row(rows, len(dist.row_signs), idx))
 
 
 def _ball_model_minimizer(h: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
@@ -282,13 +288,8 @@ def _ball_model_minimizer(h: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
 
 
 def _signed_rows(dist: DiscreteDistribution | _NoisyView) -> np.ndarray:
-    """The rows y x of the hinge fit, one per weight.
-
-    A noise view's 2n rows interleave clean atom i's y_i x_i and -y_i x_i;
-    they are built here for the interior point, never sorted or merged.
-    """
-    yx = dist.ys[:, None] * dist.xs
-    return _interleave(yx, -yx) if isinstance(dist, _NoisyView) else yx
+    """The hinge fit's rows, one per weight, row k i + j = row_signs[j] y_i x_i."""
+    return _rows(dist.ys[:, None] * dist.xs, dist.row_signs)
 
 
 def _hinge_dual(w: np.ndarray, yx: np.ndarray, lam: np.ndarray, r: float) -> float:

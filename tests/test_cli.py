@@ -497,6 +497,20 @@ class TestNonFiniteInput:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["robust-check", "--loss", "unhinged"],
+        ["eta-sweep", "--loss", "unhinged"],
+        ["recession-probe", "--loss", "logistic"],
+        ["recession-probe", "--loss", "logistic", "--u", "1e200", "1e200"],
+    ], ids=["robust-check", "eta-sweep", "recession-probe", "recession-probe-u"])
+    def test_centroid_whose_squares_overflow_is_not_an_overflow(self, tmp_path, argv):
+        # ||m|| = 7.07e199 is finite though ||m||^2 is not, and so is m/||m||
+        # (as is u/||u|| for such an explicit direction)
+        data = tmp_path / "big.csv"
+        data.write_text("x1,x2,y,weight\n1e200,0,1,0.5\n0,1e200,1,0.5\n")
+        assert main([*argv, "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("mode", ["gd", "cd"])
     def test_label_sum_that_overflows_exits_two(self, tmp_path, capsys, mode):
         # no step or T makes this sample finite, so the error names the sum

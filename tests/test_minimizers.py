@@ -290,6 +290,19 @@ class TestPgdMinimizer:
             assert err.value.atom_index == 1
             assert err.value.atom == ([1e160], -1)
 
+    def test_curvature_overflow_names_the_larger_of_an_atoms_rows(self):
+        # at v = 1e-160 atom 1's margin is 1; its flipped row's term
+        # 0.2 * 0.5 * exp(1) outweighs its own row's 0.8 * 0.5 * exp(-1),
+        # and their sum times x^2 = 1e320 leaves float64
+        dist = DiscreteDistribution([[1.0], [1e160]], [1, 1], [0.5, 0.5])
+        view = _NoisyView(dist, 0.2)
+        with pytest.raises(LossOverflowError) as err:
+            minimizers._curvature(make_loss("exponential"), view,
+                                  view.margins(np.array([1e-160])))
+        assert err.value.atom_index == 1
+        assert err.value.atom == ([1e160], -1)
+        assert err.value.z == -1.0
+
     def test_ball_feasibility_random(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -799,6 +812,24 @@ def test_every_route_rejects_a_non_finite_radius(loss, r):
         pgd_minimizer(make_counterexample(0.05), make_loss(loss), r)
     with pytest.raises(ValueError, match=f"radius must be positive and finite, got {r!r}"):
         unhinged_minimizer(make_counterexample(0.05), r)
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_form_where_the_centroid_squares_overflow():
+    # ||m||^2 leaves float64 but ||m|| does not, so r m/||m|| is finite
+    dist = DiscreteDistribution([[1e200, 0.0], [0.0, 1e200]], [1, 1], [0.5, 0.5])
+    for fitted in (dist, _NoisyView(dist, 0.2)):
+        fit = unhinged_minimizer(fitted, 1.0)
+        np.testing.assert_allclose(fit.weights.v, [math.sqrt(0.5)] * 2, rtol=1e-15)
+        assert fit.objective == pytest.approx(1.0 - math.hypot(*mean_label_feature(fitted)),
+                                              rel=1e-15)
+
+
+def test_scaled_norm_keeps_the_bits_of_a_finite_norm():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        x = rng.standard_normal(int(rng.integers(1, 8))) * 10.0 ** rng.uniform(-100, 100)
+        assert minimizers._scaled_norm(x) == float(np.linalg.norm(x))
 
 
 def test_closed_form_names_an_overflowing_radius():

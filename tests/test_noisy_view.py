@@ -126,6 +126,28 @@ def test_view_rows_interleave_own_and_flipped_labels():
     assert abs(fit.objective - reference.objective) <= 2e-9
     assert fit.objective == expected_loss(view, hinge, fit.weights.v)
 
+    # with no two atoms at one x corrupt_rcn merges nothing, so its rows are
+    # the view's, in the same order, bit for bit; a distribution's own rows
+    # are one per atom at its own label.  BLAS may round x . v differently
+    # in a 2n-row product, so the margins share one product per x.
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        dist = helpers.random_distribution(rng)
+        eta = float(rng.uniform(0.01, 0.49))
+        v = rng.uniform(-3.0, 3.0, dist.dimension)
+        view, noisy = _NoisyView(dist, eta), corrupt_rcn(dist, eta)
+        assert noisy.n_atoms == 2 * dist.n_atoms
+        assert noisy.xs.tobytes() == np.repeat(dist.xs, 2, axis=0).tobytes()
+        assert view.weights.tobytes() == noisy.weights.tobytes()
+        assert view.margins(v).tobytes() == (
+            noisy.ys * np.repeat(dist.xs @ v, 2)).tobytes()
+        assert minimizers._signed_rows(view).tobytes() == (
+            noisy.ys[:, None] * noisy.xs).tobytes()
+        assert minimizers._signed_rows(dist).tobytes() == (
+            dist.ys[:, None] * dist.xs).tobytes()
+        assert mean_label_feature(dist).tobytes() == (
+            (dist.weights * dist.ys) @ dist.xs).tobytes()
+
 
 def test_view_hinge_fit_takes_the_materialized_newton_steps():
     # with no two atoms at one x, corrupt_rcn merges nothing and keeps the
