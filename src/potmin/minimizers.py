@@ -14,7 +14,9 @@ atom i with label row_signs[j] y_i, k = len(dist.row_signs).  Values and
 slopes are taken per row; every product with x (the centroid, the
 gradient) folds an atom's rows, signed, into one coefficient of y_i x_i,
 and the curvature adds them unsigned, as (s y x)(s y x)^T = (y x)(y x)^T.
-Only the hinge fit builds the rows s y x, never sorted or merged.
+Only the hinge fit builds the rows s y x, never sorted or merged.  One
+helper forms g and H and names an overflow (:func:`_row_sum`); one rule
+zeroes a norm within its sum's rounding for both gaps (:func:`_sum_norm`).
 """
 
 from __future__ import annotations
@@ -199,49 +201,58 @@ def _per_atom(fn, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray) 
         raise _overflow_at(err.loss, dist, margins, idx) from None
 
 
+def _row_sum(loss: str, fn, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray,
+             signs, a: np.ndarray, outer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i c_i a_i (sum_i c_i a_i a_i^T if ``outer``) and c = _fold(w fn(margins), signs).
+
+    A sum that is not finite names the row, of the atom whose own term has
+    the largest |entry| (non-finite counts as largest, the first atom wins
+    a tie), with the largest |term|.  Entries are c_i a_ij, or (c_i a_ij)
+    a_ij (the diagonal of c_i a_i a_i^T, where its largest lie): no 0 * inf.
+    """
+    rows = dist.weights * _per_atom(fn, dist, margins)
+    c = _fold(rows, signs)
+    # an overflow is reported as the error below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (a * c[:, None]).T @ a if outer else c @ a
+        if np.all(np.isfinite(total)):
+            return total, c
+        terms = np.abs(a * c[:, None])
+        largest = np.max(terms * np.abs(a) if outer else terms, axis=1)
+    idx = int(np.argmax(np.where(np.isfinite(largest), largest, np.inf)))
+    raise _overflow_at(loss, dist, margins, _largest_row(rows, len(signs), idx))
+
+
 def _gradient(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
               margins: np.ndarray, yx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g = sum_i s_i y_i x_i with s_i = w_i phi'(m_i), and the slope terms s.
 
-    An overflow names the first atom with a non-finite term; when every
-    term is finite and only the sum overflowed, the atom with the largest
-    term.  Atom i's slope term sums its rows signed by their labels, under
-    a noise view s_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i), and
-    the row named is the one of its rows with the largest slope term.
+    Atom i's slope term sums its rows signed by their labels, under a
+    noise view s_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i); an
+    overflow names a row as :func:`_row_sum` does.
     """
-    rows = dist.weights * _per_atom(phi.deriv, dist, margins)
-    scaled = _fold(rows, dist.row_signs)
-    # an overflow is reported as the error below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = scaled @ yx
-        if np.all(np.isfinite(g)):
-            return g, scaled
-        terms = scaled[:, None] * yx
-    bad = ~np.all(np.isfinite(terms), axis=1)
-    idx = int(np.argmax(bad) if bad.any() else np.argmax(np.max(np.abs(terms), axis=1)))
-    raise _overflow_at(phi.name, dist, margins, _largest_row(rows, len(dist.row_signs), idx))
+    return _row_sum(phi.name, phi.deriv, dist, margins, dist.row_signs, yx, False)
 
 
 def _curvature(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
                margins: np.ndarray) -> np.ndarray:
     """H = sum_i c_i x_i x_i^T with c_i = w_i phi''(m_i).
 
-    An overflow names the atom with the largest term.  Atom i's rows add
-    unsigned, under a noise view c_i = (1 - eta) w_i phi''(m_i)
-    + eta w_i phi''(-m_i), and the row named is the one of its rows with
-    the largest curvature term.
+    Atom i's rows add unsigned, under a noise view c_i = (1 - eta) w_i
+    phi''(m_i) + eta w_i phi''(-m_i); an overflow names a row as
+    :func:`_row_sum` does, ranking atoms by max_j c_i x_ij^2.
     """
-    rows = dist.weights * _per_atom(phi.curv, dist, margins)
-    c = _fold(rows, [s * s for s in dist.row_signs])
-    xs = dist.xs
-    # an overflow is reported as the error below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = (xs * c[:, None]).T @ xs
-        if np.all(np.isfinite(h)):
-            return h
-        terms = c * np.sum(xs * xs, axis=1)
-    idx = int(np.argmax(terms))
-    raise _overflow_at(phi.name, dist, margins, _largest_row(rows, len(dist.row_signs), idx))
+    return _row_sum(phi.name, phi.curv, dist, margins, [s * s for s in dist.row_signs],
+                    dist.xs, True)[0]
+
+
+def _sum_norm(c: np.ndarray, abs_a: np.ndarray, total: np.ndarray) -> float:
+    """||total|| for total = sum_i c_i a_i, but 0 within its rounding bound
+    (n + d) eps ||sum_i |c_i| abs_a_i||, both by hypot: near an optimum inside
+    the ball the sum tends to 0, and r would scale its rounding past any tol.
+    """
+    norm = _norm(total)
+    return 0.0 if norm <= (c.size + total.size) * _EPS * _norm(np.abs(c) @ abs_a) else norm
 
 
 def _ball_model_minimizer(h: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
@@ -296,18 +307,11 @@ def _hinge_dual(w: np.ndarray, yx: np.ndarray, lam: np.ndarray, r: float) -> flo
     """D(a) = sum_i w_i a_i - r ||sum_i w_i a_i y_i x_i|| at a = clip(lam / w, 0, 1).
 
     Every a in the box [0, 1]^n makes D(a) a lower bound on the hinge
-    optimum over the radius-r ball.  Where the optimum lies inside the
-    ball, sum_i w_i a_i y_i x_i tends to 0, and r would scale the rounding
-    of that sum past any tolerance: a norm within the sum's rounding
-    bound, (n + d) eps ||sum_i w_i a_i |y_i x_i|||, is taken as 0, so D
-    is then exact to r times that bound.
+    optimum over the radius-r ball.  The norm is :func:`_sum_norm`'s, 0
+    within the sum's rounding, so D is then exact to r times that bound.
     """
     wa = w * np.clip(lam / w, 0.0, 1.0)
-    norm = float(np.linalg.norm(wa @ yx))
-    if norm <= (w.size + yx.shape[1]) * np.finfo(float).eps * float(
-            np.linalg.norm(wa @ np.abs(yx))):
-        norm = 0.0
-    return float(wa.sum()) - r * norm
+    return float(wa.sum()) - r * _sum_norm(wa, np.abs(yx), wa @ yx)
 
 
 def _to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
@@ -462,21 +466,18 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     With H = 0 (a loss linear in the margin) the model minimizer
     -r g/||g|| is the optimum.  The Frank-Wolfe gap <g, v> + r ||g||
     bounds P(v) minus the optimum over the ball, and ``cfg.tol`` bounds it
-    in absolute terms, whatever r.  Where the optimum lies inside the ball
-    g tends to 0, and r would scale its rounding past any tolerance: as in
-    :func:`_hinge_dual`, a norm within the rounding bound of the sum,
-    (n + d) eps ||sum_i |s_i| |y_i x_i|||, counts as 0.  On the boundary
-    the two terms cancel, and a gap within their rounding,
-    (d + 2) eps (|g|.|v| + r ||g||), counts as 0 too.  The fit stops,
-    certified, once the gap is at most tol and no longer halves (or is at
-    most 1e-3 tol).  Otherwise it stops when ``cfg.max_iters`` Newton
-    steps are spent, when no t passes the test before t (x - v)
-    underflows, or when a step neither lowered P nor halved the gap; the
-    last two count as certified if the gap is at most tol.  Every step
-    lowers P up to rounding, so the last iterate is the best.  Beyond
-    ``_INTERIOR_RADIUS`` the steps run on that smaller ball, inside the
-    radius-r one, so that the model's multiplier ||beta|| / radius stays
-    a normal float; the gap keeps r.
+    in absolute terms, whatever r.  ||g|| is :func:`_sum_norm`'s, 0 within
+    the rounding of the sum g.  On the boundary the two terms cancel, and a
+    gap within their rounding, (d + 2) eps (|g|.|v| + r ||g||), counts as
+    0 too.  The fit stops, certified, once the gap is at most tol and no
+    longer halves (or is at most 1e-3 tol).  Otherwise it stops when
+    ``cfg.max_iters`` Newton steps are spent, when no t passes the test
+    before t (x - v) underflows, or when a step neither lowered P nor
+    halved the gap; the last two count as certified if the gap is at most
+    tol.  Every step lowers P up to rounding, so the last iterate is the
+    best.  Beyond ``_INTERIOR_RADIUS`` the steps run on that smaller ball,
+    inside the radius-r one, so that the model's multiplier
+    ||beta|| / radius stays a normal float; the gap keeps r.
     """
     w = dist.weights
     yx = dist.ys[:, None] * dist.xs
@@ -491,9 +492,7 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     iterations = 0
     while True:
         g, slopes = _gradient(phi, dist, margins, yx)
-        norm_g = _norm(g)
-        if norm_g <= (slopes.size + v.size) * _EPS * _norm(np.abs(slopes) @ abs_yx):
-            norm_g = 0.0
+        norm_g = _sum_norm(slopes, abs_yx, g)
         gap = float(g @ v) + r * norm_g
         if abs(gap) <= (v.size + 2) * _EPS * (float(np.abs(g) @ np.abs(v)) + r * norm_g):
             gap = 0.0
@@ -554,8 +553,9 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
     """
     r = _radius(r)
     cfg = cfg or PGDConfig()
-    if cfg.max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    if isinstance(cfg.max_iters, bool) or not isinstance(cfg.max_iters, (int, np.integer)) \
+            or cfg.max_iters < 1:
+        raise ValueError(f"max_iters must be an integer of at least 1, got {cfg.max_iters!r}")
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {cfg.tol!r}")
     kernel = inspect.unwrap(phi.eval)

@@ -303,6 +303,18 @@ class TestPgdMinimizer:
         assert err.value.atom == ([1e160], -1)
         assert err.value.z == -1.0
 
+    def test_curvature_overflow_skips_an_atom_that_adds_nothing(self):
+        # at v = (1e-197, 1e-201) the margins are 1000 and 0.1: atom 0's
+        # phi''(1000) is 0, so only atom 1's term 0.5 phi''(0.1) 1e400
+        # leaves float64; ranked by c_i ||x_i||^2, atom 0's 0 * inf is NaN
+        dist = DiscreteDistribution([[1e200, 0.0], [0.0, 1e200]], [1, 1], [0.5, 0.5])
+        with pytest.raises(LossOverflowError) as err:
+            minimizers._curvature(make_loss("logistic"), dist,
+                                  dist.margins(np.array([1e-197, 1e-201])))
+        assert err.value.atom_index == 1
+        assert err.value.atom == ([0.0, 1e200], 1)
+        assert err.value.z == pytest.approx(0.1, rel=1e-15)
+
     def test_ball_feasibility_random(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -451,11 +463,21 @@ def test_smooth_losses_converge_in_few_iterations(loss):
 
 @pytest.mark.parametrize("field, value", [
     ("tol", math.nan), ("tol", math.inf), ("tol", -1e-9),
+    # a budget of 1.5 would let a Newton fit run on past it and make the
+    # hinge fit's range() raise TypeError; a bool is no count either
+    ("max_iters", 1.5), ("max_iters", 2.0), ("max_iters", True),
 ])
 def test_non_finite_settings_rejected(field, value):
     cfg = PGDConfig(**{field: value})
     with pytest.raises(ValueError, match=f"{field} must be .*{value!r}"):
         pgd_minimizer(make_counterexample(0.05), make_loss("logistic"), 1.0, cfg)
+
+
+def test_max_iters_may_be_a_numpy_integer():
+    for loss in ("logistic", "hinge"):
+        fit = pgd_minimizer(make_counterexample(0.05), make_loss(loss), 100.0,
+                            PGDConfig(max_iters=np.int64(2)))
+        assert fit.iterations <= 2
 
 
 def test_backtracking_does_not_converge_where_the_step_underflows():
@@ -625,6 +647,22 @@ def test_hinge_dual_drops_only_a_norm_within_its_rounding():
     assert minimizers._hinge_dual(w, yx, w, 1e12) == 1.0
     # a norm above that rounding is scaled by r as before
     assert minimizers._hinge_dual(w, yx, np.array([0.5, 0.0]), 2.0) == 0.5 - 2.0 * 0.5
+
+
+@pytest.mark.filterwarnings("error")
+def test_hinge_fit_where_the_dual_sum_squares_overflow():
+    # ||sum_i w_i y_i x_i||^2 leaves float64 but the norm does not; taken
+    # squared, the norm would be inf, within its own rounding bound inf,
+    # and D(1) = 1 would rise above the closed form's hinge value 0
+    dist = DiscreteDistribution([[1e200, 0.0], [0.0, 1e200]], [1, 1], [0.5, 0.5])
+    w = dist.weights
+    bound = minimizers._hinge_dual(w, minimizers._signed_rows(dist), w, 1.0)
+    assert bound == pytest.approx(1.0 - math.hypot(5e199, 5e199), rel=1e-15)
+    assert bound <= expected_loss(dist, HINGE, unhinged_minimizer(dist, 1.0).weights.v)
+    for fitted in (dist, _NoisyView(dist, 0.2)):
+        fit = pgd_minimizer(fitted, HINGE, 1.0)
+        assert fit.gap >= 0.0
+        assert fit.objective == expected_loss(fitted, HINGE, fit.weights.v)
 
 
 def test_hinge_fit_stops_where_rounding_leaves_no_step():
