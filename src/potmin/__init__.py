@@ -9,16 +9,13 @@ from .distributions import (DiscreteDistribution, MarginCertificate, certify_mar
                             corrupt_rcn, l1_margin, make_counterexample,
                             mean_label_feature, random_distribution)
 from .dynamics import Trajectory, cd_unhinged, gd_unhinged, label_sum
-from .loss_zoo import (CONVEX_POTENTIAL, LOSS_NAMES, NEITHER, RELAXED_ONLY,
-                       CheckResult, LossOverflowError, PotentialFunction,
-                       PredicateReport, check_def1, check_def3, default_grid,
-                       make_loss)
+from .loss_zoo import (LOSS_NAMES, CheckResult, LossOverflowError, PotentialFunction,
+                       PredicateReport, check_def1, make_loss)
 from .minimizers import FitResult, PGDConfig, WeightVector, pgd_minimizer, unhinged_minimizer
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONVEX_POTENTIAL",
     "DEFAULT_RAY_GRID",
     "CheckResult",
     "DiscreteDistribution",
@@ -26,11 +23,9 @@ __all__ = [
     "LOSS_NAMES",
     "LossOverflowError",
     "MarginCertificate",
-    "NEITHER",
     "PGDConfig",
     "PotentialFunction",
     "PredicateReport",
-    "RELAXED_ONLY",
     "RayProbe",
     "RobustnessReport",
     "Trajectory",
@@ -38,10 +33,8 @@ __all__ = [
     "cd_unhinged",
     "certify_margin",
     "check_def1",
-    "check_def3",
     "check_rcn_robustness",
     "corrupt_rcn",
-    "default_grid",
     "expected_loss",
     "gd_unhinged",
     "l1_margin",

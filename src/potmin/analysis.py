@@ -14,12 +14,11 @@ the distribution :func:`corrupt_rcn` materializes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (DiscreteDistribution, _NoisyView, _write_csv, corrupt_rcn,
+from .distributions import (DiscreteDistribution, _count, _NoisyView, _write_csv, corrupt_rcn,
                             random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
 from .minimizers import WeightVector, _per_atom, pgd_minimizer
@@ -92,9 +91,6 @@ class RobustnessReport:
             "minimizer_noisy": [float(c) for c in self.minimizer_noisy.v],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def check_rcn_robustness(dist: DiscreteDistribution, phi: PotentialFunction,
                          r: float, eta: float) -> RobustnessReport:
@@ -155,8 +151,7 @@ def slope_identity_fuzz(trials: int, seed: int, out_csv=None,
     and optionally writes them as CSV.  The campaign is deterministic in
     the seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _count("trials", trials)
     rng = np.random.default_rng(seed)
     rows = []
     for trial in range(trials):
@@ -204,9 +199,6 @@ class RayProbe:
             "bound_holds": self.bound_holds,
             "eventually_increasing": self.eventually_increasing,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,

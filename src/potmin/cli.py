@@ -385,7 +385,7 @@ def cmd_robust_check(args: argparse.Namespace) -> int:
     dist = _load_dist(args)
     phi = make_loss(args.loss)
     report = check_rcn_robustness(dist, phi, args.r, args.eta)
-    print(report.to_json(indent=2))
+    print(json.dumps(report.to_dict(), indent=2))
     _write_summary(args, args.experiment or "robust_check", report.to_dict())
     return 0 if report.robust else 1
 
@@ -408,7 +408,7 @@ def cmd_recession_probe(args: argparse.Namespace) -> int:
             raise ValueError("label centroid is zero; pass an explicit direction u")
         u = m / norm_m
     probe = recession_probe(dist, phi, args.eta, x0, u, args.lambdas)
-    print(probe.to_json(indent=2))
+    print(json.dumps(probe.to_dict(), indent=2))
     _write_summary(args, args.experiment or "recession_probe", probe.to_dict())
     print(f"bound {'PASS' if probe.bound_holds else 'FAIL'} "
           f"(min slack {probe.min_slack:.3e}); "

@@ -201,8 +201,11 @@ class DiscreteDistribution:
         if not np.all(np.abs(ys) == 1):
             raise ValueError("labels must be -1 or +1")
         ys = ys.astype(int)
-        if not np.all(np.isfinite(weights)) or not np.all(weights > 0):
-            raise ValueError("weights must be finite and strictly positive")
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"weights must be finite and strictly positive, "
+                             f"got {float(weights[i])!r} at atom {i}")
         xs, ys, weights = _merge_duplicates(xs, ys, weights)
         total = float(weights.sum())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
@@ -237,7 +240,10 @@ class DiscreteDistribution:
         d, table = _read_labeled_csv(path, ("y", "weight"), "header")
         if len(table) == 0:
             raise ValueError(f"{path}: distribution needs at least one atom")
-        return cls(table[:, :d], table[:, d].astype(int), table[:, d + 1])
+        try:
+            return cls(table[:, :d], table[:, d].astype(int), table[:, d + 1])
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,6 +261,13 @@ class MarginCertificate:
             raise ValueError(f"certificate requires margin >= 0, got {self.margin!r}")
         object.__setattr__(self, "separator", _readonly(w))
         object.__setattr__(self, "margin", float(self.margin))
+
+
+def _count(name: str, value) -> int:
+    """An integer of at least 1 (numpy integers too; bool and float are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
 
 
 def _noise_rate(eta) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _write_csv
+from .distributions import _count, _write_csv
 
 TIE_RULES = ("lowest-index", "report-all")
 
@@ -133,8 +133,7 @@ def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
     float64 raises ValueError naming it; iterates or losses that leave
     float64 raise ValueError naming the step and T.
     """
-    if T < 1:
-        raise ValueError("T must be at least 1")
+    T = _count("T", T)
     step = float(step)
     if not (step > 0 and np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -181,8 +180,7 @@ def cd_unhinged(xs, ys, T: int, tie_rule: str = "lowest-index",
     iterates or losses that leave float64 raise ValueError naming
     step_size and T.
     """
-    if T < 1:
-        raise ValueError("T must be at least 1")
+    T = _count("T", T)
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
     step_size = float(step_size)

@@ -3,25 +3,18 @@
 Five classic potentials ship with the package (exponential, mixed
 linear/exponential, logistic, hinge, unhinged).  Each is packaged as an
 immutable :class:`PotentialFunction` carrying vectorized ``eval``/``deriv``
-callables and a declared axiom class.  The predicates :func:`check_def1`
-and :func:`check_def3` test the two axiom systems on a finite grid and
-report a witness for every failing clause.
+callables.  The one predicate :func:`check_def1` tests the convex-potential
+axioms clause by clause on a fixed grid and reports a witness for every
+failing clause; its clauses (a)-(c) are the relaxed axioms, which drop the
+vanishing tail (d).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-# Axiom classes a loss can declare.
-CONVEX_POTENTIAL = "convex_potential"   # convex, nonincreasing, C1, phi'(0)<0, vanishing tail
-RELAXED_ONLY = "relaxed_only"           # as above minus the vanishing-tail clause
-NEITHER = "neither"
-
-_AXIOM_CLASSES = (CONVEX_POTENTIAL, RELAXED_ONLY, NEITHER)
 
 LOSS_NAMES = ("exponential", "mixed_linear_exponential", "logistic", "hinge", "unhinged")
 
@@ -79,14 +72,7 @@ class PotentialFunction:
     name: str
     eval: Callable
     deriv: Callable
-    axiom_class: str
     curv: Callable | None = None
-
-    def __post_init__(self):
-        if self.axiom_class not in _AXIOM_CLASSES:
-            raise ValueError(
-                f"axiom_class must be one of {_AXIOM_CLASSES}, got {self.axiom_class!r}"
-            )
 
     def __call__(self, z):
         return self.eval(z)
@@ -162,14 +148,14 @@ def _unhinged_deriv(z: np.ndarray) -> np.ndarray:
     return np.full_like(z, -1.0)
 
 
-# name -> (eval, deriv, axiom class, curv or None); exp(-z) is its own
-# second derivative, with eval's overflow rule
+# name -> (eval, deriv, curv or None); exp(-z) is its own second
+# derivative, with eval's overflow rule
 _REGISTRY = {
-    "exponential": (_exp_eval, _exp_deriv, CONVEX_POTENTIAL, _exp_eval),
-    "mixed_linear_exponential": (_mixed_eval, _mixed_deriv, CONVEX_POTENTIAL, _mixed_curv),
-    "logistic": (_logistic_eval, _logistic_deriv, CONVEX_POTENTIAL, _logistic_curv),
-    "hinge": (_hinge_eval, _hinge_deriv, NEITHER, None),
-    "unhinged": (_unhinged_eval, _unhinged_deriv, RELAXED_ONLY, None),
+    "exponential": (_exp_eval, _exp_deriv, _exp_eval),
+    "mixed_linear_exponential": (_mixed_eval, _mixed_deriv, _mixed_curv),
+    "logistic": (_logistic_eval, _logistic_deriv, _logistic_curv),
+    "hinge": (_hinge_eval, _hinge_deriv, None),
+    "unhinged": (_unhinged_eval, _unhinged_deriv, None),
 }
 
 
@@ -179,12 +165,12 @@ def make_loss(name: str) -> PotentialFunction:
     Raises ValueError for unknown names, listing the valid ones.
     """
     try:
-        ev, de, cls, cu = _REGISTRY[name]
+        ev, de, cu = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown loss {name!r}; valid names: {', '.join(LOSS_NAMES)}"
         ) from None
-    return PotentialFunction(name, _elementwise(ev), _elementwise(de), cls,
+    return PotentialFunction(name, _elementwise(ev), _elementwise(de),
                              None if cu is None else _elementwise(cu))
 
 
@@ -215,47 +201,19 @@ class PredicateReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {"loss": self.loss, "checks": [c.to_dict() for c in self.checks]}
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+
+# The predicate grid: [-50, 50] in steps of 0.25, which lands exactly on 0
+# and 1, as the C1 scan needs to expose the hinge kink.
+_GRID = np.linspace(-50.0, 50.0, 401)
+_GRID.setflags(write=False)
 
 
-def default_grid(count: int = 401, span: float = 50.0) -> np.ndarray:
-    """Evenly spaced predicate grid on [-span, span].
-
-    With the defaults the grid lands exactly on 0 and 1, which the C1
-    scan needs to expose the hinge kink.
-    """
-    return np.linspace(-span, span, count)
-
-
-def _validate_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 3:
-        raise ValueError("grid must be a 1-d array with at least 3 points")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("grid must be finite")
-    if not np.all(np.diff(g) > 0):
-        raise ValueError("grid must be strictly increasing")
-    if g[0] > -50.0 or g[-1] < 50.0:
-        raise ValueError("grid must span at least [-50, 50]")
-    if not np.any(g == 0.0):
-        raise ValueError("grid must contain 0")
-    return g
-
-
-def _convexity_check(phi: PotentialFunction, grid: np.ndarray) -> CheckResult:
+def _convexity_check(phi: PotentialFunction, vals: np.ndarray) -> CheckResult:
     # midpoint test over all grid pairs
-    vals = np.asarray(phi.eval(grid))
-    mids = 0.5 * (grid[:, None] + grid[None, :])
+    mids = 0.5 * (_GRID[:, None] + _GRID[None, :])
     excess = np.asarray(phi.eval(mids)) - 0.5 * (vals[:, None] + vals[None, :])
     worst = np.unravel_index(np.argmax(excess), excess.shape)
     worst_excess = float(excess[worst])
@@ -267,19 +225,18 @@ def _convexity_check(phi: PotentialFunction, grid: np.ndarray) -> CheckResult:
     )
 
 
-def _monotone_check(phi: PotentialFunction, grid: np.ndarray) -> CheckResult:
-    vals = np.asarray(phi.eval(grid))
+def _monotone_check(vals: np.ndarray) -> CheckResult:
     rises = np.diff(vals)
     i = int(np.argmax(rises))
     if rises[i] <= _MONOTONE_SLACK:
         return CheckResult("nonincreasing", True)
     return CheckResult(
         "nonincreasing", False,
-        witness_z=float(grid[i + 1]), witness_value=float(rises[i]),
+        witness_z=float(_GRID[i + 1]), witness_value=float(rises[i]),
     )
 
 
-def _slope_check(phi: PotentialFunction, grid: np.ndarray) -> CheckResult:
+def _slope_check(phi: PotentialFunction, vals: np.ndarray) -> CheckResult:
     """C1 smoothness across the grid plus a strictly negative slope at 0.
 
     Non-smoothness is witnessed by a mismatch between forward and
@@ -287,15 +244,14 @@ def _slope_check(phi: PotentialFunction, grid: np.ndarray) -> CheckResult:
     steep-but-smooth regions do not false-alarm.
     """
     h = _C1_STEP
-    vals = np.asarray(phi.eval(grid))
-    fwd = (np.asarray(phi.eval(grid + h)) - vals) / h
-    bwd = (vals - np.asarray(phi.eval(grid - h))) / h
+    fwd = (np.asarray(phi.eval(_GRID + h)) - vals) / h
+    bwd = (vals - np.asarray(phi.eval(_GRID - h))) / h
     gap = np.abs(fwd - bwd) - _C1_REL_MISMATCH * (1.0 + np.abs(fwd) + np.abs(bwd))
     i = int(np.argmax(gap))
     if gap[i] > 0:
         return CheckResult(
             "c1_negative_slope_at_zero", False,
-            witness_z=float(grid[i]), witness_value=float(fwd[i] - bwd[i]),
+            witness_z=float(_GRID[i]), witness_value=float(fwd[i] - bwd[i]),
         )
     d0 = float(phi.deriv(0.0))
     if not d0 < 0.0:
@@ -305,48 +261,38 @@ def _slope_check(phi: PotentialFunction, grid: np.ndarray) -> CheckResult:
     return CheckResult("c1_negative_slope_at_zero", True)
 
 
-def _tail_check(phi: PotentialFunction, grid: np.ndarray) -> CheckResult:
-    vals = np.asarray(phi.eval(grid))
+def _tail_check(vals: np.ndarray) -> CheckResult:
     tail = float(vals[-1])
     if tail >= _TAIL_THRESHOLD:
         return CheckResult(
             "vanishing_nonnegative_tail", False,
-            witness_z=float(grid[-1]), witness_value=tail,
+            witness_z=float(_GRID[-1]), witness_value=tail,
         )
     i = int(np.argmin(vals))
     if vals[i] < -_NONNEG_SLACK:
         return CheckResult(
             "vanishing_nonnegative_tail", False,
-            witness_z=float(grid[i]), witness_value=float(vals[i]),
+            witness_z=float(_GRID[i]), witness_value=float(vals[i]),
         )
     return CheckResult("vanishing_nonnegative_tail", True)
 
 
-def check_def1(phi: PotentialFunction, grid=None) -> PredicateReport:
-    """Test the full convex-potential axioms on a grid.
+def check_def1(phi: PotentialFunction) -> PredicateReport:
+    """Test the convex-potential axioms on the predicate grid, clause by clause.
 
     Clauses: (a) midpoint convexity on all grid pairs, (b) nonincreasing
     along the grid, (c) C1 smoothness with phi'(0) < 0, (d) a vanishing,
-    nonnegative tail.  Clause (d) is a finite proxy for the limit
-    condition: it requires phi(z_max) < 1e-6 and phi >= -1e-12 on the
-    grid, which classifies all shipped losses correctly.
+    nonnegative tail.  Clauses (a)-(c) alone are the relaxed axioms, which
+    the unhinged loss meets while failing (d).  Clause (d) is a finite
+    proxy for the limit condition: it requires phi(50) < 1e-6 and
+    phi >= -1e-12 on the grid, which classifies all shipped losses
+    correctly.
     """
-    g = _validate_grid(grid if grid is not None else default_grid())
+    vals = np.asarray(phi.eval(_GRID))
     checks = (
-        _convexity_check(phi, g),
-        _monotone_check(phi, g),
-        _slope_check(phi, g),
-        _tail_check(phi, g),
-    )
-    return PredicateReport(phi.name, checks)
-
-
-def check_def3(phi: PotentialFunction, grid=None) -> PredicateReport:
-    """Test the relaxed axioms: convexity, monotonicity, and slope only."""
-    g = _validate_grid(grid if grid is not None else default_grid())
-    checks = (
-        _convexity_check(phi, g),
-        _monotone_check(phi, g),
-        _slope_check(phi, g),
+        _convexity_check(phi, vals),
+        _monotone_check(vals),
+        _slope_check(phi, vals),
+        _tail_check(vals),
     )
     return PredicateReport(phi.name, checks)

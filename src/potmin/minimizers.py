@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _fold, _NoisyView, _rows, mean_label_feature
+from .distributions import (DiscreteDistribution, _count, _fold, _NoisyView, _rows,
+                            mean_label_feature)
 from .loss_zoo import LossOverflowError, PotentialFunction, _hinge_eval, _unhinged_eval
 
 _EPS = float(np.finfo(float).eps)
@@ -553,9 +554,7 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
     """
     r = _radius(r)
     cfg = cfg or PGDConfig()
-    if isinstance(cfg.max_iters, bool) or not isinstance(cfg.max_iters, (int, np.integer)) \
-            or cfg.max_iters < 1:
-        raise ValueError(f"max_iters must be an integer of at least 1, got {cfg.max_iters!r}")
+    _count("max_iters", cfg.max_iters)
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {cfg.tol!r}")
     kernel = inspect.unwrap(phi.eval)

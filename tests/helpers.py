@@ -3,8 +3,18 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from potmin import DiscreteDistribution
+from potmin import DiscreteDistribution, PotentialFunction
 from potmin import random_distribution  # noqa: F401  (re-exported for tests)
+
+
+def zero_curvature(z):
+    return np.zeros_like(z)
+
+
+# the unhinged loss 1 - z as a non-shipped kernel that declares phi'' = 0:
+# the shipped one takes its closed form, this one the H = 0 Newton fit
+LINEAR = PotentialFunction("linear", lambda z: 1.0 - z, lambda z: np.full_like(z, -1.0),
+                           zero_curvature)
 
 
 def random_probe_instance(rng):

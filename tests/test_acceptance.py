@@ -85,19 +85,21 @@ def test_criterion_3_slope_identity(tmp_path):
 
 def test_criterion_4_pgd_matches_closed_form():
     def body():
+        # the shipped unhinged loss would take the closed form itself, so
+        # the fit runs on its Newton stand-in LINEAR (1 - z, phi'' = 0)
         rng = np.random.default_rng(20260203)
-        phi = make_loss("unhinged")
         for _ in range(100):
             dist = helpers.random_distribution(rng, min_centroid_norm=0.05)
             oracle = unhinged_minimizer(dist, 1.0)
-            fit = pgd_minimizer(dist, phi, 1.0)
+            fit = pgd_minimizer(dist, helpers.LINEAR, 1.0)
+            assert fit.stop_reason == "gap" and fit.iterations <= 1
             assert abs(fit.objective - oracle.objective) <= 1e-6
             cos = float(fit.weights.v @ oracle.weights.v
                         / (np.linalg.norm(fit.weights.v)
                            * np.linalg.norm(oracle.weights.v)))
             assert float(np.arccos(np.clip(cos, -1.0, 1.0))) <= 1e-4
 
-    criterion(4, "the certified pgd route reaches the closed-form optimum", 30.0, body)
+    criterion(4, "the Newton fit of 1 - z reaches the closed-form optimum", 30.0, body)
 
 
 def test_criterion_5_gradient_descent_structure():

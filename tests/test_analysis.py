@@ -191,6 +191,12 @@ class TestSlopeIdentity:
                                  for v in row.values()])
         assert (tmp_path / "fuzz.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    @pytest.mark.parametrize("trials", [0, 2.5, True])
+    def test_fuzz_trials_must_be_an_integer_of_at_least_one(self, trials):
+        with pytest.raises(ValueError,
+                           match=f"trials must be an integer of at least 1, got {trials!r}"):
+            slope_identity_fuzz(trials, 0)
+
     def test_fuzz_campaign_deterministic_in_seed(self):
         assert slope_identity_fuzz(10, seed=5) == slope_identity_fuzz(10, seed=5)
 

@@ -77,6 +77,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             DiscreteDistribution([[1.0], [2.0]], [1, 1], [1.0, 0.0])
 
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, 0.5, 0.0], "got 0.0 at atom 2"),
+        ([0.5, -0.5, 1.0], "got -0.5 at atom 1"),
+        ([np.nan, 1.0, 0.0], "got nan at atom 0"),
+    ])
+    def test_bad_weight_names_its_atom(self, weights, message):
+        with pytest.raises(ValueError, match=f"strictly positive, {message}$"):
+            DiscreteDistribution([[1.0], [2.0], [3.0]], [1, 1, 1], weights)
+
     def test_labels_validated(self):
         with pytest.raises(ValueError, match="label"):
             DiscreteDistribution([[1.0]], [2], [1.0])
@@ -377,6 +386,18 @@ class TestCsv:
         path.write_text("x1,y,weight\n1.0,1,0.5\n2.0,1,0.4\n")
         with pytest.raises(ValueError, match="sum to 1"):
             DiscreteDistribution.from_csv(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("1.0,1,0.5\n2.0,1,0.4\n", "weights must sum to 1 within 1e-12, got 0.9"),
+        ("1.0,1,1.0\n2.0,1,0\n", "weights must be finite and strictly positive, "
+                                  "got 0.0 at atom 1"),
+    ], ids=["sum", "zero"])
+    def test_bad_weight_error_names_the_file(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,y,weight\n" + body)
+        with pytest.raises(ValueError) as err:
+            DiscreteDistribution.from_csv(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -327,6 +327,22 @@ class TestCoordinateDescent:
             cd_unhinged(xs, ys, 3, step_size=np.inf)
 
 
+@pytest.mark.parametrize("T", [0, 2.5, 2.0, True, "3"])
+@pytest.mark.parametrize("run", ["gd", "cd"])
+def test_step_count_must_be_an_integer_of_at_least_one(run, T):
+    xs, ys = [[1.0]], [1]
+    with pytest.raises(ValueError, match=f"T must be an integer of at least 1, got {T!r}"):
+        if run == "gd":
+            gd_unhinged(xs, ys, [0.0], 0.1, T)
+        else:
+            cd_unhinged(xs, ys, T)
+
+
+def test_step_count_may_be_a_numpy_integer():
+    assert gd_unhinged([[1.0]], [1], [0.0], 0.1, np.int64(3)).n_steps == 3
+    assert cd_unhinged([[1.0]], [1], np.int32(3)).n_steps == 3
+
+
 def reference_to_csv(traj, path):
     """The csv.writer row loop whose bytes Trajectory.to_csv must reproduce."""
     d = traj.dimension

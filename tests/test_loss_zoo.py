@@ -1,5 +1,6 @@
 """Loss values, derivatives, and the axiom predicates."""
 
+import dataclasses
 import json
 import math
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from potmin import (CONVEX_POTENTIAL, LOSS_NAMES, NEITHER, RELAXED_ONLY,
-                    LossOverflowError, PotentialFunction, check_def1,
-                    check_def3, default_grid, make_loss)
+import potmin
+from potmin import LOSS_NAMES, LossOverflowError, PotentialFunction, check_def1, make_loss
+from potmin.cli import run_loss_report
+from potmin.loss_zoo import _GRID
 
 ALL_LOSSES = [make_loss(name) for name in LOSS_NAMES]
 
@@ -22,7 +24,15 @@ def constant_one_loss():
     def de(z):
         return np.zeros(np.shape(z)) if np.ndim(z) else 0.0
 
-    return PotentialFunction("constant_one", ev, de, NEITHER)
+    return PotentialFunction("constant_one", ev, de)
+
+
+def failing_clauses(report):
+    return [c.name for c in report.checks if not c.passed]
+
+
+def clause(report, name):
+    return next(c for c in report.checks if c.name == name)
 
 
 SMOOTH_NAMES = ("exponential", "mixed_linear_exponential", "logistic")
@@ -83,15 +93,18 @@ class TestMakeLoss:
         assert phi(3.0) == 0.0
 
     def test_axiom_classes_match_table(self):
+        # the clauses each shipped loss fails, in clause order; the relaxed
+        # axioms are the first three clauses, so unhinged meets them and
+        # hinge does not
         expected = {
-            "exponential": CONVEX_POTENTIAL,
-            "mixed_linear_exponential": CONVEX_POTENTIAL,
-            "logistic": CONVEX_POTENTIAL,
-            "hinge": NEITHER,
-            "unhinged": RELAXED_ONLY,
+            "exponential": [],
+            "mixed_linear_exponential": [],
+            "logistic": [],
+            "hinge": ["c1_negative_slope_at_zero"],
+            "unhinged": ["vanishing_nonnegative_tail"],
         }
-        for name, cls in expected.items():
-            assert make_loss(name).axiom_class == cls
+        for name, failing in expected.items():
+            assert failing_clauses(check_def1(make_loss(name))) == failing
 
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match="unhinged"):
@@ -104,10 +117,6 @@ class TestMakeLoss:
             assert phi.deriv(z).shape == z.shape
         grid = np.array([[0.0, 1.0], [-1.0, 2.0]])
         assert make_loss("mixed_linear_exponential").eval(grid).shape == grid.shape
-
-    def test_bad_axiom_class_rejected(self):
-        with pytest.raises(ValueError, match="axiom_class"):
-            PotentialFunction("x", lambda z: z, lambda z: z, "sometimes")
 
 
 class TestDerivatives:
@@ -166,10 +175,8 @@ class TestDef1:
     def test_unhinged_fails_only_tail(self):
         report = check_def1(make_loss("unhinged"))
         assert not report.passed
-        assert report.check("midpoint_convexity").passed
-        assert report.check("nonincreasing").passed
-        assert report.check("c1_negative_slope_at_zero").passed
-        tail = report.check("vanishing_nonnegative_tail")
+        assert failing_clauses(report) == ["vanishing_nonnegative_tail"]
+        tail = clause(report, "vanishing_nonnegative_tail")
         assert not tail.passed
         assert tail.witness_z == 50.0
         assert tail.witness_value == -49.0
@@ -177,67 +184,82 @@ class TestDef1:
     def test_hinge_fails_smoothness_at_kink(self):
         report = check_def1(make_loss("hinge"))
         assert not report.passed
-        clause = report.check("c1_negative_slope_at_zero")
-        assert not clause.passed
-        assert clause.witness_z == 1.0
+        slope = clause(report, "c1_negative_slope_at_zero")
+        assert not slope.passed
+        assert slope.witness_z == 1.0
         # one-sided slopes -1 and 0 give a unit jump
-        assert clause.witness_value == pytest.approx(1.0, abs=1e-6)
+        assert slope.witness_value == pytest.approx(1.0, abs=1e-6)
         # hinge still has a vanishing nonnegative tail
-        assert report.check("vanishing_nonnegative_tail").passed
+        assert clause(report, "vanishing_nonnegative_tail").passed
 
     def test_verdicts_match_reference_table(self):
         verdicts = [check_def1(phi).passed for phi in ALL_LOSSES]
         assert verdicts == [True, True, True, False, False]
 
     def test_axiom_class_consistency(self):
-        for phi in ALL_LOSSES:
-            if phi.axiom_class == CONVEX_POTENTIAL:
-                assert check_def1(phi).passed
-            elif phi.axiom_class == RELAXED_ONLY:
-                assert check_def3(phi).passed
-                assert not check_def1(phi).passed
+        # every report lists all four clauses, in order, and the loss-report
+        # table reads its verdict and first failing clause from that report
+        for phi, row in zip(ALL_LOSSES, run_loss_report()[0], strict=True):
+            report = check_def1(phi)
+            assert [c.name for c in report.checks] == [
+                "midpoint_convexity", "nonincreasing", "c1_negative_slope_at_zero",
+                "vanishing_nonnegative_tail"]
+            assert row["loss"] == phi.name
+            assert row["verdict"] == ("Yes" if report.passed else "No")
+            assert row["failing_clause"] == next(iter(failing_clauses(report)), None)
 
 
 class TestDef3:
+    # the relaxed axioms are clauses (a)-(c) of check_def1
+    RELAXED = ("midpoint_convexity", "nonincreasing", "c1_negative_slope_at_zero")
+
+    def relaxed_failures(self, report):
+        return [n for n in failing_clauses(report) if n in self.RELAXED]
+
     def test_unhinged_passes(self):
-        assert check_def3(make_loss("unhinged")).passed
+        assert self.relaxed_failures(check_def1(make_loss("unhinged"))) == []
 
     def test_def1_losses_pass_the_weaker_predicate(self):
         for name in ("exponential", "mixed_linear_exponential", "logistic"):
-            assert check_def3(make_loss(name)).passed
+            assert self.relaxed_failures(check_def1(make_loss(name))) == []
 
     def test_constant_loss_fails_slope_clause(self):
-        report = check_def3(constant_one_loss())
-        clause = report.check("c1_negative_slope_at_zero")
-        assert not clause.passed
-        assert clause.witness_z == 0.0
-        assert clause.witness_value == 0.0
+        report = check_def1(constant_one_loss())
+        assert self.relaxed_failures(report) == ["c1_negative_slope_at_zero"]
+        slope = clause(report, "c1_negative_slope_at_zero")
+        assert slope.witness_z == 0.0
+        assert slope.witness_value == 0.0
 
     def test_hinge_fails_def3_too(self):
-        assert not check_def3(make_loss("hinge")).passed
+        assert self.relaxed_failures(check_def1(make_loss("hinge"))) == [
+            "c1_negative_slope_at_zero"]
 
 
 class TestGridValidation:
     def test_default_grid_contains_landmarks(self):
-        g = default_grid()
-        assert 0.0 in g and 1.0 in g
-        assert g[0] == -50.0 and g[-1] == 50.0
+        assert 0.0 in _GRID and 1.0 in _GRID
+        assert _GRID[0] == -50.0 and _GRID[-1] == 50.0
+        assert _GRID.size == 401 and not _GRID.flags.writeable
 
-    @pytest.mark.parametrize("grid", [
-        [0.0, 1.0, 2.0],                      # span too small
-        np.linspace(50, -50, 401),            # decreasing
-        np.linspace(-50, 50, 400),            # missing 0
-        [-50.0, -50.0, 0.0, 50.0],            # duplicate
-    ])
-    def test_bad_grids_rejected(self, grid):
-        with pytest.raises(ValueError):
-            check_def1(make_loss("exponential"), grid)
+
+def test_star_import_has_no_deleted_names():
+    namespace = {}
+    exec("from potmin import *", namespace)
+    assert set(potmin.__all__) <= set(namespace)
+    assert len(potmin.__all__) == 33
+    for name in ("check_def3", "default_grid", "CONVEX_POTENTIAL", "RELAXED_ONLY", "NEITHER"):
+        assert name not in namespace and not hasattr(potmin, name)
+    assert "axiom_class" not in {f.name for f in dataclasses.fields(PotentialFunction)}
+    assert not hasattr(potmin.loss_zoo, "_validate_grid")
+    for cls in (potmin.RobustnessReport, potmin.RayProbe, potmin.PredicateReport):
+        assert not hasattr(cls, "to_json")
+    assert not hasattr(potmin.PredicateReport, "check")
 
 
 class TestSerialization:
     def test_report_json_shape(self):
         report = check_def1(make_loss("unhinged"))
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["loss"] == "unhinged"
         assert len(data["checks"]) == 4
         for entry in data["checks"]:

