@@ -414,6 +414,8 @@ def random_distribution(rng: np.random.Generator, max_dim: int = 5,
     callers can keep clear of the degenerate-centroid regime (which has
     its own dedicated handling).
     """
+    max_dim = _count("max_dim", max_dim)
+    max_atoms = _count("max_atoms", max_atoms)
     while True:
         d = int(rng.integers(1, max_dim + 1))
         n = int(rng.integers(1, max_atoms + 1))

@@ -197,6 +197,14 @@ class TestSlopeIdentity:
                            match=f"trials must be an integer of at least 1, got {trials!r}"):
             slope_identity_fuzz(trials, 0)
 
+    @pytest.mark.parametrize("arg", ["max_dim", "max_atoms"])
+    @pytest.mark.parametrize("value", [0, 2.5, True])
+    def test_fuzz_sizes_must_be_integers_of_at_least_one(self, arg, value):
+        # checked before any draw, so the error names the argument
+        with pytest.raises(ValueError,
+                           match=f"{arg} must be an integer of at least 1, got {value!r}"):
+            slope_identity_fuzz(2, 0, **{arg: value})
+
     def test_fuzz_campaign_deterministic_in_seed(self):
         assert slope_identity_fuzz(10, seed=5) == slope_identity_fuzz(10, seed=5)
 

@@ -455,3 +455,17 @@ class TestCsv:
     def test_margins_helper(self):
         dist = make_counterexample(0.05)
         np.testing.assert_allclose(dist.margins([1.0, 0.0]), [1.0, 0.05, 0.05])
+
+
+class TestRandomDistribution:
+    @pytest.mark.parametrize("arg", ["max_dim", "max_atoms"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, np.float64(3.0)])
+    def test_sizes_must_be_integers_of_at_least_one(self, arg, value):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{arg} must be an integer of at least 1, got {value!r}")):
+            helpers.random_distribution(np.random.default_rng(0), **{arg: value})
+
+    def test_sizes_may_be_numpy_integers(self):
+        dist = helpers.random_distribution(np.random.default_rng(0), max_dim=np.int64(1),
+                                           max_atoms=np.int32(1))
+        assert dist.xs.shape == (1, 1)

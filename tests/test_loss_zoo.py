@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import potmin
 from potmin import LOSS_NAMES, LossOverflowError, PotentialFunction, check_def1, make_loss
 from potmin.cli import run_loss_report
-from potmin.loss_zoo import _GRID
+from potmin.loss_zoo import (_CONVEXITY_SLACK, _GRID, _MIDS, CheckResult, _monotone_check,
+                             _slope_check, _tail_check)
 
 ALL_LOSSES = [make_loss(name) for name in LOSS_NAMES]
 
@@ -240,6 +241,82 @@ class TestGridValidation:
         assert 0.0 in _GRID and 1.0 in _GRID
         assert _GRID[0] == -50.0 and _GRID[-1] == 50.0
         assert _GRID.size == 401 and not _GRID.flags.writeable
+
+    def test_midpoint_lattice_is_exact(self):
+        # clause (a) reads phi at the midpoint of grid pair (i, j) as
+        # phi(_MIDS[i + j]), which needs these identities bit for bit
+        np.testing.assert_array_equal(_GRID, np.linspace(-50.0, 50.0, 401))
+        np.testing.assert_array_equal(_GRID, _MIDS[::2])
+        idx = np.arange(_GRID.size)
+        mids = (_GRID[:, None] + _GRID[None, :]) / 2
+        assert np.array_equal(_MIDS[np.add.outer(idx, idx)], mids)
+        assert _MIDS.size == 801 and not _MIDS.flags.writeable
+
+
+def reference_convexity_check(phi, vals):
+    # the O(N^2) clause (a) as it stood before the midpoint lattice, verbatim
+    mids = 0.5 * (_GRID[:, None] + _GRID[None, :])
+    excess = np.asarray(phi.eval(mids)) - 0.5 * (vals[:, None] + vals[None, :])
+    worst = np.unravel_index(np.argmax(excess), excess.shape)
+    worst_excess = float(excess[worst])
+    if worst_excess <= _CONVEXITY_SLACK:
+        return CheckResult("midpoint_convexity", True)
+    return CheckResult(
+        "midpoint_convexity", False,
+        witness_z=float(mids[worst]), witness_value=worst_excess,
+    )
+
+
+def _custom(name, ev):
+    return PotentialFunction(name, ev, lambda z: np.zeros_like(z))
+
+
+NON_CONVEX_LOSSES = [
+    _custom("neg_square", lambda z: -z ** 2),
+    _custom("sine", np.sin),
+    _custom("neg_tanh", lambda z: -np.tanh(z)),
+    # concave kink at 0.3, off the grid and on no midpoint
+    _custom("concave_kink", lambda z: np.minimum(1.0 - z, 1.6 - 3.0 * z)),
+    # integer values: a staircase, convex at no scale below its steps
+    _custom("int_staircase", lambda z: np.floor(-z).astype(np.int64)),
+]
+REFERENCE_LOSSES = ALL_LOSSES + NON_CONVEX_LOSSES + [constant_one_loss()]
+
+
+class TestConvexityReference:
+    @pytest.mark.parametrize("phi", REFERENCE_LOSSES, ids=lambda p: p.name)
+    def test_report_matches_the_pairwise_reference_bit_for_bit(self, phi):
+        vals = np.asarray(phi.eval(_GRID))
+        expected = (
+            reference_convexity_check(phi, vals),
+            _monotone_check(vals),
+            _slope_check(phi, vals),
+            _tail_check(vals),
+        )
+        checks = check_def1(phi).checks
+        assert checks == expected
+        # == on floats would let -0.0 pass for 0.0
+        for got, want in zip(checks, expected, strict=True):
+            for field in ("witness_z", "witness_value"):
+                assert repr(getattr(got, field)) == repr(getattr(want, field))
+
+    def test_non_convex_losses_fail_clause_a(self):
+        for phi in NON_CONVEX_LOSSES:
+            assert not check_def1(phi).checks[0].passed, phi.name
+
+    @pytest.mark.parametrize("phi", REFERENCE_LOSSES, ids=lambda p: p.name)
+    def test_phi_is_evaluated_once_per_distinct_abscissa(self, phi):
+        # 801 midpoints plus the two C1 offset grids of 401 points; the
+        # pairwise clause (a) evaluated 160,801 midpoints on its own
+        seen = []
+
+        def counted(z):
+            seen.append(np.size(z))
+            return phi.eval(z)
+
+        report = check_def1(PotentialFunction(phi.name, counted, phi.deriv))
+        assert sum(seen) <= 1603
+        assert report == check_def1(phi)
 
 
 def test_star_import_has_no_deleted_names():
