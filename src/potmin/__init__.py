@@ -8,7 +8,7 @@ from .analysis import (RayProbe, RobustnessReport, check_rcn_robustness,
 from .distributions import (DiscreteDistribution, MarginCertificate, certify_margin,
                             corrupt_rcn, l1_margin, make_counterexample,
                             mean_label_feature, random_distribution)
-from .dynamics import Trajectory, cd_unhinged, gd_unhinged, label_sum
+from .dynamics import Trajectory, cd_unhinged, gd_unhinged
 from .loss_zoo import (LOSS_NAMES, CheckResult, LossOverflowError, PotentialFunction,
                        PredicateReport, check_def1, make_loss)
 from .minimizers import FitResult, PGDConfig, WeightVector, pgd_minimizer, unhinged_minimizer
@@ -38,7 +38,6 @@ __all__ = [
     "expected_loss",
     "gd_unhinged",
     "l1_margin",
-    "label_sum",
     "make_counterexample",
     "make_loss",
     "mean_label_feature",

@@ -21,7 +21,7 @@ import numpy as np
 from .distributions import (DiscreteDistribution, _count, _NoisyView, _write_csv, corrupt_rcn,
                             random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
-from .minimizers import WeightVector, _per_atom, pgd_minimizer
+from .minimizers import WeightVector, _per_atom, _scaled_norm, pgd_minimizer
 
 _ERROR_EQUALITY_TOL = 1e-12
 _BOUND_SLACK = 1e-9
@@ -228,7 +228,7 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
         raise ValueError(f"x0 and u must have shape ({dist.dimension},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
-    norm_u = float(np.linalg.norm(u))
+    norm_u = _scaled_norm(u)
     if not abs(norm_u - 1.0) <= _UNIT_NORM_TOL:
         raise ValueError(f"u must be a unit vector, got ||u|| = {norm_u!r}")
     lam = np.asarray(DEFAULT_RAY_GRID if lambdas is None else lambdas, dtype=float)

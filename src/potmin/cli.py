@@ -300,6 +300,8 @@ def run_dynamics(args: argparse.Namespace) -> int:
             "closed_form_residual_max": residual, "claim_ok": claim_ok,
         }
     else:
+        if args.v0 is not None:
+            raise ValueError("--v0 does not apply to --mode cd: coordinate descent starts at 0")
         step = 1.0 if args.step_size is None else float(args.step_size)
         traj = cd_unhinged(xs, ys, args.steps, args.tie_rule, step)
         # a coordinate is in some iterate's support iff its column has a nonzero

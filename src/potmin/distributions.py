@@ -227,6 +227,8 @@ class DiscreteDistribution:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dimension,):
             raise ValueError(f"v must have shape ({self.dimension},), got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError(f"v must be finite, got {v.tolist()}")
         return self.ys * (self.xs @ v)
 
     def to_csv(self, path) -> None:

@@ -28,18 +28,20 @@ class Trajectory:
     and the label-sum vector; entries at a zero iterate (or zero target)
     are NaN, a deliberate undefined marker rather than a fake 0.
     For coordinate descent, ``chosen_coords`` logs the coordinates
-    reported each round and ``step_signs`` the signed direction taken.
+    reported each round.
     """
 
     iterates: np.ndarray          # (T+1, d)
-    step_size: float
     loss_values: np.ndarray       # (T+1,)
     angles_to_target: np.ndarray  # (T+1,), NaN marks undefined
     target: np.ndarray            # (d,) sum_i y_i x_i
-    stationary: bool
     chosen_coords: tuple[tuple[int, ...], ...] | None = None
-    step_signs: tuple[int, ...] | None = None
     argmax_coords: tuple[int, ...] | None = None
+
+    @property
+    def stationary(self) -> bool:
+        """A zero label sum: the gradient vanishes and no step moves."""
+        return not np.any(self.target)
 
     @property
     def n_steps(self) -> int:
@@ -65,8 +67,12 @@ class Trajectory:
                     self.angles_to_target, chosen])
 
 
-def _check_sample(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a sample of rows xs (n, d) with labels ys; labels come back as floats."""
+def _sample(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a sample of rows xs (n, d) with labels ys; return xs as floats
+    and the label sum g = sum_i y_i x_i, the negated gradient of the total loss.
+
+    A label sum that leaves float64 raises ValueError naming it.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if ys.size == 0:
@@ -81,24 +87,39 @@ def _check_sample(xs, ys) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("sample coordinates must be finite")
     if not np.all(np.abs(ys) == 1.0):
         raise ValueError("labels must be -1 or +1")
-    return xs, ys
-
-
-def label_sum(xs, ys) -> np.ndarray:
-    """sum_i y_i x_i over the sample: the negated gradient of the total loss.
-
-    A sum that leaves float64 raises ValueError naming the label sum.
-    """
-    return _label_sum(*_check_sample(xs, ys))
-
-
-def _label_sum(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         g = (ys[:, None] * xs).sum(axis=0)
     if not np.all(np.isfinite(g)):
         raise ValueError(f"the sample's label sum sum_i y_i x_i leaves float64: {g.tolist()}")
-    return g
+    return xs, g
+
+
+def _positive_step(name: str, step) -> float:
+    step = float(step)
+    if not (step > 0 and np.isfinite(step)):
+        raise ValueError(f"{name} must be positive and finite, got {step!r}")
+    return step
+
+
+def _run(n: int, g: np.ndarray, v0, step: float, direction: np.ndarray, T: int,
+         method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Iterates v0 + step * t * direction for t = 0..T, and their total losses n - v.g.
+
+    The iterates are summed one step at a time (a cumulative sum), so
+    the closed form can be checked against them.  Iterates or losses
+    that leave float64 raise ValueError naming the method, step and T.
+    """
+    iterates = np.empty((T + 1, len(g)))
+    iterates[0] = v0
+    # an overflow is reported as the error below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        iterates[1:] = step * direction
+        np.cumsum(iterates, axis=0, out=iterates)
+        loss_values = n - iterates @ g
+    if not (np.all(np.isfinite(iterates)) and np.all(np.isfinite(loss_values))):
+        raise ValueError(f"{method} {step!r} leaves float64 within T = {T} steps")
+    return iterates, loss_values
 
 
 def _angles(iterates: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -126,42 +147,22 @@ def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
     """Run T gradient-descent updates of the total unhinged loss from v0.
 
     The sample is the rows of xs with labels ys.  The gradient is
-    constant, so iterate t must equal v0 + step * t * sum_i y_i x_i;
-    iterates are still summed one step at a time (a cumulative sum) so
-    that identity can be checked against them.  A zero label sum leaves
-    every iterate at v0 (stationary flag set).  A label sum that leaves
-    float64 raises ValueError naming it; iterates or losses that leave
-    float64 raise ValueError naming the step and T.
+    constant, so iterate t must equal v0 + step * t * sum_i y_i x_i.  A
+    zero label sum leaves every iterate at v0 (stationary flag set).  A
+    label sum that leaves float64 raises ValueError naming it; iterates
+    or losses that leave float64 raise ValueError naming the step and T.
     """
     T = _count("T", T)
-    step = float(step)
-    if not (step > 0 and np.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step!r}")
-    xs, ys = _check_sample(xs, ys)
+    step = _positive_step("step", step)
+    xs, g = _sample(xs, ys)
     v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (xs.shape[1],):
-        raise ValueError(f"v0 must have shape ({xs.shape[1]},), got {v0.shape}")
+    if v0.shape != g.shape:
+        raise ValueError(f"v0 must have shape {g.shape}, got {v0.shape}")
     if not np.all(np.isfinite(v0)):
         raise ValueError(f"v0 must be finite, got {v0.tolist()}")
-    g = _label_sum(xs, ys)
-    iterates = np.empty((T + 1, xs.shape[1]))
-    iterates[0] = v0
-    # an overflow is reported as the error below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        iterates[1:] = step * g
-        np.cumsum(iterates, axis=0, out=iterates)
-        loss_values = len(ys) - iterates @ g
-    if not (np.all(np.isfinite(iterates)) and np.all(np.isfinite(loss_values))):
-        raise ValueError(f"gradient descent with step {step!r} leaves float64 "
-                         f"within T = {T} steps")
-    return Trajectory(
-        iterates=iterates,
-        step_size=step,
-        loss_values=loss_values,
-        angles_to_target=_angles(iterates, g),
-        target=g,
-        stationary=not np.any(g != 0.0),
-    )
+    iterates, loss_values = _run(xs.shape[0], g, v0, step, g, T,
+                                 "gradient descent with step")
+    return Trajectory(iterates, loss_values, _angles(iterates, g), g)
 
 
 def cd_unhinged(xs, ys, T: int, tie_rule: str = "lowest-index",
@@ -171,48 +172,28 @@ def cd_unhinged(xs, ys, T: int, tie_rule: str = "lowest-index",
     The sample is the rows of xs with labels ys.  Each round picks j*
     maximizing |sum_i y_i x_ij| and moves that single coordinate by
     step_size in the descending direction.  The gradient is constant, so
-    the same coordinate (and sign) wins every round; the per-round log
-    records the winner, or the whole argmax set under the "report-all"
-    tie rule.  The update itself always takes the lowest argmax index,
-    keeping runs reproducible under ties.  A zero label sum has no
-    steepest coordinate and leaves every iterate at 0 (stationary flag
-    set).  A label sum that leaves float64 raises ValueError naming it;
-    iterates or losses that leave float64 raise ValueError naming
-    step_size and T.
+    the same coordinate (and sign) wins every round: the run is gradient
+    descent's, along sign(g_j*) e_j* from 0.  The per-round log records
+    the winner, or the whole argmax set under the "report-all" tie rule.
+    The update itself always takes the lowest argmax index, keeping runs
+    reproducible under ties.  A zero label sum has no steepest
+    coordinate and leaves every iterate at 0 (stationary flag set).  A
+    label sum that leaves float64 raises ValueError naming it; iterates
+    or losses that leave float64 raise ValueError naming step_size and T.
     """
     T = _count("T", T)
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
-    step_size = float(step_size)
-    if not (step_size > 0 and np.isfinite(step_size)):
-        raise ValueError(f"step_size must be positive and finite, got {step_size!r}")
-    xs, ys = _check_sample(xs, ys)
-    g = _label_sum(xs, ys)
-    iterates = np.zeros((T + 1, xs.shape[1]))
-    # an overflow is reported as the error below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        magnitudes = np.abs(g)
-        best = magnitudes.max()
-        argmax_set = tuple(np.flatnonzero(magnitudes == best).tolist()) if best > 0 else ()
-        sign = 0
-        if argmax_set:
-            sign = 1 if g[argmax_set[0]] > 0 else -1
-            column = iterates[:, argmax_set[0]]
-            column[1:] = sign * step_size
-            np.cumsum(column, out=column)
-        loss_values = len(ys) - iterates @ g
-    if not (np.all(np.isfinite(iterates)) and np.all(np.isfinite(loss_values))):
-        raise ValueError(f"coordinate descent with step_size {step_size!r} leaves float64 "
-                         f"within T = {T} steps")
+    step_size = _positive_step("step_size", step_size)
+    xs, g = _sample(xs, ys)
+    magnitudes = np.abs(g)
+    best = magnitudes.max()
+    argmax_set = tuple(np.flatnonzero(magnitudes == best).tolist()) if best > 0 else ()
+    direction = np.zeros_like(g)
+    if argmax_set:
+        direction[argmax_set[0]] = np.sign(g[argmax_set[0]])
+    iterates, loss_values = _run(xs.shape[0], g, 0.0, step_size, direction, T,
+                                 "coordinate descent with step_size")
     logged = argmax_set if tie_rule == "report-all" else argmax_set[:1]
-    return Trajectory(
-        iterates=iterates,
-        step_size=step_size,
-        loss_values=loss_values,
-        angles_to_target=_angles(iterates, g),
-        target=g,
-        stationary=not argmax_set,
-        chosen_coords=(logged,) * T,
-        step_signs=(sign,) * T,
-        argmax_coords=argmax_set,
-    )
+    return Trajectory(iterates, loss_values, _angles(iterates, g), g,
+                      chosen_coords=(logged,) * T, argmax_coords=argmax_set)

@@ -51,6 +51,12 @@ class TestExpectedLoss:
         assert err.value.atom_index == 0
         assert err.value.z == -800.0
 
+    @pytest.mark.parametrize("name", ["exponential", "unhinged"])
+    def test_non_finite_v_rejected(self, name):
+        # a NaN margin matches no atom's row of per-atom values
+        with pytest.raises(ValueError, match=r"v must be finite, got \[nan, 0.0\]"):
+            expected_loss(make_counterexample(0.05), make_loss(name), [np.nan, 0.0])
+
 
 class TestMisclassificationError:
     def test_centroid_misclassifies_heavy_point_below_threshold(self):
@@ -93,6 +99,12 @@ class TestMisclassificationError:
             base = misclassification_error(dist, v)
             for c in (0.1, 3.7, 100.0):
                 assert misclassification_error(dist, c * v) == base
+
+    @pytest.mark.parametrize("v", [[np.nan, 0.0], [np.inf, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_v_rejected(self, v):
+        # a NaN margin is not <= 0, so it would score as no error at all
+        with pytest.raises(ValueError, match="v must be finite"):
+            misclassification_error(make_counterexample(0.05), v)
 
     def test_boundary_counts_as_error_for_both_labels(self):
         dist = DiscreteDistribution([[1.0, 0.0], [1.0, 0.0]], [1, -1], [0.5, 0.5])
@@ -273,6 +285,11 @@ class TestRecessionProbe:
     def test_non_finite_input_rejected(self, x0, u, lambdas, match):
         with pytest.raises(ValueError, match=match):
             recession_probe(make_counterexample(0.1), LOGISTIC, 0.2, x0, u, lambdas)
+
+    def test_direction_whose_squares_overflow_rejected_without_warning(self):
+        # ||u|| is taken without squaring 1e200 into inf, which numpy warns of
+        with pytest.raises(ValueError, match=r"u must be a unit vector, got \|\|u\|\| = 1e\+200"):
+            recession_probe(make_counterexample(0.05), LOGISTIC, 0.1, [0.0, 0.0], [1e200, 0.0])
 
     def test_lambda_grid_validated(self):
         dist = make_counterexample(0.1)

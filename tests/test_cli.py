@@ -387,6 +387,21 @@ class TestDynamics:
             load_sample_csv(data)
         assert str(err.value) == message.format(path=data)
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_v0_under_coordinate_descent_exits_two(self, tmp_path, capsys, how):
+        # coordinate descent starts at 0; a start it would ignore is an error
+        out = tmp_path / "out"
+        if how == "flag":
+            argv = ["dynamics", "--mode", "cd", "--v0", "5", "5", "--steps", "3"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"mode": "cd", "v0": [5, 5], "steps": 3}))
+            argv = ["dynamics", "--config", str(cfg_path)]
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--v0" in err and "coordinate descent starts at 0" in err
+        assert not out.exists()
+
 
 class TestLossReport:
     def test_verdict_pattern_and_witnesses(self, tmp_path):

@@ -14,7 +14,7 @@ import helpers
 from potmin import (DiscreteDistribution, MarginCertificate, certify_margin, corrupt_rcn,
                     l1_margin, make_counterexample, mean_label_feature,
                     misclassification_error, unhinged_minimizer)
-from potmin.distributions import GAMMA_STAR, _merge_duplicates, _write_csv
+from potmin.distributions import GAMMA_STAR, _merge_duplicates, _NoisyView, _write_csv
 
 
 def reference_merge_duplicates(xs, ys, weights):
@@ -455,6 +455,13 @@ class TestCsv:
     def test_margins_helper(self):
         dist = make_counterexample(0.05)
         np.testing.assert_allclose(dist.margins([1.0, 0.0]), [1.0, 0.05, 0.05])
+
+    @pytest.mark.parametrize("v", [[np.nan, 0.0], [0.0, -np.inf]], ids=["nan", "inf"])
+    def test_margins_reject_non_finite_v(self, v):
+        dist = make_counterexample(0.05)
+        for view in (dist, _NoisyView(dist, 0.2)):
+            with pytest.raises(ValueError, match=re.escape(f"v must be finite, got {v}")):
+                view.margins(v)
 
 
 class TestRandomDistribution:

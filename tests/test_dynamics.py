@@ -8,10 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from potmin import cd_unhinged, gd_unhinged, label_sum
-from potmin.dynamics import _check_sample
+from potmin import cd_unhinged, gd_unhinged
 
 EPS = np.finfo(float).eps
+
+
+def reference_label_sum(xs, ys):
+    """sum_i y_i x_i on float arrays, the negated gradient of the total loss."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    return np.sum(ys[:, None] * xs, axis=0)
 
 
 def closed_form(v0, step, T, g):
@@ -55,7 +60,7 @@ OVERFLOWING_X = [[1e308], [1e308], [-1e308], [-1e308]]
 class TestGradientDescent:
     def test_iterates_match_closed_form(self):
         xs, ys = [[1.0, 0.5], [-0.25, 2.0], [0.5, -1.0]], [1, -1, 1]
-        g = label_sum(xs, ys)
+        g = reference_label_sum(xs, ys)
         traj = gd_unhinged(xs, ys, [0.125, -0.5], 2 ** -6, 200)
         residual = np.max(np.abs(traj.iterates - closed_form([0.125, -0.5], 2 ** -6, 200, g)))
         assert residual <= 1e-12
@@ -67,7 +72,7 @@ class TestGradientDescent:
             xs, ys = rng.uniform(-0.5, 0.5, (n, d)), rng.choice([-1, 1], n)
             v0 = rng.uniform(-0.5, 0.5, d)
             traj = gd_unhinged(xs, ys, v0, 2 ** -6, 200)
-            expected = closed_form(v0, 2 ** -6, 200, label_sum(xs, ys))
+            expected = closed_form(v0, 2 ** -6, 200, reference_label_sum(xs, ys))
             assert np.max(np.abs(traj.iterates - expected)) <= 1e-12
 
     def test_zero_start_stays_collinear(self):
@@ -154,10 +159,10 @@ class TestGradientDescent:
 
 class TestCheckSample:
     def test_valid(self):
-        xs, ys = _check_sample([[1.0, -2.0]], [-1])
-        assert xs.shape == (1, 2)
-        assert ys.dtype == float and ys.tolist() == [-1.0]
-        np.testing.assert_array_equal(label_sum([[1.0, -2.0]], [-1]), [-1.0, 2.0])
+        for traj in (gd_unhinged([[1.0, -2.0]], [-1], [0.0, 0.0], 0.1, 3),
+                     cd_unhinged([[1.0, -2.0]], [-1], 3)):
+            assert traj.iterates.shape == (4, 2)
+            np.testing.assert_array_equal(traj.target, [-1.0, 2.0])
 
     @pytest.mark.parametrize("xs,ys,match", [
         ([[1.0]], [0], "label"),
@@ -168,8 +173,7 @@ class TestCheckSample:
     ], ids=["label-0", "label-2", "inf", "d-0", "ragged"])
     def test_invalid_rejected(self, xs, ys, match):
         for run in (lambda: gd_unhinged(xs, ys, [0.0], 0.1, 3),
-                    lambda: cd_unhinged(xs, ys, 3),
-                    lambda: label_sum(xs, ys)):
+                    lambda: cd_unhinged(xs, ys, 3)):
             with pytest.raises(ValueError, match=match):
                 run()
 
@@ -177,10 +181,14 @@ class TestCheckSample:
         # summed without a numpy RuntimeWarning, which pytest makes an error
         message = "label sum sum_i y_i x_i leaves float64: [inf]"
         for xs in ([[1e308], [1e308]], OVERFLOWING_X):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                label_sum(xs, [1] * len(xs))
-        # a finite sum of rows past float max / 2 is returned as is
-        np.testing.assert_array_equal(label_sum([[1e308], [-1e308]], [1, 1]), [0.0])
+            for run in (lambda: gd_unhinged(xs, [1] * len(xs), [0.0], 0.1, 3),
+                        lambda: cd_unhinged(xs, [1] * len(xs), 3)):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    run()
+        # a finite sum of rows past float max / 2 is taken as is
+        for traj in (gd_unhinged([[1e308], [-1e308]], [1, 1], [0.0], 0.1, 3),
+                     cd_unhinged([[1e308], [-1e308]], [1, 1], 3)):
+            np.testing.assert_array_equal(traj.target, [0.0])
 
 
 class TestIncrementalReference:
@@ -194,7 +202,7 @@ class TestIncrementalReference:
         v0 = rng.normal(size=d)
         for step in (0.1, 1 / 3, 0.0137):
             traj = gd_unhinged(xs, ys, v0, step, T)
-            want = reference_gd_iterates(v0, step, T, label_sum(xs, ys))
+            want = reference_gd_iterates(v0, step, T, reference_label_sum(xs, ys))
             assert traj.iterates.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("T", [1, 7, 1000, 20_000])
@@ -202,7 +210,7 @@ class TestIncrementalReference:
         rng = np.random.default_rng(T + 1)
         n, d = 9, 4
         xs, ys = rng.uniform(-1, 1, (n, d)), rng.choice([-1, 1], n)
-        g = label_sum(xs, ys)
+        g = reference_label_sum(xs, ys)
         j_star = int(np.argmax(np.abs(g)))
         sign = 1 if g[j_star] > 0 else -1
         for step in (0.1, 1 / 3, 0.0137):
@@ -243,7 +251,7 @@ class TestCoordinateDescent:
         traj = cd_unhinged(xs, ys, 8)
         assert traj.argmax_coords == (0,)
         assert traj.chosen_coords == ((0,),) * 8
-        assert traj.step_signs == (1,) * 8
+        assert np.all(np.sign(traj.iterates[1:, 0]) == 1.0)
         np.testing.assert_array_equal(traj.iterates[8], [8.0, 0.0])
         for t in range(9):
             assert set(np.nonzero(traj.iterates[t])[0]) <= {0}
@@ -266,7 +274,7 @@ class TestCoordinateDescent:
         xs, ys = [[0.0, -5.0]], [1]
         traj = cd_unhinged(xs, ys, 3)
         assert traj.argmax_coords == (1,)
-        assert traj.step_signs == (-1,) * 3
+        assert np.all(np.sign(traj.iterates[1:, 1]) == -1.0)
         np.testing.assert_array_equal(traj.iterates[3], [0.0, -3.0])
 
     def test_support_contained_in_argmax_random(self):
@@ -306,7 +314,7 @@ class TestCoordinateDescent:
 
     def test_zero_gradient_takes_no_step(self):
         traj = cd_unhinged([[1.0, 2.0], [1.0, 2.0]], [1, -1], 3)
-        assert traj.step_signs == (0,) * 3
+        assert np.all(np.sign(traj.iterates[1:]) == 0.0)
         np.testing.assert_array_equal(traj.loss_values, [2.0] * 4)
 
     def test_zero_gradient_support_empty(self):

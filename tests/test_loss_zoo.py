@@ -323,8 +323,9 @@ def test_star_import_has_no_deleted_names():
     namespace = {}
     exec("from potmin import *", namespace)
     assert set(potmin.__all__) <= set(namespace)
-    assert len(potmin.__all__) == 33
-    for name in ("check_def3", "default_grid", "CONVEX_POTENTIAL", "RELAXED_ONLY", "NEITHER"):
+    assert len(potmin.__all__) == 32
+    for name in ("check_def3", "default_grid", "CONVEX_POTENTIAL", "RELAXED_ONLY", "NEITHER",
+                 "label_sum"):
         assert name not in namespace and not hasattr(potmin, name)
     assert "axiom_class" not in {f.name for f in dataclasses.fields(PotentialFunction)}
     assert not hasattr(potmin.loss_zoo, "_validate_grid")
