@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (DiscreteDistribution, _count, _NoisyView, _write_csv, corrupt_rcn,
-                            random_distribution)
+from .distributions import (DiscreteDistribution, _count, _NoisyView, _vector, _write_csv,
+                            corrupt_rcn, mean_label_feature, random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
 from .minimizers import WeightVector, _per_atom, _scaled_norm, pgd_minimizer
 
 _ERROR_EQUALITY_TOL = 1e-12
 _BOUND_SLACK = 1e-9
-_UNIT_NORM_TOL = 1e-12
 
 DEFAULT_RAY_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
                     128.0, 256.0, 512.0, 1024.0)
@@ -143,8 +142,7 @@ def slope_identity_residual(dist: DiscreteDistribution, eta: float, w) -> float:
     return abs(p_noisy - ((1.0 - 2.0 * eta) * p_clean + 2.0 * eta))
 
 
-def slope_identity_fuzz(trials: int, seed: int, out_csv=None,
-                        max_dim: int = 5, max_atoms: int = 10) -> list[dict]:
+def slope_identity_fuzz(trials: int, seed: int, out_csv=None) -> list[dict]:
     """Seeded fuzz campaign over (distribution, w, eta) triples.
 
     Returns one row per trial (trial, dimension, n_atoms, eta, residual)
@@ -155,7 +153,7 @@ def slope_identity_fuzz(trials: int, seed: int, out_csv=None,
     rng = np.random.default_rng(seed)
     rows = []
     for trial in range(trials):
-        dist = random_distribution(rng, max_dim=max_dim, max_atoms=max_atoms)
+        dist = random_distribution(rng)
         w = rng.normal(size=dist.dimension)
         eta = float(rng.uniform(0.01, 0.49))
         rows.append({
@@ -202,11 +200,12 @@ class RayProbe:
 
 
 def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
-                    eta: float, x0, u, lambdas=None) -> RayProbe:
+                    eta: float, x0=None, u=None, lambdas=None) -> RayProbe:
     """Evaluate the corrupted objective along x0 + lambda u against its bound.
 
-    Requires phi to pass the full convex-potential axioms and the ray
-    direction to have positive width E|u . x| > 0 under the clean
+    x0 defaults to the origin and u to the label centroid; u is divided by
+    its norm.  Requires phi to pass the full convex-potential axioms and
+    the ray direction to have positive width E|u . x| > 0 under the clean
     distribution; a zero-width direction is rejected because the
     objective simply does not vary along it (project it out instead).
     Each value is (1 - eta) E[phi(m)] + eta E[phi(-m)] at the clean
@@ -222,15 +221,13 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
             f"{phi.name!r} is not a convex potential (fails: {', '.join(failing)}); "
             "the recession bound does not apply"
         )
-    x0 = np.asarray(x0, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x0.shape != (dist.dimension,) or u.shape != (dist.dimension,):
-        raise ValueError(f"x0 and u must have shape ({dist.dimension},)")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    x0 = np.zeros(dist.dimension) if x0 is None else _vector("x0", x0, dist.dimension)
+    u = mean_label_feature(dist) if u is None else _vector("u", u, dist.dimension)
     norm_u = _scaled_norm(u)
-    if not abs(norm_u - 1.0) <= _UNIT_NORM_TOL:
-        raise ValueError(f"u must be a unit vector, got ||u|| = {norm_u!r}")
+    if not 0.0 < norm_u < np.inf:
+        raise ValueError(f"direction u (default: the label centroid) must be nonzero and "
+                         f"finite, got ||u|| = {norm_u!r}")
+    u = u / norm_u
     lam = np.asarray(DEFAULT_RAY_GRID if lambdas is None else lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 2:
         raise ValueError("lambdas must be a 1-d grid with at least 2 points")

@@ -1,12 +1,13 @@
 """Experiment harness: sweeps, dynamics dumps, and axiom reports as a CLI.
 
 Every CSV row an experiment emits is a straight transcription of library
-calls; the CLI adds bookkeeping and file output, never numerics of its
-own.  Each setting is one flag in ``_FLAGS``, default included; a JSON
-``--config`` sets only its subcommand's flag dests.  Settings resolve as
-default < config < flag, afresh in each ``main()`` call: the parser is
-built once per process and never changed, so nothing one call reads
-carries over to the next.
+calls; the CLI adds bookkeeping and file output, never numerics or input
+checks of its own.  Each setting is one flag in ``_FLAGS``, default
+included; a JSON ``--config`` sets only its subcommand's flag dests.
+Settings resolve as default < config < flag, afresh in each ``main()``
+call: the parser is built once per process and never changed.  A setting
+the run cannot use (``--gamma`` with ``--data``, ``--tie-rule`` under gd,
+``--v0`` under cd) has no default and exits 2.
 Exit codes: 0 success, 1 a checked claim failed, 2 invalid input.
 """
 
@@ -25,10 +26,10 @@ from . import svg
 from .analysis import (_robustness_sweep, check_rcn_robustness, expected_loss,
                        misclassification_error, recession_probe)
 from .distributions import (GAMMA_STAR, DiscreteDistribution, _read_labeled_csv,
-                            _write_csv, make_counterexample, mean_label_feature)
+                            _write_csv, make_counterexample)
 from .dynamics import TIE_RULES, cd_unhinged, gd_unhinged
 from .loss_zoo import LOSS_NAMES, check_def1, make_loss
-from .minimizers import _scaled_norm, unhinged_minimizer
+from .minimizers import unhinged_minimizer
 
 _DRIFT_TOL = 1e-12
 
@@ -43,8 +44,8 @@ _LOSS_TAGS = {
 
 _EXPECTED_VERDICTS = ("Yes", "Yes", "Yes", "No", "No")
 
-# Every subcommand flag with its add_argument keywords, default included;
-# a JSON config value for its dest must have the kind those keywords give.
+# Every subcommand flag with its add_argument keywords, default included (none
+# where it may not apply); a JSON config value must be of the kind they give.
 _FLAGS = {
     "--config": dict(help="JSON config; keys are this subcommand's flag dests"),
     "--out-dir": dict(default="out", help="output directory"),
@@ -58,13 +59,13 @@ _FLAGS = {
     "--r": dict(type=float, default=1.0, help="ball radius"),
     "--eta": dict(type=float, default=0.1),
     "--loss": dict(choices=list(LOSS_NAMES), default="unhinged"),
-    "--gamma": dict(type=float, default=0.05, help="construction parameter (without --data)"),
+    "--gamma": dict(type=float, help="construction parameter (without --data)"),
     "--data": dict(help="distribution CSV, or for dynamics a sample CSV (README: File formats)"),
     "--mode": dict(choices=["gd", "cd"], default="gd"),
     "--steps": dict(type=int, default=100),
     "--step-size": dict(type=float),
     "--v0": dict(type=float, nargs="+"),
-    "--tie-rule": dict(choices=list(TIE_RULES), default="lowest-index"),
+    "--tie-rule": dict(choices=list(TIE_RULES)),
     "--x0": dict(type=float, nargs="+"),
     "--u": dict(type=float, nargs="+"),
     "--lambdas": dict(type=float, nargs="+"),
@@ -168,10 +169,19 @@ def load_sample_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return table[:, :d], table[:, d]
 
 
+def _gamma(args: argparse.Namespace) -> float | None:
+    """The construction parameter (0.05 unless set), or None when --data names the input."""
+    if not args.data:
+        return 0.05 if args.gamma is None else args.gamma
+    if args.gamma is not None:
+        raise ValueError("--gamma does not apply with --data: the input is the file")
+    return None
+
+
 def _load_dist(args: argparse.Namespace) -> DiscreteDistribution:
-    if args.data:
-        return DiscreteDistribution.from_csv(args.data)
-    return make_counterexample(args.gamma)
+    gamma = _gamma(args)
+    return (DiscreteDistribution.from_csv(args.data) if gamma is None
+            else make_counterexample(gamma))
 
 
 def run_gamma_sweep(args: argparse.Namespace) -> int:
@@ -179,8 +189,6 @@ def run_gamma_sweep(args: argparse.Namespace) -> int:
     its clean error steps from 0.5 to 0.0 at the closed-form GAMMA_STAR."""
     name = args.experiment or "gamma_sweep"
     gammas = _grid(args, 0.01, 0.3, 30)
-    if gammas[0] <= 0.0 or gammas[-1] >= 1.0:
-        raise ValueError("gamma grid must lie inside (0, 1)")
     rows = []
     for gamma in gammas:
         dist = make_counterexample(float(gamma))
@@ -229,8 +237,6 @@ def run_eta_sweep(args: argparse.Namespace) -> int:
     """Robustness check across noise rates on a fixed distribution."""
     name = args.experiment or "eta_sweep"
     etas = _grid(args, 0.05, 0.45, 9)
-    if etas[0] <= 0.0 or etas[-1] >= 0.5:
-        raise ValueError("eta grid must lie inside (0, 1/2)")
     dist = _load_dist(args)
     phi = make_loss(args.loss)
     rows = []
@@ -257,7 +263,7 @@ def run_eta_sweep(args: argparse.Namespace) -> int:
         "loss": phi.name,
         "claim_ok": claim_ok,
         "r": args.r,
-        "source": args.data or f"counterexample(gamma={args.gamma})",
+        "source": args.data or f"counterexample(gamma={_gamma(args)})",
     })
     if args.plot:
         xs = [row["eta"] for row in rows]
@@ -279,12 +285,15 @@ def run_eta_sweep(args: argparse.Namespace) -> int:
 def run_dynamics(args: argparse.Namespace) -> int:
     """Dump a descent trajectory and verify its structural claim."""
     name = args.experiment or f"dynamics_{args.mode}"
-    xs, ys = load_sample_csv(args.data) if args.data else counterexample_sample(args.gamma)
-    d = xs.shape[1]
+    gamma = _gamma(args)
+    xs, ys = load_sample_csv(args.data) if gamma is None else counterexample_sample(gamma)
 
     if args.mode == "gd":
+        if args.tie_rule is not None:
+            raise ValueError("--tie-rule does not apply to --mode gd: "
+                             "gradient descent picks no coordinate")
         step = 0.1 if args.step_size is None else float(args.step_size)
-        v0 = np.zeros(d) if args.v0 is None else np.asarray(args.v0, dtype=float)
+        v0 = np.zeros(xs.shape[1]) if args.v0 is None else np.asarray(args.v0, dtype=float)
         traj = gd_unhinged(xs, ys, v0, step, args.steps)
         t = np.arange(traj.iterates.shape[0])
         closed = v0 + step * t[:, None] * traj.target
@@ -303,13 +312,14 @@ def run_dynamics(args: argparse.Namespace) -> int:
         if args.v0 is not None:
             raise ValueError("--v0 does not apply to --mode cd: coordinate descent starts at 0")
         step = 1.0 if args.step_size is None else float(args.step_size)
-        traj = cd_unhinged(xs, ys, args.steps, args.tie_rule, step)
+        tie_rule = args.tie_rule or TIE_RULES[0]
+        traj = cd_unhinged(xs, ys, args.steps, tie_rule, step)
         # a coordinate is in some iterate's support iff its column has a nonzero
         touched = np.flatnonzero(traj.iterates.any(axis=0))
         claim_ok = set(touched.tolist()) <= set(traj.argmax_coords)
         summary = {
             "experiment": name, "mode": "cd", "steps": args.steps,
-            "step_size": step, "tie_rule": args.tie_rule,
+            "step_size": step, "tie_rule": tie_rule,
             "stationary": traj.stationary,
             "argmax_coords": list(traj.argmax_coords),
             "support_ok": claim_ok, "claim_ok": claim_ok,
@@ -394,22 +404,8 @@ def cmd_robust_check(args: argparse.Namespace) -> int:
 
 def cmd_recession_probe(args: argparse.Namespace) -> int:
     dist = _load_dist(args)
-    phi = make_loss(args.loss)
-    d = dist.dimension
-    x0 = np.zeros(d) if args.x0 is None else np.asarray(args.x0, dtype=float)
-    if args.u is not None:
-        u = np.asarray(args.u, dtype=float)
-        norm_u = _scaled_norm(u)
-        if not 0.0 < norm_u < np.inf:
-            raise ValueError(f"direction u must be nonzero and finite, got ||u|| = {norm_u!r}")
-        u = u / norm_u
-    else:
-        m = mean_label_feature(dist)
-        norm_m = _scaled_norm(m)
-        if norm_m == 0.0:
-            raise ValueError("label centroid is zero; pass an explicit direction u")
-        u = m / norm_m
-    probe = recession_probe(dist, phi, args.eta, x0, u, args.lambdas)
+    probe = recession_probe(dist, make_loss(args.loss), args.eta, args.x0, args.u,
+                            args.lambdas)
     print(json.dumps(probe.to_dict(), indent=2))
     _write_summary(args, args.experiment or "recession_probe", probe.to_dict())
     print(f"bound {'PASS' if probe.bound_holds else 'FAIL'} "

@@ -97,10 +97,8 @@ def _read_labeled_csv(path, tail: tuple[str, ...], header_name: str):
         return d, np.empty((0, ncols))
     if table.shape[1] != ncols:
         raise _csv_error(path, d, ncols, f"expected {ncols} fields")
-    if not np.all(np.isfinite(table)):
-        raise _csv_error(path, d, ncols, "fields must be finite")
-    if not np.all(np.abs(table[:, d]) == 1.0):
-        raise _csv_error(path, d, ncols, "label must be -1 or 1")
+    if not (np.isfinite(table).all() and (np.abs(table[:, d]) == 1.0).all()):
+        raise _csv_error(path, d, ncols, "fields must be finite and labels -1 or 1")
     return d, table
 
 
@@ -184,22 +182,11 @@ class DiscreteDistribution:
     weights: np.ndarray  # (n,) probability masses
 
     def __post_init__(self):
-        xs = np.array(self.xs, dtype=float, ndmin=2)
-        ys = np.array(self.ys, dtype=float).reshape(-1)
+        xs, ys = _labeled_rows(np.array(self.xs, dtype=float, ndmin=2),
+                               np.array(self.ys, dtype=float).reshape(-1))
         weights = np.array(self.weights, dtype=float).reshape(-1)
-        n = len(ys)
-        if n == 0:
-            raise ValueError("distribution needs at least one atom")
-        if xs.ndim != 2:
-            raise ValueError(f"xs must be a 2-d array of atom rows, got ndim={xs.ndim}")
-        if xs.shape[0] != n or weights.shape[0] != n:
+        if weights.shape != ys.shape:
             raise ValueError("xs, ys, weights must agree in length")
-        if xs.shape[1] < 1:
-            raise ValueError("dimension must be at least 1")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("feature coordinates must be finite")
-        if not np.all(np.abs(ys) == 1):
-            raise ValueError("labels must be -1 or +1")
         ys = ys.astype(int)
         bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
         if bad.size:
@@ -224,12 +211,7 @@ class DiscreteDistribution:
 
     def margins(self, v) -> np.ndarray:
         """Per-atom classification margins y * (v . x)."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dimension,):
-            raise ValueError(f"v must have shape ({self.dimension},), got {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError(f"v must be finite, got {v.tolist()}")
-        return self.ys * (self.xs @ v)
+        return self.ys * (self.xs @ _vector("v", v, self.dimension))
 
     def to_csv(self, path) -> None:
         """Write as CSV with header x1,...,xd,y,weight (round-trip exact)."""
@@ -270,6 +252,47 @@ def _count(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     return int(value)
+
+
+def _positive(name: str, value) -> float:
+    """value as a float, rejected unless positive and finite."""
+    value = float(value)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _vector(name: str, v, d: int) -> np.ndarray:
+    """v as a float array of shape (d,), rejected unless every entry is finite."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (d,):
+        raise ValueError(f"{name} must have shape ({d},), got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite, got {v.tolist()}")
+    return v
+
+
+def _labeled_rows(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """xs as n >= 1 float rows of d >= 1 finite coordinates, and ys as their
+    float labels, each -1 or +1; an error names the first bad row's index."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if ys.size == 0:
+        raise ValueError("xs and ys must be nonempty")
+    if xs.ndim != 2 or xs.shape[1] < 1:
+        raise ValueError(f"xs must be a 2-d array of rows with d >= 1, got shape {xs.shape}")
+    if ys.shape != (xs.shape[0],):
+        raise ValueError(f"xs and ys must agree in length, got {xs.shape[0]} rows "
+                         f"and labels of shape {ys.shape}")
+    bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"coordinates must be finite, got {xs[i].tolist()} at row {i}")
+    bad = np.flatnonzero(np.abs(ys) != 1.0)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"labels must be -1 or +1, got {float(ys[i])!r} at row {i}")
+    return xs, ys
 
 
 def _noise_rate(eta) -> float:
@@ -356,7 +379,7 @@ def l1_margin(dist: DiscreteDistribution, w) -> float:
     This is the largest gamma for which no atom falls below gamma;
     negative when w misclassifies some atom.
     """
-    w = np.asarray(w, dtype=float)
+    w = _vector("w", w, dist.dimension)
     l1 = float(np.abs(w).sum())
     if l1 == 0.0:
         raise ValueError("w must be nonzero")
@@ -408,7 +431,6 @@ def mean_label_feature(dist: DiscreteDistribution | _NoisyView) -> np.ndarray:
 
 def random_distribution(rng: np.random.Generator, max_dim: int = 5,
                         max_atoms: int = 10, coord_scale: float = 1.0,
-                        min_weight: float = 0.05,
                         min_centroid_norm: float = 0.0) -> DiscreteDistribution:
     """Small random distribution for fuzz campaigns.
 
@@ -423,7 +445,7 @@ def random_distribution(rng: np.random.Generator, max_dim: int = 5,
         n = int(rng.integers(1, max_atoms + 1))
         xs = rng.uniform(-coord_scale, coord_scale, (n, d))
         ys = rng.choice([-1, 1], n)
-        w = rng.uniform(min_weight, 1.0, n)
+        w = rng.uniform(0.05, 1.0, n)   # weights at most 20:1 before normalizing
         dist = DiscreteDistribution(xs, ys, w / w.sum())
         if float(np.linalg.norm(mean_label_feature(dist))) >= min_centroid_norm:
             return dist

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _count, _write_csv
+from .distributions import _count, _labeled_rows, _positive, _vector, _write_csv
 
 TIE_RULES = ("lowest-index", "report-all")
 
@@ -73,33 +73,13 @@ def _sample(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
     A label sum that leaves float64 raises ValueError naming it.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if ys.size == 0:
-        raise ValueError("sample must be nonempty")
-    if xs.ndim != 2 or xs.shape[1] < 1:
-        raise ValueError(f"xs must be a 2-d array of sample rows with d >= 1, "
-                         f"got shape {xs.shape}")
-    if ys.shape != (xs.shape[0],):
-        raise ValueError(f"xs and ys must agree in length, got {xs.shape[0]} rows "
-                         f"and labels of shape {ys.shape}")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("sample coordinates must be finite")
-    if not np.all(np.abs(ys) == 1.0):
-        raise ValueError("labels must be -1 or +1")
+    xs, ys = _labeled_rows(xs, ys)
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         g = (ys[:, None] * xs).sum(axis=0)
     if not np.all(np.isfinite(g)):
         raise ValueError(f"the sample's label sum sum_i y_i x_i leaves float64: {g.tolist()}")
     return xs, g
-
-
-def _positive_step(name: str, step) -> float:
-    step = float(step)
-    if not (step > 0 and np.isfinite(step)):
-        raise ValueError(f"{name} must be positive and finite, got {step!r}")
-    return step
 
 
 def _run(n: int, g: np.ndarray, v0, step: float, direction: np.ndarray, T: int,
@@ -153,13 +133,9 @@ def gd_unhinged(xs, ys, v0, step: float, T: int) -> Trajectory:
     or losses that leave float64 raise ValueError naming the step and T.
     """
     T = _count("T", T)
-    step = _positive_step("step", step)
+    step = _positive("step", step)
     xs, g = _sample(xs, ys)
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != g.shape:
-        raise ValueError(f"v0 must have shape {g.shape}, got {v0.shape}")
-    if not np.all(np.isfinite(v0)):
-        raise ValueError(f"v0 must be finite, got {v0.tolist()}")
+    v0 = _vector("v0", v0, len(g))
     iterates, loss_values = _run(xs.shape[0], g, v0, step, g, T,
                                  "gradient descent with step")
     return Trajectory(iterates, loss_values, _angles(iterates, g), g)
@@ -184,7 +160,7 @@ def cd_unhinged(xs, ys, T: int, tie_rule: str = "lowest-index",
     T = _count("T", T)
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
-    step_size = _positive_step("step_size", step_size)
+    step_size = _positive("step_size", step_size)
     xs, g = _sample(xs, ys)
     magnitudes = np.abs(g)
     best = magnitudes.max()

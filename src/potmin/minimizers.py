@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (DiscreteDistribution, _count, _fold, _NoisyView, _rows,
-                            mean_label_feature)
+from .distributions import (DiscreteDistribution, _count, _fold, _NoisyView, _positive,
+                            _readonly, _rows, _vector, mean_label_feature)
 from .loss_zoo import LossOverflowError, PotentialFunction, _hinge_eval, _unhinged_eval
 
 _EPS = float(np.finfo(float).eps)
@@ -77,19 +77,14 @@ class WeightVector:
     radius_bound: float
 
     def __post_init__(self):
-        v = np.array(self.v, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ValueError("v must be a finite 1-d vector")
-        r = float(self.radius_bound)
-        if not r > 0:
-            raise ValueError(f"radius bound must be positive, got {r!r}")
+        v = _vector("v", np.array(self.v, dtype=float), np.size(self.v))
+        r = _positive("radius bound", self.radius_bound)
         # r m/||m|| and a projection onto the ball round relative to r
         norm = _norm(v)
         if norm > r + _BALL_SLACK * max(1.0, r):
             raise ValueError(f"||v|| = {norm!r} exceeds radius bound {r!r}")
         object.__setattr__(self, "radius_bound", r)
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", _readonly(v))
 
 
 @dataclass(frozen=True)
@@ -131,14 +126,6 @@ class FitResult:
         }
 
 
-def _radius(r) -> float:
-    """r as a float, rejected unless positive and finite."""
-    r = float(r)
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError(f"radius must be positive and finite, got {r!r}")
-    return r
-
-
 def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> FitResult:
     """Closed-form ball minimizer of the expected unhinged loss.
 
@@ -149,7 +136,7 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     Under a noise view m is the noisy centroid
     sum_i ((1 - eta) w_i - eta w_i) y_i x_i, folded atom by atom.
     """
-    r = _radius(r)
+    r = _positive("radius", r)
     m = mean_label_feature(dist)
     norm_m = _scaled_norm(m)
     if norm_m <= _DEGENERATE_CENTROID_TOL:
@@ -552,7 +539,7 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
     setting out of range.  The name is kept from the projected gradient
     descent these fits replaced.
     """
-    r = _radius(r)
+    r = _positive("radius", r)
     cfg = cfg or PGDConfig()
     _count("max_iters", cfg.max_iters)
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0):

@@ -245,6 +245,30 @@ class TestEtaSweep:
                      "--grid-start", "0.1", "--grid-stop", "0.6"])
         assert code == 2
 
+    def test_plot_draws_clean_and_noisy_errors(self, tmp_path):
+        assert main(["eta-sweep", "--out-dir", str(tmp_path), "--grid-count", "3",
+                     "--plot"]) == 0
+        svg_path = tmp_path / "eta_sweep.svg"
+        body = svg_path.read_text()
+        assert body.startswith("<svg")
+        assert "href" not in body       # no external assets
+        lines = ElementTree.parse(svg_path).findall("{http://www.w3.org/2000/svg}polyline")
+        assert len(lines) == 2
+        assert all(len(line.get("points").split()) == 3 for line in lines)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gamma-sweep", "--grid-start", "0.5", "--grid-stop", "1.5"],
+     "gamma must lie in (0, 1), got "),
+    (["eta-sweep", "--grid-start", "0.1", "--grid-stop", "0.6"],
+     "noise rate must satisfy 0 < eta < 1/2, got "),
+], ids=["gamma", "eta"])
+def test_grid_outside_the_library_range_exits_two(tmp_path, capsys, argv, message):
+    # the library rejects the first grid point out of range, before any write
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 class TestDynamics:
     def test_gd_builtin_sample(self, tmp_path):
@@ -359,6 +383,21 @@ class TestDynamics:
         assert code == 2
         assert f"{data}:3: field 1 is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, message", [
+        ("0.5,1\nnan,1\n", "{data}:3: field 1 is not finite: 'nan'"),
+        ("0.5,1\n2.0,0\n", "{data}:3: label must be -1 or 1, got 0"),
+    ], ids=["nan", "label"])
+    @pytest.mark.parametrize("mode", ["gd", "cd"])
+    def test_bad_sample_row_exits_two_naming_its_line(self, tmp_path, capsys, mode, body,
+                                                      message):
+        # the reader names the file line before the library's row check runs
+        data = tmp_path / "sample.csv"
+        data.write_text("x1,y\n" + body)
+        out = tmp_path / "out"
+        assert main(["dynamics", "--mode", mode, "--data", str(data), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
+        assert not out.exists()
+
     def test_counterexample_sample_matches_distribution(self):
         xs, ys = counterexample_sample(0.05)
         assert len(xs) == 4
@@ -401,6 +440,50 @@ class TestDynamics:
         err = capsys.readouterr().err
         assert "--v0" in err and "coordinate descent starts at 0" in err
         assert not out.exists()
+
+
+class TestInapplicableFlags:
+    """A flag or config key the run cannot use exits 2 and writes nothing."""
+
+    @staticmethod
+    def run(tmp_path, argv, how, settings):
+        if how == "flag":
+            for key, value in settings.items():
+                argv = [*argv, "--" + key.replace("_", "-"), str(value)]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(settings))
+            argv = [*argv, "--config", str(cfg_path)]
+        return main([*argv, "--out-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_tie_rule_under_gradient_descent_exits_two(self, tmp_path, capsys, how):
+        argv = ["dynamics", "--mode", "gd", "--steps", "2"]
+        assert self.run(tmp_path, argv, how, {"tie_rule": "report-all"}) == 2
+        assert "--tie-rule does not apply to --mode gd" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["eta-sweep", "dynamics", "robust-check",
+                                         "recession-probe"])
+    def test_gamma_with_data_exits_two(self, tmp_path, capsys, command, how):
+        data = tmp_path / "data.csv"
+        if command == "dynamics":
+            data.write_text("x1,y\n0.5,1\n")
+        else:
+            make_counterexample(0.2).to_csv(data)
+        argv = [command, "--data", str(data)]
+        assert self.run(tmp_path, argv, how, {"gamma": 0.3}) == 2
+        assert "--gamma does not apply with --data" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unset_flags_resolve_to_their_defaults(self, tmp_path):
+        assert main(["eta-sweep", "--grid-count", "2", "--out-dir", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "eta_sweep_summary.json")["source"] == (
+            "counterexample(gamma=0.05)")
+        assert main(["dynamics", "--mode", "cd", "--steps", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "dynamics_cd_summary.json")["tie_rule"] == "lowest-index"
 
 
 class TestLossReport:

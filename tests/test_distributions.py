@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from potmin import (DiscreteDistribution, MarginCertificate, certify_margin, corrupt_rcn,
-                    l1_margin, make_counterexample, mean_label_feature,
-                    misclassification_error, unhinged_minimizer)
+from potmin import (DiscreteDistribution, MarginCertificate, cd_unhinged, certify_margin,
+                    corrupt_rcn, gd_unhinged, l1_margin, make_counterexample,
+                    mean_label_feature, misclassification_error, unhinged_minimizer)
 from potmin.distributions import GAMMA_STAR, _merge_duplicates, _NoisyView, _write_csv
 
 
@@ -307,6 +307,15 @@ class TestL1Margin:
         with pytest.raises(ValueError, match="nonzero"):
             l1_margin(make_counterexample(0.1), [0.0, 0.0])
 
+    @pytest.mark.parametrize("w, message", [
+        ([np.nan, 0.0], "w must be finite, got [nan, 0.0]"),
+        ([1.0, 0.0, 0.0], "w must have shape (2,), got (3,)"),
+    ], ids=["nan", "shape"])
+    def test_bad_vector_named_w(self, w, message):
+        for call in (l1_margin, certify_margin):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(make_counterexample(0.1), w)
+
 
 class TestMarginCertificate:
     def test_separating_direction_certified(self):
@@ -476,3 +485,27 @@ class TestRandomDistribution:
         dist = helpers.random_distribution(np.random.default_rng(0), max_dim=np.int64(1),
                                            max_atoms=np.int32(1))
         assert dist.xs.shape == (1, 1)
+
+
+@pytest.mark.parametrize("xs, ys, message", [
+    ([], [], "xs and ys must be nonempty"),
+    (np.ones((1, 2, 2)), [1], "xs must be a 2-d array of rows with d >= 1, got shape (1, 2, 2)"),
+    (np.empty((2, 0)), [1, 1], "xs must be a 2-d array of rows with d >= 1, got shape (2, 0)"),
+    ([[1.0], [2.0]], [1], "xs and ys must agree in length, got 2 rows and labels of shape (1,)"),
+    ([[1.0, 2.0], [np.inf, 0.0], [np.nan, 0.0]], [1, 1, 1],
+     "coordinates must be finite, got [inf, 0.0] at row 1"),
+    ([[1.0], [2.0], [3.0]], [1, -1, 0], "labels must be -1 or +1, got 0.0 at row 2"),
+    ([[1.0], [2.0]], [1, np.nan], "labels must be -1 or +1, got nan at row 1"),
+], ids=["empty", "3-d", "d-0", "ragged", "non-finite", "label-0", "label-nan"])
+@pytest.mark.parametrize("entry", ["distribution", "gd", "cd"])
+def test_one_row_check_names_the_bad_row(entry, xs, ys, message):
+    # distributions and the descents share one check of labeled rows
+    run = {
+        "distribution": lambda: DiscreteDistribution(xs, ys,
+                                                     np.full(len(ys), 1.0 / max(len(ys), 1))),
+        "gd": lambda: gd_unhinged(xs, ys, [0.0], 0.1, 3),
+        "cd": lambda: cd_unhinged(xs, ys, 3),
+    }[entry]
+    with pytest.raises(ValueError) as err:
+        run()
+    assert str(err.value) == message
