@@ -3,7 +3,9 @@
 Every CSV row an experiment emits is a straight transcription of library
 calls; the CLI adds bookkeeping and file output, never numerics or input
 checks of its own.  Each setting is one flag in ``_FLAGS``, default
-included; a JSON ``--config`` sets only its subcommand's flag dests.
+included, except ``--loss``: its default depends on the subcommand
+(``unhinged``, or ``logistic`` for recession-probe) and is resolved where
+it is read.  A JSON ``--config`` sets only its subcommand's flag dests.
 Settings resolve as default < config < flag, afresh in each ``main()``
 call: the parser is built once per process and never changed.  A setting
 the run cannot use (``--gamma`` with ``--data``, ``--tie-rule`` under gd,
@@ -45,7 +47,8 @@ _LOSS_TAGS = {
 _EXPECTED_VERDICTS = ("Yes", "Yes", "Yes", "No", "No")
 
 # Every subcommand flag with its add_argument keywords, default included (none
-# where it may not apply); a JSON config value must be of the kind they give.
+# where it may not apply, or where the subcommand picks it); a JSON config value
+# must be of the kind they give.
 _FLAGS = {
     "--config": dict(help="JSON config; keys are this subcommand's flag dests"),
     "--out-dir": dict(default="out", help="output directory"),
@@ -58,7 +61,8 @@ _FLAGS = {
     "--spacing": dict(dest="grid_spacing", choices=["linear", "log"], default="linear"),
     "--r": dict(type=float, default=1.0, help="ball radius"),
     "--eta": dict(type=float, default=0.1),
-    "--loss": dict(choices=list(LOSS_NAMES), default="unhinged"),
+    "--loss": dict(choices=list(LOSS_NAMES),
+                   help="margin loss (default unhinged; logistic for recession-probe)"),
     "--gamma": dict(type=float, help="construction parameter (without --data)"),
     "--data": dict(help="distribution CSV, or for dynamics a sample CSV (README: File formats)"),
     "--mode": dict(choices=["gd", "cd"], default="gd"),
@@ -163,9 +167,8 @@ def counterexample_sample(gamma: float) -> tuple[np.ndarray, np.ndarray]:
 
 def load_sample_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Load an unweighted sample (xs, ys): header x1,...,xd,y, one point per row."""
-    d, table = _read_labeled_csv(path, ("y",), "sample header")
-    if len(table) == 0:
-        raise ValueError(f"{path}: no sample rows")
+    with open(path) as fh:
+        d, table = _read_labeled_csv(fh, path, ("y",), "sample header")
     return table[:, :d], table[:, d]
 
 
@@ -238,7 +241,7 @@ def run_eta_sweep(args: argparse.Namespace) -> int:
     name = args.experiment or "eta_sweep"
     etas = _grid(args, 0.05, 0.45, 9)
     dist = _load_dist(args)
-    phi = make_loss(args.loss)
+    phi = make_loss(args.loss or "unhinged")
     rows = []
     for report in _robustness_sweep(dist, phi, args.r, etas):
         v = report.minimizer_noisy.v
@@ -395,7 +398,7 @@ def cmd_loss_report(args: argparse.Namespace) -> int:
 
 def cmd_robust_check(args: argparse.Namespace) -> int:
     dist = _load_dist(args)
-    phi = make_loss(args.loss)
+    phi = make_loss(args.loss or "unhinged")
     report = check_rcn_robustness(dist, phi, args.r, args.eta)
     print(json.dumps(report.to_dict(), indent=2))
     _write_summary(args, args.experiment or "robust_check", report.to_dict())
@@ -404,7 +407,8 @@ def cmd_robust_check(args: argparse.Namespace) -> int:
 
 def cmd_recession_probe(args: argparse.Namespace) -> int:
     dist = _load_dist(args)
-    probe = recession_probe(dist, make_loss(args.loss), args.eta, args.x0, args.u,
+    # the unhinged loss is no convex potential, so the probe's bound needs another
+    probe = recession_probe(dist, make_loss(args.loss or "logistic"), args.eta, args.x0, args.u,
                             args.lambdas)
     print(json.dumps(probe.to_dict(), indent=2))
     _write_summary(args, args.experiment or "recession_probe", probe.to_dict())

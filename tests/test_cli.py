@@ -416,7 +416,7 @@ class TestDynamics:
     @pytest.mark.parametrize("body,message", [
         ("0.5,1\n\n2.0,2\n", "{path}:4: label must be -1 or 1, got 2"),
         ("0.5,1\n2.0\n", "{path}:3: expected 2 fields, got 1"),
-        ("\n", "{path}: no sample rows"),
+        ("\n", "{path}: no data rows"),
         ("0.5,1\nnan,1\n", "{path}:3: field 1 is not finite: 'nan'"),
     ])
     def test_load_sample_errors_name_the_line(self, tmp_path, body, message):
@@ -536,6 +536,16 @@ class TestRecessionProbe:
             (tmp_path / "recession_probe_summary.json").read_text())
         assert payload["bound_holds"] is True
         assert payload["lambdas"][-1] == 1024.0
+
+    def test_default_loss_is_logistic(self, tmp_path, capsys):
+        # the subcommand's own default: unhinged, the others', is no convex potential
+        assert main(["recession-probe", "--out-dir", str(tmp_path / "default")]) == 0
+        default = capsys.readouterr().out
+        assert main(["recession-probe", "--loss", "logistic",
+                     "--out-dir", str(tmp_path / "logistic")]) == 0
+        assert capsys.readouterr().out == default
+        assert ((tmp_path / "default" / "recession_probe_summary.json").read_bytes()
+                == (tmp_path / "logistic" / "recession_probe_summary.json").read_bytes())
 
     def test_unhinged_probe_is_invalid_input(self, tmp_path):
         assert main(["recession-probe", "--loss", "unhinged",

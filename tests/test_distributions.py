@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import re
 import warnings
 
@@ -14,6 +15,7 @@ import helpers
 from potmin import (DiscreteDistribution, MarginCertificate, cd_unhinged, certify_margin,
                     corrupt_rcn, gd_unhinged, l1_margin, make_counterexample,
                     mean_label_feature, misclassification_error, unhinged_minimizer)
+from potmin import distributions
 from potmin.distributions import GAMMA_STAR, _merge_duplicates, _NoisyView, _write_csv
 
 
@@ -458,7 +460,7 @@ class TestCsv:
         path.write_text("x1,y,weight\n" + body)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="at least one atom"):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: no data rows")):
                 DiscreteDistribution.from_csv(path)
 
     def test_margins_helper(self):
@@ -471,6 +473,115 @@ class TestCsv:
         for view in (dist, _NoisyView(dist, 0.2)):
             with pytest.raises(ValueError, match=re.escape(f"v must be finite, got {v}")):
                 view.margins(v)
+
+
+class TestCsvCache:
+    """from_csv hands out the last distribution it built only for the same bytes."""
+
+    A = "x1,y,weight\n1.0,1,0.5\n2.0,-1,0.5\n"
+    B = "x1,y,weight\n3.0,1,0.5\n4.0,-1,0.5\n"   # as long as A
+
+    @pytest.fixture(autouse=True)
+    def parses(self, monkeypatch):
+        """The paths _read_labeled_csv parses, from an empty cache."""
+        monkeypatch.setattr(distributions, "_last_csv", None)
+        calls = []
+        read = distributions._read_labeled_csv
+
+        def counted(fh, path, *args):
+            calls.append(path)
+            return read(fh, path, *args)
+
+        monkeypatch.setattr(distributions, "_read_labeled_csv", counted)
+        return calls
+
+    @staticmethod
+    def rewrite(path, text):
+        """Write text over path keeping its mtime, as a rewrite within one clock tick can."""
+        st = os.stat(path)
+        path.write_text(text)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert os.stat(path).st_size == st.st_size
+
+    def test_same_bytes_give_the_same_object_without_a_parse(self, tmp_path, parses):
+        path, copy = tmp_path / "a.csv", tmp_path / "copy.csv"
+        path.write_text(self.A)
+        copy.write_text(self.A)
+        first = DiscreteDistribution.from_csv(path)
+        assert DiscreteDistribution.from_csv(path) is first
+        assert DiscreteDistribution.from_csv(copy) is first
+        assert parses == [path]
+
+    def test_rewrite_keeping_size_and_mtime_loads_the_new_bytes(self, tmp_path, parses):
+        path = tmp_path / "a.csv"
+        path.write_text(self.A)
+        assert DiscreteDistribution.from_csv(path).xs[:, 0].tolist() == [1.0, 2.0]
+        self.rewrite(path, self.B)
+        assert DiscreteDistribution.from_csv(path).xs[:, 0].tolist() == [3.0, 4.0]
+        assert parses == [path, path]
+
+    def test_file_replaced_by_rename_loads_the_new_bytes(self, tmp_path, parses):
+        path, new = tmp_path / "a.csv", tmp_path / "new.csv"
+        path.write_text(self.A)
+        new.write_text(self.B)
+        os.utime(new, ns=(os.stat(path).st_atime_ns, os.stat(path).st_mtime_ns))
+        assert DiscreteDistribution.from_csv(path).xs[:, 0].tolist() == [1.0, 2.0]
+        os.replace(new, path)
+        assert DiscreteDistribution.from_csv(path).xs[:, 0].tolist() == [3.0, 4.0]
+        assert parses == [path, path]
+
+    def test_write_during_the_parse_is_not_stored(self, tmp_path, monkeypatch, parses):
+        path = tmp_path / "a.csv"
+        path.write_text(self.A)
+        # the file's last change lies in the past, so the write below moves its
+        # mtime whatever the tick of the file system's clock
+        os.utime(path, ns=(0, 0))
+        read = distributions._read_labeled_csv
+
+        def racing(fh, *args):
+            # A was hashed; B, of the same size, is what the parse reads
+            with open(path, "r+") as other:
+                other.write(self.B)
+            return read(fh, *args)
+
+        monkeypatch.setattr(distributions, "_read_labeled_csv", racing)
+        assert DiscreteDistribution.from_csv(path).xs[:, 0].tolist() == [3.0, 4.0]
+        assert distributions._last_csv is None
+        monkeypatch.setattr(distributions, "_read_labeled_csv", read)
+        # an entry under A's digest would hand out B's atoms here
+        self.rewrite(path, self.A)
+        assert DiscreteDistribution.from_csv(path).xs[:, 0].tolist() == [1.0, 2.0]
+        self.rewrite(path, self.B)
+        assert DiscreteDistribution.from_csv(path).xs[:, 0].tolist() == [3.0, 4.0]
+
+    @pytest.mark.parametrize("body, message", [
+        ("1.0,2,1.0\n", "{path}:2: label must be -1 or 1, got 2"),
+        ("1.0,1,0.5\n", "{path}: weights must sum to 1 within 1e-12, got 0.5"),
+    ], ids=["reader", "constructor"])
+    def test_failures_raise_on_every_call(self, tmp_path, parses, body, message):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(self.A)
+        bad.write_text("x1,y,weight\n" + body)
+        first = DiscreteDistribution.from_csv(good)
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                DiscreteDistribution.from_csv(bad)
+            assert str(err.value) == message.format(path=bad)
+        assert DiscreteDistribution.from_csv(good) is first
+        good.write_text(self.B)
+        assert DiscreteDistribution.from_csv(good).xs[:, 0].tolist() == [3.0, 4.0]
+        assert parses == [good, bad, bad, good]
+
+    def test_round_trip_through_the_cache_is_bit_identical(self, tmp_path, parses):
+        dist = helpers.random_distribution(np.random.default_rng(23), max_dim=4, max_atoms=9)
+        dist.to_csv(tmp_path / "a.csv")
+        loaded = DiscreteDistribution.from_csv(tmp_path / "a.csv")
+        loaded.to_csv(tmp_path / "b.csv")
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        assert DiscreteDistribution.from_csv(tmp_path / "b.csv") is loaded
+        assert_same_bytes((loaded.xs, loaded.ys, loaded.weights),
+                          (dist.xs, dist.ys, dist.weights))
+        assert parses == [tmp_path / "a.csv"]
 
 
 class TestRandomDistribution:
