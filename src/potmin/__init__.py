@@ -5,13 +5,12 @@ from .analysis import (RayProbe, RobustnessReport, check_rcn_robustness,
                        expected_loss, misclassification_error, recession_probe,
                        slope_identity_fuzz, slope_identity_residual,
                        DEFAULT_RAY_GRID)
-from .distributions import (DiscreteDistribution, MarginCertificate, certify_margin,
-                            corrupt_rcn, l1_margin, make_counterexample,
+from .distributions import (DiscreteDistribution, corrupt_rcn, l1_margin, make_counterexample,
                             mean_label_feature, random_distribution)
 from .dynamics import Trajectory, cd_unhinged, gd_unhinged
 from .loss_zoo import (LOSS_NAMES, CheckResult, LossOverflowError, PotentialFunction,
                        PredicateReport, check_def1, make_loss)
-from .minimizers import FitResult, PGDConfig, WeightVector, pgd_minimizer, unhinged_minimizer
+from .minimizers import FitResult, pgd_minimizer, unhinged_minimizer
 
 __version__ = "0.1.0"
 
@@ -22,16 +21,12 @@ __all__ = [
     "FitResult",
     "LOSS_NAMES",
     "LossOverflowError",
-    "MarginCertificate",
-    "PGDConfig",
     "PotentialFunction",
     "PredicateReport",
     "RayProbe",
     "RobustnessReport",
     "Trajectory",
-    "WeightVector",
     "cd_unhinged",
-    "certify_margin",
     "check_def1",
     "check_rcn_robustness",
     "corrupt_rcn",

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (DiscreteDistribution, _count, _NoisyView, _vector, _write_csv,
-                            corrupt_rcn, mean_label_feature, random_distribution)
+from .distributions import (_WEIGHT_SUM_TOL, DiscreteDistribution, _count, _NoisyView,
+                            _vector, _write_csv, corrupt_rcn, mean_label_feature,
+                            random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
-from .minimizers import WeightVector, _per_atom, _scaled_norm, pgd_minimizer
+from .minimizers import _per_atom, _scaled_norm, pgd_minimizer
 
 _ERROR_EQUALITY_TOL = 1e-12
 _BOUND_SLACK = 1e-9
@@ -64,16 +65,17 @@ class RobustnessReport:
     eta: float
     clean_fit_error: float
     noisy_fit_error: float
-    minimizer_clean: WeightVector
-    minimizer_noisy: WeightVector
+    minimizer_clean: np.ndarray
+    minimizer_noisy: np.ndarray
     degenerate: bool
     robust: bool = field(init=False)
 
     def __post_init__(self):
         for name in ("clean_fit_error", "noisy_fit_error"):
             e = getattr(self, name)
-            if not 0.0 <= e <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {e!r}")
+            # a distribution's mass may exceed 1 by the constructor's tolerance
+            if not 0.0 <= e <= 1.0 + _WEIGHT_SUM_TOL:
+                raise ValueError(f"{name} must lie in [0, 1 + {_WEIGHT_SUM_TOL}], got {e!r}")
         object.__setattr__(
             self, "robust",
             abs(self.clean_fit_error - self.noisy_fit_error) <= _ERROR_EQUALITY_TOL,
@@ -86,8 +88,8 @@ class RobustnessReport:
             "noisy_fit_error": self.noisy_fit_error,
             "robust": self.robust,
             "degenerate": self.degenerate,
-            "minimizer_clean": [float(c) for c in self.minimizer_clean.v],
-            "minimizer_noisy": [float(c) for c in self.minimizer_noisy.v],
+            "minimizer_clean": [float(c) for c in self.minimizer_clean],
+            "minimizer_noisy": [float(c) for c in self.minimizer_noisy],
         }
 
 
@@ -113,16 +115,16 @@ def _robustness_sweep(dist: DiscreteDistribution, phi: PotentialFunction, r: flo
     """check_rcn_robustness at each noise rate, fitting the clean side once."""
     views = [_NoisyView(dist, eta) for eta in etas]
     fit_clean = pgd_minimizer(dist, phi, r)
-    clean_fit_error = misclassification_error(dist, fit_clean.weights.v)
+    clean_fit_error = misclassification_error(dist, fit_clean.v)
     reports = []
     for view in views:
         fit_noisy = pgd_minimizer(view, phi, r)
         reports.append(RobustnessReport(
             eta=view.eta,
             clean_fit_error=clean_fit_error,
-            noisy_fit_error=misclassification_error(dist, fit_noisy.weights.v),
-            minimizer_clean=fit_clean.weights,
-            minimizer_noisy=fit_noisy.weights,
+            noisy_fit_error=misclassification_error(dist, fit_noisy.v),
+            minimizer_clean=fit_clean.v,
+            minimizer_noisy=fit_noisy.v,
             degenerate=fit_clean.degenerate_centroid or fit_noisy.degenerate_centroid,
         ))
     return reports

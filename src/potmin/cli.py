@@ -147,6 +147,8 @@ def _grid(args: argparse.Namespace, default_start: float, default_stop: float,
     count = default_count if args.grid_count is None else int(args.grid_count)
     if count < 2:
         raise ValueError("grid_count must be at least 2")
+    if not np.isfinite([start, stop]).all():
+        raise ValueError(f"grid bounds must be finite, got [{start}, {stop}]")
     if not stop > start:
         raise ValueError(f"grid requires stop > start, got [{start}, {stop}]")
     if args.grid_spacing == "log":
@@ -196,7 +198,7 @@ def run_gamma_sweep(args: argparse.Namespace) -> int:
     for gamma in gammas:
         dist = make_counterexample(float(gamma))
         fit = unhinged_minimizer(dist, args.r)
-        v = fit.weights.v
+        v = fit.v
         rows.append({
             "gamma": float(gamma), **{f"v_{j + 1}": float(c) for j, c in enumerate(v)},
             "objective": fit.objective,
@@ -244,13 +246,13 @@ def run_eta_sweep(args: argparse.Namespace) -> int:
     phi = make_loss(args.loss or "unhinged")
     rows = []
     for report in _robustness_sweep(dist, phi, args.r, etas):
-        v = report.minimizer_noisy.v
+        v = report.minimizer_noisy
         rows.append({
             "eta": report.eta, **{f"v_{j + 1}": float(c) for j, c in enumerate(v)},
             "objective": expected_loss(dist, phi, v),
             "clean_error": report.clean_fit_error, "noisy_fit_error": report.noisy_fit_error,
             "robust": report.robust,
-            "minimizer_drift": float(np.max(np.abs(report.minimizer_clean.v - v))),
+            "minimizer_drift": float(np.max(np.abs(report.minimizer_clean - v))),
             "flags": "degenerate" if report.degenerate else "",
         })
 

@@ -272,23 +272,6 @@ class DiscreteDistribution:
         return dist
 
 
-@dataclass(frozen=True, eq=False)
-class MarginCertificate:
-    """A separator together with the L1-normalized margin it achieves."""
-
-    separator: np.ndarray
-    margin: float
-
-    def __post_init__(self):
-        w = np.array(self.separator, dtype=float)
-        if not np.any(w != 0):
-            raise ValueError("separator must be nonzero")
-        if not self.margin >= 0.0:
-            raise ValueError(f"certificate requires margin >= 0, got {self.margin!r}")
-        object.__setattr__(self, "separator", _readonly(w))
-        object.__setattr__(self, "margin", float(self.margin))
-
-
 def _count(name: str, value) -> int:
     """An integer of at least 1 (numpy integers too; bool and float are rejected)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
@@ -426,11 +409,6 @@ def l1_margin(dist: DiscreteDistribution, w) -> float:
     if l1 == 0.0:
         raise ValueError("w must be nonzero")
     return float(np.min(dist.margins(w)) / l1)
-
-
-def certify_margin(dist: DiscreteDistribution, w) -> MarginCertificate:
-    """Package w as a separation certificate; rejects non-separating w."""
-    return MarginCertificate(np.asarray(w, dtype=float), l1_margin(dist, w))
 
 
 # The construction's threshold.  The label centroid is

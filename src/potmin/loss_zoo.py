@@ -183,14 +183,6 @@ class CheckResult:
     witness_z: float | None = None
     witness_value: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pass": self.passed,
-            "witness_z": self.witness_z,
-            "witness_value": self.witness_value,
-        }
-
 
 @dataclass(frozen=True)
 class PredicateReport:
@@ -200,9 +192,6 @@ class PredicateReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"loss": self.loss, "checks": [c.to_dict() for c in self.checks]}
 
 
 # The predicate grid: [-50, 50] in steps of 0.25, which lands exactly on 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (DiscreteDistribution, _count, _fold, _NoisyView, _positive,
+from .distributions import (DiscreteDistribution, _fold, _NoisyView, _positive,
                             _readonly, _rows, _vector, mean_label_feature)
 from .loss_zoo import LossOverflowError, PotentialFunction, _hinge_eval, _unhinged_eval
 
@@ -53,6 +53,10 @@ _ARMIJO = 1e-4
 # cap on the Newton iterations of the secular equation; they converge
 # quadratically, and a step that leaves the bracket bisects it instead
 _SECULAR_ITERS = 100
+# most Newton or interior-point steps of one fit
+_MAX_ITERS = 50_000
+# the absolute gap that certifies a Newton or hinge fit, whatever r
+_TOL = 1e-9
 
 
 def _norm(x: np.ndarray) -> float:
@@ -70,43 +74,37 @@ def _scaled_norm(x: np.ndarray) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Hypothesis vector with the ball radius it was fit under."""
-
-    v: np.ndarray
-    radius_bound: float
-
-    def __post_init__(self):
-        v = _vector("v", np.array(self.v, dtype=float), np.size(self.v))
-        r = _positive("radius bound", self.radius_bound)
-        # r m/||m|| and a projection onto the ball round relative to r
-        norm = _norm(v)
-        if norm > r + _BALL_SLACK * max(1.0, r):
-            raise ValueError(f"||v|| = {norm!r} exceeds radius bound {r!r}")
-        object.__setattr__(self, "radius_bound", r)
-        object.__setattr__(self, "v", _readonly(v))
-
-
-@dataclass(frozen=True)
 class FitResult:
-    """A fitted ball minimizer and how its fit stopped.
+    """A fitted ball minimizer v, the radius r it was fit under, and how its
+    fit stopped.
 
     ``gap`` bounds ``objective`` minus the optimum over the ball: 0.0 for
     the unhinged closed form (r ||m|| when the centroid m is degenerate),
     P(v) - D(a) for a hinge fit, and for a Newton fit the Frank-Wolfe gap
     <g, v> + r ||g|| at the returned v (a bound whenever the loss is
     convex).  ``stop_reason`` says why the fit stopped: ``"closed-form"``;
-    ``"gap"`` (gap <= tol); ``"budget"`` (max_iters spent);
+    ``"gap"`` (gap <= ``_TOL``); ``"budget"`` (``_MAX_ITERS`` steps spent);
     ``"no-decrease"`` (Newton: no step lowers the objective, with the gap
     above tol); ``"rounding"`` (hinge: no interior step is left).
     """
 
-    weights: WeightVector
+    v: np.ndarray
+    r: float
     objective: float
     iterations: int
     gap: float
     stop_reason: str
     degenerate_centroid: bool = False
+
+    def __post_init__(self):
+        v = _vector("v", np.array(self.v, dtype=float), np.size(self.v))
+        r = _positive("radius bound", self.r)
+        # r m/||m|| and a projection onto the ball round relative to r
+        norm = _norm(v)
+        if norm > r + _BALL_SLACK * max(1.0, r):
+            raise ValueError(f"||v|| = {norm!r} exceeds radius bound {r!r}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "v", _readonly(v))
 
     @property
     def converged(self) -> bool:
@@ -115,8 +113,8 @@ class FitResult:
 
     def to_dict(self) -> dict:
         return {
-            "v": [float(c) for c in self.weights.v],
-            "r": self.weights.radius_bound,
+            "v": [float(c) for c in self.v],
+            "r": self.r,
             "objective": self.objective,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -141,7 +139,7 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     norm_m = _scaled_norm(m)
     if norm_m <= _DEGENERATE_CENTROID_TOL:
         zero = np.zeros(dist.dimension)
-        return FitResult(WeightVector(zero, r), 1.0, 0, r * norm_m, "closed-form",
+        return FitResult(zero, r, 1.0, 0, r * norm_m, "closed-form",
                          degenerate_centroid=True)
     with np.errstate(over="ignore"):
         v = (r / norm_m) * m
@@ -149,20 +147,7 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     if not (np.all(np.isfinite(v)) and math.isfinite(objective)):
         raise ValueError(f"radius {r!r} overflows float64 in r m/||m|| "
                          f"(||m|| = {norm_m!r})")
-    return FitResult(WeightVector(v, r), objective, 0, 0.0, "closed-form")
-
-
-@dataclass(frozen=True)
-class PGDConfig:
-    """Fit settings for :func:`pgd_minimizer`.
-
-    ``max_iters`` bounds the Newton steps of a loss with a curvature and
-    the interior-point steps of the hinge fit; ``tol`` is the absolute gap
-    that certifies either fit, whatever r.
-    """
-
-    max_iters: int = 50_000
-    tol: float = 1e-9
+    return FitResult(v, r, objective, 0, 0.0, "closed-form")
 
 
 def _overflow_at(loss: str, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray,
@@ -381,9 +366,9 @@ def _mehrotra_step(w: np.ndarray, yx: np.ndarray, r: float, v: np.ndarray,
             lam3 + alpha * dl3)
 
 
-def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, r: float,
-               cfg: PGDConfig) -> FitResult:
-    """Certified hinge fit over the ball, stopping on a duality gap <= tol.
+def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
+               r: float) -> FitResult:
+    """Certified hinge fit over the ball, stopping on a duality gap <= tol = ``_TOL``.
 
     First the unhinged closed form: hinge >= unhinged pointwise, so the
     dual point a = 1, D(1) = 1 - r ||m||, bounds the optimum, and the
@@ -392,7 +377,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     1992) on min w.t s.t. t >= 0, t >= 1 - y x.v, ||v||^2 <= r^2, with
     multipliers lam1, lam2, lam3, starting at v = 0.  Every iterate lies
     strictly inside the ball; the fit returns the best one and stops when
-    P(best v) - max D(clip(lam2 / w, 0, 1)) <= tol, when max_iters
+    P(best v) - max D(clip(lam2 / w, 0, 1)) <= tol, when ``_MAX_ITERS``
     Newton steps are spent, or when rounding leaves no interior step.
     Beyond ``_INTERIOR_RADIUS`` the steps run on that smaller ball, whose
     points also lie in the radius-r ball, so that r^2 stays finite; D
@@ -402,10 +387,10 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     yx = _signed_rows(dist)
 
     closed = unhinged_minimizer(dist, r)
-    obj = float(w @ _per_atom(phi.eval, dist, dist.margins(closed.weights.v)))
+    obj = float(w @ _per_atom(phi.eval, dist, dist.margins(closed.v)))
     gap = obj - _hinge_dual(w, yx, w, r)
-    if gap <= cfg.tol:
-        return FitResult(closed.weights, obj, 0, gap, "gap")
+    if gap <= _TOL:
+        return FitResult(closed.v, r, obj, 0, gap, "gap")
 
     v = np.zeros(dist.dimension)
     margins = dist.margins(v)
@@ -420,7 +405,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
     best_dual = max(0.0, _hinge_dual(w, yx, lam2, r))
     reason = "budget"
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 v, t, lam1, lam2, lam3 = _mehrotra_step(w, yx, rho, v, margins, t,
@@ -434,15 +419,14 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, 
         if obj < best_obj:
             best_v, best_obj = v, obj
         best_dual = max(best_dual, _hinge_dual(w, yx, lam2, r))
-        if best_obj - best_dual <= cfg.tol:
+        if best_obj - best_dual <= _TOL:
             reason = "gap"
             break
-    return FitResult(WeightVector(best_v, r), best_obj, iterations, best_obj - best_dual,
-                     reason)
+    return FitResult(best_v, r, best_obj, iterations, best_obj - best_dual, reason)
 
 
-def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction, r: float,
-                cfg: PGDConfig) -> FitResult:
+def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
+                r: float) -> FitResult:
     """Certified fit of a loss with a curvature: Newton steps over the ball.
 
     From v = 0, each step takes the gradient g and the curvature
@@ -453,13 +437,13 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     P(v + t (x - v)) <= P(v) + 1e-4 t <g, x - v>, up to a few ulps of P(v).
     With H = 0 (a loss linear in the margin) the model minimizer
     -r g/||g|| is the optimum.  The Frank-Wolfe gap <g, v> + r ||g||
-    bounds P(v) minus the optimum over the ball, and ``cfg.tol`` bounds it
+    bounds P(v) minus the optimum over the ball, and ``_TOL`` bounds it
     in absolute terms, whatever r.  ||g|| is :func:`_sum_norm`'s, 0 within
     the rounding of the sum g.  On the boundary the two terms cancel, and a
     gap within their rounding, (d + 2) eps (|g|.|v| + r ||g||), counts as
     0 too.  The fit stops, certified, once the gap is at most tol and no
     longer halves (or is at most 1e-3 tol).  Otherwise it stops when
-    ``cfg.max_iters`` Newton steps are spent, when no t passes the test
+    ``_MAX_ITERS`` Newton steps are spent, when no t passes the test
     before t (x - v) underflows, or when a step neither lowered P nor
     halved the gap; the last two count as certified if the gap is at most
     tol.  Every step lowers P up to rounding, so the last iterate is the
@@ -485,13 +469,13 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
         if abs(gap) <= (v.size + 2) * _EPS * (float(np.abs(g) @ np.abs(v)) + r * norm_g):
             gap = 0.0
         halved = 2.0 * gap <= last_gap
-        if gap <= cfg.tol and (gap <= _GAP_FLOOR * cfg.tol or not halved):
+        if gap <= _TOL and (gap <= _GAP_FLOOR * _TOL or not halved):
             reason = "gap"
             break
         if stalled and not halved:
             reason = "no-decrease"  # neither P nor the gap falls any more
             break
-        if iterations == cfg.max_iters:
+        if iterations == _MAX_ITERS:
             reason = "budget"
             break
         iterations += 1
@@ -514,42 +498,37 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
                 break
             t /= 2.0
         if not accepted:
-            reason = "gap" if gap <= cfg.tol else "no-decrease"
+            reason = "gap" if gap <= _TOL else "no-decrease"
             break
         # near an interior optimum the gap, (r - ||v||) ||g|| or more, can
         # still fall while P moves only within its rounding
         stalled = not trial_obj < obj
         v, margins, obj, last_gap = candidate, trial, trial_obj, gap
-    return FitResult(WeightVector(v, r), obj, iterations, gap, reason)
+    return FitResult(v, r, obj, iterations, gap, reason)
 
 
 def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
-                  r: float, cfg: PGDConfig | None = None) -> FitResult:
+                  r: float) -> FitResult:
     """Minimize E[phi(y v.x)] over the radius-r ball, by the one fit of phi.
 
     The fit is chosen by phi's value function, seen through any timing
     wrappers.  The shipped unhinged loss gets its closed form
     (:func:`unhinged_minimizer`, gap 0).  A loss that declares a curvature
     (the other smooth shipped losses) is fit from v = 0 by Newton steps
-    over the ball to a Frank-Wolfe gap <g, v> + r ||g|| <= ``cfg.tol``
+    over the ball to a Frank-Wolfe gap <g, v> + r ||g|| <= ``_TOL``
     (see :func:`_newton_fit`), and the shipped hinge loss to a duality gap
     (see :func:`_hinge_fit`): the unhinged closed form when it certifies,
     else a primal-dual interior point.  Any other loss raises ValueError
-    naming it, as do a radius that is not positive and finite and a
-    setting out of range.  The name is kept from the projected gradient
+    naming it, as does a radius that is not positive and finite.  The name is kept from the projected gradient
     descent these fits replaced.
     """
     r = _positive("radius", r)
-    cfg = cfg or PGDConfig()
-    _count("max_iters", cfg.max_iters)
-    if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {cfg.tol!r}")
     kernel = inspect.unwrap(phi.eval)
     if kernel is _unhinged_eval:
         return unhinged_minimizer(dist, r)
     if phi.curv is not None:
-        return _newton_fit(dist, phi, r, cfg)
+        return _newton_fit(dist, phi, r)
     if kernel is _hinge_eval:
-        return _hinge_fit(dist, phi, r, cfg)
+        return _hinge_fit(dist, phi, r)
     raise ValueError(f"loss {phi.name!r} has no certified fit: it declares no curvature "
                      "and is neither the shipped unhinged nor the shipped hinge loss")

@@ -64,8 +64,7 @@ def test_criterion_2_noise_invariance():
             clean_fit = unhinged_minimizer(dist, 1.0)
             for eta in ETAS:
                 noisy_fit = unhinged_minimizer(corrupt_rcn(dist, eta), 1.0)
-                assert np.max(np.abs(clean_fit.weights.v
-                                     - noisy_fit.weights.v)) <= 1e-12
+                assert np.max(np.abs(clean_fit.v - noisy_fit.v)) <= 1e-12
                 report = check_rcn_robustness(dist, make_loss("unhinged"), 1.0, eta)
                 assert abs(report.clean_fit_error
                            - report.noisy_fit_error) <= 1e-12
@@ -94,9 +93,8 @@ def test_criterion_4_pgd_matches_closed_form():
             fit = pgd_minimizer(dist, helpers.LINEAR, 1.0)
             assert fit.stop_reason == "gap" and fit.iterations <= 1
             assert abs(fit.objective - oracle.objective) <= 1e-6
-            cos = float(fit.weights.v @ oracle.weights.v
-                        / (np.linalg.norm(fit.weights.v)
-                           * np.linalg.norm(oracle.weights.v)))
+            cos = float(fit.v @ oracle.v
+                        / (np.linalg.norm(fit.v) * np.linalg.norm(oracle.v)))
             assert float(np.arccos(np.clip(cos, -1.0, 1.0))) <= 1e-4
 
     criterion(4, "the Newton fit of 1 - z reaches the closed-form optimum", 30.0, body)

@@ -119,8 +119,8 @@ class TestRcnRobustness:
             assert report.robust
             assert report.clean_fit_error == 0.5
             assert report.noisy_fit_error == 0.5
-            np.testing.assert_allclose(report.minimizer_clean.v,
-                                       report.minimizer_noisy.v, atol=1e-12)
+            np.testing.assert_allclose(report.minimizer_clean, report.minimizer_noisy,
+                                       atol=1e-12)
 
     def test_counterexample_above_threshold_errors_zero(self):
         dist = make_counterexample(0.2)
@@ -136,18 +136,18 @@ class TestRcnRobustness:
             eta = float(rng.uniform(0.05, 0.45))
             report = check_rcn_robustness(dist, UNHINGED, 1.0, eta)
             assert report.robust
-            np.testing.assert_allclose(report.minimizer_clean.v,
-                                       report.minimizer_noisy.v, atol=1e-12)
+            np.testing.assert_allclose(report.minimizer_clean, report.minimizer_noisy,
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("loss", LOSS_NAMES)
     def test_every_shipped_loss_is_checked_by_its_own_fit(self, loss):
         # no route to pick: each side is the fit pgd_minimizer gives the loss
         dist, phi = make_counterexample(0.1), make_loss(loss)
         report = check_rcn_robustness(dist, phi, 1.0, 0.2)
-        assert report.minimizer_clean.v.tobytes() == pgd_minimizer(
-            dist, phi, 1.0).weights.v.tobytes()
-        assert report.minimizer_noisy.v.tobytes() == pgd_minimizer(
-            _NoisyView(dist, 0.2), phi, 1.0).weights.v.tobytes()
+        assert report.minimizer_clean.tobytes() == pgd_minimizer(
+            dist, phi, 1.0).v.tobytes()
+        assert report.minimizer_noisy.tobytes() == pgd_minimizer(
+            _NoisyView(dist, 0.2), phi, 1.0).v.tobytes()
         assert 0.0 <= report.clean_fit_error <= 1.0
         assert 0.0 <= report.noisy_fit_error <= 1.0
 
@@ -324,5 +324,5 @@ class TestCrossChecks:
         # separating fits score zero error and certify a positive margin
         dist = make_counterexample(0.2)
         fit = unhinged_minimizer(dist, 1.0)
-        assert misclassification_error(dist, fit.weights.v) == 0.0
-        assert l1_margin(dist, fit.weights.v) > 0.0
+        assert misclassification_error(dist, fit.v) == 0.0
+        assert l1_margin(dist, fit.v) > 0.0

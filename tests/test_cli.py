@@ -14,8 +14,8 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from potmin import (LossOverflowError, check_rcn_robustness, expected_loss,
-                    make_counterexample, make_loss, mean_label_feature,
+from potmin import (DiscreteDistribution, LossOverflowError, check_rcn_robustness,
+                    expected_loss, make_counterexample, make_loss, mean_label_feature,
                     misclassification_error, unhinged_minimizer)
 from potmin import analysis, cli, distributions
 from potmin.cli import counterexample_sample, load_sample_csv, main, run_loss_report
@@ -76,12 +76,12 @@ class TestGammaSweep:
             gamma = float(row["gamma"])
             dist = make_counterexample(gamma)
             fit = unhinged_minimizer(dist, 1.0)
-            assert float(row["v_1"]) == fit.weights.v[0]
-            assert float(row["v_2"]) == fit.weights.v[1]
+            assert float(row["v_1"]) == fit.v[0]
+            assert float(row["v_2"]) == fit.v[1]
             assert float(row["objective"]) == fit.objective
             assert float(row["clean_error"]) == misclassification_error(
-                dist, fit.weights.v)
-            assert float(row["v_dot_x3"]) == float(fit.weights.v @ dist.xs[2])
+                dist, fit.v)
+            assert float(row["v_dot_x3"]) == float(fit.v @ dist.xs[2])
 
     def test_errors_step_at_threshold(self, tmp_path):
         assert main(["gamma-sweep", "--out-dir", str(tmp_path), "--grid-start", "0.01",
@@ -232,13 +232,13 @@ class TestEtaSweep:
             assert list(row) == ["eta", "v_1", "v_2", "objective", "clean_error",
                                  "noisy_fit_error", "robust", "minimizer_drift", "flags"]
             report = check_rcn_robustness(dist, phi, 1.0, float(row["eta"]))
-            assert [float(row["v_1"]), float(row["v_2"])] == report.minimizer_noisy.v.tolist()
+            assert [float(row["v_1"]), float(row["v_2"])] == report.minimizer_noisy.tolist()
             assert (float(row["clean_error"]), float(row["noisy_fit_error"])) == (
                 report.clean_fit_error, report.noisy_fit_error)
-            assert float(row["objective"]) == expected_loss(dist, phi, report.minimizer_noisy.v)
+            assert float(row["objective"]) == expected_loss(dist, phi, report.minimizer_noisy)
             assert row["robust"] == ("true" if report.robust else "false")
             assert float(row["minimizer_drift"]) == float(
-                np.max(np.abs(report.minimizer_clean.v - report.minimizer_noisy.v)))
+                np.max(np.abs(report.minimizer_clean - report.minimizer_noisy)))
 
     def test_eta_grid_validated(self, tmp_path):
         code = main(["eta-sweep", "--out-dir", str(tmp_path),
@@ -262,7 +262,10 @@ class TestEtaSweep:
      "gamma must lie in (0, 1), got "),
     (["eta-sweep", "--grid-start", "0.1", "--grid-stop", "0.6"],
      "noise rate must satisfy 0 < eta < 1/2, got "),
-], ids=["gamma", "eta"])
+    # an infinite bound would space the grid into NaN points, with a warning
+    (["gamma-sweep", "--grid-stop", "inf"], "grid bounds must be finite, got [0.01, inf]"),
+    (["eta-sweep", "--grid-stop", "inf"], "grid bounds must be finite, got [0.05, inf]"),
+], ids=["gamma", "eta", "gamma-inf", "eta-inf"])
 def test_grid_outside_the_library_range_exits_two(tmp_path, capsys, argv, message):
     # the library rejects the first grid point out of range, before any write
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
@@ -525,6 +528,21 @@ class TestRobustCheck:
     def test_bad_eta_exits_two(self, tmp_path):
         assert main(["robust-check", "--eta", "0.6",
                      "--out-dir", str(tmp_path)]) == 2
+
+    def test_mass_within_the_weight_tolerance_is_a_valid_error(self, tmp_path, capsys):
+        # the weights sum to 1 + 8e-14, which the constructor accepts; the
+        # centroid is 0, so both fits misclassify the whole mass
+        data = tmp_path / "over.csv"
+        data.write_text("x1,y,weight\n1,1,0.50000000000004\n1,-1,0.50000000000004\n")
+        mass = float(DiscreteDistribution.from_csv(data).weights.sum())
+        assert mass > 1.0
+        assert main(["robust-check", "--loss", "unhinged", "--data", str(data),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["robust"] is True
+        assert payload["clean_fit_error"] == payload["noisy_fit_error"] == mass
+        assert main(["eta-sweep", "--loss", "unhinged", "--data", str(data),
+                     "--out-dir", str(tmp_path / "out")]) == 0
 
 
 class TestRecessionProbe:

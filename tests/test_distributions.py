@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from potmin import (DiscreteDistribution, MarginCertificate, cd_unhinged, certify_margin,
-                    corrupt_rcn, gd_unhinged, l1_margin, make_counterexample,
-                    mean_label_feature, misclassification_error, unhinged_minimizer)
+from potmin import (DiscreteDistribution, cd_unhinged, corrupt_rcn, gd_unhinged, l1_margin,
+                    make_counterexample, mean_label_feature, misclassification_error,
+                    unhinged_minimizer)
 from potmin import distributions
 from potmin.distributions import GAMMA_STAR, _merge_duplicates, _NoisyView, _write_csv
 
@@ -192,7 +192,7 @@ class TestCounterexample:
         assert abs(125 * GAMMA_STAR ** 2 + 22 * GAMMA_STAR - 3) <= 1e-15
         for gamma, error in ((GAMMA_STAR, 0.5), (np.nextafter(GAMMA_STAR, 1.0), 0.0)):
             dist = make_counterexample(float(gamma))
-            v = unhinged_minimizer(dist, 1.0).weights.v
+            v = unhinged_minimizer(dist, 1.0).v
             assert (float(v @ dist.xs[2]) < 0.0) == (error == 0.5)
             assert misclassification_error(dist, v) == error
 
@@ -314,24 +314,8 @@ class TestL1Margin:
         ([1.0, 0.0, 0.0], "w must have shape (2,), got (3,)"),
     ], ids=["nan", "shape"])
     def test_bad_vector_named_w(self, w, message):
-        for call in (l1_margin, certify_margin):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                call(make_counterexample(0.1), w)
-
-
-class TestMarginCertificate:
-    def test_separating_direction_certified(self):
-        cert = certify_margin(make_counterexample(0.05), [1.0, 0.0])
-        assert isinstance(cert, MarginCertificate)
-        assert cert.margin == 0.05
-
-    def test_non_separating_direction_rejected(self):
-        with pytest.raises(ValueError, match="margin"):
-            certify_margin(make_counterexample(0.05), [0.0, 1.0])
-
-    def test_zero_separator_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            MarginCertificate(np.zeros(2), 0.1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            l1_margin(make_counterexample(0.1), w)
 
 
 def reference_to_csv(dist, path):

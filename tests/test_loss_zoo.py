@@ -1,7 +1,6 @@
 """Loss values, derivatives, and the axiom predicates."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -323,32 +322,18 @@ def test_star_import_has_no_deleted_names():
     namespace = {}
     exec("from potmin import *", namespace)
     assert set(potmin.__all__) <= set(namespace)
-    assert len(potmin.__all__) == 32
+    assert len(potmin.__all__) == 28
     for name in ("check_def3", "default_grid", "CONVEX_POTENTIAL", "RELAXED_ONLY", "NEITHER",
-                 "label_sum"):
+                 "label_sum", "WeightVector", "PGDConfig", "MarginCertificate",
+                 "certify_margin"):
         assert name not in namespace and not hasattr(potmin, name)
     assert "axiom_class" not in {f.name for f in dataclasses.fields(PotentialFunction)}
     assert not hasattr(potmin.loss_zoo, "_validate_grid")
     for cls in (potmin.RobustnessReport, potmin.RayProbe, potmin.PredicateReport):
         assert not hasattr(cls, "to_json")
     assert not hasattr(potmin.PredicateReport, "check")
-
-
-class TestSerialization:
-    def test_report_json_shape(self):
-        report = check_def1(make_loss("unhinged"))
-        data = json.loads(json.dumps(report.to_dict()))
-        assert data["loss"] == "unhinged"
-        assert len(data["checks"]) == 4
-        for entry in data["checks"]:
-            assert set(entry) == {"name", "pass", "witness_z", "witness_value"}
-        failing = [e for e in data["checks"] if not e["pass"]]
-        assert failing == [{
-            "name": "vanishing_nonnegative_tail",
-            "pass": False,
-            "witness_z": 50.0,
-            "witness_value": -49.0,
-        }]
+    for cls in (potmin.PredicateReport, potmin.CheckResult):
+        assert not hasattr(cls, "to_dict")
 
 
 class TestOverflow:

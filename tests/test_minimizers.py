@@ -10,10 +10,9 @@ from hypothesis import given, settings
 
 import helpers
 from helpers import LINEAR, zero_curvature
-from potmin import (LOSS_NAMES, DiscreteDistribution, LossOverflowError,
-                    PGDConfig, PotentialFunction, WeightVector, corrupt_rcn, expected_loss,
-                    make_counterexample, make_loss, mean_label_feature, pgd_minimizer,
-                    unhinged_minimizer)
+from potmin import (LOSS_NAMES, DiscreteDistribution, FitResult, LossOverflowError,
+                    PotentialFunction, corrupt_rcn, expected_loss, make_counterexample,
+                    make_loss, mean_label_feature, pgd_minimizer, unhinged_minimizer)
 from potmin import minimizers
 from potmin.distributions import _NoisyView
 
@@ -60,11 +59,19 @@ def reference_pgd(dist, phi, r, step=None, max_iters=50_000, tol=1e-9):
                            history=tuple(history))
 
 
+def fit_with(dist, phi, r, **constants):
+    """pgd_minimizer(dist, phi, r) with the fits' step budget (``_MAX_ITERS``)
+    or certifying gap (``_TOL``) patched for the one call."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(minimizers, name, value)
+        return pgd_minimizer(dist, phi, r)
+
+
 def budget_objectives(dist, phi, r, iterations):
     """P(0), then the objectives of the fits at budgets 1, ..., iterations."""
     return [expected_loss(dist, phi, np.zeros(dist.dimension))] + [
-        pgd_minimizer(dist, phi, r, PGDConfig(max_iters=k)).objective
-        for k in range(1, iterations + 1)]
+        fit_with(dist, phi, r, _MAX_ITERS=k).objective for k in range(1, iterations + 1)]
 
 
 def angle_between(a, b):
@@ -72,11 +79,16 @@ def angle_between(a, b):
     return float(np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
-class TestWeightVector:
+def fit_at(v, r):
+    """A FitResult holding v at radius r, for its own checks."""
+    return FitResult(v, r, 0.0, 0, 0.0, "gap")
+
+
+class TestFitResult:
     def test_ball_feasibility_enforced(self):
-        WeightVector(np.array([3.0, 4.0]), 5.0)
+        assert not fit_at(np.array([3.0, 4.0]), 5.0).v.flags.writeable
         with pytest.raises(ValueError, match="exceeds"):
-            WeightVector(np.array([3.0, 4.0]), 4.9)
+            fit_at(np.array([3.0, 4.0]), 4.9)
 
     def test_rounding_slack_scales_with_the_radius(self):
         # r m/||m|| at r = 1e8 has norm r (1 + eps), 1.5e-8 above r
@@ -85,11 +97,11 @@ class TestWeightVector:
         for r in (1e6, 1e8, 1e12):
             for fit in (unhinged_minimizer(dist, r),
                         pgd_minimizer(dist, make_loss("hinge"), r)):
-                assert np.linalg.norm(fit.weights.v) <= r * (1 + 1e-12)
+                assert np.linalg.norm(fit.v) <= r * (1 + 1e-12)
         with pytest.raises(ValueError, match="exceeds"):
-            WeightVector(np.array([3.0, 4.0]), 5.0 - 1e-10)
+            fit_at(np.array([3.0, 4.0]), 5.0 - 1e-10)
         with pytest.raises(ValueError, match="exceeds"):
-            WeightVector(np.array([3e8, 4e8]), 5e8 - 1e-2)
+            fit_at(np.array([3e8, 4e8]), 5e8 - 1e-2)
 
     def test_norm_past_the_square_root_of_the_float_range(self):
         # ||v||^2 = 1e310 leaves float64; the norm is taken scaled by max |v_i|
@@ -97,14 +109,14 @@ class TestWeightVector:
                                     [0.3, 0.3, 0.4])
         fit = unhinged_minimizer(dist, 1e155)
         m = mean_label_feature(dist)
-        np.testing.assert_allclose(fit.weights.v, 1e155 * m / np.linalg.norm(m), rtol=1e-15)
+        np.testing.assert_allclose(fit.v, 1e155 * m / np.linalg.norm(m), rtol=1e-15)
         assert fit.objective == 1.0 - 1e155 * float(np.linalg.norm(m))
         assert math.isfinite(fit.objective)
-        WeightVector(np.array([3e154, 4e154]), 5e154)
+        fit_at(np.array([3e154, 4e154]), 5e154)
         with pytest.raises(ValueError, match="exceeds"):
-            WeightVector(np.array([3e154, 4e154]), 4.9e154)
+            fit_at(np.array([3e154, 4e154]), 4.9e154)
         with pytest.raises(ValueError, match="exceeds"):
-            WeightVector(np.array([1e300, 1e300]), 1.0)
+            fit_at(np.array([1e300, 1e300]), 1.0)
 
 
 class TestUnhingedMinimizer:
@@ -115,17 +127,17 @@ class TestUnhingedMinimizer:
         dist = make_counterexample(gamma)
         fit = unhinged_minimizer(dist, 1.0)
         m = np.array([0.25 + 3 * gamma / 4, math.sqrt(1 - gamma ** 2) / 4 - gamma])
-        np.testing.assert_allclose(fit.weights.v, m / np.linalg.norm(m), atol=1e-14)
+        np.testing.assert_allclose(fit.v, m / np.linalg.norm(m), atol=1e-14)
         assert fit.objective == pytest.approx(1.0 - np.linalg.norm(m), abs=1e-14)
         assert fit.objective == pytest.approx(
-            expected_loss(dist, UNHINGED, fit.weights.v), abs=1e-12)
+            expected_loss(dist, UNHINGED, fit.v), abs=1e-12)
         assert fit.converged and fit.iterations == 0
         assert not fit.degenerate_centroid
 
     def test_single_atom_on_larger_ball(self):
         dist = DiscreteDistribution([[1.0, 0.0, 0.0]], [1], [1.0])
         fit = unhinged_minimizer(dist, 2.0)
-        assert fit.weights.v.tolist() == [2.0, 0.0, 0.0]
+        assert fit.v.tolist() == [2.0, 0.0, 0.0]
         assert fit.objective == -1.0
 
     def test_noise_invariance_across_rates(self):
@@ -133,13 +145,13 @@ class TestUnhingedMinimizer:
         clean = unhinged_minimizer(dist, 1.0)
         for eta in np.arange(0.05, 0.50, 0.05):
             noisy = unhinged_minimizer(corrupt_rcn(dist, float(eta)), 1.0)
-            np.testing.assert_allclose(noisy.weights.v, clean.weights.v, atol=1e-12)
+            np.testing.assert_allclose(noisy.v, clean.v, atol=1e-12)
 
     def test_degenerate_centroid_flagged(self):
         dist = DiscreteDistribution([[1.0], [1.0]], [1, -1], [0.5, 0.5])
         fit = unhinged_minimizer(dist, 3.0)
         assert fit.degenerate_centroid
-        assert fit.weights.v.tolist() == [0.0]
+        assert fit.v.tolist() == [0.0]
         assert fit.objective == 1.0
 
     @pytest.mark.parametrize("r", [0.0, -1.0])
@@ -161,8 +173,7 @@ class TestUnhingedMinimizer:
         ("rounding", False)])
     def test_converged_follows_stop_reason(self, reason, converged):
         # certified exactly when the fit is a closed form or stopped on its gap
-        fit = minimizers.FitResult(minimizers.WeightVector([0.6, 0.8], 1.0), 0.25, 3, 1e-3,
-                                   reason)
+        fit = FitResult([0.6, 0.8], 1.0, 0.25, 3, 1e-3, reason)
         assert fit.converged is converged
         assert fit.to_dict()["converged"] is converged
 
@@ -181,7 +192,7 @@ class TestUnhingedMinimizer:
     def test_ball_feasibility(self, dist):
         for r in (0.5, 1.0, 7.0):
             fit = unhinged_minimizer(dist, r)
-            assert np.linalg.norm(fit.weights.v) <= r + 1e-12
+            assert np.linalg.norm(fit.v) <= r + 1e-12
 
 
 class TestPgdMinimizer:
@@ -191,7 +202,7 @@ class TestPgdMinimizer:
         fit = pgd_minimizer(dist, UNHINGED, 1.0)
         assert fit.converged
         assert abs(fit.objective - oracle.objective) <= 1e-6
-        assert angle_between(fit.weights.v, oracle.weights.v) <= 1e-4
+        assert angle_between(fit.v, oracle.v) <= 1e-4
 
     def test_matches_closed_form_on_random_instances(self):
         rng = np.random.default_rng(11)
@@ -200,12 +211,12 @@ class TestPgdMinimizer:
             oracle = unhinged_minimizer(dist, 1.0)
             fit = pgd_minimizer(dist, UNHINGED, 1.0)
             assert abs(fit.objective - oracle.objective) <= 1e-6
-            assert angle_between(fit.weights.v, oracle.weights.v) <= 1e-4
+            assert angle_between(fit.v, oracle.v) <= 1e-4
 
     def test_exponential_single_atom_pushes_to_boundary(self):
         dist = DiscreteDistribution([[1.0, 0.0]], [1], [1.0])
         fit = pgd_minimizer(dist, make_loss("exponential"), 1.0)
-        np.testing.assert_allclose(fit.weights.v, [1.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(fit.v, [1.0, 0.0], atol=1e-6)
         assert fit.objective == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_hinge_subgradient_path(self):
@@ -214,14 +225,14 @@ class TestPgdMinimizer:
         dist = DiscreteDistribution([[1.0]], [1], [1.0])
         fit = pgd_minimizer(dist, make_loss("hinge"), 1.0)
         assert fit.converged
-        assert fit.weights.v.tolist() == [1.0]
+        assert fit.v.tolist() == [1.0]
         assert fit.objective == 0.0
-        assert frank_wolfe_gap(dist, make_loss("hinge"), fit.weights.v, 1.0) == 0.0
+        assert frank_wolfe_gap(dist, make_loss("hinge"), fit.v, 1.0) == 0.0
 
     def test_converged_respects_tolerance_contract(self):
         fit = pgd_minimizer(make_counterexample(0.2), LINEAR, 1.0)
         assert fit.converged and fit.stop_reason == "gap"
-        assert fit.gap <= PGDConfig().tol
+        assert fit.gap <= minimizers._TOL
 
     def test_monotone_descent_below_curvature_bound(self):
         # each Newton step passes a sufficient-decrease test on the segment
@@ -243,8 +254,8 @@ class TestPgdMinimizer:
         phi = make_loss("exponential")
         calm = pgd_minimizer(dist, phi, 100.0)
         for k in range(1, calm.iterations + 1):
-            wild = pgd_minimizer(dist, phi, 100.0, PGDConfig(max_iters=k))
-            assert wild.objective == expected_loss(dist, phi, wild.weights.v)
+            wild = fit_with(dist, phi, 100.0, _MAX_ITERS=k)
+            assert wild.objective == expected_loss(dist, phi, wild.v)
             assert wild.objective <= expected_loss(dist, phi, np.zeros(2))
             assert wild.objective >= calm.objective - calm.gap
 
@@ -310,14 +321,11 @@ class TestPgdMinimizer:
         for _ in range(10):
             dist = helpers.random_distribution(rng)
             for phi_name in ("unhinged", "logistic"):
-                fit = pgd_minimizer(dist, make_loss(phi_name), 0.7,
-                                    PGDConfig(max_iters=2000))
-                assert np.linalg.norm(fit.weights.v) <= 0.7 + 1e-12
+                fit = fit_with(dist, make_loss(phi_name), 0.7, _MAX_ITERS=2000)
+                assert np.linalg.norm(fit.v) <= 0.7 + 1e-12
 
     def test_bad_config_rejected(self):
         dist = make_counterexample(0.1)
-        with pytest.raises(ValueError, match="max_iters"):
-            pgd_minimizer(dist, UNHINGED, 1.0, PGDConfig(max_iters=0))
         with pytest.raises(ValueError, match="radius"):
             pgd_minimizer(dist, UNHINGED, -2.0)
 
@@ -347,9 +355,9 @@ def test_fit_matches_reference_loop_bit_for_bit(source, loss, setting):
         dist = helpers.random_distribution(np.random.default_rng(7), max_dim=4,
                                            max_atoms=12)
     phi = LINEAR if loss == "unhinged" else make_loss(loss)
-    fit = pgd_minimizer(dist, phi, 1.0, PGDConfig(max_iters=3000))
-    assert fit.converged and fit.stop_reason == "gap" and fit.gap <= PGDConfig().tol
-    assert fit.objective == expected_loss(dist, phi, fit.weights.v)
+    fit = fit_with(dist, phi, 1.0, _MAX_ITERS=3000)
+    assert fit.converged and fit.stop_reason == "gap" and fit.gap <= minimizers._TOL
+    assert fit.objective == expected_loss(dist, phi, fit.v)
     if setting == "history":
         objectives = budget_objectives(dist, phi, 1.0, fit.iterations) + [fit.objective]
         assert np.all(np.diff(objectives) <= 1e-12)
@@ -407,7 +415,7 @@ def test_backtracking_halves_to_an_accepted_step():
     assert fit.converged and fit.stop_reason == "gap"
     assert np.all(np.diff(budget_objectives(dist, phi, 1.0, fit.iterations)) <= 1e-15)
     # P(v) = 0.99 e^-v + 0.01 e^10v is least at v = log(9.9)/11, inside the ball
-    assert fit.weights.v[0] == pytest.approx(math.log(9.9) / 11, abs=1e-9)
+    assert fit.v[0] == pytest.approx(math.log(9.9) / 11, abs=1e-9)
 
 
 def test_backtracking_stops_when_the_step_would_reach_zero():
@@ -418,7 +426,7 @@ def test_backtracking_stops_when_the_step_would_reach_zero():
     fit = pgd_minimizer(make_counterexample(0.05), nan_loss, 1.0)
     assert not fit.converged and fit.stop_reason == "no-decrease"
     assert fit.iterations == 1
-    assert fit.weights.v.tolist() == [0.0, 0.0]
+    assert fit.v.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("loss", C1_LOSSES)
@@ -431,7 +439,7 @@ def test_default_step_certifies_frank_wolfe_gap(loss):
         for fitted in (dist, corrupt_rcn(dist, 0.2)):
             fit = pgd_minimizer(fitted, phi, 1.0)
             assert fit.converged
-            assert frank_wolfe_gap(fitted, phi, fit.weights.v, 1.0) <= 1e-8
+            assert frank_wolfe_gap(fitted, phi, fit.v, 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("loss", SMOOTH)
@@ -450,25 +458,6 @@ def test_smooth_losses_converge_in_few_iterations(loss):
     assert fit.iterations < 200
 
 
-@pytest.mark.parametrize("field, value", [
-    ("tol", math.nan), ("tol", math.inf), ("tol", -1e-9),
-    # a budget of 1.5 would let a Newton fit run on past it and make the
-    # hinge fit's range() raise TypeError; a bool is no count either
-    ("max_iters", 1.5), ("max_iters", 2.0), ("max_iters", True),
-])
-def test_non_finite_settings_rejected(field, value):
-    cfg = PGDConfig(**{field: value})
-    with pytest.raises(ValueError, match=f"{field} must be .*{value!r}"):
-        pgd_minimizer(make_counterexample(0.05), make_loss("logistic"), 1.0, cfg)
-
-
-def test_max_iters_may_be_a_numpy_integer():
-    for loss in ("logistic", "hinge"):
-        fit = pgd_minimizer(make_counterexample(0.05), make_loss(loss), 100.0,
-                            PGDConfig(max_iters=np.int64(2)))
-        assert fit.iterations <= 2
-
-
 def test_backtracking_does_not_converge_where_the_step_underflows():
     # the value jumps from 1 to 2 at margin 0, so every trial t d with
     # d = r m/||m|| is rejected until it underflows and the trial equals
@@ -480,7 +469,7 @@ def test_backtracking_does_not_converge_where_the_step_underflows():
     assert not fit.converged and fit.stop_reason == "no-decrease"
     assert fit.gap == pytest.approx(np.linalg.norm(mean_label_feature(make_counterexample(0.05))),
                                     rel=1e-15)
-    assert fit.weights.v.tolist() == [0.0, 0.0]
+    assert fit.v.tolist() == [0.0, 0.0]
 
 
 def test_a_loss_without_a_certified_fit_is_named():
@@ -492,7 +481,7 @@ def test_a_loss_without_a_certified_fit_is_named():
 
 
 HINGE = make_loss("hinge")
-TOL = PGDConfig().tol
+TOL = minimizers._TOL
 
 
 def hinge_lower_bound(dist, v, r):
@@ -520,7 +509,7 @@ def test_hinge_fit_is_the_closed_form_on_the_construction(gamma):
     for fitted in (dist, corrupt_rcn(dist, 0.1), corrupt_rcn(dist, 0.3)):
         fit = pgd_minimizer(fitted, HINGE, 1.0)
         closed = unhinged_minimizer(fitted, 1.0)
-        assert fit.weights.v.tobytes() == closed.weights.v.tobytes()
+        assert fit.v.tobytes() == closed.v.tobytes()
         assert fit.iterations == 0
         assert fit.converged and fit.gap <= TOL
 
@@ -536,8 +525,8 @@ def test_hinge_fit_certifies_against_the_subgradient_reference():
         for fitted in (dist, corrupt_rcn(dist, 0.2)):
             fit = pgd_minimizer(fitted, HINGE, 1.0)
             assert fit.converged and fit.gap <= TOL
-            assert np.linalg.norm(fit.weights.v) <= 1.0 + 1e-12
-            assert fit.objective == expected_loss(fitted, HINGE, fit.weights.v)
+            assert np.linalg.norm(fit.v) <= 1.0 + 1e-12
+            assert fit.objective == expected_loss(fitted, HINGE, fit.v)
             reference = reference_pgd(fitted, HINGE, 1.0)
             assert fit.objective <= reference.objective + 1e-12
             assert fit.objective >= hinge_lower_bound(fitted, reference.v, 1.0) - 1e-12
@@ -560,7 +549,7 @@ def test_hinge_fit_finds_an_interior_optimum():
     assert fit.converged and fit.gap <= TOL
     assert fit.iterations > 0
     assert fit.objective == 0.0
-    assert 0.5 <= fit.weights.v[0] < 1.0
+    assert 0.5 <= fit.v[0] < 1.0
 
 
 @pytest.mark.parametrize("eta", [None, 0.2])
@@ -572,19 +561,19 @@ def test_hinge_fit_certifies_in_few_newton_steps(eta):
     fit = pgd_minimizer(fitted, HINGE, 1.0)
     assert fit.converged and fit.gap <= TOL
     assert fit.iterations <= 50
-    assert np.linalg.norm(fit.weights.v) < 1.0
+    assert np.linalg.norm(fit.v) < 1.0
 
 
 def test_hinge_fit_out_of_budget_returns_the_best_iterate():
     dist = gaussian_halfspace(5)
-    fit = pgd_minimizer(dist, HINGE, 1.0, PGDConfig(max_iters=3))
+    fit = fit_with(dist, HINGE, 1.0, _MAX_ITERS=3)
     assert not fit.converged and fit.stop_reason == "budget"
     assert fit.iterations == 3
     assert fit.gap > TOL
-    assert np.linalg.norm(fit.weights.v) < 1.0
+    assert np.linalg.norm(fit.v) < 1.0
     # the best of the start and the first three iterates
     assert fit.objective == min(budget_objectives(dist, HINGE, 1.0, 3))
-    assert fit.objective == expected_loss(dist, HINGE, fit.weights.v)
+    assert fit.objective == expected_loss(dist, HINGE, fit.v)
 
 
 @pytest.mark.parametrize("r", [1e6, 1e8, 1e12])
@@ -599,7 +588,7 @@ def test_hinge_fit_certifies_an_interior_optimum_in_a_large_ball(r):
     assert 0.0 <= fit.gap <= TOL
     assert fit.iterations <= 10
     assert abs(fit.objective - 19.0 / 35.0) <= TOL
-    assert fit.objective == expected_loss(dist, HINGE, fit.weights.v)
+    assert fit.objective == expected_loss(dist, HINGE, fit.v)
 
 
 @pytest.mark.parametrize("r", [1e155, 1e300])
@@ -614,7 +603,7 @@ def test_hinge_fit_certifies_where_r_squared_overflows(r):
     assert 0.0 <= fit.gap <= TOL
     assert fit.iterations <= 10
     assert abs(fit.objective - pgd_minimizer(dist, HINGE, 1e12).objective) <= TOL
-    assert fit.weights.radius_bound == r
+    assert fit.r == r
 
 
 @pytest.mark.parametrize("r", [1e50, 1e100, 1e300])
@@ -646,17 +635,17 @@ def test_hinge_fit_where_the_dual_sum_squares_overflow():
     w = dist.weights
     bound = minimizers._hinge_dual(w, minimizers._signed_rows(dist), w, 1.0)
     assert bound == pytest.approx(1.0 - math.hypot(5e199, 5e199), rel=1e-15)
-    assert bound <= expected_loss(dist, HINGE, unhinged_minimizer(dist, 1.0).weights.v)
+    assert bound <= expected_loss(dist, HINGE, unhinged_minimizer(dist, 1.0).v)
     for fitted in (dist, _NoisyView(dist, 0.2)):
         fit = pgd_minimizer(fitted, HINGE, 1.0)
         assert fit.gap >= 0.0
-        assert fit.objective == expected_loss(fitted, HINGE, fit.weights.v)
+        assert fit.objective == expected_loss(fitted, HINGE, fit.v)
 
 
 def test_hinge_fit_stops_where_rounding_leaves_no_step():
     # a zero tolerance cannot be certified in floating point; the fit must
     # still stop, long before its budget, without a numpy warning
-    fit = pgd_minimizer(gaussian_halfspace(5), HINGE, 1.0, PGDConfig(tol=0.0))
+    fit = fit_with(gaussian_halfspace(5), HINGE, 1.0, _TOL=0.0)
     assert fit.iterations <= 100
     assert fit.gap <= TOL
     assert fit.converged == (fit.gap <= 0.0)
@@ -686,9 +675,9 @@ def test_newton_fit_certifies_the_construction_at_a_large_radius(loss):
     fit = pgd_minimizer(dist, phi, 100.0)
     assert fit.converged and fit.stop_reason == "gap"
     assert fit.gap <= TOL
-    assert frank_wolfe_gap(dist, phi, fit.weights.v, 100.0) <= TOL
+    assert frank_wolfe_gap(dist, phi, fit.v, 100.0) <= TOL
     assert fit.iterations <= 20
-    assert fit.objective == expected_loss(dist, phi, fit.weights.v)
+    assert fit.objective == expected_loss(dist, phi, fit.v)
     if loss == "logistic":
         assert fit.objective < PGD_LOGISTIC_R100_OBJECTIVE
 
@@ -711,7 +700,7 @@ def test_newton_fit_on_the_noise_view_matches_the_materialized_noise(loss):
             assert fit.stop_reason == reference.stop_reason == "gap"
             assert fit.iterations == reference.iterations
             assert abs(fit.objective - reference.objective) <= 1e-14
-            np.testing.assert_allclose(fit.weights.v, reference.weights.v, atol=1e-12)
+            np.testing.assert_allclose(fit.v, reference.v, atol=1e-12)
 
 
 @pytest.mark.parametrize("r", [1.0, 100.0, 1e4])
@@ -722,8 +711,8 @@ def test_newton_tolerance_is_an_absolute_gap(r):
     phi = make_loss("logistic")
     fit = pgd_minimizer(dist, phi, r)
     assert fit.stop_reason == "gap" and fit.gap <= TOL
-    assert frank_wolfe_gap(dist, phi, fit.weights.v, r) <= TOL
-    loose = pgd_minimizer(dist, phi, r, PGDConfig(tol=1e-3))
+    assert frank_wolfe_gap(dist, phi, fit.v, r) <= TOL
+    loose = fit_with(dist, phi, r, _TOL=1e-3)
     assert loose.stop_reason == "gap" and loose.gap <= 1e-3
     assert loose.iterations <= fit.iterations
 
@@ -731,10 +720,10 @@ def test_newton_tolerance_is_an_absolute_gap(r):
 def test_newton_fit_out_of_budget():
     dist = make_counterexample(0.05)
     phi = make_loss("logistic")
-    fit = pgd_minimizer(dist, phi, 100.0, PGDConfig(max_iters=2))
+    fit = fit_with(dist, phi, 100.0, _MAX_ITERS=2)
     assert not fit.converged and fit.stop_reason == "budget"
     assert fit.iterations == 2
-    assert fit.gap == pytest.approx(frank_wolfe_gap(dist, phi, fit.weights.v, 100.0),
+    assert fit.gap == pytest.approx(frank_wolfe_gap(dist, phi, fit.v, 100.0),
                                     rel=1e-12)
     assert fit.gap > TOL
     objectives = budget_objectives(dist, phi, 100.0, 2)
@@ -773,14 +762,14 @@ def test_pgd_reports_the_frank_wolfe_gap_at_its_best_iterate():
     dist = make_counterexample(0.05)
     fit = pgd_minimizer(dist, LINEAR, 1.0)
     assert fit.stop_reason == "gap"
-    assert fit.gap == pytest.approx(frank_wolfe_gap(dist, LINEAR, fit.weights.v, 1.0),
+    assert fit.gap == pytest.approx(frank_wolfe_gap(dist, LINEAR, fit.v, 1.0),
                                     abs=1e-15)
     assert abs(fit.gap) <= 1e-15
     # a fit out of budget reports the gap at the point it returns
-    early = pgd_minimizer(dist, make_loss("logistic"), 2.0, PGDConfig(max_iters=1))
+    early = fit_with(dist, make_loss("logistic"), 2.0, _MAX_ITERS=1)
     assert early.stop_reason == "budget" and not early.converged
     assert early.gap == pytest.approx(
-        frank_wolfe_gap(dist, make_loss("logistic"), early.weights.v, 2.0), rel=1e-12)
+        frank_wolfe_gap(dist, make_loss("logistic"), early.v, 2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [1.0, 1e6, 1e100])
@@ -798,7 +787,7 @@ def test_unhinged_fit_certifies_in_at_most_two_newton_steps(r):
             closed = unhinged_minimizer(fitted, r)
             assert fit.converged and fit.stop_reason == "gap" and fit.gap <= TOL
             assert fit.iterations <= 2
-            assert np.linalg.norm(fit.weights.v - closed.weights.v) <= 1e-15 * r
+            assert np.linalg.norm(fit.v - closed.v) <= 1e-15 * r
 
 
 @pytest.mark.parametrize("r", [1.0, 1e6, 1e100])
@@ -810,7 +799,7 @@ def test_unhinged_fit_is_the_closed_form(r):
         closed = unhinged_minimizer(fitted, r)
         for phi in (UNHINGED, dataclasses.replace(UNHINGED, eval=timed(UNHINGED.eval))):
             fit = pgd_minimizer(fitted, phi, r)
-            assert fit.weights.v.tobytes() == closed.weights.v.tobytes()
+            assert fit.v.tobytes() == closed.v.tobytes()
             assert fit.objective == closed.objective
             assert (fit.gap, fit.stop_reason, fit.iterations) == (0.0, "closed-form", 0)
 
@@ -828,7 +817,7 @@ def test_newton_fit_certifies_an_interior_optimum_at_a_huge_radius(loss, r):
     fit = pgd_minimizer(dist, phi, r)
     assert fit.converged and fit.stop_reason == "gap" and fit.gap <= TOL
     assert abs(fit.objective - pgd_minimizer(dist, phi, 1e6).objective) <= 1e-15
-    assert fit.weights.radius_bound == r
+    assert fit.r == r
 
 
 @pytest.mark.parametrize("loss", LOSS_NAMES)
@@ -845,7 +834,7 @@ def test_closed_form_where_the_centroid_squares_overflow():
     dist = DiscreteDistribution([[1e200, 0.0], [0.0, 1e200]], [1, 1], [0.5, 0.5])
     for fitted in (dist, _NoisyView(dist, 0.2)):
         fit = unhinged_minimizer(fitted, 1.0)
-        np.testing.assert_allclose(fit.weights.v, [math.sqrt(0.5)] * 2, rtol=1e-15)
+        np.testing.assert_allclose(fit.v, [math.sqrt(0.5)] * 2, rtol=1e-15)
         assert fit.objective == pytest.approx(1.0 - math.hypot(*mean_label_feature(fitted)),
                                               rel=1e-15)
 

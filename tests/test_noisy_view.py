@@ -92,7 +92,7 @@ def test_view_matches_corrupt_rcn(dist, eta, seed):
     assume(norm_m > 1e3 * _rounding(dist, centroid))
     assert fit.degenerate_centroid == reference.degenerate_centroid
     assert abs(fit.objective - reference.objective) <= _rounding(dist, centroid)
-    assert np.all(np.abs(fit.weights.v - reference.weights.v)
+    assert np.all(np.abs(fit.v - reference.v)
                   <= 2.0 * _rounding(dist, centroid) / norm_m)
 
 
@@ -124,7 +124,7 @@ def test_view_rows_interleave_own_and_flipped_labels():
     reference = pgd_minimizer(corrupt_rcn(COLLIDING, 0.2), hinge, 1.0)
     assert fit.converged and reference.converged
     assert abs(fit.objective - reference.objective) <= 2e-9
-    assert fit.objective == expected_loss(view, hinge, fit.weights.v)
+    assert fit.objective == expected_loss(view, hinge, fit.v)
 
     # with no two atoms at one x corrupt_rcn merges nothing, so its rows are
     # the view's, in the same order, bit for bit; a distribution's own rows
@@ -161,7 +161,7 @@ def test_view_hinge_fit_takes_the_materialized_newton_steps():
     reference = pgd_minimizer(corrupt_rcn(dist, 0.2), hinge, 1.0)
     assert fit.converged and fit.iterations > 0
     assert fit.iterations == reference.iterations
-    np.testing.assert_allclose(fit.weights.v, reference.weights.v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fit.v, reference.v, rtol=0, atol=1e-12)
     assert abs(fit.objective - reference.objective) <= 1e-12
 
 

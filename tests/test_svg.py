@@ -57,7 +57,7 @@ def test_step_plot_bytes_match_its_own_canvas(tmp_path, count):
     errors = []
     for gamma in gammas:
         dist = make_counterexample(gamma)
-        errors.append(misclassification_error(dist, unhinged_minimizer(dist, 1.0).weights.v))
+        errors.append(misclassification_error(dist, unhinged_minimizer(dist, 1.0).v))
     labels = dict(title="clean error", xlabel="gamma", ylabel="error", vlines=[GAMMA_STAR])
     step_plot(tmp_path / "new.svg", gammas, errors, **labels)
     reference_step_plot(tmp_path / "reference.svg", gammas, errors, **labels)
