@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,6 +118,31 @@ class TestFitResult:
             fit_at(np.array([3e154, 4e154]), 4.9e154)
         with pytest.raises(ValueError, match="exceeds"):
             fit_at(np.array([1e300, 1e300]), 1.0)
+
+    @pytest.mark.parametrize("v, r, message", [
+        ([np.nan, 0.0], 1.0, "v must be finite, got [nan, 0.0]"),
+        ([np.inf, 0.0], 1.0, "v must be finite, got [inf, 0.0]"),
+        ([[0.6, 0.8]], 1.0, "v must have shape (2,), got (1, 2)"),
+        ([0.0], 0.0, "radius bound must be positive and finite, got 0.0"),
+        ([0.0], -1.0, "radius bound must be positive and finite, got -1.0"),
+        ([0.0], np.nan, "radius bound must be positive and finite, got nan"),
+        ([0.0], np.inf, "radius bound must be positive and finite, got inf"),
+    ])
+    def test_bad_v_or_radius_rejected(self, v, r, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_at(v, r)
+
+    def test_v_is_a_frozen_copy(self):
+        v = np.array([0.6, 0.8])
+        fit = fit_at(v, 1)
+        v[0] = 5.0
+        assert v.flags.writeable
+        assert fit.v.tolist() == [0.6, 0.8]
+        assert fit.r == 1.0 and type(fit.r) is float
+        with pytest.raises(ValueError, match="read-only"):
+            fit.v[0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fit.v = v
 
 
 class TestUnhingedMinimizer:
