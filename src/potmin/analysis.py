@@ -22,7 +22,7 @@ from .distributions import (_WEIGHT_SUM_TOL, DiscreteDistribution, _count, _Nois
                             _vector, _write_csv, corrupt_rcn, mean_label_feature,
                             random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
-from .minimizers import _per_atom, _scaled_norm, pgd_minimizer
+from .minimizers import _objective, _scaled_norm, pgd_minimizer
 
 _ERROR_EQUALITY_TOL = 1e-12
 _BOUND_SLACK = 1e-9
@@ -40,7 +40,7 @@ def expected_loss(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
     Over a noise view it is (1 - eta) E[phi(m)] + eta E[phi(-m)] at the
     clean margins m.
     """
-    return float(dist.weights @ _per_atom(phi.eval, dist, dist.margins(v)))
+    return _objective(phi, dist, dist.margins(v))
 
 
 def misclassification_error(dist: DiscreteDistribution, v) -> float:

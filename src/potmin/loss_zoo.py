@@ -116,8 +116,14 @@ def _mixed_curv(z: np.ndarray) -> np.ndarray:
 
 
 def _logistic_eval(z: np.ndarray) -> np.ndarray:
-    # log(1 + exp(-2z)) evaluated stably for large |z|
-    return np.logaddexp(0.0, -2.0 * z)
+    # log(1 + exp(-2z)) evaluated stably for large |z|; it is -2z up to
+    # rounding past -2z = 40, so it overflows exactly where -2z rises past
+    # float64, and is 0 where -2z falls past it
+    with np.errstate(over="ignore"):
+        out = np.logaddexp(0.0, -2.0 * z)
+    if not np.all(np.isfinite(out)):
+        raise LossOverflowError("logistic", float(z[~np.isfinite(out)].flat[0]))
+    return out
 
 
 def _logistic_deriv(z: np.ndarray) -> np.ndarray:
@@ -127,7 +133,8 @@ def _logistic_deriv(z: np.ndarray) -> np.ndarray:
 
 def _logistic_curv(z: np.ndarray) -> np.ndarray:
     # 4 s(2z) s(-2z) with s the sigmoid, as e / (1 + e)^2 at e = exp(-2|z|) <= 1
-    e = np.exp(-2.0 * np.abs(z))
+    with np.errstate(over="ignore"):
+        e = np.exp(-2.0 * np.abs(z))
     return 4.0 * e / (1.0 + e) ** 2
 
 

@@ -13,10 +13,11 @@ place of a distribution, both read through one layout: row k i + j is
 atom i with label row_signs[j] y_i, k = len(dist.row_signs).  Values and
 slopes are taken per row; every product with x (the centroid, the
 gradient) folds an atom's rows, signed, into one coefficient of y_i x_i,
-and the curvature adds them unsigned, as (s y x)(s y x)^T = (y x)(y x)^T.
+and the curvature adds them unsigned, as (s y x)(s y x)^T = x x^T.
 Only the hinge fit builds the rows s y x, never sorted or merged.  One
-helper forms g and H and names an overflow (:func:`_row_sum`); one rule
-zeroes a norm within its sum's rounding for both gaps (:func:`_sum_norm`).
+helper evaluates E[phi] (:func:`_objective`); one forms g and H from the
+atoms and names an overflow (:func:`_row_sum`); one rule zeroes a norm
+within its sum's rounding for both gaps (:func:`_sum_norm`).
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def _norm(x: np.ndarray) -> float:
 def _scaled_norm(x: np.ndarray) -> float:
     """np.linalg.norm(x), taken on x scaled by the exact power of two that puts
     its largest |entry| in [1/2, 1): the squares then stay finite, and the
-    result keeps np.linalg.norm's bits wherever they do unscaled too."""
-    e = int(np.frexp(np.max(np.abs(x)))[1])
+    result keeps np.linalg.norm's bits wherever they do unscaled too (0 if x is empty)."""
+    e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
     with np.errstate(over="ignore"):
         return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
 
@@ -174,49 +175,38 @@ def _per_atom(fn, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray) 
         raise _overflow_at(err.loss, dist, margins, idx) from None
 
 
-def _row_sum(loss: str, fn, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray,
-             signs, a: np.ndarray, outer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i c_i a_i (sum_i c_i a_i a_i^T if ``outer``) and c = _fold(w fn(margins), signs).
+def _objective(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
+               margins: np.ndarray) -> float:
+    """E[phi] at the row margins: sum over rows of weight times phi(margin)."""
+    return float(dist.weights @ _per_atom(phi.eval, dist, margins))
 
-    A sum that is not finite names the row, of the atom whose own term has
-    the largest |entry| (non-finite counts as largest, the first atom wins
-    a tie), with the largest |term|.  Entries are c_i a_ij, or (c_i a_ij)
-    a_ij (the diagonal of c_i a_i a_i^T, where its largest lie): no 0 * inf.
+
+def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
+             margins: np.ndarray, outer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """g = sum_i c_i y_i x_i (H = sum_i c_i x_i x_i^T if ``outer``) on the atoms, and c.
+
+    For g, c_i folds atom i's rows w phi'(m) signed by their labels (under
+    a noise view c_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i)); for
+    H it adds the rows w phi''(m) unsigned.  As y = +-1, (c_i y_i) x_ij
+    rounds as c_i (y_i x_ij) does.  A sum that is not finite names the
+    row, of the atom whose own term has the largest |entry| (non-finite
+    counts as largest, the first atom wins a tie), with the largest
+    |term|.  Entries are c_i x_ij, or (c_i x_ij) x_ij (the diagonal of
+    c_i x_i x_i^T, where its largest lie): no 0 * inf.
     """
-    rows = dist.weights * _per_atom(fn, dist, margins)
+    signs = [s * s for s in dist.row_signs] if outer else dist.row_signs
+    rows = dist.weights * _per_atom(phi.curv if outer else phi.deriv, dist, margins)
     c = _fold(rows, signs)
+    xs = dist.xs
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        total = (a * c[:, None]).T @ a if outer else c @ a
+        total = (xs * c[:, None]).T @ xs if outer else (c * dist.ys) @ xs
         if np.all(np.isfinite(total)):
             return total, c
-        terms = np.abs(a * c[:, None])
-        largest = np.max(terms * np.abs(a) if outer else terms, axis=1)
+        terms = np.abs(xs * c[:, None])
+        largest = np.max(terms * np.abs(xs) if outer else terms, axis=1)
     idx = int(np.argmax(np.where(np.isfinite(largest), largest, np.inf)))
-    raise _overflow_at(loss, dist, margins, _largest_row(rows, len(signs), idx))
-
-
-def _gradient(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
-              margins: np.ndarray, yx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g = sum_i s_i y_i x_i with s_i = w_i phi'(m_i), and the slope terms s.
-
-    Atom i's slope term sums its rows signed by their labels, under a
-    noise view s_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i); an
-    overflow names a row as :func:`_row_sum` does.
-    """
-    return _row_sum(phi.name, phi.deriv, dist, margins, dist.row_signs, yx, False)
-
-
-def _curvature(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
-               margins: np.ndarray) -> np.ndarray:
-    """H = sum_i c_i x_i x_i^T with c_i = w_i phi''(m_i).
-
-    Atom i's rows add unsigned, under a noise view c_i = (1 - eta) w_i
-    phi''(m_i) + eta w_i phi''(-m_i); an overflow names a row as
-    :func:`_row_sum` does, ranking atoms by max_j c_i x_ij^2.
-    """
-    return _row_sum(phi.name, phi.curv, dist, margins, [s * s for s in dist.row_signs],
-                    dist.xs, True)[0]
+    raise _overflow_at(phi.name, dist, margins, _largest_row(rows, len(signs), idx))
 
 
 def _sum_norm(c: np.ndarray, abs_a: np.ndarray, total: np.ndarray) -> float:
@@ -246,8 +236,8 @@ def _ball_model_minimizer(h: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
     null = mu <= h.shape[0] * _EPS * max(float(mu[-1]), 0.0)
     mu = np.where(null, 0.0, mu)
     beta = q.T @ b
-    norm_beta = float(np.linalg.norm(beta))
-    if float(np.linalg.norm(beta[null])) <= h.shape[0] * _EPS * norm_beta:
+    norm_beta = _scaled_norm(beta)
+    if _scaled_norm(beta[null]) <= h.shape[0] * _EPS * norm_beta:
         x = -q[:, ~null] @ (beta[~null] / mu[~null])
         if _norm(x) <= r:
             return x
@@ -276,15 +266,17 @@ def _signed_rows(dist: DiscreteDistribution | _NoisyView) -> np.ndarray:
     return _rows(dist.ys[:, None] * dist.xs, dist.row_signs)
 
 
-def _hinge_dual(w: np.ndarray, yx: np.ndarray, lam: np.ndarray, r: float) -> float:
+def _hinge_dual(w: np.ndarray, yx: np.ndarray, abs_yx: np.ndarray, lam: np.ndarray,
+                r: float) -> float:
     """D(a) = sum_i w_i a_i - r ||sum_i w_i a_i y_i x_i|| at a = clip(lam / w, 0, 1).
 
     Every a in the box [0, 1]^n makes D(a) a lower bound on the hinge
     optimum over the radius-r ball.  The norm is :func:`_sum_norm`'s, 0
-    within the sum's rounding, so D is then exact to r times that bound.
+    within the sum's rounding, so D is then exact to r times that bound;
+    abs_yx is |yx|, taken once per fit.
     """
     wa = w * np.clip(lam / w, 0.0, 1.0)
-    return float(wa.sum()) - r * _sum_norm(wa, np.abs(yx), wa @ yx)
+    return float(wa.sum()) - r * _sum_norm(wa, abs_yx, wa @ yx)
 
 
 def _to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
@@ -385,10 +377,11 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     """
     w = dist.weights
     yx = _signed_rows(dist)
+    abs_yx = np.abs(yx)
 
     closed = unhinged_minimizer(dist, r)
-    obj = float(w @ _per_atom(phi.eval, dist, dist.margins(closed.v)))
-    gap = obj - _hinge_dual(w, yx, w, r)
+    obj = _objective(phi, dist, dist.margins(closed.v))
+    gap = obj - _hinge_dual(w, yx, abs_yx, w, r)
     if gap <= _TOL:
         return FitResult(closed.v, r, obj, 0, gap, "gap")
 
@@ -400,9 +393,9 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     rho = min(r, _INTERIOR_RADIUS)
     lam3 = float(t @ lam1 + (t - 1.0) @ lam2) / (2 * w.size) / (rho * rho / 2.0)
     best_v = v
-    best_obj = float(w @ _per_atom(phi.eval, dist, margins))
+    best_obj = _objective(phi, dist, margins)
     # the hinge is nonnegative, so a = 0 gives the bound D(0) = 0
-    best_dual = max(0.0, _hinge_dual(w, yx, lam2, r))
+    best_dual = max(0.0, _hinge_dual(w, yx, abs_yx, lam2, r))
     reason = "budget"
     iterations = 0
     for iterations in range(1, _MAX_ITERS + 1):
@@ -415,10 +408,10 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
             reason = "rounding"
             break
         margins = dist.margins(v)
-        obj = float(w @ _per_atom(phi.eval, dist, margins))
+        obj = _objective(phi, dist, margins)
         if obj < best_obj:
             best_v, best_obj = v, obj
-        best_dual = max(best_dual, _hinge_dual(w, yx, lam2, r))
+        best_dual = max(best_dual, _hinge_dual(w, yx, abs_yx, lam2, r))
         if best_obj - best_dual <= _TOL:
             reason = "gap"
             break
@@ -451,20 +444,18 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     inside the radius-r one, so that the model's multiplier
     ||beta|| / radius stays a normal float; the gap keeps r.
     """
-    w = dist.weights
-    yx = dist.ys[:, None] * dist.xs
-    abs_yx = np.abs(yx)
+    abs_xs = np.abs(dist.xs)
     rho = min(r, _INTERIOR_RADIUS)
     v = np.zeros(dist.dimension)
     # one margin vector per trial point
     margins = dist.margins(v)
-    obj = float(w @ _per_atom(phi.eval, dist, margins))
+    obj = _objective(phi, dist, margins)
     last_gap = math.inf
     stalled = False
     iterations = 0
     while True:
-        g, slopes = _gradient(phi, dist, margins, yx)
-        norm_g = _sum_norm(slopes, abs_yx, g)
+        g, slopes = _row_sum(phi, dist, margins, False)
+        norm_g = _sum_norm(slopes, abs_xs, g)
         gap = float(g @ v) + r * norm_g
         if abs(gap) <= (v.size + 2) * _EPS * (float(np.abs(g) @ np.abs(v)) + r * norm_g):
             gap = 0.0
@@ -479,7 +470,7 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
             reason = "budget"
             break
         iterations += 1
-        h = _curvature(phi, dist, margins)
+        h = _row_sum(phi, dist, margins, True)[0]
         d = _ball_model_minimizer(h, g - h @ v, rho) - v
         slope = float(g @ d)
         t = 1.0
@@ -490,7 +481,7 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
                 break
             trial = dist.margins(candidate)
             try:
-                trial_obj = float(w @ _per_atom(phi.eval, dist, trial))
+                trial_obj = _objective(phi, dist, trial)
             except LossOverflowError:
                 trial_obj = math.inf  # far above P(v), which is finite
             accepted = trial_obj <= obj + _ARMIJO * t * slope + _DECREASE_ULPS * _EPS * abs(obj)

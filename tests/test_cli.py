@@ -578,6 +578,16 @@ class TestRecessionProbe:
         assert err.value.atom == ([1.0, 0.0], -1)
         assert err.value.z == pytest.approx(-841.035521922265, abs=1e-9)
 
+    def test_logistic_overflow_at_the_base_point_names_the_clean_atom(self, tmp_path):
+        # at x0 = (1e308, 1e308) the flipped label of atom 0 has margin
+        # -1e308, where log(1 + exp(2e308)) leaves float64
+        with pytest.raises(LossOverflowError) as err:
+            main(["recession-probe", "--loss", "logistic", "--x0", "1e308", "1e308",
+                  "--out-dir", str(tmp_path)])
+        assert err.value.atom_index == 0
+        assert err.value.atom == ([1.0, 0.0], -1)
+        assert err.value.z == -1e308
+
     def test_explicit_direction_normalized(self, tmp_path):
         code = main(["recession-probe", "--loss", "exponential", "--eta", "0.2",
                      "--u", "2.0", "0.0", "--lambdas", "0", "1", "2",

@@ -61,6 +61,18 @@ def test_curvature_follows_the_overflow_rule_of_eval():
         0.0, 0.0]
 
 
+def test_logistic_overflows_only_where_its_value_does():
+    # log(1 + exp(-2z)) is about -2z, which leaves float64 at z = -1e308;
+    # at z = 1e308 the value and, at either sign, the curvature are 0
+    logistic = make_loss("logistic")
+    with pytest.raises(LossOverflowError) as err:
+        logistic.eval(np.array([0.0, -1e308]))
+    assert err.value.loss == "logistic" and err.value.z == -1e308
+    assert logistic.eval(-1e300) == 2e300
+    assert logistic.eval(1e308) == 0.0
+    assert logistic.curv(np.array([-1e308, 1e308])).tolist() == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("name", ["hinge", "unhinged"])
 def test_losses_without_curvature(name):
     # the hinge has its own fit and the unhinged loss its closed form

@@ -8,14 +8,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import LINEAR, zero_curvature
 from potmin import (LOSS_NAMES, DiscreteDistribution, FitResult, LossOverflowError,
                     PotentialFunction, corrupt_rcn, expected_loss, make_counterexample,
-                    make_loss, mean_label_feature, pgd_minimizer, unhinged_minimizer)
+                    make_loss, mean_label_feature, misclassification_error, pgd_minimizer,
+                    unhinged_minimizer)
 from potmin import minimizers
-from potmin.distributions import _NoisyView
+from potmin.distributions import _fold, _NoisyView
 
 UNHINGED = make_loss("unhinged")
 
@@ -290,8 +292,7 @@ class TestPgdMinimizer:
         dist = DiscreteDistribution([[1.0], [-2.0]], [1, 1], [0.5, 0.5])
         v = np.array([-1000.0])
         with pytest.raises(LossOverflowError) as err:
-            minimizers._gradient(make_loss("exponential"), dist, dist.margins(v),
-                                 dist.ys[:, None] * dist.xs)
+            minimizers._row_sum(make_loss("exponential"), dist, dist.margins(v), False)
         assert err.value.atom_index == 0
         assert err.value.z == -1000.0
 
@@ -301,8 +302,7 @@ class TestPgdMinimizer:
         dist = DiscreteDistribution([[-1e10], [2e10]], [1, 1], [0.1, 0.9])
         v = np.array([7e-8])
         with pytest.raises(LossOverflowError) as err:
-            minimizers._gradient(make_loss("exponential"), dist, dist.margins(v),
-                                 dist.ys[:, None] * dist.xs)
+            minimizers._row_sum(make_loss("exponential"), dist, dist.margins(v), False)
         assert err.value.atom_index == 0
         assert err.value.z == -700.0
         assert err.value.atom == ([-1e10], 1)
@@ -324,8 +324,8 @@ class TestPgdMinimizer:
         dist = DiscreteDistribution([[1.0], [1e160]], [1, 1], [0.5, 0.5])
         view = _NoisyView(dist, 0.2)
         with pytest.raises(LossOverflowError) as err:
-            minimizers._curvature(make_loss("exponential"), view,
-                                  view.margins(np.array([1e-160])))
+            minimizers._row_sum(make_loss("exponential"), view,
+                                view.margins(np.array([1e-160])), True)
         assert err.value.atom_index == 1
         assert err.value.atom == ([1e160], -1)
         assert err.value.z == -1.0
@@ -336,8 +336,8 @@ class TestPgdMinimizer:
         # leaves float64; ranked by c_i ||x_i||^2, atom 0's 0 * inf is NaN
         dist = DiscreteDistribution([[1e200, 0.0], [0.0, 1e200]], [1, 1], [0.5, 0.5])
         with pytest.raises(LossOverflowError) as err:
-            minimizers._curvature(make_loss("logistic"), dist,
-                                  dist.margins(np.array([1e-197, 1e-201])))
+            minimizers._row_sum(make_loss("logistic"), dist,
+                                dist.margins(np.array([1e-197, 1e-201])), True)
         assert err.value.atom_index == 1
         assert err.value.atom == ([0.0, 1e200], 1)
         assert err.value.z == pytest.approx(0.1, rel=1e-15)
@@ -358,6 +358,28 @@ class TestPgdMinimizer:
 
 SMOOTH = ("exponential", "mixed_linear_exponential", "logistic")
 C1_LOSSES = SMOOTH + ("unhinged",)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dist=helpers.small_distributions(), eta=helpers.etas, seed=st.integers(0, 2**16))
+def test_row_sum_matches_the_signed_row_forms_bit_for_bit(dist, eta, seed):
+    # g and H are formed on the atoms x; as y = +-1, c_i y_i x_ij rounds
+    # the same either way, so both keep the bits of the forms over y x
+    v = np.random.default_rng(seed).uniform(-3.0, 3.0, dist.dimension)
+    yx = dist.ys[:, None] * dist.xs
+    for fitted in (dist, _NoisyView(dist, eta)):
+        m = fitted.margins(v)
+        for name in LOSS_NAMES:
+            phi = make_loss(name)
+            slopes = _fold(fitted.weights * phi.deriv(m), fitted.row_signs)
+            g, c = minimizers._row_sum(phi, fitted, m, False)
+            assert c.tobytes() == slopes.tobytes()
+            assert g.tobytes() == (slopes @ yx).tobytes()
+            if phi.curv is not None:
+                curv = _fold(fitted.weights * phi.curv(m), [1.0] * len(fitted.row_signs))
+                h, c = minimizers._row_sum(phi, fitted, m, True)
+                assert c.tobytes() == curv.tobytes()
+                assert h.tobytes() == ((yx * curv[:, None]).T @ yx).tobytes()
 
 
 def frank_wolfe_gap(dist, phi, v, r):
@@ -563,8 +585,10 @@ def test_hinge_dual_point_is_clipped_to_the_box():
     # the box must be read as its nearest point
     dist = make_counterexample(0.05)
     w, yx = dist.weights, dist.ys[:, None] * dist.xs
-    assert minimizers._hinge_dual(w, yx, 3.0 * w, 1.0) == minimizers._hinge_dual(w, yx, w, 1.0)
-    assert minimizers._hinge_dual(w, yx, -w, 1.0) == 0.0
+    abs_yx = np.abs(yx)
+    assert minimizers._hinge_dual(w, yx, abs_yx, 3.0 * w, 1.0) == (
+        minimizers._hinge_dual(w, yx, abs_yx, w, 1.0))
+    assert minimizers._hinge_dual(w, yx, abs_yx, -w, 1.0) == 0.0
 
 
 def test_hinge_fit_finds_an_interior_optimum():
@@ -648,9 +672,10 @@ def test_hinge_dual_drops_only_a_norm_within_its_rounding():
     dist = DiscreteDistribution([[1.0], [1.0 + 2**-52]], [1, -1], [0.5, 0.5])
     w, yx = dist.weights, dist.ys[:, None] * dist.xs
     # sum w y x = -2^-53 is within the rounding of its own sum
-    assert minimizers._hinge_dual(w, yx, w, 1e12) == 1.0
+    assert minimizers._hinge_dual(w, yx, np.abs(yx), w, 1e12) == 1.0
     # a norm above that rounding is scaled by r as before
-    assert minimizers._hinge_dual(w, yx, np.array([0.5, 0.0]), 2.0) == 0.5 - 2.0 * 0.5
+    assert minimizers._hinge_dual(w, yx, np.abs(yx), np.array([0.5, 0.0]), 2.0) == (
+        0.5 - 2.0 * 0.5)
 
 
 def test_hinge_fit_where_the_dual_sum_squares_overflow():
@@ -659,13 +684,26 @@ def test_hinge_fit_where_the_dual_sum_squares_overflow():
     # and D(1) = 1 would rise above the closed form's hinge value 0
     dist = DiscreteDistribution([[1e200, 0.0], [0.0, 1e200]], [1, 1], [0.5, 0.5])
     w = dist.weights
-    bound = minimizers._hinge_dual(w, minimizers._signed_rows(dist), w, 1.0)
+    yx = minimizers._signed_rows(dist)
+    bound = minimizers._hinge_dual(w, yx, np.abs(yx), w, 1.0)
     assert bound == pytest.approx(1.0 - math.hypot(5e199, 5e199), rel=1e-15)
     assert bound <= expected_loss(dist, HINGE, unhinged_minimizer(dist, 1.0).v)
     for fitted in (dist, _NoisyView(dist, 0.2)):
         fit = pgd_minimizer(fitted, HINGE, 1.0)
         assert fit.gap >= 0.0
         assert fit.objective == expected_loss(fitted, HINGE, fit.v)
+
+
+def test_newton_fit_where_the_model_norms_square_past_float64():
+    # at v = 0 the mixed loss has H = 0 and g = -(5e199, 5e199), whose
+    # squared norm leaves float64; taken squared, the model's ||beta|| was
+    # inf and the fit stopped at v = 0 with error 1
+    dist = DiscreteDistribution([[1e200, 0.0], [0.0, 1e200]], [1, 1], [0.5, 0.5])
+    phi = make_loss("mixed_linear_exponential")
+    fit = pgd_minimizer(dist, phi, 1.0)
+    assert fit.stop_reason == "gap" and fit.gap == 0.0 and fit.iterations == 1
+    assert fit.objective == expected_loss(dist, phi, fit.v) == 0.0
+    assert misclassification_error(dist, fit.v) == 0.0
 
 
 def test_hinge_fit_stops_where_rounding_leaves_no_step():
@@ -719,8 +757,8 @@ def test_newton_fit_on_the_noise_view_matches_the_materialized_noise(loss):
         view, noisy = _NoisyView(dist, 0.2), corrupt_rcn(dist, 0.2)
         v = rng.normal(size=dist.dimension)
         np.testing.assert_allclose(
-            minimizers._curvature(phi, view, view.margins(v)),
-            minimizers._curvature(phi, noisy, noisy.margins(v)), rtol=1e-13, atol=1e-15)
+            minimizers._row_sum(phi, view, view.margins(v), True)[0],
+            minimizers._row_sum(phi, noisy, noisy.margins(v), True)[0], rtol=1e-13, atol=1e-15)
         for r in (1.0, 10.0):
             fit, reference = pgd_minimizer(view, phi, r), pgd_minimizer(noisy, phi, r)
             assert fit.stop_reason == reference.stop_reason == "gap"

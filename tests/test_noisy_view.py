@@ -71,8 +71,6 @@ def test_view_matches_corrupt_rcn(dist, eta, seed):
     view, noisy = _NoisyView(dist, eta), corrupt_rcn(dist, eta)
     v = np.random.default_rng(seed).uniform(-3.0, 3.0, dist.dimension)
     m = dist.margins(v)
-    yx_view = dist.ys[:, None] * dist.xs
-    yx_noisy = noisy.ys[:, None] * noisy.xs
     for phi in LOSSES.values():
         # expected loss: sum_i w_i ((1 - eta) phi(m_i) + eta phi(-m_i))
         mass = dist.weights @ (np.abs(phi.eval(m)) + np.abs(phi.eval(-m)))
@@ -80,8 +78,8 @@ def test_view_matches_corrupt_rcn(dist, eta, seed):
             _rounding(dist, mass))
         # the PGD gradient, coordinate by coordinate
         slopes = dist.weights * (np.abs(phi.deriv(m)) + np.abs(phi.deriv(-m)))
-        g_view, _ = minimizers._gradient(phi, view, view.margins(v), yx_view)
-        g_noisy, _ = minimizers._gradient(phi, noisy, noisy.margins(v), yx_noisy)
+        g_view, _ = minimizers._row_sum(phi, view, view.margins(v), False)
+        g_noisy, _ = minimizers._row_sum(phi, noisy, noisy.margins(v), False)
         assert np.all(np.abs(g_view - g_noisy) <= _rounding(dist, slopes @ np.abs(dist.xs)))
 
     # the noisy unhinged fit: r m / ||m|| for the noisy centroid m
@@ -201,8 +199,7 @@ def test_gradient_overflow_names_the_flipped_row():
     view = _NoisyView(dist, 0.1)
     v = np.array([7e-8])
     with pytest.raises(LossOverflowError) as err:
-        minimizers._gradient(LOSSES["exponential"], view, view.margins(v),
-                             dist.ys[:, None] * dist.xs)
+        minimizers._row_sum(LOSSES["exponential"], view, view.margins(v), False)
     assert err.value.atom_index == 1
     assert err.value.atom == ([1e10], -1)
     assert err.value.z == -dist.margins(v)[1]
