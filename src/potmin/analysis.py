@@ -22,7 +22,7 @@ from .distributions import (_WEIGHT_SUM_TOL, DiscreteDistribution, _count, _Nois
                             _vector, _write_csv, corrupt_rcn, mean_label_feature,
                             random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
-from .minimizers import _objective, _scaled_norm, pgd_minimizer
+from .minimizers import _exponent, _objective, pgd_minimizer
 
 _ERROR_EQUALITY_TOL = 1e-12
 _BOUND_SLACK = 1e-9
@@ -225,7 +225,8 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
         )
     x0 = np.zeros(dist.dimension) if x0 is None else _vector("x0", x0, dist.dimension)
     u = mean_label_feature(dist) if u is None else _vector("u", u, dist.dimension)
-    norm_u = _scaled_norm(u)
+    u = np.ldexp(u, -_exponent(u))  # same direction; its squares stay finite
+    norm_u = float(np.linalg.norm(u))
     if not 0.0 < norm_u < np.inf:
         raise ValueError(f"direction u (default: the label centroid) must be nonzero and "
                          f"finite, got ||u|| = {norm_u!r}")

@@ -22,10 +22,10 @@ within its sum's rounding for both gaps (:func:`_sum_norm`).
 
 from __future__ import annotations
 
+import copy
 import inspect
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,8 +43,6 @@ _DECREASE_ULPS = 4
 # mean complementarity mu falls, so that the last steps converge
 # superlinearly instead of cutting the gap only 100-fold each
 _STEP_TO_BOUNDARY = 0.99
-# largest ball radius the interior point works in: r^2 stays finite
-_INTERIOR_RADIUS = math.sqrt(sys.float_info.max) / 2.0
 # a Newton fit whose gap is at most tol stops once the gap no longer
 # halves, or once it is at most this share of tol: stopping at the first
 # gap <= tol left objectives up to 5e-10 above what one more step reached
@@ -65,13 +63,18 @@ def _norm(x: np.ndarray) -> float:
     return math.hypot(*x.tolist())
 
 
-def _scaled_norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x), taken on x scaled by the exact power of two that puts
-    its largest |entry| in [1/2, 1): the squares then stay finite, and the
-    result keeps np.linalg.norm's bits wherever they do unscaled too (0 if x is empty)."""
-    e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+def _exponent(a: np.ndarray) -> int:
+    """The binary exponent e of max|a|, which lies in [2^(e-1), 2^e) (0 if a is all 0)."""
+    return math.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1]
+
+
+def _scaled(dist: DiscreteDistribution | _NoisyView, e: int) -> DiscreteDistribution | _NoisyView:
+    """dist with every x scaled by 2^-e: a shallow copy, neither checked nor merged again."""
+    if isinstance(dist, _NoisyView):
+        return _NoisyView(_scaled(dist.clean, e), dist.eta)
+    scaled = copy.copy(dist)
+    object.__setattr__(scaled, "xs", _readonly(np.ldexp(dist.xs, -e)))
+    return scaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,20 +137,22 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     that case returns the zero vector with the degeneracy flag set.
     Under a noise view m is the noisy centroid
     sum_i ((1 - eta) w_i - eta w_i) y_i x_i, folded atom by atom.
+    m is scaled by 2^-e, e the exponent of max|x|, so it squares finitely
+    and is near-zero relative to max|x|; r ||m|| is (r ||m 2^-e||) 2^e.
     """
     r = _positive("radius", r)
-    m = mean_label_feature(dist)
-    norm_m = _scaled_norm(m)
-    if norm_m <= _DEGENERATE_CENTROID_TOL:
-        zero = np.zeros(dist.dimension)
-        return FitResult(zero, r, 1.0, 0, r * norm_m, "closed-form",
-                         degenerate_centroid=True)
+    e = _exponent(dist.xs)
+    m = np.ldexp(mean_label_feature(dist), -e)
+    norm_m = float(np.linalg.norm(m))
     with np.errstate(over="ignore"):
+        r_norm_m = float(np.ldexp(r * norm_m, e))
+        if norm_m <= _DEGENERATE_CENTROID_TOL:
+            return FitResult(np.zeros(dist.dimension), r, 1.0, 0, r_norm_m, "closed-form",
+                             degenerate_centroid=True)
         v = (r / norm_m) * m
-    objective = 1.0 - r * norm_m
+    objective = 1.0 - r_norm_m
     if not (np.all(np.isfinite(v)) and math.isfinite(objective)):
-        raise ValueError(f"radius {r!r} overflows float64 in r m/||m|| "
-                         f"(||m|| = {norm_m!r})")
+        raise ValueError(f"radius {r!r} overflows float64 in r m/||m||")
     return FitResult(v, r, objective, 0, 0.0, "closed-form")
 
 
@@ -183,7 +188,8 @@ def _objective(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
 
 def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
              margins: np.ndarray, outer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """g = sum_i c_i y_i x_i (H = sum_i c_i x_i x_i^T if ``outer``) on the atoms, and c.
+    """g = sum_i c_i y_i x_i (H = sum_i c_i x_i x_i^T if ``outer``) on the atoms,
+    and per atom the sum of its |rows|, which bounds c_i and its rounding.
 
     For g, c_i folds atom i's rows w phi'(m) signed by their labels (under
     a noise view c_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i)); for
@@ -194,19 +200,19 @@ def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
     |term|.  Entries are c_i x_ij, or (c_i x_ij) x_ij (the diagonal of
     c_i x_i x_i^T, where its largest lie): no 0 * inf.
     """
-    signs = [s * s for s in dist.row_signs] if outer else dist.row_signs
+    unsigned = [s * s for s in dist.row_signs]
     rows = dist.weights * _per_atom(phi.curv if outer else phi.deriv, dist, margins)
-    c = _fold(rows, signs)
+    c = _fold(rows, unsigned if outer else dist.row_signs)
     xs = dist.xs
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         total = (xs * c[:, None]).T @ xs if outer else (c * dist.ys) @ xs
         if np.all(np.isfinite(total)):
-            return total, c
+            return total, _fold(np.abs(rows), unsigned)
         terms = np.abs(xs * c[:, None])
         largest = np.max(terms * np.abs(xs) if outer else terms, axis=1)
     idx = int(np.argmax(np.where(np.isfinite(largest), largest, np.inf)))
-    raise _overflow_at(phi.name, dist, margins, _largest_row(rows, len(signs), idx))
+    raise _overflow_at(phi.name, dist, margins, _largest_row(rows, len(unsigned), idx))
 
 
 def _sum_norm(c: np.ndarray, abs_a: np.ndarray, total: np.ndarray) -> float:
@@ -236,8 +242,8 @@ def _ball_model_minimizer(h: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
     null = mu <= h.shape[0] * _EPS * max(float(mu[-1]), 0.0)
     mu = np.where(null, 0.0, mu)
     beta = q.T @ b
-    norm_beta = _scaled_norm(beta)
-    if _scaled_norm(beta[null]) <= h.shape[0] * _EPS * norm_beta:
+    norm_beta = float(np.linalg.norm(beta))
+    if np.linalg.norm(beta[null]) <= h.shape[0] * _EPS * norm_beta:
         x = -q[:, ~null] @ (beta[~null] / mu[~null])
         if _norm(x) <= r:
             return x
@@ -371,9 +377,6 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     strictly inside the ball; the fit returns the best one and stops when
     P(best v) - max D(clip(lam2 / w, 0, 1)) <= tol, when ``_MAX_ITERS``
     Newton steps are spent, or when rounding leaves no interior step.
-    Beyond ``_INTERIOR_RADIUS`` the steps run on that smaller ball, whose
-    points also lie in the radius-r ball, so that r^2 stays finite; D
-    keeps the true r, so the certificate still bounds the radius-r problem.
     """
     w = dist.weights
     yx = _signed_rows(dist)
@@ -390,8 +393,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     t = np.full(w.size, 2.0)
     lam1, lam2 = w / 2.0, w / 2.0
     # centred start: lam3 s3 equals the mean of the other 2n products
-    rho = min(r, _INTERIOR_RADIUS)
-    lam3 = float(t @ lam1 + (t - 1.0) @ lam2) / (2 * w.size) / (rho * rho / 2.0)
+    lam3 = float(t @ lam1 + (t - 1.0) @ lam2) / (2 * w.size) / (r * r / 2.0)
     best_v = v
     best_obj = _objective(phi, dist, margins)
     # the hinge is nonnegative, so a = 0 gives the bound D(0) = 0
@@ -401,7 +403,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     for iterations in range(1, _MAX_ITERS + 1):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                v, t, lam1, lam2, lam3 = _mehrotra_step(w, yx, rho, v, margins, t,
+                v, t, lam1, lam2, lam3 = _mehrotra_step(w, yx, r, v, margins, t,
                                                         lam1, lam2, lam3)
         except (ArithmeticError, np.linalg.LinAlgError):
             iterations -= 1
@@ -432,20 +434,17 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     -r g/||g|| is the optimum.  The Frank-Wolfe gap <g, v> + r ||g||
     bounds P(v) minus the optimum over the ball, and ``_TOL`` bounds it
     in absolute terms, whatever r.  ||g|| is :func:`_sum_norm`'s, 0 within
-    the rounding of the sum g.  On the boundary the two terms cancel, and a
+    the rounding of the sum g, bounded by each atom's |rows| (a noisy c_i
+    rounds relative to them).  On the boundary the two terms cancel, and a
     gap within their rounding, (d + 2) eps (|g|.|v| + r ||g||), counts as
     0 too.  The fit stops, certified, once the gap is at most tol and no
     longer halves (or is at most 1e-3 tol).  Otherwise it stops when
     ``_MAX_ITERS`` Newton steps are spent, when no t passes the test
     before t (x - v) underflows, or when a step neither lowered P nor
     halved the gap; the last two count as certified if the gap is at most
-    tol.  Every step lowers P up to rounding, so the last iterate is the
-    best.  Beyond ``_INTERIOR_RADIUS`` the steps run on that smaller ball,
-    inside the radius-r one, so that the model's multiplier
-    ||beta|| / radius stays a normal float; the gap keeps r.
+    tol.  Every step lowers P up to rounding, so the last iterate is the best.
     """
     abs_xs = np.abs(dist.xs)
-    rho = min(r, _INTERIOR_RADIUS)
     v = np.zeros(dist.dimension)
     # one margin vector per trial point
     margins = dist.margins(v)
@@ -454,8 +453,8 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     stalled = False
     iterations = 0
     while True:
-        g, slopes = _row_sum(phi, dist, margins, False)
-        norm_g = _sum_norm(slopes, abs_xs, g)
+        g, row_mass = _row_sum(phi, dist, margins, False)
+        norm_g = _sum_norm(row_mass, abs_xs, g)
         gap = float(g @ v) + r * norm_g
         if abs(gap) <= (v.size + 2) * _EPS * (float(np.abs(g) @ np.abs(v)) + r * norm_g):
             gap = 0.0
@@ -471,7 +470,7 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
             break
         iterations += 1
         h = _row_sum(phi, dist, margins, True)[0]
-        d = _ball_model_minimizer(h, g - h @ v, rho) - v
+        d = _ball_model_minimizer(h, g - h @ v, r) - v
         slope = float(g @ d)
         t = 1.0
         while True:
@@ -510,16 +509,26 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
     (see :func:`_newton_fit`), and the shipped hinge loss to a duality gap
     (see :func:`_hinge_fit`): the unhinged closed form when it certifies,
     else a primal-dual interior point.  Any other loss raises ValueError
-    naming it, as does a radius that is not positive and finite.  The name is kept from the projected gradient
-    descent these fits replaced.
+    naming it, as does a radius that is not positive and finite.  The name
+    is kept from the projected gradient descent these fits replaced.
+    Both iterative fits see the same margins on x 2^-e at radius r 2^e and
+    return v 2^-e.  e = ex - floor((ex + er) / 2), for the binary exponents
+    ex of max|x| and er of r, splits r max|x| evenly: both square finitely,
+    and every (x 2^k, r 2^-k) is fit alike, bit for bit.
     """
     r = _positive("radius", r)
     kernel = inspect.unwrap(phi.eval)
     if kernel is _unhinged_eval:
         return unhinged_minimizer(dist, r)
-    if phi.curv is not None:
-        return _newton_fit(dist, phi, r)
-    if kernel is _hinge_eval:
-        return _hinge_fit(dist, phi, r)
-    raise ValueError(f"loss {phi.name!r} has no certified fit: it declares no curvature "
-                     "and is neither the shipped unhinged nor the shipped hinge loss")
+    if phi.curv is None and kernel is not _hinge_eval:
+        raise ValueError(f"loss {phi.name!r} has no certified fit: it declares no curvature "
+                         "and is neither the shipped unhinged nor the shipped hinge loss")
+    fit = _hinge_fit if phi.curv is None else _newton_fit
+    ex = _exponent(dist.xs)
+    e = ex - (ex + math.frexp(r)[1]) // 2
+    try:
+        scaled = fit(_scaled(dist, e), phi, math.ldexp(r, e))
+    except LossOverflowError as err:  # named by the atom as given
+        raise LossOverflowError(err.loss, err.z, err.atom_index,
+                                (dist.xs[err.atom_index].tolist(), err.atom[1])) from None
+    return replace(scaled, v=np.ldexp(scaled.v, -e), r=r)

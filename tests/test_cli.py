@@ -14,7 +14,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from potmin import (DiscreteDistribution, LossOverflowError, check_rcn_robustness,
+from potmin import (LOSS_NAMES, DiscreteDistribution, LossOverflowError, check_rcn_robustness,
                     expected_loss, make_counterexample, make_loss, mean_label_feature,
                     misclassification_error, unhinged_minimizer)
 from potmin import analysis, cli, distributions
@@ -644,6 +644,17 @@ class TestNonFiniteInput:
         data = tmp_path / "big.csv"
         data.write_text("x1,x2,y,weight\n1e200,0,1,0.5\n0,1e200,1,0.5\n")
         assert main([*argv, "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("loss", LOSS_NAMES)
+    def test_robust_check_past_1e154_classifies_both_atoms(self, tmp_path, loss):
+        # hinge reported both errors 1.0, and the smooth losses exited 1
+        data = tmp_path / "big.csv"
+        data.write_text("x1,x2,y,weight\n1e200,0,1,0.5\n0,1e200,1,0.5\n")
+        out = tmp_path / "out"
+        assert main(["robust-check", "--loss", loss, "--data", str(data),
+                     "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "robust_check_summary.json").read_text())
+        assert summary["clean_fit_error"] == summary["noisy_fit_error"] == 0.0
 
     @pytest.mark.parametrize("mode", ["gd", "cd"])
     def test_label_sum_that_overflows_exits_two(self, tmp_path, capsys, mode):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import helpers
 from helpers import LINEAR, zero_curvature
 from potmin import (LOSS_NAMES, DiscreteDistribution, FitResult, LossOverflowError,
-                    PotentialFunction, corrupt_rcn, expected_loss, make_counterexample,
-                    make_loss, mean_label_feature, misclassification_error, pgd_minimizer,
-                    unhinged_minimizer)
+                    PotentialFunction, check_rcn_robustness, corrupt_rcn, expected_loss,
+                    make_counterexample, make_loss, mean_label_feature, misclassification_error,
+                    pgd_minimizer, unhinged_minimizer)
 from potmin import minimizers
 from potmin.distributions import _fold, _NoisyView
 
@@ -307,15 +307,32 @@ class TestPgdMinimizer:
         assert err.value.z == -700.0
         assert err.value.atom == ([-1e10], 1)
 
-    def test_curvature_overflow_names_the_overflowing_term(self):
-        # at v = 0 every margin is 0 and the gradient is finite, but atom
-        # 1's curvature term 0.5 phi''(0) x x^T = 0.5e320 leaves float64
+    def test_fit_where_the_curvature_squares_past_float64(self):
+        # atom 1's curvature term 0.5 phi''(0) x x^T = 0.5e320 left float64
+        # at v = 0; the fit runs on x 2^-e, whose squares stay finite
         dist = DiscreteDistribution([[1.0], [1e160]], [1, -1], [0.5, 0.5])
+        phi = make_loss("logistic")
+        for fitted in (dist, _NoisyView(dist, 0.2)):
+            fit = pgd_minimizer(fitted, phi, 1.0)
+            assert fit.stop_reason == "gap" and 0.0 <= fit.gap <= TOL
+            assert fit.objective == expected_loss(fitted, phi, fit.v)
+
+    def test_overflow_in_a_rescaled_fit_names_the_atom_as_given(self):
+        # the fit sees x 2^-e; a curvature that overflows at margin 0
+        # names atom 0 with the x it was given, not the scaled one
+        def curv(z):
+            if np.any(z == 0.0):
+                raise LossOverflowError("steep", 0.0)
+            return np.exp(-z)
+
+        phi = PotentialFunction("steep", lambda z: np.exp(-z), lambda z: -np.exp(-z), curv)
+        dist = DiscreteDistribution([[3e100, 0.0], [0.0, 1e300]], [1, -1], [0.5, 0.5])
         for fitted in (dist, _NoisyView(dist, 0.2)):
             with pytest.raises(LossOverflowError) as err:
-                pgd_minimizer(fitted, make_loss("logistic"), 1.0)
-            assert err.value.atom_index == 1
-            assert err.value.atom == ([1e160], -1)
+                pgd_minimizer(fitted, phi, 1.0)
+            assert err.value.atom_index == 0
+            assert err.value.atom == ([3e100, 0.0], 1)
+            assert err.value.z == 0.0
 
     def test_curvature_overflow_names_the_larger_of_an_atoms_rows(self):
         # at v = 1e-160 atom 1's margin is 1; its flipped row's term
@@ -364,21 +381,27 @@ C1_LOSSES = SMOOTH + ("unhinged",)
 @given(dist=helpers.small_distributions(), eta=helpers.etas, seed=st.integers(0, 2**16))
 def test_row_sum_matches_the_signed_row_forms_bit_for_bit(dist, eta, seed):
     # g and H are formed on the atoms x; as y = +-1, c_i y_i x_ij rounds
-    # the same either way, so both keep the bits of the forms over y x
+    # the same either way, so both keep the bits of the forms over y x.
+    # The second value is each atom's sum of |row|, the bound on c_i
     v = np.random.default_rng(seed).uniform(-3.0, 3.0, dist.dimension)
     yx = dist.ys[:, None] * dist.xs
     for fitted in (dist, _NoisyView(dist, eta)):
         m = fitted.margins(v)
+        unsigned = [1.0] * len(fitted.row_signs)
         for name in LOSS_NAMES:
             phi = make_loss(name)
-            slopes = _fold(fitted.weights * phi.deriv(m), fitted.row_signs)
-            g, c = minimizers._row_sum(phi, fitted, m, False)
-            assert c.tobytes() == slopes.tobytes()
+            rows = fitted.weights * phi.deriv(m)
+            slopes = _fold(rows, fitted.row_signs)
+            g, mass = minimizers._row_sum(phi, fitted, m, False)
+            assert mass.tobytes() == _fold(np.abs(rows), unsigned).tobytes()
             assert g.tobytes() == (slopes @ yx).tobytes()
+            if fitted is dist:
+                assert mass.tobytes() == np.abs(slopes).tobytes()
             if phi.curv is not None:
-                curv = _fold(fitted.weights * phi.curv(m), [1.0] * len(fitted.row_signs))
-                h, c = minimizers._row_sum(phi, fitted, m, True)
-                assert c.tobytes() == curv.tobytes()
+                rows = fitted.weights * phi.curv(m)
+                curv = _fold(rows, unsigned)
+                h, mass = minimizers._row_sum(phi, fitted, m, True)
+                assert mass.tobytes() == _fold(np.abs(rows), unsigned).tobytes()
                 assert h.tobytes() == ((yx * curv[:, None]).T @ yx).tobytes()
 
 
@@ -903,13 +926,47 @@ def test_closed_form_where_the_centroid_squares_overflow():
                                               rel=1e-15)
 
 
-def test_scaled_norm_keeps_the_bits_of_a_finite_norm():
-    rng = np.random.default_rng(11)
-    for _ in range(2000):
-        x = rng.standard_normal(int(rng.integers(1, 8))) * 10.0 ** rng.uniform(-100, 100)
-        assert minimizers._scaled_norm(x) == float(np.linalg.norm(x))
-
-
 def test_closed_form_names_an_overflowing_radius():
     with pytest.raises(ValueError, match=r"radius 1e\+308 overflows float64 in r m/\|\|m\|\|"):
         unhinged_minimizer(make_counterexample(0.05), 1e308)
+
+
+@pytest.mark.parametrize("r", [1e100, 1e200, 1e300])
+@pytest.mark.parametrize("loss", ["logistic", "exponential"])
+def test_noisy_gap_bound_holds_the_rounding_of_each_atoms_rows(loss, r):
+    # the noisy optimum lies inside the ball, where each atom's slope
+    # (1 - eta) w phi'(m) - eta w phi'(-m) cancels and rounds relative to
+    # its two rows, not to its own size; bounded by the folded |c_i|, the
+    # fit stopped no-decrease with gap 3.9e83 at r = 1e100.  Both losses
+    # have 0.9 phi'(m) = 0.1 phi'(-m) at e^(2m) = 9
+    dist = DiscreteDistribution([[1.0, 0.0], [0.0, 1.0]], [1, 1], [0.5, 0.5])
+    fit = pgd_minimizer(_NoisyView(dist, 0.1), make_loss(loss), r)
+    assert fit.stop_reason == "gap" and abs(fit.gap) <= TOL
+    np.testing.assert_allclose(fit.v, [math.log(3.0)] * 2, rtol=1e-12)
+
+
+BIG = DiscreteDistribution([[1e200, 0.0], [0.0, 1e200]], [1, 1], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_every_fit_certifies_on_coordinates_past_1e154(loss):
+    # the margin scale r max|x| = 1e200 is split between x and r, so both
+    # square finitely: hinge stopped on rounding at v = 0 (error 1), and the
+    # smooth losses raised LossOverflowError
+    phi = make_loss(loss)
+    for fitted in (BIG, _NoisyView(BIG, 0.1)):
+        fit = pgd_minimizer(fitted, phi, 1.0)
+        assert fit.converged and fit.gap <= TOL
+        assert fit.objective == pytest.approx(expected_loss(fitted, phi, fit.v), rel=1e-15)
+        assert misclassification_error(BIG, fit.v) == 0.0
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_the_construction_scaled_down_is_not_degenerate(loss):
+    # ||m|| is about 1e-16 here, under an absolute 1e-14; relative to
+    # max|x| the centroid is that of the unscaled construction
+    dist = make_counterexample(0.2)
+    tiny = DiscreteDistribution(dist.xs * 1e-15, dist.ys, dist.weights)
+    report = check_rcn_robustness(tiny, make_loss(loss), 1e15, 0.1)
+    assert report.clean_fit_error == report.noisy_fit_error == 0.0
+    assert not report.degenerate
