@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (_WEIGHT_SUM_TOL, DiscreteDistribution, _count, _NoisyView,
-                            _vector, _write_csv, corrupt_rcn, mean_label_feature,
+from .distributions import (_WEIGHT_SUM_TOL, DiscreteDistribution, _count, _exponent,
+                            _NoisyView, _vector, _write_csv, corrupt_rcn, mean_label_feature,
                             random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
-from .minimizers import _exponent, _objective, pgd_minimizer
+from .minimizers import _objective, pgd_minimizer
 
 _ERROR_EQUALITY_TOL = 1e-12
 _BOUND_SLACK = 1e-9

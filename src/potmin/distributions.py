@@ -39,6 +39,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _exponent(a: np.ndarray) -> int:
+    """The binary exponent e of max|a|, which lies in [2^(e-1), 2^e) (0 if a is all 0)."""
+    return math.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1]
+
+
 def _merge_duplicates(xs, ys, weights):
     """Sum weights of atoms with identical (x, y), keeping first-seen order.
 
@@ -200,6 +205,7 @@ class DiscreteDistribution:
     xs: np.ndarray       # (n, d) feature rows
     ys: np.ndarray       # (n,) labels in {-1, +1}
     weights: np.ndarray  # (n,) probability masses
+    x_exponent: int = field(init=False, repr=False)  # the binary exponent of max|x|
 
     def __post_init__(self):
         xs, ys = _labeled_rows(np.array(self.xs, dtype=float, ndmin=2),
@@ -220,6 +226,7 @@ class DiscreteDistribution:
         object.__setattr__(self, "xs", _readonly(xs))
         object.__setattr__(self, "ys", _readonly(ys))
         object.__setattr__(self, "weights", _readonly(weights))
+        object.__setattr__(self, "x_exponent", _exponent(xs))
 
     @property
     def dimension(self) -> int:
@@ -380,12 +387,14 @@ class _NoisyView:
     xs: np.ndarray = field(init=False)
     ys: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
+    x_exponent: int = field(init=False, repr=False)
 
     def __post_init__(self):
         eta = _noise_rate(self.eta)
         masses = tuple(1.0 - eta if s > 0 else eta for s in self.row_signs)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "xs", self.clean.xs)
+        object.__setattr__(self, "x_exponent", self.clean.x_exponent)
         object.__setattr__(self, "ys", self.clean.ys)
         object.__setattr__(self, "weights", _readonly(_rows(self.clean.weights, masses)))
 

@@ -43,6 +43,8 @@ _DECREASE_ULPS = 4
 # mean complementarity mu falls, so that the last steps converge
 # superlinearly instead of cutting the gap only 100-fold each
 _STEP_TO_BOUNDARY = 0.99
+# largest ball radius the iterative fits step in: r^2 stays finite
+_INTERIOR_RADIUS = 2.0**511
 # a Newton fit whose gap is at most tol stops once the gap no longer
 # halves, or once it is at most this share of tol: stopping at the first
 # gap <= tol left objectives up to 5e-10 above what one more step reached
@@ -63,17 +65,13 @@ def _norm(x: np.ndarray) -> float:
     return math.hypot(*x.tolist())
 
 
-def _exponent(a: np.ndarray) -> int:
-    """The binary exponent e of max|a|, which lies in [2^(e-1), 2^e) (0 if a is all 0)."""
-    return math.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))[1]
-
-
 def _scaled(dist: DiscreteDistribution | _NoisyView, e: int) -> DiscreteDistribution | _NoisyView:
     """dist with every x scaled by 2^-e: a shallow copy, neither checked nor merged again."""
     if isinstance(dist, _NoisyView):
         return _NoisyView(_scaled(dist.clean, e), dist.eta)
     scaled = copy.copy(dist)
     object.__setattr__(scaled, "xs", _readonly(np.ldexp(dist.xs, -e)))
+    object.__setattr__(scaled, "x_exponent", dist.x_exponent - e)
     return scaled
 
 
@@ -139,21 +137,22 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     sum_i ((1 - eta) w_i - eta w_i) y_i x_i, folded atom by atom.
     m is scaled by 2^-e, e the exponent of max|x|, so it squares finitely
     and is near-zero relative to max|x|; r ||m|| is (r ||m 2^-e||) 2^e.
+    A radius that overflows r ||m|| or v raises ValueError, degenerate or not.
     """
     r = _positive("radius", r)
-    e = _exponent(dist.xs)
+    e = dist.x_exponent
     m = np.ldexp(mean_label_feature(dist), -e)
     norm_m = float(np.linalg.norm(m))
+    degenerate = norm_m <= _DEGENERATE_CENTROID_TOL
     with np.errstate(over="ignore"):
         r_norm_m = float(np.ldexp(r * norm_m, e))
-        if norm_m <= _DEGENERATE_CENTROID_TOL:
-            return FitResult(np.zeros(dist.dimension), r, 1.0, 0, r_norm_m, "closed-form",
-                             degenerate_centroid=True)
-        v = (r / norm_m) * m
-    objective = 1.0 - r_norm_m
-    if not (np.all(np.isfinite(v)) and math.isfinite(objective)):
-        raise ValueError(f"radius {r!r} overflows float64 in r m/||m||")
-    return FitResult(v, r, objective, 0, 0.0, "closed-form")
+        v = np.zeros(dist.dimension) if degenerate else (r / norm_m) * m
+        if not (np.all(np.isfinite(v)) and math.isfinite(r_norm_m)):
+            raise ValueError(f"radius {r!r} overflows float64 in r m/||m|| "
+                             f"(||m|| = {float(np.ldexp(norm_m, e))!r})")
+    if degenerate:
+        return FitResult(v, r, 1.0, 0, r_norm_m, "closed-form", degenerate_centroid=True)
+    return FitResult(v, r, 1.0 - r_norm_m, 0, 0.0, "closed-form")
 
 
 def _overflow_at(loss: str, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray,
@@ -189,7 +188,8 @@ def _objective(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
 def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
              margins: np.ndarray, outer: bool) -> tuple[np.ndarray, np.ndarray]:
     """g = sum_i c_i y_i x_i (H = sum_i c_i x_i x_i^T if ``outer``) on the atoms,
-    and per atom the sum of its |rows|, which bounds c_i and its rounding.
+    and next to g per atom the sum of its |rows|, which bounds c_i and its
+    rounding (next to H, c).
 
     For g, c_i folds atom i's rows w phi'(m) signed by their labels (under
     a noise view c_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i)); for
@@ -208,7 +208,7 @@ def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
     with np.errstate(over="ignore", invalid="ignore"):
         total = (xs * c[:, None]).T @ xs if outer else (c * dist.ys) @ xs
         if np.all(np.isfinite(total)):
-            return total, _fold(np.abs(rows), unsigned)
+            return total, c if outer else _fold(np.abs(rows), unsigned)
         terms = np.abs(xs * c[:, None])
         largest = np.max(terms * np.abs(xs) if outer else terms, axis=1)
     idx = int(np.argmax(np.where(np.isfinite(largest), largest, np.inf)))
@@ -377,12 +377,17 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     strictly inside the ball; the fit returns the best one and stops when
     P(best v) - max D(clip(lam2 / w, 0, 1)) <= tol, when ``_MAX_ITERS``
     Newton steps are spent, or when rounding leaves no interior step.
+    Beyond ``_INTERIOR_RADIUS`` the candidate and the steps keep to that
+    smaller ball, whose points also lie in the radius-r ball, so that r^2
+    stays finite; D keeps the true r, so the certificate still bounds the
+    radius-r problem.
     """
     w = dist.weights
     yx = _signed_rows(dist)
     abs_yx = np.abs(yx)
+    rho = min(r, _INTERIOR_RADIUS)
 
-    closed = unhinged_minimizer(dist, r)
+    closed = unhinged_minimizer(dist, rho)
     obj = _objective(phi, dist, dist.margins(closed.v))
     gap = obj - _hinge_dual(w, yx, abs_yx, w, r)
     if gap <= _TOL:
@@ -393,7 +398,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     t = np.full(w.size, 2.0)
     lam1, lam2 = w / 2.0, w / 2.0
     # centred start: lam3 s3 equals the mean of the other 2n products
-    lam3 = float(t @ lam1 + (t - 1.0) @ lam2) / (2 * w.size) / (r * r / 2.0)
+    lam3 = float(t @ lam1 + (t - 1.0) @ lam2) / (2 * w.size) / (rho * rho / 2.0)
     best_v = v
     best_obj = _objective(phi, dist, margins)
     # the hinge is nonnegative, so a = 0 gives the bound D(0) = 0
@@ -403,7 +408,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     for iterations in range(1, _MAX_ITERS + 1):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                v, t, lam1, lam2, lam3 = _mehrotra_step(w, yx, r, v, margins, t,
+                v, t, lam1, lam2, lam3 = _mehrotra_step(w, yx, rho, v, margins, t,
                                                         lam1, lam2, lam3)
         except (ArithmeticError, np.linalg.LinAlgError):
             iterations -= 1
@@ -437,14 +442,18 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     the rounding of the sum g, bounded by each atom's |rows| (a noisy c_i
     rounds relative to them).  On the boundary the two terms cancel, and a
     gap within their rounding, (d + 2) eps (|g|.|v| + r ||g||), counts as
-    0 too.  The fit stops, certified, once the gap is at most tol and no
-    longer halves (or is at most 1e-3 tol).  Otherwise it stops when
-    ``_MAX_ITERS`` Newton steps are spent, when no t passes the test
-    before t (x - v) underflows, or when a step neither lowered P nor
-    halved the gap; the last two count as certified if the gap is at most
-    tol.  Every step lowers P up to rounding, so the last iterate is the best.
+    0 too; one that overflows never halves.  The fit stops, certified, once
+    the gap is at most tol and no longer halves (or is at most 1e-3 tol).
+    Otherwise it stops when ``_MAX_ITERS`` Newton steps are spent, when no
+    t passes the test before t (x - v) underflows, or when a step neither
+    lowered P nor halved the gap; the last two count as certified if the
+    gap is at most tol.  Every step lowers P up to rounding, so the last
+    iterate is the best.  Beyond ``_INTERIOR_RADIUS`` the steps run on that
+    smaller ball, inside the radius-r one, so that the model's multiplier
+    ||beta|| / radius stays a normal float; the gap keeps r.
     """
     abs_xs = np.abs(dist.xs)
+    rho = min(r, _INTERIOR_RADIUS)
     v = np.zeros(dist.dimension)
     # one margin vector per trial point
     margins = dist.margins(v)
@@ -456,9 +465,10 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
         g, row_mass = _row_sum(phi, dist, margins, False)
         norm_g = _sum_norm(row_mass, abs_xs, g)
         gap = float(g @ v) + r * norm_g
-        if abs(gap) <= (v.size + 2) * _EPS * (float(np.abs(g) @ np.abs(v)) + r * norm_g):
+        rounding = (v.size + 2) * _EPS * (float(np.abs(g) @ np.abs(v)) + r * norm_g)
+        if abs(gap) <= rounding < math.inf:
             gap = 0.0
-        halved = 2.0 * gap <= last_gap
+        halved = 2.0 * gap <= last_gap and gap < math.inf
         if gap <= _TOL and (gap <= _GAP_FLOOR * _TOL or not halved):
             reason = "gap"
             break
@@ -470,7 +480,7 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
             break
         iterations += 1
         h = _row_sum(phi, dist, margins, True)[0]
-        d = _ball_model_minimizer(h, g - h @ v, r) - v
+        d = _ball_model_minimizer(h, g - h @ v, rho) - v
         slope = float(g @ d)
         t = 1.0
         while True:
@@ -511,10 +521,14 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
     else a primal-dual interior point.  Any other loss raises ValueError
     naming it, as does a radius that is not positive and finite.  The name
     is kept from the projected gradient descent these fits replaced.
-    Both iterative fits see the same margins on x 2^-e at radius r 2^e and
-    return v 2^-e.  e = ex - floor((ex + er) / 2), for the binary exponents
-    ex of max|x| and er of r, splits r max|x| evenly: both square finitely,
-    and every (x 2^k, r 2^-k) is fit alike, bit for bit.
+    Both iterative fits see the same margins on x' = x 2^-e at radius
+    r' = r 2^e and return v 2^-e.  e depends only on s = ex + er, for the
+    binary exponents ex of max|x| and er of r (r max|x| < 2^s), so every
+    (x 2^k, r 2^-k) is fit alike, bit for bit.  It puts max|x'| below 2^a:
+    a = floor(s / 2) up to 256 (r' about as large), then 256 while r'
+    stays below 2^1022, then s - 1022.  So x' squares finitely, and the
+    steps, within ``_INTERIOR_RADIUS``, keep their margins finite.  A
+    radius with s > 1533, where x' would reach 2^512, raises ValueError.
     """
     r = _positive("radius", r)
     kernel = inspect.unwrap(phi.eval)
@@ -524,8 +538,12 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
         raise ValueError(f"loss {phi.name!r} has no certified fit: it declares no curvature "
                          "and is neither the shipped unhinged nor the shipped hinge loss")
     fit = _hinge_fit if phi.curv is None else _newton_fit
-    ex = _exponent(dist.xs)
-    e = ex - (ex + math.frexp(r)[1]) // 2
+    ex = dist.x_exponent
+    s = ex + math.frexp(r)[1]
+    if s > 1533:  # max|x'| would reach 2^512, and x'^2 overflow
+        raise ValueError(f"radius {r!r} overflows float64 at the scale of x: "
+                         f"r max|x| >= 2^{s - 2}")
+    e = ex - max(min(s // 2, 256), s - 1022)
     try:
         scaled = fit(_scaled(dist, e), phi, math.ldexp(r, e))
     except LossOverflowError as err:  # named by the atom as given

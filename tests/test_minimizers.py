@@ -382,7 +382,7 @@ C1_LOSSES = SMOOTH + ("unhinged",)
 def test_row_sum_matches_the_signed_row_forms_bit_for_bit(dist, eta, seed):
     # g and H are formed on the atoms x; as y = +-1, c_i y_i x_ij rounds
     # the same either way, so both keep the bits of the forms over y x.
-    # The second value is each atom's sum of |row|, the bound on c_i
+    # The second value is each atom's sum of |row|, the bound on c_i (c for H)
     v = np.random.default_rng(seed).uniform(-3.0, 3.0, dist.dimension)
     yx = dist.ys[:, None] * dist.xs
     for fitted in (dist, _NoisyView(dist, eta)):
@@ -401,7 +401,7 @@ def test_row_sum_matches_the_signed_row_forms_bit_for_bit(dist, eta, seed):
                 rows = fitted.weights * phi.curv(m)
                 curv = _fold(rows, unsigned)
                 h, mass = minimizers._row_sum(phi, fitted, m, True)
-                assert mass.tobytes() == _fold(np.abs(rows), unsigned).tobytes()
+                assert mass.tobytes() == curv.tobytes()
                 assert h.tobytes() == ((yx * curv[:, None]).T @ yx).tobytes()
 
 
@@ -664,19 +664,22 @@ def test_hinge_fit_certifies_an_interior_optimum_in_a_large_ball(r):
     assert fit.objective == expected_loss(dist, HINGE, fit.v)
 
 
-@pytest.mark.parametrize("r", [1e155, 1e300])
+@pytest.mark.parametrize("r", [1e155, 1e300, 1e308])
 def test_hinge_fit_certifies_where_r_squared_overflows(r):
     # r * r is inf beyond sqrt(float max) ~ 1.34e154: the centred start
     # and the ball slack were 0 and inf, and r = 1e155 spent all 50,000
-    # steps at v = 0 (gap 5.0e154); the steps now run on a finite ball
-    dist = DiscreteDistribution([[2.0, 1.0], [1.0, -3.0], [0.5, 0.5]], [1, -1, -1],
-                                [0.3, 0.3, 0.4])
-    fit = pgd_minimizer(dist, HINGE, r)
-    assert fit.converged
-    assert 0.0 <= fit.gap <= TOL
-    assert fit.iterations <= 10
-    assert abs(fit.objective - pgd_minimizer(dist, HINGE, 1e12).objective) <= TOL
-    assert fit.r == r
+    # steps at v = 0 (gap 5.0e154); the steps now run on a finite ball.
+    # Past r max|x| ~ 2^1022 no split of the scale between x and r squares
+    # finitely, so the steps keep to that ball there too
+    for scale in (1.0, 1e9):
+        dist = DiscreteDistribution(scale * np.array([[2.0, 1.0], [1.0, -3.0], [0.5, 0.5]]),
+                                    [1, -1, -1], [0.3, 0.3, 0.4])
+        fit = pgd_minimizer(dist, HINGE, r)
+        assert fit.converged
+        assert 0.0 <= fit.gap <= TOL
+        assert fit.iterations <= 10
+        assert abs(fit.objective - pgd_minimizer(dist, HINGE, 1e12).objective) <= TOL
+        assert fit.r == r
 
 
 @pytest.mark.parametrize("r", [1e50, 1e100, 1e300])
@@ -891,20 +894,29 @@ def test_unhinged_fit_is_the_closed_form(r):
             assert (fit.gap, fit.stop_reason, fit.iterations) == (0.0, "closed-form", 0)
 
 
-@pytest.mark.parametrize("r", [1e100, 1e300])
+@pytest.mark.parametrize("r", [1e100, 1e300, 1e308])
 @pytest.mark.parametrize("loss", SMOOTH)
 def test_newton_fit_certifies_an_interior_optimum_at_a_huge_radius(loss, r):
     # the optimum of a non-separable sample lies inside the ball, where g
-    # tends to 0; r times its rounding left gaps near 1e84 at r = 1e100
+    # tends to 0; r times its rounding left gaps near 1e84 at r = 1e100.
+    # At r = 1e308 x had 2^513 and its squares overflowed; with x scaled
+    # by 10, r ||g|| overflowed at v = 0 and the inf gap counted as 0.
+    # (x 2^300, r 2^-300) is fit alike in each branch of the scale rule
     rng = np.random.default_rng(0)
     xs = rng.standard_normal((50, 3))
     ys = np.where(xs[:, 0] + rng.standard_normal(50) >= 0.0, 1, -1)
-    dist = DiscreteDistribution(xs, ys, np.full(50, 1 / 50))
     phi = make_loss(loss)
-    fit = pgd_minimizer(dist, phi, r)
-    assert fit.converged and fit.stop_reason == "gap" and fit.gap <= TOL
-    assert abs(fit.objective - pgd_minimizer(dist, phi, 1e6).objective) <= 1e-15
-    assert fit.r == r
+    for scale in (1.0, 10.0, 1e100):
+        dist = DiscreteDistribution(scale * xs, ys, np.full(50, 1 / 50))
+        fit = pgd_minimizer(dist, phi, r)
+        assert fit.converged and fit.stop_reason == "gap" and fit.gap <= TOL
+        assert abs(fit.objective - pgd_minimizer(dist, phi, 1e6).objective) <= 1e-15
+        assert fit.r == r
+        shifted = DiscreteDistribution(np.ldexp(dist.xs, 300), ys, dist.weights)
+        fit_k = pgd_minimizer(shifted, phi, np.ldexp(r, -300))
+        assert fit_k.v.tobytes() == np.ldexp(fit.v, -300).tobytes()
+        assert (fit_k.objective, fit_k.gap, fit_k.iterations) == (fit.objective, fit.gap,
+                                                                  fit.iterations)
 
 
 @pytest.mark.parametrize("loss", LOSS_NAMES)
@@ -929,6 +941,17 @@ def test_closed_form_where_the_centroid_squares_overflow():
 def test_closed_form_names_an_overflowing_radius():
     with pytest.raises(ValueError, match=r"radius 1e\+308 overflows float64 in r m/\|\|m\|\|"):
         unhinged_minimizer(make_counterexample(0.05), 1e308)
+
+
+def test_degenerate_centroid_names_an_overflowing_radius():
+    # ||m|| ~ 1.1e185 is near 0 beside max|x| = 1e200, but r ||m|| overflows
+    dist = DiscreteDistribution([[1e200, 0.0], [1e200, 0.0]], [1, -1],
+                                [0.5 + 5e-16, 0.5 - 5e-16])
+    fit = unhinged_minimizer(dist, 1.0)
+    assert fit.degenerate_centroid and fit.gap == pytest.approx(1.0944749130360996e185)
+    with pytest.raises(ValueError, match=r"radius 1e\+200 overflows float64 in r m/\|\|m\|\| "
+                                         r"\(\|\|m\|\| = 1\.09"):
+        unhinged_minimizer(dist, 1e200)
 
 
 @pytest.mark.parametrize("r", [1e100, 1e200, 1e300])
@@ -970,3 +993,24 @@ def test_the_construction_scaled_down_is_not_degenerate(loss):
     report = check_rcn_robustness(tiny, make_loss(loss), 1e15, 0.1)
     assert report.clean_fit_error == report.noisy_fit_error == 0.0
     assert not report.degenerate
+
+
+@pytest.mark.parametrize("loss", ["hinge", *SMOOTH])
+def test_fit_keeps_finite_margins_where_r_max_x_nears_float_max(loss):
+    # r max|x| = 2^1020 split evenly put x and r near 2^511 each, so the
+    # 256 products of a margin overflowed on the ball (hinge stopped on
+    # rounding at v = 0, logistic raised); x now stays near 2^256
+    dist = DiscreteDistribution([[1.0] * 256, [-1.0] * 128 + [0.5] * 128], [1, -1], [0.5, 0.5])
+    phi = make_loss(loss)
+    fit = pgd_minimizer(dist, phi, 2.0**1020)
+    assert fit.converged and fit.gap <= TOL
+    assert fit.objective <= pgd_minimizer(dist, phi, 1e6).objective + TOL
+    assert misclassification_error(dist, fit.v) == 0.0
+
+
+@pytest.mark.parametrize("loss", ["hinge", *SMOOTH])
+def test_fit_names_a_radius_past_the_scale_float64_holds(loss):
+    # r max|x| = 1e500: no x' that squares finitely leaves r' finite.  The
+    # Newton fits had r ||g|| = inf at v = 0 and counted it as a gap of 0
+    with pytest.raises(ValueError, match=r"radius 1e\+300 overflows float64 at the scale of x"):
+        pgd_minimizer(BIG, make_loss(loss), 1e300)
