@@ -27,8 +27,8 @@ import numpy as np
 from . import svg
 from .analysis import (_robustness_sweep, check_rcn_robustness, expected_loss,
                        misclassification_error, recession_probe)
-from .distributions import (GAMMA_STAR, DiscreteDistribution, _read_labeled_csv,
-                            _write_csv, make_counterexample)
+from .distributions import (GAMMA_STAR, DiscreteDistribution, _csv_text,
+                            _read_labeled_csv, _write_csv, make_counterexample)
 from .dynamics import TIE_RULES, cd_unhinged, gd_unhinged
 from .loss_zoo import LOSS_NAMES, check_def1, make_loss
 from .minimizers import unhinged_minimizer
@@ -169,7 +169,7 @@ def counterexample_sample(gamma: float) -> tuple[np.ndarray, np.ndarray]:
 
 def load_sample_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Load an unweighted sample (xs, ys): header x1,...,xd,y, one point per row."""
-    with open(path) as fh:
+    with open(path, "rb") as raw, _csv_text(raw) as fh:
         d, table = _read_labeled_csv(fh, path, ("y",), "sample header")
     return table[:, :d], table[:, d]
 

@@ -13,7 +13,14 @@ collisions); it is the reference the view is tested against.
 Distributions are immutable values: the backing arrays are copied on
 construction and marked read-only.  So :meth:`DiscreteDistribution.from_csv`
 keeps the last distribution it built, keyed by the SHA-256 of the bytes it
-was parsed from, and hands it out again for a file with the same bytes.
+was parsed from, and hands it out again for a file with the same bytes.  A
+regular file whose fstat (device, inode, size, mtime, ctime) was recorded as
+settled, its last change more than ``_RACY_NS`` (2 s) before it was read, is
+matched by that fstat alone in about 10 us, without the hash (about 40 ms for
+42 MB) that a first or racy load pays.  This rests on every change to a
+file's bytes moving its ctime, on a clock that does not step back; a network
+file system whose server clock trails this host by more than the margin is
+not covered.
 
 This module also reads and writes potmin's one CSV format: every CSV table
 potmin writes comes from :func:`_write_csv`, and every CSV it reads goes
@@ -26,6 +33,8 @@ import hashlib
 import io
 import math
 import os
+import stat
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -174,9 +183,19 @@ def _write_csv(path, header, columns) -> None:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
-def _stat_key(fh) -> tuple[int, int, int]:
+def _stat_key(fh) -> tuple[int, int, int, int, int] | None:
+    """An open regular file's (st_dev, st_ino, st_size, st_mtime_ns,
+    st_ctime_ns); None for a pipe or another file that cannot seek back."""
     st = os.fstat(fh.fileno())
-    return st.st_size, st.st_mtime_ns, st.st_ctime_ns
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _csv_text(raw) -> io.TextIOWrapper:
+    """A text reader over an open binary file that :func:`_csv_error` can
+    rescan: a pipe, which cannot seek back, is read into memory first."""
+    return io.TextIOWrapper(raw if _stat_key(raw) else io.BytesIO(raw.read()))
 
 
 def _sha256(fh) -> bytes:
@@ -187,9 +206,15 @@ def _sha256(fh) -> bytes:
     return h.digest()
 
 
-# (SHA-256, distribution) of the last file DiscreteDistribution.from_csv built
-# whose size and times did not move from the hash to the end of the parse
-_last_csv: tuple[bytes, DiscreteDistribution] | None = None
+# (SHA-256, distribution, settled _stat_key or None) of the last file
+# DiscreteDistribution.from_csv built whose _stat_key did not move from the
+# hash to the end of the parse
+_last_csv: tuple[bytes, DiscreteDistribution, tuple | None] | None = None
+
+# a file whose ctime is older than the clock by this margin is settled: a
+# later write moves its ctime past the recorded one, also on FAT's 2 s
+# timestamps (git's index trusts a file's stat by the same rule, "racy git")
+_RACY_NS = 2_000_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,31 +276,53 @@ class DiscreteDistribution:
 
         Within a process, identical bytes give the same distribution object:
         a file whose SHA-256 is that of the bytes the last distribution
-        loaded was parsed from returns that (immutable) distribution without
-        parsing again.  The first load of a file pays one extra read and
-        hash of its bytes, about 45 ms for 42 MB.  A file that fails to
-        load raises on every call.
+        loaded was parsed from, under any path, returns that (immutable)
+        distribution without parsing again.
+
+        A regular file is matched by its fstat first.  When the device,
+        inode, size, mtime and ctime equal the settled key kept with that
+        distribution, it is returned without reading the file (about 10 us).
+        A key is settled only when the file's ctime was more than
+        ``_RACY_NS`` (2 s) older than the clock read before the fstat, and
+        the fstat did not move while the file was hashed (and parsed): then
+        any later write moves the ctime past the recorded one.  A file
+        changed within that margin is hashed on every call.  This rests on
+        every change to a file's bytes moving its ctime, on a clock that
+        does not step back; a network file system whose server clock
+        trails this host by more than the margin is not covered.
+
+        The first load of a file, and every racy one, pays a read and hash
+        of its bytes: about 40 ms for 42 MB.  A pipe is read into memory
+        once, parsed there and not kept.  A file that fails to load raises
+        on every call.
         """
         global _last_csv
         with open(path, "rb") as raw:
-            stat = _stat_key(raw)
-            digest = _sha256(raw)
-            last = _last_csv
-            if last is not None and last[0] == digest:
-                return last[1]
-            raw.seek(0)
-            with io.TextIOWrapper(raw) as fh:
+            now = time.time_ns()
+            key = _stat_key(raw)
+            if key is not None:
+                settled = now - key[-1] > _RACY_NS   # key[-1] is the ctime
+                last = _last_csv
+                if last is not None and last[2] == key:
+                    return last[1]
+                digest = _sha256(raw)
+                if last is not None and last[0] == digest:
+                    if settled and _stat_key(raw) == key:
+                        _last_csv = (digest, last[1], key)
+                    return last[1]
+                raw.seek(0)
+            with _csv_text(raw) as fh:
                 d, table = _read_labeled_csv(fh, path, ("y", "weight"), "header")
-                # a write from the hash to here moves these (to the resolution
-                # of the file system's timestamps); the bytes parsed need not
-                # then be the bytes hashed
-                unchanged = _stat_key(fh) == stat
+                # a write from the hash to here moves the key (to the
+                # resolution of the file system's timestamps); the bytes
+                # parsed need not then be the bytes hashed
+                unchanged = key is not None and _stat_key(raw) == key
         try:
             dist = cls(table[:, :d], table[:, d].astype(int), table[:, d + 1])
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
         if unchanged:
-            _last_csv = (digest, dist)
+            _last_csv = (digest, dist, key if settled else None)
         return dist
 
 

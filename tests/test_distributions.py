@@ -4,7 +4,10 @@ import csv
 import math
 import os
 import re
+import threading
+import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from potmin import (DiscreteDistribution, cd_unhinged, corrupt_rcn, gd_unhinged,
                     make_counterexample, mean_label_feature, misclassification_error,
                     unhinged_minimizer)
 from potmin import distributions
+from potmin.cli import load_sample_csv
 from potmin.distributions import GAMMA_STAR, _merge_duplicates, _NoisyView, _write_csv
 
 
@@ -566,6 +570,182 @@ class TestCsvCache:
         assert_same_bytes((loaded.xs, loaded.ys, loaded.weights),
                           (dist.xs, dist.ys, dist.weights))
         assert parses == [tmp_path / "a.csv"]
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        """One entry per _sha256 call."""
+        calls = []
+        sha256 = distributions._sha256
+
+        def counted(raw):
+            calls.append(raw.name)
+            return sha256(raw)
+
+        monkeypatch.setattr(distributions, "_sha256", counted)
+        return calls
+
+    @staticmethod
+    def clock(monkeypatch, time_ns):
+        """Make time_ns the module's clock."""
+        monkeypatch.setattr(distributions, "time", SimpleNamespace(time_ns=time_ns))
+
+    def later(self, monkeypatch):
+        """Move the module's clock 10 s ahead, so every file written so far is settled."""
+        self.clock(monkeypatch, lambda: time.time_ns() + 10 * 10**9)
+
+    @staticmethod
+    def xs(path):
+        return DiscreteDistribution.from_csv(path).xs[:, 0].tolist()
+
+    def test_settled_file_hits_without_a_hash(self, tmp_path, monkeypatch, parses, hashes):
+        path = tmp_path / "a.csv"
+        path.write_text(self.A)
+        self.later(monkeypatch)
+        first = DiscreteDistribution.from_csv(path)
+        assert len(hashes) == 1
+        for _ in range(3):
+            assert DiscreteDistribution.from_csv(path) is first
+        assert len(hashes) == 1
+        assert parses == [path]
+
+    def test_file_inside_the_racy_window_is_hashed_on_every_call(self, tmp_path, monkeypatch,
+                                                                 parses, hashes):
+        path = tmp_path / "a.csv"
+        path.write_text(self.A)
+        ctime = os.stat(path).st_ctime_ns
+        # the window's far edge is still inside it
+        self.clock(monkeypatch, lambda: ctime + distributions._RACY_NS)
+        first = DiscreteDistribution.from_csv(path)
+        for _ in range(3):
+            assert DiscreteDistribution.from_csv(path) is first
+        assert len(hashes) == 4
+        # one nanosecond past it the file is settled: one more hash, then none
+        self.clock(monkeypatch, lambda: ctime + distributions._RACY_NS + 1)
+        for _ in range(3):
+            assert DiscreteDistribution.from_csv(path) is first
+        assert len(hashes) == 5
+        assert parses == [path]
+
+    def rewrite_in_place(self, path, new):
+        self.rewrite(path, self.B)
+
+    def replace_by_rename(self, path, new):
+        new.write_text(self.B)
+        st = os.stat(path)
+        os.utime(new, ns=(st.st_atime_ns, st.st_mtime_ns))
+        os.replace(new, path)
+
+    def truncate_and_rewrite(self, path, new):
+        st = os.stat(path)
+        os.truncate(path, 0)
+        path.write_text(self.B)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+    @pytest.mark.parametrize("change", [rewrite_in_place, replace_by_rename,
+                                        truncate_and_rewrite])
+    def test_change_after_a_settled_hit_loads_the_new_bytes(self, tmp_path, monkeypatch,
+                                                            parses, hashes, change):
+        # real sleeps past a 50 ms margin: the test's file system must keep
+        # timestamps finer than that, as the 2 s margin assumes of any other
+        margin = 50_000_000
+        monkeypatch.setattr(distributions, "_RACY_NS", margin)
+        path, new = tmp_path / "a.csv", tmp_path / "new.csv"
+        path.write_text(self.A)
+        time.sleep(2 * margin / 1e9)
+        assert self.xs(path) == [1.0, 2.0]
+        assert self.xs(path) == [1.0, 2.0]
+        assert len(hashes) == 1
+        change(self, path, new)
+        assert self.xs(path) == [3.0, 4.0]
+        assert parses == [path, path]
+        time.sleep(2 * margin / 1e9)
+        assert self.xs(path) == [3.0, 4.0]
+        assert self.xs(path) == [3.0, 4.0]
+        assert len(hashes) == 3
+
+    def test_touch_hashes_once_then_hits_again(self, tmp_path, monkeypatch, parses, hashes):
+        path = tmp_path / "a.csv"
+        path.write_text(self.A)
+        self.later(monkeypatch)
+        first = DiscreteDistribution.from_csv(path)
+        assert DiscreteDistribution.from_csv(path) is first
+        assert len(hashes) == 1
+        st = os.stat(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        assert DiscreteDistribution.from_csv(path) is first
+        assert len(hashes) == 2
+        assert DiscreteDistribution.from_csv(path) is first
+        assert len(hashes) == 2
+        assert parses == [path]
+
+    def test_settled_copy_under_another_path_hits_through_the_digest(self, tmp_path, monkeypatch,
+                                                                     parses, hashes):
+        path, copy = tmp_path / "a.csv", tmp_path / "copy.csv"
+        path.write_text(self.A)
+        copy.write_text(self.A)
+        self.later(monkeypatch)
+        first = DiscreteDistribution.from_csv(path)
+        assert DiscreteDistribution.from_csv(path) is first
+        assert len(hashes) == 1
+        assert DiscreteDistribution.from_csv(copy) is first
+        assert len(hashes) == 2
+        assert DiscreteDistribution.from_csv(copy) is first
+        assert len(hashes) == 2
+        assert parses == [path]
+
+    @staticmethod
+    def fed_pipe(tmp_path, text):
+        """A named pipe, and the thread that writes text into it once it is opened."""
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "w") as fh:
+                fh.write(text)
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        return pipe, feeder
+
+    @staticmethod
+    def drained(feeder):
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_gives_the_arrays_of_the_regular_file(self, tmp_path, parses, hashes):
+        text = "x1,x2,y,weight\n1.0,0.5,1,0.25\n\n-2.0,3e-300,-1,0.75\n"
+        regular = tmp_path / "a.csv"
+        regular.write_text(text)
+        want = DiscreteDistribution.from_csv(regular)
+        pipe, feeder = self.fed_pipe(tmp_path, text)
+        got = DiscreteDistribution.from_csv(pipe)
+        self.drained(feeder)
+        assert_same_bytes((got.xs, got.ys, got.weights), (want.xs, want.ys, want.weights))
+        # a pipe is parsed, neither hashed nor kept
+        assert parses == [regular, pipe] and len(hashes) == 1
+        assert distributions._last_csv[1] is want
+        # the sample reader, on the same rows less the weights
+        sample = "".join(line.rsplit(",", 1)[0] + "\n" if line else "\n"
+                         for line in text.splitlines())
+        regular.write_text(sample)
+        pipe.unlink()
+        pipe, feeder = self.fed_pipe(tmp_path, sample)
+        got = load_sample_csv(pipe)
+        self.drained(feeder)
+        assert_same_bytes(got, load_sample_csv(regular))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("load, text", [
+        (DiscreteDistribution.from_csv, "x1,y,weight\n1.0,1,0.5\n\n2.0,2,0.5\n"),
+        (load_sample_csv, "x1,y\n1.0,1\n\n2.0,2\n"),
+    ], ids=["from_csv", "load_sample_csv"])
+    def test_bad_line_in_a_pipe_is_named_by_path_and_line(self, tmp_path, load, text):
+        pipe, feeder = self.fed_pipe(tmp_path, text)
+        with pytest.raises(ValueError) as err:
+            load(pipe)
+        self.drained(feeder)
+        assert str(err.value) == f"{pipe}:4: label must be -1 or 1, got 2"
 
 
 class TestRandomDistribution:
