@@ -22,7 +22,7 @@ from .distributions import (_WEIGHT_SUM_TOL, DiscreteDistribution, _count, _expo
                             _NoisyView, _vector, _write_csv, corrupt_rcn, mean_label_feature,
                             random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
-from .minimizers import _objective, pgd_minimizer
+from .minimizers import _objective, _view_objective, pgd_minimizer
 
 _ERROR_EQUALITY_TOL = 1e-12
 _BOUND_SLACK = 1e-9
@@ -212,8 +212,9 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     objective simply does not vary along it (project it out instead).
     Each value is (1 - eta) E[phi(m)] + eta E[phi(-m)] at the clean
     margins m of the ray point, computed from the noise view with no
-    corrupted distribution built; an overflow at -m_i names clean atom i
-    with its flipped label.
+    corrupted distribution built (for the shipped logistic loss on 512
+    atoms or more, with no rows either: one evaluation per atom); an
+    overflow at -m_i names clean atom i with its flipped label.
     """
     noisy = _NoisyView(dist, eta)
     report = check_def1(phi)
@@ -245,11 +246,11 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
             "E|u.x| = 0: the objective is unaffected along u (it varies only "
             "on the subspace orthogonal to u); probe a direction of positive width"
         )
-    base_overlap = float(dist.weights @ np.abs(dist.xs @ x0))
+    base_overlap = float(dist.weights @ np.abs(dist.xs @ x0)) if x0.any() else 0.0
     phi0 = float(phi.eval(0.0))
     dphi0 = float(phi.deriv(0.0))
 
-    values = np.array([expected_loss(noisy, phi, x0 + l * u) for l in lam])
+    values = np.array([_view_objective(phi, noisy, dist.margins(x0 + l * u)) for l in lam])
     bounds = noisy.eta * (phi0 - dphi0 * lam * width + dphi0 * base_overlap)
     slack = values - bounds
     tail = values[-3:] if values.size >= 3 else values

@@ -60,7 +60,9 @@ class Trajectory:
         """
         chosen = [""] * (self.n_steps + 1)
         if self.chosen_coords is not None:
-            chosen[1:] = [";".join(map(str, c)) for c in self.chosen_coords]
+            # coordinate descent logs one tuple every round: join each distinct one once
+            joined = {c: ";".join(map(str, c)) for c in set(self.chosen_coords)}
+            chosen[1:] = map(joined.__getitem__, self.chosen_coords)
         _write_csv(path, ["t"] + [f"v_{j + 1}" for j in range(self.dimension)]
                    + ["loss", "angle_rad", "chosen_coord"],
                    [np.arange(self.n_steps + 1), *self.iterates.T, self.loss_values,

@@ -11,9 +11,14 @@ the one fit of each loss; all return the same :class:`FitResult` shape.
 Each fit also takes a label-noise view (``distributions._NoisyView``) in
 place of a distribution, both read through one layout: row k i + j is
 atom i with label row_signs[j] y_i, k = len(dist.row_signs).  Values and
-slopes are taken per row; every product with x (the centroid, the
-gradient) folds an atom's rows, signed, into one coefficient of y_i x_i,
-and the curvature adds them unsigned, as (s y x)(s y x)^T = x x^T.
+slopes are taken per row, except the value of the shipped logistic loss
+under a noise view of ``_PER_ATOM_MIN`` (512) atoms or more, taken once
+per atom: numpy's logaddexp(0, a) is a + log1p(exp(-a)) for a > 0 and
+log1p(exp(-|a|)) otherwise, so phi(-t) = fl(2t + phi(t)) for t >= 0
+(:func:`_view_objective`).  Every
+product with x (the centroid, the gradient) folds an atom's rows,
+signed, into one coefficient of y_i x_i, and the curvature adds them
+unsigned, as (s y x)(s y x)^T = x x^T.
 Only the hinge fit builds the rows s y x, never sorted or merged.  One
 helper evaluates E[phi] (:func:`_objective`); one forms g and H from the
 atoms and names an overflow (:func:`_row_sum`); one rule zeroes a norm
@@ -31,7 +36,8 @@ import numpy as np
 
 from .distributions import (DiscreteDistribution, _fold, _NoisyView, _positive,
                             _readonly, _rows, _vector, mean_label_feature)
-from .loss_zoo import LossOverflowError, PotentialFunction, _hinge_eval, _unhinged_eval
+from .loss_zoo import (LossOverflowError, PotentialFunction, _hinge_eval, _logistic_eval,
+                       _unhinged_eval)
 
 _EPS = float(np.finfo(float).eps)
 _BALL_SLACK = 1e-12
@@ -58,6 +64,12 @@ _SECULAR_ITERS = 100
 _MAX_ITERS = 50_000
 # the absolute gap that certifies a Newton or hinge fit, whatever r
 _TOL = 1e-9
+# fewest atoms of a noise view whose logistic value is taken once per atom
+# (see _view_objective): its six extra numpy calls cost more than the
+# logaddexps they save on fewer atoms; against the row-by-row evaluation it
+# took 1.27 times as long at 256 atoms, 1.04 at 512 and 0.84 at 1024
+# (2-vCPU VM, numpy 2.4.6)
+_PER_ATOM_MIN = 512
 
 
 def _norm(x: np.ndarray) -> float:
@@ -181,8 +193,54 @@ def _per_atom(fn, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray) 
 
 def _objective(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
                margins: np.ndarray) -> float:
-    """E[phi] at the row margins: sum over rows of weight times phi(margin)."""
+    """E[phi] at the row margins: sum over rows of weight times phi(margin).
+
+    Under a noise view of at least ``_PER_ATOM_MIN`` atoms the shipped
+    logistic loss is taken once per atom, from the clean margins m_i at
+    rows 2i (see :func:`_view_objective`).
+    """
+    if len(dist.row_signs) == 2 and _per_atom_value(phi, margins.size // 2):
+        return _view_objective(phi, dist, margins[0::2])
     return float(dist.weights @ _per_atom(phi.eval, dist, margins))
+
+
+def _per_atom_value(phi: PotentialFunction, n: int) -> bool:
+    """Whether a noise view of n atoms takes phi's value once per atom: the
+    shipped logistic loss, seen through any timing wrappers, from
+    ``_PER_ATOM_MIN`` atoms on."""
+    return n >= _PER_ATOM_MIN and inspect.unwrap(phi.eval) is _logistic_eval
+
+
+def _view_objective(phi: PotentialFunction, view: _NoisyView, m: np.ndarray) -> float:
+    """E[phi] over a noise view at its clean margins m: :func:`_objective` at
+    the rows m_i, -m_i, bit for bit.
+
+    The shipped logistic loss needs no rows.  numpy's logaddexp(0, a) is
+    a + log1p(exp(-a)) for a > 0 and log1p(exp(-|a|)) otherwise, so
+    phi(z) = log(1 + exp(-2z)) is fl((|z| - z) + phi(|z|)) at every
+    margin z, with |z| - z = max(-2z, 0) exactly and the same exp argument
+    -2|z| on both sides.  So phi.eval runs once per atom, at |m_i|, and
+    row 2i gets (|m_i| - m_i) + phi(|m_i|), row 2i + 1 (|m_i| + m_i) +
+    phi(|m_i|).  A row that is not finite leaves the sum not finite; such
+    a sum, any other loss, and a view of fewer than ``_PER_ATOM_MIN``
+    atoms are taken row by row, where an overflow raises naming its atom
+    and label.
+    """
+    if _per_atom_value(phi, m.size):
+        a = np.abs(m)
+        p = phi.eval(a)
+        values = np.empty((m.size, 2))
+        own, flipped = values[:, 0], values[:, 1]
+        # |z| - z overflows where -2z does; the row evaluation names it
+        with np.errstate(over="ignore"):
+            np.subtract(a, m, out=own)
+            own += p
+            np.add(a, m, out=flipped)
+            flipped += p
+        value = float(view.weights @ values.ravel())
+        if math.isfinite(value):
+            return value
+    return float(view.weights @ _per_atom(phi.eval, view, _rows(m, view.row_signs)))
 
 
 def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,

@@ -73,6 +73,26 @@ def test_logistic_overflows_only_where_its_value_does():
     assert logistic.curv(np.array([-1e308, 1e308])).tolist() == [0.0, 0.0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(0.0, np.finfo(float).max / 2))
+@example(t=0.0)
+@example(t=5e-324)
+@example(t=1e-300)
+@example(t=18.7)
+@example(t=40.0)
+@example(t=1e154)
+@example(t=4e307)
+def test_logaddexp_of_a_flipped_margin_is_2t_plus_the_own_value(t):
+    # numpy's logaddexp(0, a) is a + log1p(exp(-a)) for a > 0 and
+    # 0 + log1p(exp(-|a|)) otherwise, so logistic(-t) = fl(2t + logistic(t))
+    # at every t >= 0, bit for bit: the noise view's objective rests on it
+    two_t = np.array([2.0 * t])
+    assert (np.logaddexp(0.0, two_t).tobytes()
+            == (two_t + np.logaddexp(0.0, -two_t)).tobytes())
+    logistic = make_loss("logistic")
+    assert logistic.eval(-t) == 2.0 * t + logistic.eval(t)
+
+
 @pytest.mark.parametrize("name", ["hinge", "unhinged"])
 def test_losses_without_curvature(name):
     # the hinge has its own fit and the unhinged loss its closed form

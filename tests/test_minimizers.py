@@ -823,7 +823,10 @@ def test_newton_fit_out_of_budget():
 
 def test_newton_one_margin_evaluation_per_trial(monkeypatch):
     # the start and every line-search trial take one margin vector and one
-    # loss evaluation; slopes and curvatures reuse the margins
+    # loss evaluation; slopes and curvatures reuse the margins.  The eval
+    # wrapper names its kernel, as the benchmark's timing wrappers do, so
+    # the noisy logistic fit, of any size here, takes its value once per
+    # atom: one call per trial still, on the n clean atoms, not the 2n rows
     calls = []
     margins = DiscreteDistribution.margins
 
@@ -832,6 +835,7 @@ def test_newton_one_margin_evaluation_per_trial(monkeypatch):
         return margins(self, v)
 
     monkeypatch.setattr(DiscreteDistribution, "margins", counted)
+    monkeypatch.setattr(minimizers, "_PER_ATOM_MIN", 1)
     dist = make_counterexample(0.05)
     for fitted, r in ((dist, 1.0), (dist, 100.0), (_NoisyView(dist, 0.2), 10.0)):
         for loss in SMOOTH:
@@ -839,13 +843,16 @@ def test_newton_one_margin_evaluation_per_trial(monkeypatch):
             phi = make_loss(loss)
 
             def value(z, ev=phi.eval):
-                evals.append(1)
+                evals.append(np.size(z))
                 return ev(z)
 
+            value.__wrapped__ = phi.eval
             calls.clear()
             fit = pgd_minimizer(fitted, dataclasses.replace(phi, eval=value), r)
             assert fit.stop_reason == "gap"
             assert len(calls) == len(evals) >= fit.iterations + 1
+            per_atom = isinstance(fitted, _NoisyView) and loss == "logistic"
+            assert set(evals) == {dist.n_atoms if per_atom else len(fitted.weights)}
 
 
 def test_pgd_reports_the_frank_wolfe_gap_at_its_best_iterate():

@@ -1,7 +1,9 @@
 """Label noise as a view of the clean margins, pinned against corrupt_rcn."""
 
+import dataclasses
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from potmin import (LOSS_NAMES, DiscreteDistribution, LossOverflowError,
 from potmin import minimizers
 from potmin.cli import main
 from potmin.distributions import _NoisyView
+from potmin.loss_zoo import _logistic_eval
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).smallest_subnormal
@@ -190,6 +193,98 @@ def test_flipped_overflow_names_the_clean_atom_and_flipped_label():
     assert err.value.atom_index == 0
     assert err.value.atom == ([1.0], -1)
     assert err.value.z == -800.0
+
+
+def per_atom_always():
+    """Take the noisy logistic value once per atom however few atoms a view
+    has; by default only views of ``_PER_ATOM_MIN`` atoms or more do."""
+    return mock.patch.object(minimizers, "_PER_ATOM_MIN", 1)
+
+
+@pytest.mark.parametrize("v, label", [([-1e308], 1), ([1e308], -1)], ids=["own", "flipped"])
+def test_logistic_overflow_names_the_atom_and_label_of_the_row_by_row_path(v, label):
+    # atom 1's margin, +-1e308, doubles past float64 at its own row (m < 0)
+    # or at its flipped row (m > 0); atom 0's, +-5e307, stays finite at both
+    dist = DiscreteDistribution([[0.5], [1.0]], [1, 1], [0.5, 0.5])
+    view = _NoisyView(dist, 0.1)
+    phi = LOSSES["logistic"]
+    with pytest.raises(LossOverflowError) as row_by_row:
+        minimizers._per_atom(phi.eval, view, view.margins(v))
+    reference = row_by_row.value
+    assert (reference.atom_index, reference.atom, reference.z) == (1, ([1.0], label), -1e308)
+    with per_atom_always():
+        for evaluate in (lambda: expected_loss(view, phi, v),
+                         lambda: minimizers._view_objective(phi, view, dist.margins(v))):
+            with pytest.raises(LossOverflowError) as err:
+                evaluate()
+            assert (err.value.atom_index, err.value.atom, err.value.z) == (
+                reference.atom_index, reference.atom, reference.z)
+            assert str(err.value) == str(reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=helpers.small_distributions(), eta=helpers.etas, seed=st.integers(0, 2**16),
+       scale=st.integers(-300, 300))
+@example(dist=COLLIDING, eta=0.25, seed=0, scale=0)
+@example(dist=SUBNORMAL, eta=0.25, seed=0, scale=0)
+@example(dist=SUBNORMAL, eta=0.25, seed=0, scale=-20)
+def test_logistic_view_objective_is_the_row_by_row_sum_bit_for_bit(dist, eta, seed, scale):
+    # one logaddexp per atom at |m_i|; the rows get (|m| -+ m) + phi(|m|)
+    view = _NoisyView(dist, eta)
+    v = np.random.default_rng(seed).uniform(-3.0, 3.0, dist.dimension) * 10.0**scale
+    phi = LOSSES["logistic"]
+    rows = float(view.weights @ _logistic_eval(view.margins(v)))
+    with per_atom_always():
+        assert expected_loss(view, phi, v) == rows
+        assert minimizers._view_objective(phi, view, dist.margins(v)) == rows
+
+
+def test_logistic_value_is_taken_once_per_atom_from_the_threshold():
+    # fewer atoms take the 2n rows; from _PER_ATOM_MIN on one value per atom,
+    # the same sum bit for bit
+    rng = np.random.default_rng(28)
+    phi = LOSSES["logistic"]
+    for n in (minimizers._PER_ATOM_MIN - 1, minimizers._PER_ATOM_MIN, 3000):
+        xs = rng.normal(size=(n, 4))
+        dist = DiscreteDistribution(xs, np.where(xs[:, 0] >= 0.0, 1, -1), np.full(n, 1.0 / n))
+        view = _NoisyView(dist, 0.3)
+        sizes = []
+
+        def value(z):
+            sizes.append(np.size(z))
+            return phi.eval(z)
+
+        value.__wrapped__ = phi.eval
+        timed = dataclasses.replace(phi, eval=value)
+        for v in (np.zeros(4), rng.normal(size=4), 40.0 * rng.normal(size=4)):
+            rows = float(view.weights @ _logistic_eval(view.margins(v)))
+            assert expected_loss(view, timed, v) == rows
+            assert minimizers._view_objective(timed, view, dist.margins(v)) == rows
+        assert set(sizes) == {n if n >= minimizers._PER_ATOM_MIN else 2 * n}
+
+
+@settings(max_examples=100, deadline=None)
+@given(dist=colliding_distributions(), eta=helpers.etas, seed=st.integers(0, 2**16))
+@example(dist=COLLIDING, eta=0.25, seed=0)
+@example(dist=SUBNORMAL, eta=0.25, seed=0)
+def test_probe_values_match_corrupt_rcn(dist, eta, seed):
+    # the probe's per-atom values against the materialized reference, at
+    # the ray points it took; coordinates stay within 2 and lambda within
+    # 32, so exp(-z) stays finite
+    rng = np.random.default_rng(seed)
+    x0, u = rng.uniform(-1.0, 1.0, dist.dimension), rng.normal(size=dist.dimension)
+    assume(dist.weights @ np.abs(dist.xs @ u) > 0.0)
+    noisy = corrupt_rcn(dist, eta)
+    lambdas = [0.0, 0.5, 2.0, 8.0, 32.0]
+    for name in ("exponential", "mixed_linear_exponential", "logistic"):
+        phi = LOSSES[name]
+        with per_atom_always():
+            probe = recession_probe(dist, phi, eta, x0, u, lambdas)
+        for lam, value in zip(probe.lambdas, probe.values):
+            point = probe.base_point + lam * probe.direction
+            m = dist.margins(point)
+            mass = dist.weights @ (np.abs(phi.eval(m)) + np.abs(phi.eval(-m)))
+            assert abs(value - expected_loss(noisy, phi, point)) <= _rounding(dist, mass)
 
 
 def test_gradient_overflow_names_the_flipped_row():
