@@ -14,6 +14,7 @@ the distribution :func:`corrupt_rcn` materializes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,11 @@ def misclassification_error(dist: DiscreteDistribution, v) -> float:
     A zero inner product counts as an error for either label, so the
     zero vector scores a full error of 1.
     """
-    margins = dist.margins(v)
+    return _error(dist, dist.margins(v))
+
+
+def _error(dist: DiscreteDistribution, margins: np.ndarray) -> float:
+    """:func:`misclassification_error` at the atoms' margins."""
     return float(dist.weights[margins <= 0.0].sum())
 
 
@@ -107,26 +112,32 @@ def check_rcn_robustness(dist: DiscreteDistribution, phi: PotentialFunction,
     fit computes its own centroid, values, slopes and curvatures from
     those per-atom terms.
     """
-    return _robustness_sweep(dist, phi, r, [eta])[0]
+    [(report, _)] = _robustness_sweep(dist, phi, r, [eta])
+    return report
 
 
 def _robustness_sweep(dist: DiscreteDistribution, phi: PotentialFunction, r: float,
-                      etas) -> list[RobustnessReport]:
-    """check_rcn_robustness at each noise rate, fitting the clean side once."""
+                      etas) -> list[tuple[RobustnessReport, np.ndarray]]:
+    """check_rcn_robustness at each noise rate, fitting the clean side once.
+
+    Each report comes with the clean margins of its noisy fit, from which
+    its error was taken.
+    """
     views = [_NoisyView(dist, eta) for eta in etas]
     fit_clean = pgd_minimizer(dist, phi, r)
     clean_fit_error = misclassification_error(dist, fit_clean.v)
     reports = []
     for view in views:
         fit_noisy = pgd_minimizer(view, phi, r)
-        reports.append(RobustnessReport(
+        margins = dist.margins(fit_noisy.v)
+        reports.append((RobustnessReport(
             eta=view.eta,
             clean_fit_error=clean_fit_error,
-            noisy_fit_error=misclassification_error(dist, fit_noisy.v),
+            noisy_fit_error=_error(dist, margins),
             minimizer_clean=fit_clean.v,
             minimizer_noisy=fit_noisy.v,
             degenerate=fit_clean.degenerate_centroid or fit_noisy.degenerate_centroid,
-        ))
+        ), margins))
     return reports
 
 
@@ -215,6 +226,13 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     corrupted distribution built (for the shipped logistic loss on 512
     atoms or more, with no rows either: one evaluation per atom); an
     overflow at -m_i names clean atom i with its flipped label.
+
+    The margins m(u) are taken once, for the width.  When x0 is zero and
+    every lambda is 0 or a power of two (the default ray), each ray point's
+    margins are lambda m(u): m(lambda u) bit for bit wherever no product
+    x_ij u_j underflows, since a product that underflows rounds absolutely
+    and does not commute with the scaling.  Any other ray takes the
+    margins of each point x0 + lambda u.
     """
     noisy = _NoisyView(dist, eta)
     report = check_def1(phi)
@@ -240,7 +258,8 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     if lam[0] < 0 or not np.all(np.diff(lam) > 0):
         raise ValueError("lambdas must be nonnegative and strictly increasing")
 
-    width = float(dist.weights @ np.abs(dist.xs @ u))
+    along = dist.margins(u)
+    width = float(dist.weights @ np.abs(along))
     if width <= 0.0:
         raise ValueError(
             "E|u.x| = 0: the objective is unaffected along u (it varies only "
@@ -250,7 +269,13 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     phi0 = float(phi.eval(0.0))
     dphi0 = float(phi.deriv(0.0))
 
-    values = np.array([_view_objective(phi, noisy, dist.margins(x0 + l * u)) for l in lam])
+    if x0.any() or not all(l == 0.0 or math.frexp(l)[0] == 0.5 for l in lam):
+        margins = (dist.margins(x0 + l * u) for l in lam)
+    else:
+        # scaling by 0 or 2^k commutes with every rounding of x . u in the
+        # normal range, so l m(u) is m(l u) bit for bit
+        margins = (l * along for l in lam)
+    values = np.array([_view_objective(phi, noisy, m) for m in margins])
     bounds = noisy.eta * (phi0 - dphi0 * lam * width + dphi0 * base_overlap)
     slack = values - bounds
     tail = values[-3:] if values.size >= 3 else values

@@ -25,13 +25,13 @@ from typing import Callable
 import numpy as np
 
 from . import svg
-from .analysis import (_robustness_sweep, check_rcn_robustness, expected_loss,
-                       misclassification_error, recession_probe)
+from .analysis import (_robustness_sweep, check_rcn_robustness, misclassification_error,
+                       recession_probe)
 from .distributions import (GAMMA_STAR, DiscreteDistribution, _csv_text,
                             _read_labeled_csv, _write_csv, make_counterexample)
 from .dynamics import TIE_RULES, cd_unhinged, gd_unhinged
 from .loss_zoo import LOSS_NAMES, check_def1, make_loss
-from .minimizers import unhinged_minimizer
+from .minimizers import _objective, unhinged_minimizer
 
 _DRIFT_TOL = 1e-12
 
@@ -245,11 +245,11 @@ def run_eta_sweep(args: argparse.Namespace) -> int:
     dist = _load_dist(args)
     phi = make_loss(args.loss or "unhinged")
     rows = []
-    for report in _robustness_sweep(dist, phi, args.r, etas):
+    for report, margins in _robustness_sweep(dist, phi, args.r, etas):
         v = report.minimizer_noisy
         rows.append({
             "eta": report.eta, **{f"v_{j + 1}": float(c) for j, c in enumerate(v)},
-            "objective": expected_loss(dist, phi, v),
+            "objective": _objective(phi, dist, margins),
             "clean_error": report.clean_fit_error, "noisy_fit_error": report.noisy_fit_error,
             "robust": report.robust,
             "minimizer_drift": float(np.max(np.abs(report.minimizer_clean - v))),

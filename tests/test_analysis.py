@@ -311,6 +311,28 @@ class TestRecessionProbe:
         assert DEFAULT_RAY_GRID[0] == 0.0
         assert DEFAULT_RAY_GRID[-1] == 1024.0
 
+    def test_default_ray_takes_one_margin_vector(self, monkeypatch):
+        # from the origin on a grid of 0 and powers of two the ray points
+        # take lambda m(u), from the one m(u) the width takes; any other
+        # base point or grid takes one more margin vector per lambda
+        calls = []
+        margins = DiscreteDistribution.margins
+
+        def counted(self, v):
+            calls.append(1)
+            return margins(self, v)
+
+        monkeypatch.setattr(DiscreteDistribution, "margins", counted)
+        dist = make_counterexample(0.05)
+        for x0, lambdas, expected in ((None, None, 1),
+                                      ([0.0, -0.0], [0.0, 0.5, 1.0, 1024.0], 1),
+                                      ([0.1, 0.2], None, 1 + len(DEFAULT_RAY_GRID)),
+                                      (None, [0.0, 0.3, 1.7, 5.1], 5),
+                                      (None, [0.5, 3.0], 3)):
+            calls.clear()
+            recession_probe(dist, LOGISTIC, 0.1, x0, None, lambdas)
+            assert len(calls) == expected
+
     def test_serialization(self):
         dist = DiscreteDistribution([[1.0]], [1], [1.0])
         probe = recession_probe(dist, EXPONENTIAL, 0.25, [0.0], [1.0], [0.0, 1.0])

@@ -213,18 +213,28 @@ class TestEtaSweep:
     @pytest.mark.parametrize("loss", ["logistic", "hinge", "unhinged"])
     def test_clean_distribution_fit_once(self, tmp_path, monkeypatch, loss):
         # one clean fit and one fit per noise rate; every row is the one
-        # check_rcn_robustness gives at its rate
-        fitted = []
-        pgd = analysis.pgd_minimizer
+        # check_rcn_robustness gives at its rate.  Past the fits the sweep
+        # takes one margin vector per fit: a noisy fit's error and
+        # objective share one
+        fitted, calls = [], []
+        pgd, margins = analysis.pgd_minimizer, DiscreteDistribution.margins
 
         def counted(dist, *args):
             fitted.append(dist)
-            return pgd(dist, *args)
+            inside = len(calls)
+            fit = pgd(dist, *args)
+            del calls[inside:]
+            return fit
+
+        def counted_margins(self, v):
+            calls.append(1)
+            return margins(self, v)
 
         monkeypatch.setattr(analysis, "pgd_minimizer", counted)
+        monkeypatch.setattr(DiscreteDistribution, "margins", counted_margins)
         assert main(["eta-sweep", "--out-dir", str(tmp_path), "--loss", loss,
                      "--grid-count", "3"]) == 0
-        assert len(fitted) == 4
+        assert len(fitted) == len(calls) == 4
         dist, phi = make_counterexample(0.05), make_loss(loss)
         rows = read_csv(tmp_path / "eta_sweep.csv")
         assert len(rows) == 3

@@ -1,6 +1,7 @@
 """Label noise as a view of the clean margins, pinned against corrupt_rcn."""
 
 import dataclasses
+import itertools
 import sys
 import tracemalloc
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import helpers
 import potmin
-from potmin import (LOSS_NAMES, DiscreteDistribution, LossOverflowError,
+from potmin import (DEFAULT_RAY_GRID, LOSS_NAMES, DiscreteDistribution, LossOverflowError,
                     check_rcn_robustness, corrupt_rcn, expected_loss, make_counterexample,
                     make_loss, mean_label_feature, pgd_minimizer, recession_probe,
                     unhinged_minimizer)
@@ -263,28 +264,71 @@ def test_logistic_value_is_taken_once_per_atom_from_the_threshold():
         assert set(sizes) == {n if n >= minimizers._PER_ATOM_MIN else 2 * n}
 
 
+def _materialized(noisy, phi, dist, m):
+    """E[phi] over corrupt_rcn's atoms, each at the clean margin of its x.
+
+    numpy takes x . v for a one-row matrix by a dot and for the two rows
+    corrupt_rcn splits it into by a gemv, which can round it an ulp apart;
+    exp amplifies that by |m| past the value rounding, so the materialized
+    atoms take the clean atoms' products rather than their own.
+    """
+    dots = {(x + 0.0).tobytes(): y * mi for x, y, mi in zip(dist.xs, dist.ys, m)}
+    at = np.array([dots[(x + 0.0).tobytes()] for x in noisy.xs])
+    return float(noisy.weights @ phi.eval(noisy.ys * at))
+
+
 @settings(max_examples=100, deadline=None)
 @given(dist=colliding_distributions(), eta=helpers.etas, seed=st.integers(0, 2**16))
 @example(dist=COLLIDING, eta=0.25, seed=0)
 @example(dist=SUBNORMAL, eta=0.25, seed=0)
 def test_probe_values_match_corrupt_rcn(dist, eta, seed):
     # the probe's per-atom values against the materialized reference, at
-    # the ray points it took; coordinates stay within 2 and lambda within
-    # 32, so exp(-z) stays finite
+    # the ray points it took: from x0 by the margins of each point, from the
+    # origin (on this dyadic grid) by lambda m(u); coordinates stay within 2
+    # and lambda within 32, so exp(-z) stays finite
     rng = np.random.default_rng(seed)
     x0, u = rng.uniform(-1.0, 1.0, dist.dimension), rng.normal(size=dist.dimension)
     assume(dist.weights @ np.abs(dist.xs @ u) > 0.0)
     noisy = corrupt_rcn(dist, eta)
     lambdas = [0.0, 0.5, 2.0, 8.0, 32.0]
-    for name in ("exponential", "mixed_linear_exponential", "logistic"):
+    for name, base in itertools.product(
+            ("exponential", "mixed_linear_exponential", "logistic"), (x0, None)):
         phi = LOSSES[name]
         with per_atom_always():
-            probe = recession_probe(dist, phi, eta, x0, u, lambdas)
+            probe = recession_probe(dist, phi, eta, base, u, lambdas)
         for lam, value in zip(probe.lambdas, probe.values):
-            point = probe.base_point + lam * probe.direction
-            m = dist.margins(point)
+            m = dist.margins(probe.base_point + lam * probe.direction)
             mass = dist.weights @ (np.abs(phi.eval(m)) + np.abs(phi.eval(-m)))
-            assert abs(value - expected_loss(noisy, phi, point)) <= _rounding(dist, mass)
+            assert abs(value - _materialized(noisy, phi, dist, m)) <= _rounding(dist, mass)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=helpers.small_distributions(), eta=helpers.etas)
+@example(dist=COLLIDING, eta=0.25)
+def test_default_probe_values_are_those_at_each_ray_point_bit_for_bit(dist, eta):
+    # the default ray takes lambda m(u) for m(lambda u).  A product x_ij u_j
+    # that underflows rounds absolutely, so it does not commute with the
+    # scaling: coordinates are 0 or of magnitude 2^-400 and up, where no
+    # product with the unit centroid does (subnormal ones are held to the
+    # corrupt_rcn bound above)
+    assume(np.all((dist.xs == 0.0) | (np.abs(dist.xs) >= 2.0**-400)))
+    view = _NoisyView(dist, eta)
+    with per_atom_always():
+        try:
+            u = recession_probe(dist, LOSSES["logistic"], eta).direction
+        except ValueError:  # a zero centroid, or one of zero width
+            assume(False)
+        for name in ("exponential", "mixed_linear_exponential", "logistic"):
+            phi = LOSSES[name]
+            try:
+                values = [minimizers._view_objective(phi, view, dist.margins(lam * u))
+                          for lam in DEFAULT_RAY_GRID]
+            except LossOverflowError as err:
+                with pytest.raises(LossOverflowError) as got:
+                    recession_probe(dist, phi, eta)
+                assert str(got.value) == str(err)
+                continue
+            assert recession_probe(dist, phi, eta).values.tolist() == values
 
 
 def test_gradient_overflow_names_the_flipped_row():
