@@ -223,11 +223,12 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     objective simply does not vary along it (project it out instead).
     Each value is (1 - eta) E[phi(m)] + eta E[phi(-m)] at the clean
     margins m of the ray point, computed from the noise view with no
-    corrupted distribution built (for the shipped logistic loss on 512
-    atoms or more, with no rows either: one evaluation per atom); an
-    overflow at -m_i names clean atom i with its flipped label.
+    corrupted distribution built (for a loss that reflects on 512 atoms
+    or more, with no rows either: one evaluation per atom); an overflow at
+    -m_i names clean atom i with its flipped label.
 
-    The margins m(u) are taken once, for the width.  When x0 is zero and
+    The margins m(u) are taken once, for the width, and a nonzero x0's
+    once, for the base overlap E|x0 . x| = E|m(x0)|.  When x0 is zero and
     every lambda is 0 or a power of two (the default ray), each ray point's
     margins are lambda m(u): m(lambda u) bit for bit wherever no product
     x_ij u_j underflows, since a product that underflows rounds absolutely
@@ -265,7 +266,7 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
             "E|u.x| = 0: the objective is unaffected along u (it varies only "
             "on the subspace orthogonal to u); probe a direction of positive width"
         )
-    base_overlap = float(dist.weights @ np.abs(dist.xs @ x0)) if x0.any() else 0.0
+    base_overlap = float(dist.weights @ np.abs(dist.margins(x0))) if x0.any() else 0.0
     phi0 = float(phi.eval(0.0))
     dphi0 = float(phi.deriv(0.0))
 

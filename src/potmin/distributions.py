@@ -262,8 +262,21 @@ class DiscreteDistribution:
         return self.xs.shape[0]
 
     def margins(self, v) -> np.ndarray:
-        """Per-atom classification margins y * (v . x)."""
-        return self.ys * (self.xs @ _vector("v", v, self.dimension))
+        """Per-atom classification margins y * (v . x).
+
+        A product that BLAS leaves non-finite, which an exact sum of huge
+        terms need not be, is retaken as (x 2^-ex . v 2^-ev) 2^(ex + ev) for
+        the exponents ex, ev of max|x|, max|v|; finite ones keep their bits.
+        """
+        v = _vector("v", v, self.dimension)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = self.xs @ v
+            bad = ~np.isfinite(dots)
+            if bad.any():
+                ev = _exponent(v)
+                dots[bad] = np.ldexp(np.ldexp(self.xs[bad], -self.x_exponent) @ np.ldexp(v, -ev),
+                                     self.x_exponent + ev)
+        return self.ys * dots
 
     def to_csv(self, path) -> None:
         """Write as CSV with header x1,...,xd,y,weight (round-trip exact)."""

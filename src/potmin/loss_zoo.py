@@ -1,12 +1,12 @@
 """Margin losses, their derivatives, and executable axiom predicates.
 
 Five classic potentials ship with the package (exponential, mixed
-linear/exponential, logistic, hinge, unhinged).  Each is packaged as an
-immutable :class:`PotentialFunction` carrying vectorized ``eval``/``deriv``
-callables.  The one predicate :func:`check_def1` tests the convex-potential
-axioms clause by clause on a fixed grid and reports a witness for every
-failing clause; its clauses (a)-(c) are the relaxed axioms, which drop the
-vanishing tail (d).
+linear/exponential, logistic, hinge, unhinged).  Each is one immutable
+:class:`PotentialFunction`, built at import, carrying vectorized
+``eval``/``deriv`` callables and declaring what the fits read.  The one
+predicate :func:`check_def1` tests the convex-potential axioms clause by
+clause on a fixed grid and reports a witness for every failing clause; its
+clauses (a)-(c) are the relaxed axioms, which drop the vanishing tail (d).
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-LOSS_NAMES = ("exponential", "mixed_linear_exponential", "logistic", "hinge", "unhinged")
 
 # Slack tolerances for the grid predicates.
 _CONVEXITY_SLACK = 1e-12
@@ -53,7 +51,6 @@ def _elementwise(core: Callable[[np.ndarray], np.ndarray]):
         out = core(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-    wrapped.__wrapped__ = core
     return wrapped
 
 
@@ -63,16 +60,19 @@ class PotentialFunction:
 
     ``eval`` and ``deriv`` map a margin (scalar or ndarray) to the loss
     value / slope at that margin.  ``curv``, when given, maps it to the
-    second derivative phi'' (nonnegative, as phi is convex); a loss that
-    declares one is fit by a Newton method.  Of the losses without one,
-    only the shipped unhinged loss (closed form) and the shipped hinge have
-    a fit.  Instances are immutable and safe to share across threads.
+    second derivative phi'' (nonnegative, as phi is convex).  ``fit`` is
+    ``"closed-form"``, ``"interior-point"`` or ``"newton"`` (the default
+    when ``curv`` is given); ``reflects`` declares phi(-t) = fl(2t + phi(t))
+    bit for bit for t >= 0.  Both are trusted as ``curv`` is.  Instances
+    are immutable and safe to share across threads.
     """
 
     name: str
     eval: Callable
     deriv: Callable
     curv: Callable | None = None
+    fit: str | None = None
+    reflects: bool = False
 
     def __call__(self, z):
         return self.eval(z)
@@ -155,15 +155,21 @@ def _unhinged_deriv(z: np.ndarray) -> np.ndarray:
     return np.full_like(z, -1.0)
 
 
-# name -> (eval, deriv, curv or None); exp(-z) is its own second
-# derivative, with eval's overflow rule
-_REGISTRY = {
-    "exponential": (_exp_eval, _exp_deriv, _exp_eval),
-    "mixed_linear_exponential": (_mixed_eval, _mixed_deriv, _mixed_curv),
-    "logistic": (_logistic_eval, _logistic_deriv, _logistic_curv),
-    "hinge": (_hinge_eval, _hinge_deriv, None),
-    "unhinged": (_unhinged_eval, _unhinged_deriv, None),
-}
+def _shipped(name, ev, de, cu=None, **declared) -> PotentialFunction:
+    return PotentialFunction(name, _elementwise(ev), _elementwise(de),
+                             None if cu is None else _elementwise(cu), **declared)
+
+
+# exp(-z) is its own second derivative, with eval's overflow rule;
+# numpy's logaddexp gives the logistic reflection (see _view_objective)
+_REGISTRY = {phi.name: phi for phi in (
+    _shipped("exponential", _exp_eval, _exp_deriv, _exp_eval),
+    _shipped("mixed_linear_exponential", _mixed_eval, _mixed_deriv, _mixed_curv),
+    _shipped("logistic", _logistic_eval, _logistic_deriv, _logistic_curv, reflects=True),
+    _shipped("hinge", _hinge_eval, _hinge_deriv, fit="interior-point"),
+    _shipped("unhinged", _unhinged_eval, _unhinged_deriv, fit="closed-form"),
+)}
+LOSS_NAMES = tuple(_REGISTRY)
 
 
 def make_loss(name: str) -> PotentialFunction:
@@ -172,13 +178,11 @@ def make_loss(name: str) -> PotentialFunction:
     Raises ValueError for unknown names, listing the valid ones.
     """
     try:
-        ev, de, cu = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown loss {name!r}; valid names: {', '.join(LOSS_NAMES)}"
         ) from None
-    return PotentialFunction(name, _elementwise(ev), _elementwise(de),
-                             None if cu is None else _elementwise(cu))
 
 
 @dataclass(frozen=True)

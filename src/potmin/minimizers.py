@@ -5,16 +5,17 @@ v, so the ball minimizer is the rescaled label centroid.  Every iterative
 fit stops on a certificate.  The hinge loss is fit to a duality gap (the
 closed form when it certifies, else a primal-dual interior point), and a
 loss that declares its curvature (every other shipped loss) by Newton
-steps over the ball to a Frank-Wolfe gap.  :func:`pgd_minimizer` picks
-the one fit of each loss; all return the same :class:`FitResult` shape.
+steps over the ball to a Frank-Wolfe gap.  :func:`pgd_minimizer` runs
+the fit each loss declares (``PotentialFunction.fit``); all return the
+same :class:`FitResult` shape.
 
 Each fit also takes a label-noise view (``distributions._NoisyView``) in
 place of a distribution, both read through one layout: row k i + j is
 atom i with label row_signs[j] y_i, k = len(dist.row_signs).  Values and
-slopes are taken per row, except the value of the shipped logistic loss
-under a noise view of ``_PER_ATOM_MIN`` (512) atoms or more, taken once
-per atom: numpy's logaddexp(0, a) is a + log1p(exp(-a)) for a > 0 and
-log1p(exp(-|a|)) otherwise, so phi(-t) = fl(2t + phi(t)) for t >= 0
+slopes are taken per row, except the value of a loss that reflects
+(``phi.reflects``: phi(-t) = fl(2t + phi(t)) for t >= 0, as numpy's
+logaddexp gives the shipped logistic loss) under a noise view of
+``_PER_ATOM_MIN`` (512) atoms or more, taken once per atom
 (:func:`_view_objective`).  Every
 product with x (the centroid, the gradient) folds an atom's rows,
 signed, into one coefficient of y_i x_i, and the curvature adds them
@@ -28,7 +29,6 @@ within its sum's rounding for both gaps (:func:`_sum_norm`).
 from __future__ import annotations
 
 import copy
-import inspect
 import math
 from dataclasses import dataclass, replace
 
@@ -36,8 +36,7 @@ import numpy as np
 
 from .distributions import (DiscreteDistribution, _fold, _NoisyView, _positive,
                             _readonly, _rows, _vector, mean_label_feature)
-from .loss_zoo import (LossOverflowError, PotentialFunction, _hinge_eval, _logistic_eval,
-                       _unhinged_eval)
+from .loss_zoo import LossOverflowError, PotentialFunction
 
 _EPS = float(np.finfo(float).eps)
 _BALL_SLACK = 1e-12
@@ -64,7 +63,7 @@ _SECULAR_ITERS = 100
 _MAX_ITERS = 50_000
 # the absolute gap that certifies a Newton or hinge fit, whatever r
 _TOL = 1e-9
-# fewest atoms of a noise view whose logistic value is taken once per atom
+# fewest atoms of a noise view whose value is taken once per atom when phi reflects
 # (see _view_objective): its six extra numpy calls cost more than the
 # logaddexps they save on fewer atoms; against the row-by-row evaluation it
 # took 1.27 times as long at 256 atoms, 1.04 at 512 and 0.84 at 1024
@@ -195,38 +194,31 @@ def _objective(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
                margins: np.ndarray) -> float:
     """E[phi] at the row margins: sum over rows of weight times phi(margin).
 
-    Under a noise view of at least ``_PER_ATOM_MIN`` atoms the shipped
-    logistic loss is taken once per atom, from the clean margins m_i at
-    rows 2i (see :func:`_view_objective`).
+    Under a noise view of at least ``_PER_ATOM_MIN`` atoms a loss that
+    reflects is taken once per atom, from the clean margins m_i at rows 2i
+    (see :func:`_view_objective`).
     """
-    if len(dist.row_signs) == 2 and _per_atom_value(phi, margins.size // 2):
+    if len(dist.row_signs) == 2 and phi.reflects and margins.size // 2 >= _PER_ATOM_MIN:
         return _view_objective(phi, dist, margins[0::2])
     return float(dist.weights @ _per_atom(phi.eval, dist, margins))
-
-
-def _per_atom_value(phi: PotentialFunction, n: int) -> bool:
-    """Whether a noise view of n atoms takes phi's value once per atom: the
-    shipped logistic loss, seen through any timing wrappers, from
-    ``_PER_ATOM_MIN`` atoms on."""
-    return n >= _PER_ATOM_MIN and inspect.unwrap(phi.eval) is _logistic_eval
 
 
 def _view_objective(phi: PotentialFunction, view: _NoisyView, m: np.ndarray) -> float:
     """E[phi] over a noise view at its clean margins m: :func:`_objective` at
     the rows m_i, -m_i, bit for bit.
 
-    The shipped logistic loss needs no rows.  numpy's logaddexp(0, a) is
-    a + log1p(exp(-a)) for a > 0 and log1p(exp(-|a|)) otherwise, so
-    phi(z) = log(1 + exp(-2z)) is fl((|z| - z) + phi(|z|)) at every
-    margin z, with |z| - z = max(-2z, 0) exactly and the same exp argument
-    -2|z| on both sides.  So phi.eval runs once per atom, at |m_i|, and
-    row 2i gets (|m_i| - m_i) + phi(|m_i|), row 2i + 1 (|m_i| + m_i) +
-    phi(|m_i|).  A row that is not finite leaves the sum not finite; such
-    a sum, any other loss, and a view of fewer than ``_PER_ATOM_MIN``
-    atoms are taken row by row, where an overflow raises naming its atom
-    and label.
+    A loss that reflects, as the shipped logistic loss does, needs no rows:
+    numpy's logaddexp(0, a) is a + log1p(exp(-a)) for a > 0 and
+    log1p(exp(-|a|)) otherwise, so phi(z) = log(1 + exp(-2z)) is
+    fl((|z| - z) + phi(|z|)) at every margin z, with |z| - z = max(-2z, 0)
+    exactly and the same exp argument -2|z| on both sides.  So phi.eval
+    runs once per atom, at |m_i|, and row 2i gets (|m_i| - m_i) +
+    phi(|m_i|), row 2i + 1 (|m_i| + m_i) + phi(|m_i|).  A row that is not
+    finite leaves the sum not finite; such a sum, any other loss, and a
+    view of fewer than ``_PER_ATOM_MIN`` atoms are taken row by row, where
+    an overflow raises naming its atom and label.
     """
-    if _per_atom_value(phi, m.size):
+    if phi.reflects and m.size >= _PER_ATOM_MIN:
         a = np.abs(m)
         p = phi.eval(a)
         values = np.empty((m.size, 2))
@@ -569,16 +561,16 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
                   r: float) -> FitResult:
     """Minimize E[phi(y v.x)] over the radius-r ball, by the one fit of phi.
 
-    The fit is chosen by phi's value function, seen through any timing
-    wrappers.  The shipped unhinged loss gets its closed form
-    (:func:`unhinged_minimizer`, gap 0).  A loss that declares a curvature
-    (the other smooth shipped losses) is fit from v = 0 by Newton steps
-    over the ball to a Frank-Wolfe gap <g, v> + r ||g|| <= ``_TOL``
-    (see :func:`_newton_fit`), and the shipped hinge loss to a duality gap
-    (see :func:`_hinge_fit`): the unhinged closed form when it certifies,
-    else a primal-dual interior point.  Any other loss raises ValueError
-    naming it, as does a radius that is not positive and finite.  The name
-    is kept from the projected gradient descent these fits replaced.
+    The fit is the one ``phi.fit`` declares.  ``"closed-form"`` (unhinged)
+    is :func:`unhinged_minimizer` (gap 0).  ``"newton"``, the default for a
+    loss with a curvature, runs from v = 0 by Newton steps over the ball to
+    a Frank-Wolfe gap <g, v> + r ||g|| <= ``_TOL`` (see :func:`_newton_fit`),
+    and ``"interior-point"`` (hinge) to a duality gap (see
+    :func:`_hinge_fit`): the unhinged closed form when it certifies, else a
+    primal-dual interior point.  No fit, ``"newton"`` without a curvature,
+    or an unknown fit raises ValueError naming the loss, as does a radius
+    that is not positive and finite.  The name is kept from the projected
+    gradient descent these fits replaced.
     Both iterative fits see the same margins on x' = x 2^-e at radius
     r' = r 2^e and return v 2^-e.  e depends only on s = ex + er, for the
     binary exponents ex of max|x| and er of r (r max|x| < 2^s), so every
@@ -589,13 +581,14 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
     radius with s > 1533, where x' would reach 2^512, raises ValueError.
     """
     r = _positive("radius", r)
-    kernel = inspect.unwrap(phi.eval)
-    if kernel is _unhinged_eval:
+    method = phi.fit or "newton"
+    if method == "closed-form":
         return unhinged_minimizer(dist, r)
-    if phi.curv is None and kernel is not _hinge_eval:
-        raise ValueError(f"loss {phi.name!r} has no certified fit: it declares no curvature "
-                         "and is neither the shipped unhinged nor the shipped hinge loss")
-    fit = _hinge_fit if phi.curv is None else _newton_fit
+    fit = {"interior-point": _hinge_fit, "newton": _newton_fit}.get(method)
+    if fit is None or (method == "newton" and phi.curv is None):
+        raise ValueError(f"loss {phi.name!r} has no certified fit: fit={phi.fit!r} and "
+                         f"{'a' if phi.curv else 'no'} curv; fits are 'closed-form', "
+                         "'interior-point' and 'newton' (the default, which needs curv)")
     ex = dist.x_exponent
     s = ex + math.frexp(r)[1]
     if s > 1533:  # max|x'| would reach 2^512, and x'^2 overflow

@@ -314,7 +314,8 @@ class TestRecessionProbe:
     def test_default_ray_takes_one_margin_vector(self, monkeypatch):
         # from the origin on a grid of 0 and powers of two the ray points
         # take lambda m(u), from the one m(u) the width takes; any other
-        # base point or grid takes one more margin vector per lambda
+        # base point or grid takes one more margin vector per lambda, and a
+        # nonzero base point one more for its overlap E|m(x0)|
         calls = []
         margins = DiscreteDistribution.margins
 
@@ -326,7 +327,7 @@ class TestRecessionProbe:
         dist = make_counterexample(0.05)
         for x0, lambdas, expected in ((None, None, 1),
                                       ([0.0, -0.0], [0.0, 0.5, 1.0, 1024.0], 1),
-                                      ([0.1, 0.2], None, 1 + len(DEFAULT_RAY_GRID)),
+                                      ([0.1, 0.2], None, 2 + len(DEFAULT_RAY_GRID)),
                                       (None, [0.0, 0.3, 1.7, 5.1], 5),
                                       (None, [0.5, 3.0], 3)):
             calls.clear()

@@ -598,6 +598,19 @@ class TestRecessionProbe:
         assert err.value.atom == ([1.0, 0.0], -1)
         assert err.value.z == -1e308
 
+    def test_logistic_overflow_past_a_margin_blas_rounds_to_infinity(self, tmp_path):
+        # at x0 = (10, -10) atom 0's margin is exactly 0, which the matmul
+        # rounded to -inf; the ray still leaves float64 at atom 0's flipped
+        # label, now at a finite margin near -sqrt(2) 1e308
+        data = tmp_path / "big.csv"
+        data.write_text("x1,x2,y,weight\n1e308,1e308,1,0.5\n1,-1,1,0.5\n")
+        with pytest.raises(LossOverflowError) as err:
+            main(["recession-probe", "--loss", "logistic", "--data", str(data),
+                  "--x0", "10", "-10", "--out-dir", str(tmp_path / "out")])
+        assert err.value.atom_index == 0
+        assert err.value.atom == ([1e308, 1e308], -1)
+        assert err.value.z == pytest.approx(-math.sqrt(2.0) * 1e308, rel=1e-12)
+
     def test_explicit_direction_normalized(self, tmp_path):
         code = main(["recession-probe", "--loss", "exponential", "--eta", "0.2",
                      "--u", "2.0", "0.0", "--lambdas", "0", "1", "2",

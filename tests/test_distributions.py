@@ -455,6 +455,20 @@ class TestCsv:
         dist = make_counterexample(0.05)
         np.testing.assert_allclose(dist.margins([1.0, 0.0]), [1.0, 0.05, 0.05])
 
+    def test_margins_retake_a_product_blas_rounds_past_float64(self):
+        # 1e309 - 1e309 leaves float64 term by term, though the exact sum is
+        # 0; the matmul gave -inf with a warning.  A product that truly
+        # leaves float64 is inf, and finite ones keep the matmul's bits
+        dist = DiscreteDistribution([[1e308, 1e308], [1.0, -1.0]], [1, 1], [0.5, 0.5])
+        assert dist.margins([10.0, -10.0]).tolist() == [0.0, 20.0]
+        assert dist.margins([1.0, 1.0]).tolist() == [math.inf, 0.0]
+        assert _NoisyView(dist, 0.2).margins([10.0, -10.0]).tolist() == [0.0, -0.0, 20.0, -20.0]
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            dist = helpers.random_distribution(rng)
+            v = rng.normal(size=dist.dimension) * 10.0 ** rng.integers(-300, 300)
+            assert dist.margins(v).tobytes() == (dist.ys * (dist.xs @ v)).tobytes()
+
     @pytest.mark.parametrize("v", [[np.nan, 0.0], [0.0, -np.inf]], ids=["nan", "inf"])
     def test_margins_reject_non_finite_v(self, v):
         dist = make_counterexample(0.05)

@@ -99,6 +99,24 @@ def test_losses_without_curvature(name):
     assert make_loss(name).curv is None
 
 
+# (fit, reflects) as each shipped record declares them; fit None is Newton
+# from the curvature
+DECLARED = {
+    "exponential": (None, False),
+    "mixed_linear_exponential": (None, False),
+    "logistic": (None, True),
+    "hinge": ("interior-point", False),
+    "unhinged": ("closed-form", False),
+}
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+def test_each_shipped_loss_declares_its_fit_and_reflection(name):
+    phi = make_loss(name)
+    assert (phi.fit, phi.reflects) == DECLARED[name]
+    assert make_loss(name) is phi  # one record, built at import
+
+
 class TestMakeLoss:
     def test_unhinged_values(self):
         phi = make_loss("unhinged")

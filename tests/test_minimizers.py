@@ -23,10 +23,9 @@ UNHINGED = make_loss("unhinged")
 
 
 def timed(fn):
-    """A timing-style wrapper that records the function it wraps."""
+    """A timing-style wrapper, which sets no attribute."""
     def wrapper(z):
         return fn(z)
-    wrapper.__wrapped__ = fn
     return wrapper
 
 
@@ -456,7 +455,6 @@ def test_one_margin_evaluation_per_iterate(monkeypatch):
         def wrapper(z):
             evals.append(1)
             return fn(z)
-        wrapper.__wrapped__ = fn
         return wrapper
 
     monkeypatch.setattr(DiscreteDistribution, "margins", counted)
@@ -544,11 +542,14 @@ def test_backtracking_does_not_converge_where_the_step_underflows():
 
 
 def test_a_loss_without_a_certified_fit_is_named():
-    # a loss with no curvature that is not the shipped hinge has no fit
-    softplus = PotentialFunction("softplus", lambda z: np.logaddexp(0.0, -z),
-                                 lambda z: -1.0 / (1.0 + np.exp(z)))
-    with pytest.raises(ValueError, match="loss 'softplus' has no certified fit"):
-        pgd_minimizer(make_counterexample(0.05), softplus, 1.0)
+    # a loss with no curvature that declares no fit has none, nor does one
+    # that declares Newton without a curvature, or a fit that does not exist
+    for declared in ({}, {"fit": "newton"}, {"fit": "gradient"},
+                     {"fit": "gradient", "curv": zero_curvature}):
+        softplus = PotentialFunction("softplus", lambda z: np.logaddexp(0.0, -z),
+                                     lambda z: -1.0 / (1.0 + np.exp(z)), **declared)
+        with pytest.raises(ValueError, match="loss 'softplus' has no certified fit"):
+            pgd_minimizer(make_counterexample(0.05), softplus, 1.0)
 
 
 HINGE = make_loss("hinge")
@@ -742,14 +743,41 @@ def test_hinge_fit_stops_where_rounding_leaves_no_step():
 
 
 def test_hinge_fit_sees_through_timing_wrappers():
-    # a wrapper that records the function it wraps, as functools.wraps
-    # does, keeps the certified fit; a look-alike value function does not
+    # the fit is declared, so dataclasses.replace keeps it through a
+    # wrapper; the same functions in a record that declares no fit have none
     dist = gaussian_halfspace(5, n=50, d=3)
     wrapped = dataclasses.replace(HINGE, eval=timed(HINGE.eval))
     assert pgd_minimizer(dist, wrapped, 1.0).stop_reason == "gap"
-    look_alike = dataclasses.replace(HINGE, eval=lambda z: np.maximum(0.0, 1.0 - z))
+    undeclared = PotentialFunction("hinge", HINGE.eval, HINGE.deriv)
     with pytest.raises(ValueError, match="loss 'hinge' has no certified fit"):
-        pgd_minimizer(dist, look_alike, 1.0)
+        pgd_minimizer(dist, undeclared, 1.0)
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_every_declared_fit_survives_plain_wrappers(loss):
+    # the benchmark tracer's pattern: dataclasses.replace with wrappers that
+    # set no attribute keeps the declared fit, and logistic's value taken
+    # once per atom of a view of _PER_ATOM_MIN atoms or more, bit for bit
+    phi = make_loss(loss)
+    sizes = []
+
+    def plain(fn, seen):
+        def wrapper(z):
+            seen.append(np.size(z))
+            return fn(z)
+        return wrapper
+
+    rebuilt = dataclasses.replace(phi, eval=plain(phi.eval, sizes), deriv=plain(phi.deriv, []))
+    dist = make_counterexample(0.05)
+    large = _NoisyView(gaussian_halfspace(5, n=minimizers._PER_ATOM_MIN), 0.2)
+    for fitted in (dist, _NoisyView(dist, 0.2)) + ((large,) if loss == "logistic" else ()):
+        sizes.clear()
+        fit, got = pgd_minimizer(fitted, phi, 1.0), pgd_minimizer(fitted, rebuilt, 1.0)
+        assert got.v.tobytes() == fit.v.tobytes()
+        assert (got.iterations, got.gap, got.stop_reason) == (
+            fit.iterations, fit.gap, fit.stop_reason)
+    if loss == "logistic":
+        assert set(sizes) == {large.clean.n_atoms}  # one value per atom, not per row
 
 
 # PGD's best iterate for the logistic fit of make_counterexample(0.05) at
@@ -846,7 +874,6 @@ def test_newton_one_margin_evaluation_per_trial(monkeypatch):
                 evals.append(np.size(z))
                 return ev(z)
 
-            value.__wrapped__ = phi.eval
             calls.clear()
             fit = pgd_minimizer(fitted, dataclasses.replace(phi, eval=value), r)
             assert fit.stop_reason == "gap"

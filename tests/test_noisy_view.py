@@ -255,7 +255,6 @@ def test_logistic_value_is_taken_once_per_atom_from_the_threshold():
             sizes.append(np.size(z))
             return phi.eval(z)
 
-        value.__wrapped__ = phi.eval
         timed = dataclasses.replace(phi, eval=value)
         for v in (np.zeros(4), rng.normal(size=4), 40.0 * rng.normal(size=4)):
             rows = float(view.weights @ _logistic_eval(view.margins(v)))
