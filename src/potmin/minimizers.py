@@ -336,9 +336,16 @@ def _hinge_dual(w: np.ndarray, yx: np.ndarray, abs_yx: np.ndarray, lam: np.ndarr
 
 
 def _to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
-    """The largest alpha with x + alpha dx >= 0, for x > 0 (inf if dx >= 0)."""
-    shrink = dx < 0.0
-    return float(np.min(-x[shrink] / dx[shrink])) if shrink.any() else math.inf
+    """The largest alpha with x + alpha dx >= 0, for x > 0 (inf if dx >= 0).
+
+    One ratio test per Newton direction, over the stacked slacks and
+    multipliers: one masked divide and a max.  x / dx is -(-x / dx) bit for
+    bit, and only the entries with dx < 0 are divided, so the result and
+    the floating-point exceptions raised are those of min(-x / dx) over
+    those entries.
+    """
+    ratios = np.divide(x, dx, out=np.full_like(x, -math.inf), where=dx < 0.0)
+    return -float(np.max(ratios))
 
 
 def _to_ball(s3: float, v: np.ndarray, dv: np.ndarray) -> float:
@@ -359,44 +366,52 @@ def _mehrotra_step(w: np.ndarray, yx: np.ndarray, r: float, v: np.ndarray,
     s3 = (r^2 - ||v||^2) / 2; the dual residuals are w - lam1 - lam2 and
     lam3 v - A^T lam2, with A the rows y_i x_i.  Eliminating t and the
     multipliers leaves one d x d system M dv = rhs, solved by Cholesky,
-    with M = A^T E A + lam3 I + (lam3 / s3) v v^T.  Returns the next
-    (v, t, lam1, lam2, lam3); raises ArithmeticError or LinAlgError when
-    rounding leaves no interior step.
+    with M = A^T E A + lam3 I + (lam3 / s3) v v^T.  Each direction's step
+    length comes from one ratio test over the stacked (s1, s2, lam1, lam2),
+    plus the ball and lam3.  Returns the next (v, t, lam1, lam2, lam3);
+    raises ArithmeticError or LinAlgError when rounding leaves no interior
+    step.
     """
     n = w.size
     s1, s2, s3 = t, t - 1.0 + margins, (r * r - float(v @ v)) / 2.0
+    sl1, sl2, sl3 = s1 * lam1, s2 * lam2, s3 * lam3
     res_t = w - lam1 - lam2
     res_v = lam3 * v - lam2 @ yx
     d1, d2, d3 = lam1 / s1, lam2 / s2, lam3 / s3
-    e = d1 * d2 / (d1 + d2)
+    d12 = d1 + d2
+    e = d1 * d2 / d12
     system = (yx * e[:, None]).T @ yx + d3 * np.outer(v, v)
     # the shift keeps M positive definite under rounding where A has a
     # null space and lam3 tends to 0 (an optimum inside the ball)
-    system[np.diag_indices_from(system)] += (
-        lam3 + np.finfo(float).eps * np.trace(system) * v.size)
+    system.flat[::v.size + 1] += lam3 + np.finfo(float).eps * np.trace(system) * v.size
     chol = np.linalg.cholesky(system)
+    slack = np.concatenate((s1, s2, lam1, lam2))
 
     def newton(c1, c2, c3):
         # the step that moves each product s * lam by -c, to first order;
-        # returns (dv, ds1, ds2, ds3, dlam1, dlam2, dlam3), with dt = ds1
+        # returns (dv, (ds1, ds2, dlam1, dlam2) stacked, ds3, dlam3), with
+        # dt = ds1
         q1, q2, q3 = c1 / s1, c2 / s2, c3 / s3
-        h = d2 * (res_t + q1 + q2) / (d1 + d2) - q2
+        rq = res_t + q1 + q2
+        h = d2 * rq / d12 - q2
         dv = np.linalg.solve(chol.T, np.linalg.solve(chol, h @ yx - res_v + q3 * v))
         adv = yx @ dv
-        dt = -(res_t + q1 + q2 + d2 * adv) / (d1 + d2)
-        return (dv, dt, adv + dt, -float(v @ dv),
-                -d1 * dt - q1, -d2 * (adv + dt) - q2, d3 * float(v @ dv) - q3)
+        dt = -(rq + d2 * adv) / d12
+        ds2 = adv + dt
+        vdv = float(v @ dv)
+        return (dv, np.concatenate((dt, ds2, -d1 * dt - q1, -d2 * ds2 - q2)), -vdv,
+                d3 * vdv - q3)
 
-    def longest(dv, ds1, ds2, ds3, dl1, dl2, dl3):
+    def longest(dv, dx, ds3, dl3):
         # ds3 is linearized; the ball test uses the exact ||v + alpha dv||
-        return min(_to_boundary(s1, ds1), _to_boundary(s2, ds2), _to_ball(s3, v, dv),
-                   _to_boundary(lam1, dl1), _to_boundary(lam2, dl2),
+        return min(_to_boundary(slack, dx), _to_ball(s3, v, dv),
                    -lam3 / dl3 if dl3 < 0.0 else math.inf)
 
-    mu = (s1 @ lam1 + s2 @ lam2 + s3 * lam3) / (2 * n + 1)
+    mu = (s1 @ lam1 + s2 @ lam2 + sl3) / (2 * n + 1)
     # predictor: the affine-scaling step, aiming at s * lam = 0
-    aff = newton(s1 * lam1, s2 * lam2, s3 * lam3)
-    _, ds1, ds2, ds3, dl1, dl2, dl3 = aff
+    aff = newton(sl1, sl2, sl3)
+    _, dx, ds3, dl3 = aff
+    ds1, ds2, dl1, dl2 = dx.reshape(4, n)
     alpha = min(1.0, longest(*aff))
     mu_aff = ((s1 + alpha * ds1) @ (lam1 + alpha * dl1)
               + (s2 + alpha * ds2) @ (lam2 + alpha * dl2)
@@ -404,9 +419,10 @@ def _mehrotra_step(w: np.ndarray, yx: np.ndarray, r: float, v: np.ndarray,
     sigma_mu = (mu_aff / mu) ** 3 * mu
     # corrector: centre at sigma mu and cancel the predictor's
     # second-order term ds * dlam
-    dv, dt, _, _, dl1, dl2, dl3 = step = newton(s1 * lam1 + ds1 * dl1 - sigma_mu,
-                                               s2 * lam2 + ds2 * dl2 - sigma_mu,
-                                               s3 * lam3 + ds3 * dl3 - sigma_mu)
+    step = newton(sl1 + ds1 * dl1 - sigma_mu, sl2 + ds2 * dl2 - sigma_mu,
+                  sl3 + ds3 * dl3 - sigma_mu)
+    dv, dx, _, dl3 = step
+    dt, _, dl1, dl2 = dx.reshape(4, n)
     alpha = min(1.0, max(_STEP_TO_BOUNDARY, 1.0 - math.sqrt(mu)) * longest(*step))
     if not alpha > 0.0:
         raise FloatingPointError("no interior step is left")

@@ -62,8 +62,9 @@ def reference_pgd(dist, phi, r, step=None, max_iters=50_000, tol=1e-9):
 
 
 def fit_with(dist, phi, r, **constants):
-    """pgd_minimizer(dist, phi, r) with the fits' step budget (``_MAX_ITERS``)
-    or certifying gap (``_TOL``) patched for the one call."""
+    """pgd_minimizer(dist, phi, r) with module names, such as the fits' step
+    budget (``_MAX_ITERS``), certifying gap (``_TOL``) or interior-point step
+    (``_mehrotra_step``), patched for the one call."""
     with pytest.MonkeyPatch.context() as patch:
         for name, value in constants.items():
             patch.setattr(minimizers, name, value)
@@ -751,6 +752,125 @@ def test_hinge_fit_sees_through_timing_wrappers():
     undeclared = PotentialFunction("hinge", HINGE.eval, HINGE.deriv)
     with pytest.raises(ValueError, match="loss 'hinge' has no certified fit"):
         pgd_minimizer(dist, undeclared, 1.0)
+
+
+# The interior-point step as it was before its four ratio tests per direction
+# became one over the stacked slacks and multipliers, kept verbatim (without
+# its comments, and with the module prefix) as the reference the production
+# step must match bit for bit.
+def reference_to_boundary(x, dx):
+    """The largest alpha with x + alpha dx >= 0, for x > 0 (inf if dx >= 0)."""
+    shrink = dx < 0.0
+    return float(np.min(-x[shrink] / dx[shrink])) if shrink.any() else math.inf
+
+
+def reference_mehrotra_step(w, yx, r, v, margins, t, lam1, lam2, lam3):
+    n = w.size
+    s1, s2, s3 = t, t - 1.0 + margins, (r * r - float(v @ v)) / 2.0
+    res_t = w - lam1 - lam2
+    res_v = lam3 * v - lam2 @ yx
+    d1, d2, d3 = lam1 / s1, lam2 / s2, lam3 / s3
+    e = d1 * d2 / (d1 + d2)
+    system = (yx * e[:, None]).T @ yx + d3 * np.outer(v, v)
+    system[np.diag_indices_from(system)] += (
+        lam3 + np.finfo(float).eps * np.trace(system) * v.size)
+    chol = np.linalg.cholesky(system)
+
+    def newton(c1, c2, c3):
+        q1, q2, q3 = c1 / s1, c2 / s2, c3 / s3
+        h = d2 * (res_t + q1 + q2) / (d1 + d2) - q2
+        dv = np.linalg.solve(chol.T, np.linalg.solve(chol, h @ yx - res_v + q3 * v))
+        adv = yx @ dv
+        dt = -(res_t + q1 + q2 + d2 * adv) / (d1 + d2)
+        return (dv, dt, adv + dt, -float(v @ dv),
+                -d1 * dt - q1, -d2 * (adv + dt) - q2, d3 * float(v @ dv) - q3)
+
+    def longest(dv, ds1, ds2, ds3, dl1, dl2, dl3):
+        return min(reference_to_boundary(s1, ds1), reference_to_boundary(s2, ds2),
+                   minimizers._to_ball(s3, v, dv),
+                   reference_to_boundary(lam1, dl1), reference_to_boundary(lam2, dl2),
+                   -lam3 / dl3 if dl3 < 0.0 else math.inf)
+
+    mu = (s1 @ lam1 + s2 @ lam2 + s3 * lam3) / (2 * n + 1)
+    aff = newton(s1 * lam1, s2 * lam2, s3 * lam3)
+    _, ds1, ds2, ds3, dl1, dl2, dl3 = aff
+    alpha = min(1.0, longest(*aff))
+    mu_aff = ((s1 + alpha * ds1) @ (lam1 + alpha * dl1)
+              + (s2 + alpha * ds2) @ (lam2 + alpha * dl2)
+              + (s3 + alpha * ds3) * (lam3 + alpha * dl3)) / (2 * n + 1)
+    sigma_mu = (mu_aff / mu) ** 3 * mu
+    dv, dt, _, _, dl1, dl2, dl3 = step = newton(s1 * lam1 + ds1 * dl1 - sigma_mu,
+                                               s2 * lam2 + ds2 * dl2 - sigma_mu,
+                                               s3 * lam3 + ds3 * dl3 - sigma_mu)
+    alpha = min(1.0, max(minimizers._STEP_TO_BOUNDARY, 1.0 - math.sqrt(mu)) * longest(*step))
+    if not alpha > 0.0:
+        raise FloatingPointError("no interior step is left")
+    return (v + alpha * dv, t + alpha * dt, lam1 + alpha * dl1, lam2 + alpha * dl2,
+            lam3 + alpha * dl3)
+
+
+# the two-atom input on which the interior point crawls: 20,503 steps at
+# r = 1 and the whole step budget at r = 3
+HINGE_CRAWL = DiscreteDistribution(
+    [[1.5491953451260017, 0.16161311554684987], [1.141428018619627, 1.7124933912561192e-130]],
+    [1, -1], [0.769606746207959, 0.23039325379204112])
+
+
+def test_hinge_step_keeps_the_reference_bits():
+    # every fit under a budget of 2,000 steps, which the crawl spends at
+    # r = 1 and r = 3, and so does one of the random draws
+    rng = np.random.default_rng(32)
+    dists = [helpers.random_distribution(rng) for _ in range(20)] + [gaussian_halfspace(5)]
+    fitted = [view for dist in dists for view in (dist, _NoisyView(dist, 0.2))]
+    steps = 0
+    for view in fitted + [HINGE_CRAWL]:
+        for r in (0.5, 1.0, 3.0, 100.0):
+            fit = fit_with(view, HINGE, r, _MAX_ITERS=2000)
+            ref = fit_with(view, HINGE, r, _MAX_ITERS=2000,
+                           _mehrotra_step=reference_mehrotra_step)
+            assert fit.v.tobytes() == ref.v.tobytes()
+            assert (fit.objective, fit.iterations, fit.gap, fit.stop_reason) == (
+                ref.objective, ref.iterations, ref.gap, ref.stop_reason)
+            steps += fit.iterations
+    assert steps > 6000
+
+
+def test_to_boundary_is_the_masked_ratio_test():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 64, 1001):
+        for _ in range(20):
+            x = rng.uniform(1e-3, 2.0, n) * 10.0 ** rng.integers(-30, 30, n)
+            dx = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)
+            dx[rng.random(n) < 0.3] = 0.0
+            got = minimizers._to_boundary(x, dx)
+            assert np.float64(got).tobytes() == np.float64(reference_to_boundary(x, dx)).tobytes()
+    # no entry of dx is negative: -0.0 is not, nor is an all-zero dx
+    x = np.array([1.0, 2.0, 3.0])
+    for dx in ([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 1.0, 0.0], [1.0, 2.0, 3.0]):
+        assert minimizers._to_boundary(x, np.array(dx)) == math.inf
+        assert reference_to_boundary(x, np.array(dx)) == math.inf
+
+
+@pytest.mark.parametrize("x, dx, raises", [
+    ([1.0], [-1e-320], True),                       # the quotient overflows
+    ([1.0, 1.0], [-1.0, -1e-320], True),
+    ([1.0, 0.0, 1.0], [-1.0, 0.0, 1e-320], False),  # unmasked: 0 / 0 and an overflow
+    ([1.0, 1.0], [-0.0, -2.0], False),              # unmasked: a divide by -0.0
+    ([0.0, 5.0], [-0.0, 0.0], False),
+])
+def test_to_boundary_raises_exactly_where_the_masked_form_raises(x, dx, raises):
+    x, dx = np.array(x), np.array(dx)
+
+    def outcome(fn):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            try:
+                return np.float64(fn(x, dx)).tobytes()
+            except FloatingPointError as error:
+                return str(error)
+
+    got = outcome(minimizers._to_boundary)
+    assert got == outcome(reference_to_boundary)
+    assert (got == "overflow encountered in divide") == raises
 
 
 @pytest.mark.parametrize("loss", LOSS_NAMES)
