@@ -233,17 +233,18 @@ class DiscreteDistribution:
     x_exponent: int = field(init=False, repr=False)  # the binary exponent of max|x|
 
     def __post_init__(self):
-        xs, ys = _labeled_rows(np.array(self.xs, dtype=float, ndmin=2),
-                               np.array(self.ys, dtype=float).reshape(-1))
+        xs, ys, x_exponent = _labeled_rows(np.array(self.xs, dtype=float, ndmin=2),
+                                           np.array(self.ys, dtype=float).reshape(-1))
         weights = np.array(self.weights, dtype=float).reshape(-1)
         if weights.shape != ys.shape:
             raise ValueError("xs, ys, weights must agree in length")
         ys = ys.astype(int)
-        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
-        if bad.size:
-            i = int(bad[0])
+        # a NaN fails both tests; only a failure builds the index of the first bad atom
+        if not (weights.min() > 0.0 and weights.max() < math.inf):
+            i = int(np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))[0])
             raise ValueError(f"weights must be finite and strictly positive, "
                              f"got {float(weights[i])!r} at atom {i}")
+        # merging drops only rows equal to a kept one, so max|x| and its exponent stay
         xs, ys, weights = _merge_duplicates(xs, ys, weights)
         total = float(weights.sum())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
@@ -251,7 +252,7 @@ class DiscreteDistribution:
         object.__setattr__(self, "xs", _readonly(xs))
         object.__setattr__(self, "ys", _readonly(ys))
         object.__setattr__(self, "weights", _readonly(weights))
-        object.__setattr__(self, "x_exponent", _exponent(xs))
+        object.__setattr__(self, "x_exponent", x_exponent)
 
     @property
     def dimension(self) -> int:
@@ -264,11 +265,24 @@ class DiscreteDistribution:
     def margins(self, v) -> np.ndarray:
         """Per-atom classification margins y * (v . x).
 
-        A product that BLAS leaves non-finite, which an exact sum of huge
-        terms need not be, is retaken as (x 2^-ex . v 2^-ev) 2^(ex + ev) for
-        the exponents ex, ev of max|x|, max|v|; finite ones keep their bits.
+        With ex, ev the binary exponents of max|x|, max|v| and d the
+        dimension, every rounded product x_ij v_j is at most 2^(ex + ev), so
+        every partial sum of d of them lies below 2^(ex + ev +
+        d.bit_length()).  So when ex + ev + d.bit_length() < 1024 nothing
+        can overflow, and the margins are y * (x @ v) with no further
+        check.  Past that bound a product that BLAS leaves non-finite,
+        which an exact sum of huge terms need not be, is retaken as
+        (x 2^-ex . v 2^-ev) 2^(ex + ev); finite ones keep their bits.  A v
+        that is not finite (max|v| inf or NaN) or not of shape (d,) raises
+        ValueError.
         """
-        v = _vector("v", v, self.dimension)
+        v = np.asarray(v, dtype=float)
+        d = self.dimension
+        if v.shape == (d,):
+            top = float(abs(v).max())
+            if top < math.inf and self.x_exponent + math.frexp(top)[1] + d.bit_length() < 1024:
+                return self.ys * (self.xs @ v)
+        v = _vector("v", v, d)
         with np.errstate(over="ignore", invalid="ignore"):
             dots = self.xs @ v
             bad = ~np.isfinite(dots)
@@ -364,9 +378,15 @@ def _vector(name: str, v, d: int) -> np.ndarray:
     return v
 
 
-def _labeled_rows(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """xs as n >= 1 float rows of d >= 1 finite coordinates, and ys as their
-    float labels, each -1 or +1; an error names the first bad row's index."""
+def _labeled_rows(xs, ys) -> tuple[np.ndarray, np.ndarray, int]:
+    """xs as n >= 1 float rows of d >= 1 finite coordinates, ys as their
+    float labels, each -1 or +1, and the binary exponent of max|x|.
+
+    Each check is one pass: the coordinates are all finite exactly when
+    their min and max are (a NaN makes both NaN), and that pair also gives
+    max|x|.  Only a failed check searches for its first bad row, which the
+    error names by index.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if ys.size == 0:
@@ -376,15 +396,14 @@ def _labeled_rows(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     if ys.shape != (xs.shape[0],):
         raise ValueError(f"xs and ys must agree in length, got {xs.shape[0]} rows "
                          f"and labels of shape {ys.shape}")
-    bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
-    if bad.size:
-        i = int(bad[0])
+    lo, hi = float(xs.min()), float(xs.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        i = int(np.flatnonzero(~np.isfinite(xs).all(axis=1))[0])
         raise ValueError(f"coordinates must be finite, got {xs[i].tolist()} at row {i}")
-    bad = np.flatnonzero(np.abs(ys) != 1.0)
-    if bad.size:
-        i = int(bad[0])
+    if not (np.abs(ys) == 1.0).all():
+        i = int(np.flatnonzero(np.abs(ys) != 1.0)[0])
         raise ValueError(f"labels must be -1 or +1, got {float(ys[i])!r} at row {i}")
-    return xs, ys
+    return xs, ys, math.frexp(max(hi, -lo))[1]
 
 
 def _noise_rate(eta) -> float:

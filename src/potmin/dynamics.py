@@ -75,7 +75,7 @@ def _sample(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
     A label sum that leaves float64 raises ValueError naming it.
     """
-    xs, ys = _labeled_rows(xs, ys)
+    xs, ys, _ = _labeled_rows(xs, ys)
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         g = (ys[:, None] * xs).sum(axis=0)

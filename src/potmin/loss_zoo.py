@@ -81,7 +81,7 @@ class PotentialFunction:
 def _exp_eval(z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         out = np.exp(-z)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         bad = z[~np.isfinite(out)]
         raise LossOverflowError("exponential", float(bad.flat[0]))
     return out
@@ -121,7 +121,7 @@ def _logistic_eval(z: np.ndarray) -> np.ndarray:
     # float64, and is 0 where -2z falls past it
     with np.errstate(over="ignore"):
         out = np.logaddexp(0.0, -2.0 * z)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise LossOverflowError("logistic", float(z[~np.isfinite(out)].flat[0]))
     return out
 

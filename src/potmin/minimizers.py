@@ -99,6 +99,10 @@ class FitResult:
     ``"gap"`` (gap <= ``_TOL``); ``"budget"`` (``_MAX_ITERS`` steps spent);
     ``"no-decrease"`` (Newton: no step lowers the objective, with the gap
     above tol); ``"rounding"`` (hinge: no interior step is left).
+
+    ``v`` is checked through ||v||, which the radius test takes anyway: its
+    hypot is inf or NaN whenever an entry is, so only then, or for a v that
+    is not 1-d, is v searched for the entry to name.
     """
 
     v: np.ndarray
@@ -110,10 +114,12 @@ class FitResult:
     degenerate_centroid: bool = False
 
     def __post_init__(self):
-        v = _vector("v", np.array(self.v, dtype=float), np.size(self.v))
+        v = np.array(self.v, dtype=float)
+        norm = _norm(v) if v.ndim == 1 else math.nan
+        if not math.isfinite(norm):
+            _vector("v", v, v.size)
         r = _positive("radius bound", self.r)
         # r m/||m|| and a projection onto the ball round relative to r
-        norm = _norm(v)
         if norm > r + _BALL_SLACK * max(1.0, r):
             raise ValueError(f"||v|| = {norm!r} exceeds radius bound {r!r}")
         object.__setattr__(self, "r", r)
@@ -153,12 +159,12 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     r = _positive("radius", r)
     e = dist.x_exponent
     m = np.ldexp(mean_label_feature(dist), -e)
-    norm_m = float(np.linalg.norm(m))
+    norm_m = math.sqrt(float(m.dot(m)))   # np.linalg.norm(m), bit for bit
     degenerate = norm_m <= _DEGENERATE_CENTROID_TOL
     with np.errstate(over="ignore"):
         r_norm_m = float(np.ldexp(r * norm_m, e))
         v = np.zeros(dist.dimension) if degenerate else (r / norm_m) * m
-        if not (np.all(np.isfinite(v)) and math.isfinite(r_norm_m)):
+        if not (np.isfinite(v).all() and math.isfinite(r_norm_m)):
             raise ValueError(f"radius {r!r} overflows float64 in r m/||m|| "
                              f"(||m|| = {float(np.ldexp(norm_m, e))!r})")
     if degenerate:
@@ -257,7 +263,7 @@ def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
     # an overflow is reported as the error below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         total = (xs * c[:, None]).T @ xs if outer else (c * dist.ys) @ xs
-        if np.all(np.isfinite(total)):
+        if np.isfinite(total).all():
             return total, c if outer else _fold(np.abs(rows), unsigned)
         terms = np.abs(xs * c[:, None])
         largest = np.max(terms * np.abs(xs) if outer else terms, axis=1)
@@ -551,7 +557,7 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
         t = 1.0
         while True:
             candidate = v + t * d
-            if np.array_equal(candidate, v):
+            if (candidate == v).all():
                 accepted = False  # t * d underflowed: no trial point is left
                 break
             trial = dist.margins(candidate)

@@ -6,6 +6,7 @@ import os
 import re
 import threading
 import time
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -91,6 +92,33 @@ class TestConstruction:
     def test_bad_weight_names_its_atom(self, weights, message):
         with pytest.raises(ValueError, match=f"strictly positive, {message}$"):
             DiscreteDistribution([[1.0], [2.0], [3.0]], [1, 1, 1], weights)
+
+    def test_first_of_two_bad_weights_is_named(self):
+        # one reduction decides; only then is the first bad atom searched for
+        with pytest.raises(ValueError, match="strictly positive, got 0.0 at atom 1$"):
+            DiscreteDistribution([[1.0], [2.0], [3.0], [4.0], [5.0]], [1] * 5,
+                                 [0.5, 0.0, 0.25, 0.25, np.nan])
+
+    def test_construction_peak_memory_at_scale(self):
+        # n = 1e5 distinct rows of d = 20: the peak is the merge's keys and
+        # sort (3.2565 xs.nbytes with numpy 2.4).  The checks of the rows take
+        # temporaries of n labels (0.9 MB), no n x d one: an isfinite(xs)
+        # mask alone is xs.nbytes / 8
+        rng = np.random.default_rng(0)
+        xs = rng.standard_normal((100_000, 20))
+        ys = rng.choice([-1.0, 1.0], 100_000)
+        weights = np.full(100_000, 1e-5)
+        tracemalloc.start()
+        try:
+            distributions._labeled_rows(xs, ys)
+            check_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            DiscreteDistribution(xs, ys, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check_peak < xs.nbytes / 10
+        assert peak <= 3.26 * xs.nbytes
 
     def test_labels_validated(self):
         with pytest.raises(ValueError, match="label"):
@@ -461,6 +489,8 @@ class TestCsv:
         # leaves float64 is inf, and finite ones keep the matmul's bits
         dist = DiscreteDistribution([[1e308, 1e308], [1.0, -1.0]], [1, 1], [0.5, 0.5])
         assert dist.margins([10.0, -10.0]).tolist() == [0.0, 20.0]
+        assert (dist.margins([10.0, -10.0]).tobytes()
+                == reference_margins(dist, [10.0, -10.0]).tobytes())
         assert dist.margins([1.0, 1.0]).tolist() == [math.inf, 0.0]
         assert _NoisyView(dist, 0.2).margins([10.0, -10.0]).tolist() == [0.0, -0.0, 20.0, -20.0]
         rng = np.random.default_rng(14)
@@ -475,6 +505,73 @@ class TestCsv:
         for view in (dist, _NoisyView(dist, 0.2)):
             with pytest.raises(ValueError, match=re.escape(f"v must be finite, got {v}")):
                 view.margins(v)
+
+
+def reference_margins(dist, v):
+    """The margin kernel without the exponent guard: every product is
+    checked, and one BLAS leaves non-finite is retaken scaled."""
+    v = distributions._vector("v", v, dist.dimension)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = dist.xs @ v
+        bad = ~np.isfinite(dots)
+        if bad.any():
+            ev = distributions._exponent(v)
+            dots[bad] = np.ldexp(np.ldexp(dist.xs[bad], -dist.x_exponent) @ np.ldexp(v, -ev),
+                                 dist.x_exponent + ev)
+    return dist.ys * dots
+
+
+def guard_case(d, total, ex):
+    """Three rows of dimension d with max|x| = 0.99 2^ex, and v = 0.99 2^ev
+    in each coordinate, so that ex + ev + d.bit_length() = total."""
+    ev = total - ex - d.bit_length()
+    big = math.ldexp(0.99, ex)
+    xs = [np.full(d, big),                              # d products near 2^(ex + ev)
+          np.where(np.arange(d) % 2, -big, big),       # products that cancel in pairs
+          np.ldexp(np.linspace(-0.9, 0.9, d), ex)]
+    dist = DiscreteDistribution(xs, [1, -1, 1], [0.25, 0.25, 0.5])
+    v = np.full(d, math.ldexp(0.99, ev))
+    assert dist.x_exponent == ex and math.frexp(float(np.max(np.abs(v))))[1] == ev
+    return dist, v
+
+
+class TestMarginGuard:
+    """Below ex + ev + d.bit_length() = 1024 the margins skip the overflow
+    check; on both sides of that bound they keep the checked kernel's bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 20])
+    @pytest.mark.parametrize("total", [1022, 1023, 1024, 1025])
+    @pytest.mark.parametrize("ex", [3, 500, 1000])
+    def test_keeps_the_checked_bits_at_the_bound(self, d, total, ex):
+        dist, v = guard_case(d, total, ex)
+        want = reference_margins(dist, v)
+        assert dist.margins(v).tobytes() == want.tobytes()
+        view = _NoisyView(dist, 0.2)
+        assert view.margins(v).tobytes() == distributions._rows(want, (1.0, -1.0)).tobytes()
+
+    def test_past_the_bound_a_sum_that_leaves_float64_is_inf(self):
+        # 20 products of 0.98 2^1020 sum past 2^1024; the guard must not
+        # skip the check there, or the matmul's overflow warning would raise
+        dist, v = guard_case(20, 1025, 510)
+        assert dist.margins(v)[0] == math.inf
+        # two products of 0.98 2^1023 sum below float64's limit, two of
+        # 0.98 2^1024 past it
+        dist = DiscreteDistribution([[math.ldexp(0.99, 512)] * 2], [1], [1.0])
+        for ev, finite in ((511, True), (512, False)):
+            v = [math.ldexp(0.99, ev)] * 2
+            got = dist.margins(v)
+            assert got.tobytes() == reference_margins(dist, v).tobytes()
+            assert math.isfinite(got[0]) == finite
+
+    @pytest.mark.parametrize("v, message", [
+        ([np.nan, 1e300], "v must be finite, got [nan, 1e+300]"),
+        ([np.inf, np.nan], "v must be finite, got [inf, nan]"),
+        ([1.0, 2.0, 3.0], "v must have shape (2,), got (3,)"),
+        ([[1.0, 2.0]], "v must have shape (2,), got (1, 2)"),
+    ])
+    def test_a_bad_v_falls_through_to_the_check(self, v, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_counterexample(0.05).margins(v)
 
 
 class TestCsvCache:
@@ -783,9 +880,16 @@ class TestRandomDistribution:
     ([[1.0], [2.0]], [1], "xs and ys must agree in length, got 2 rows and labels of shape (1,)"),
     ([[1.0, 2.0], [np.inf, 0.0], [np.nan, 0.0]], [1, 1, 1],
      "coordinates must be finite, got [inf, 0.0] at row 1"),
+    ([[1.0, 2.0], [0.0, np.nan], [3.0, 4.0], [np.inf, 0.0]], [1, 1, 1, 1],
+     "coordinates must be finite, got [0.0, nan] at row 1"),
+    ([[1.0, 2.0], [0.0, np.inf], [3.0, 4.0], [np.nan, 0.0]], [1, 1, 1, 1],
+     "coordinates must be finite, got [0.0, inf] at row 1"),
     ([[1.0], [2.0], [3.0]], [1, -1, 0], "labels must be -1 or +1, got 0.0 at row 2"),
+    ([[1.0], [2.0], [3.0], [4.0]], [1, 0, -1, 2], "labels must be -1 or +1, got 0.0 at row 1"),
+    ([[1.0], [2.0], [3.0], [4.0]], [1, 2, -1, 0], "labels must be -1 or +1, got 2.0 at row 1"),
     ([[1.0], [2.0]], [1, np.nan], "labels must be -1 or +1, got nan at row 1"),
-], ids=["empty", "3-d", "d-0", "ragged", "non-finite", "label-0", "label-nan"])
+], ids=["empty", "3-d", "d-0", "ragged", "non-finite", "nan-then-inf", "inf-then-nan",
+        "label-0", "label-0-then-2", "label-2-then-0", "label-nan"])
 @pytest.mark.parametrize("entry", ["distribution", "gd", "cd"])
 def test_one_row_check_names_the_bad_row(entry, xs, ys, message):
     # distributions and the descents share one check of labeled rows

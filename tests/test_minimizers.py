@@ -124,6 +124,9 @@ class TestFitResult:
     @pytest.mark.parametrize("v, r, message", [
         ([np.nan, 0.0], 1.0, "v must be finite, got [nan, 0.0]"),
         ([np.inf, 0.0], 1.0, "v must be finite, got [inf, 0.0]"),
+        ([np.inf, np.nan], 1.0, "v must be finite, got [inf, nan]"),
+        ([np.nan, 0.0], 0.0, "v must be finite, got [nan, 0.0]"),
+        ([1.7e308, 1.7e308], 1.0, "||v|| = inf exceeds radius bound 1.0"),
         ([[0.6, 0.8]], 1.0, "v must have shape (2,), got (1, 2)"),
         ([0.0], 0.0, "radius bound must be positive and finite, got 0.0"),
         ([0.0], -1.0, "radius bound must be positive and finite, got -1.0"),
