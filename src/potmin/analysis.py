@@ -23,7 +23,7 @@ from .distributions import (_WEIGHT_SUM_TOL, DiscreteDistribution, _count, _expo
                             _NoisyView, _vector, _write_csv, corrupt_rcn, mean_label_feature,
                             random_distribution)
 from .loss_zoo import PotentialFunction, check_def1, make_loss
-from .minimizers import _objective, _view_objective, pgd_minimizer
+from .minimizers import _objective, pgd_minimizer
 
 _ERROR_EQUALITY_TOL = 1e-12
 _BOUND_SLACK = 1e-9
@@ -223,17 +223,17 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     objective simply does not vary along it (project it out instead).
     Each value is (1 - eta) E[phi(m)] + eta E[phi(-m)] at the clean
     margins m of the ray point, computed from the noise view with no
-    corrupted distribution built (for a loss that reflects on 512 atoms
-    or more, with no rows either: one evaluation per atom); an overflow at
-    -m_i names clean atom i with its flipped label.
+    corrupted distribution built (for a loss that reflects, with no rows
+    either: one evaluation per atom); an overflow at -m_i names clean atom
+    i with its flipped label.
 
     The margins m(u) are taken once, for the width, and a nonzero x0's
     once, for the base overlap E|x0 . x| = E|m(x0)|.  When x0 is zero and
     every lambda is 0 or a power of two (the default ray), each ray point's
     margins are lambda m(u): m(lambda u) bit for bit wherever no product
     x_ij u_j underflows, since a product that underflows rounds absolutely
-    and does not commute with the scaling.  Any other ray takes the
-    margins of each point x0 + lambda u.
+    and does not commute with the scaling (one past float64 is inf for
+    both).  Any other ray takes the margins of each point x0 + lambda u.
     """
     noisy = _NoisyView(dist, eta)
     report = check_def1(phi)
@@ -271,12 +271,15 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     dphi0 = float(phi.deriv(0.0))
 
     if x0.any() or not all(l == 0.0 or math.frexp(l)[0] == 0.5 for l in lam):
-        margins = (dist.margins(x0 + l * u) for l in lam)
+        def margins_at(l):
+            return dist.margins(x0 + l * u)
     else:
         # scaling by 0 or 2^k commutes with every rounding of x . u in the
-        # normal range, so l m(u) is m(l u) bit for bit
-        margins = (l * along for l in lam)
-    values = np.array([_view_objective(phi, noisy, m) for m in margins])
+        # normal range, so l m(u) is m(l u) bit for bit (inf past float64)
+        def margins_at(l):
+            with np.errstate(over="ignore"):
+                return l * along
+    values = np.array([_objective(phi, noisy, margins_at(l)) for l in lam])
     bounds = noisy.eta * (phi0 - dphi0 * lam * width + dphi0 * base_overlap)
     slack = values - bounds
     tail = values[-3:] if values.size >= 3 else values

@@ -4,11 +4,12 @@ Label-flip corruption is applied analytically by weight splitting, never
 by sampling, so every downstream identity (centroid scaling, error
 equalities) holds to floating-point rounding.  A distribution and its
 noise view (:class:`_NoisyView`) each declare one row layout,
-``row_signs``: row k i + j of ``weights`` and ``margins(v)`` is atom i
-with label row_signs[j] y_i, k = len(row_signs); (1.0,) for a
-distribution, (1.0, -1.0) for the view, whose rows give clean atom i mass
-(1 - eta) w_i at its margin m_i and eta w_i at -m_i from the n clean
-margins.  :func:`corrupt_rcn` builds the same rows itself (merging
+``row_signs``: row k i + j of ``weights`` is atom i with label
+row_signs[j] y_i, k = len(row_signs); (1.0,) for a distribution, (1.0,
+-1.0) for the view, whose rows give clean atom i mass (1 - eta) w_i at its
+clean margin m_i and eta w_i at -m_i.  ``margins(v)`` is one per atom for
+both; its rows are ``_rows(margins(v), row_signs)``.
+:func:`corrupt_rcn` builds the same rows itself (merging
 collisions); it is the reference the view is tested against.
 Distributions are immutable values: the backing arrays are copied on
 construction and marked read-only.  So :meth:`DiscreteDistribution.from_csv`
@@ -432,7 +433,9 @@ def corrupt_rcn(clean: DiscreteDistribution, eta: float) -> DiscreteDistribution
 
 
 def _rows(atoms: np.ndarray, factors) -> np.ndarray:
-    """Row k i + j = factors[j] * atoms[i], for k = len(factors)."""
+    """Row k i + j = factors[j] * atoms[i], for k = len(factors) (uncopied for (1.0,))."""
+    if factors == (1.0,):
+        return atoms
     k = len(factors)
     rows = np.empty((k * len(atoms),) + atoms.shape[1:])
     for j, f in enumerate(factors):
@@ -455,8 +458,8 @@ class _NoisyView:
 
     It stands for the 2n rows :func:`corrupt_rcn` splits before it merges
     collisions, none of them built: clean atom i with mass (1 - eta) w_i,
-    then its flipped label with mass eta w_i.  ``xs`` and ``ys`` are the n
-    clean atoms'.
+    then its flipped label with mass eta w_i.  ``xs``, ``ys`` and margins
+    are the n clean atoms'.
     """
 
     row_signs = (1.0, -1.0)   # row 2i: own label; row 2i + 1: flipped
@@ -482,8 +485,8 @@ class _NoisyView:
         return self.clean.dimension
 
     def margins(self, v) -> np.ndarray:
-        """Row margins: m_i = y_i (v . x_i) at row 2i and -m_i at row 2i + 1."""
-        return _rows(self.clean.margins(v), self.row_signs)
+        """The clean margins m_i = y_i (v . x_i); rows 2i and 2i + 1 are at m_i and -m_i."""
+        return self.clean.margins(v)
 
 
 def l1_margin(dist: DiscreteDistribution, w) -> float:

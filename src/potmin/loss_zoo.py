@@ -161,7 +161,7 @@ def _shipped(name, ev, de, cu=None, **declared) -> PotentialFunction:
 
 
 # exp(-z) is its own second derivative, with eval's overflow rule;
-# numpy's logaddexp gives the logistic reflection (see _view_objective)
+# numpy's logaddexp gives the logistic reflection (see minimizers._objective)
 _REGISTRY = {phi.name: phi for phi in (
     _shipped("exponential", _exp_eval, _exp_deriv, _exp_eval),
     _shipped("mixed_linear_exponential", _mixed_eval, _mixed_deriv, _mixed_curv),

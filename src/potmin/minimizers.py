@@ -11,15 +11,14 @@ same :class:`FitResult` shape.
 
 Each fit also takes a label-noise view (``distributions._NoisyView``) in
 place of a distribution, both read through one layout: row k i + j is
-atom i with label row_signs[j] y_i, k = len(dist.row_signs).  Values and
-slopes are taken per row, except the value of a loss that reflects
-(``phi.reflects``: phi(-t) = fl(2t + phi(t)) for t >= 0, as numpy's
-logaddexp gives the shipped logistic loss) under a noise view of
-``_PER_ATOM_MIN`` (512) atoms or more, taken once per atom
-(:func:`_view_objective`).  Every
-product with x (the centroid, the gradient) folds an atom's rows,
-signed, into one coefficient of y_i x_i, and the curvature adds them
-unsigned, as (s y x)(s y x)^T = x x^T.
+atom i with label row_signs[j] y_i, k = len(dist.row_signs).  A fit
+carries the n atom margins m = margins(v), and only an evaluation expands
+them into rows: values and slopes are taken per row, except the value of
+a loss that reflects (``phi.reflects``: phi(-t) = fl(2t + phi(t)) for
+t >= 0, as numpy's logaddexp gives the shipped logistic loss) under any
+noise view, taken once per atom.  Every product with x (the centroid, the
+gradient) folds an atom's rows, signed, into one coefficient of y_i x_i,
+and the curvature adds them unsigned, as (s y x)(s y x)^T = x x^T.
 Only the hinge fit builds the rows s y x, never sorted or merged.  One
 helper evaluates E[phi] (:func:`_objective`); one forms g and H from the
 atoms and names an overflow (:func:`_row_sum`); one rule zeroes a norm
@@ -63,12 +62,6 @@ _SECULAR_ITERS = 100
 _MAX_ITERS = 50_000
 # the absolute gap that certifies a Newton or hinge fit, whatever r
 _TOL = 1e-9
-# fewest atoms of a noise view whose value is taken once per atom when phi reflects
-# (see _view_objective): its six extra numpy calls cost more than the
-# logaddexps they save on fewer atoms; against the row-by-row evaluation it
-# took 1.27 times as long at 256 atoms, 1.04 at 512 and 0.84 at 1024
-# (2-vCPU VM, numpy 2.4.6)
-_PER_ATOM_MIN = 512
 
 
 def _norm(x: np.ndarray) -> float:
@@ -154,14 +147,14 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     sum_i ((1 - eta) w_i - eta w_i) y_i x_i, folded atom by atom.
     m is scaled by 2^-e, e the exponent of max|x|, so it squares finitely
     and is near-zero relative to max|x|; r ||m|| is (r ||m 2^-e||) 2^e.
-    A radius that overflows r ||m|| or v raises ValueError, degenerate or not.
+    A radius that overflows r ||m|| or v (inf, or inf * 0) raises ValueError.
     """
     r = _positive("radius", r)
     e = dist.x_exponent
     m = np.ldexp(mean_label_feature(dist), -e)
     norm_m = math.sqrt(float(m.dot(m)))   # np.linalg.norm(m), bit for bit
     degenerate = norm_m <= _DEGENERATE_CENTROID_TOL
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         r_norm_m = float(np.ldexp(r * norm_m, e))
         v = np.zeros(dist.dimension) if degenerate else (r / norm_m) * m
         if not (np.isfinite(v).all() and math.isfinite(r_norm_m)):
@@ -172,14 +165,14 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     return FitResult(v, r, 1.0 - r_norm_m, 0, 0.0, "closed-form")
 
 
-def _overflow_at(loss: str, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray,
+def _overflow_at(loss: str, dist: DiscreteDistribution | _NoisyView, m: np.ndarray,
                  idx: int) -> LossOverflowError:
-    """The error naming row idx: atom idx // k with label row_signs[idx % k] y."""
+    """The error naming row idx: atom idx // k, at s m with label s y for
+    s = row_signs[idx % k]."""
     atom, j = divmod(idx, len(dist.row_signs))
-    return LossOverflowError(
-        loss, float(margins[idx]), atom_index=atom,
-        atom=(dist.xs[atom].tolist(), int(dist.row_signs[j] * dist.ys[atom])),
-    )
+    s = dist.row_signs[j]
+    return LossOverflowError(loss, float(s * m[atom]), atom_index=atom,
+                             atom=(dist.xs[atom].tolist(), int(s * dist.ys[atom])))
 
 
 def _largest_row(rows: np.ndarray, k: int, atom: int) -> int:
@@ -187,65 +180,55 @@ def _largest_row(rows: np.ndarray, k: int, atom: int) -> int:
     return k * atom + int(np.argmax(np.abs(rows[k * atom:k * atom + k])))
 
 
-def _per_atom(fn, dist: DiscreteDistribution | _NoisyView, margins: np.ndarray) -> np.ndarray:
-    """fn(margins); an overflow names the first atom whose margin overflowed."""
+def _per_atom(fn, dist: DiscreteDistribution | _NoisyView, m: np.ndarray) -> np.ndarray:
+    """fn at the row margins of the atom margins m; an overflow names the
+    first row whose margin overflowed, by its atom and label."""
+    rows = _rows(m, dist.row_signs)
     try:
-        return fn(margins)
+        return fn(rows)
     except LossOverflowError as err:
-        idx = int(np.nonzero(margins == err.z)[0][0])
-        raise _overflow_at(err.loss, dist, margins, idx) from None
+        idx = int(np.nonzero(rows == err.z)[0][0])
+        raise _overflow_at(err.loss, dist, m, idx) from None
 
 
 def _objective(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
-               margins: np.ndarray) -> float:
-    """E[phi] at the row margins: sum over rows of weight times phi(margin).
+               m: np.ndarray) -> float:
+    """E[phi] at the atom margins m: the sum over rows of weight times
+    phi(row margin), bit for bit.
 
-    Under a noise view of at least ``_PER_ATOM_MIN`` atoms a loss that
-    reflects is taken once per atom, from the clean margins m_i at rows 2i
-    (see :func:`_view_objective`).
-    """
-    if len(dist.row_signs) == 2 and phi.reflects and margins.size // 2 >= _PER_ATOM_MIN:
-        return _view_objective(phi, dist, margins[0::2])
-    return float(dist.weights @ _per_atom(phi.eval, dist, margins))
-
-
-def _view_objective(phi: PotentialFunction, view: _NoisyView, m: np.ndarray) -> float:
-    """E[phi] over a noise view at its clean margins m: :func:`_objective` at
-    the rows m_i, -m_i, bit for bit.
-
-    A loss that reflects, as the shipped logistic loss does, needs no rows:
-    numpy's logaddexp(0, a) is a + log1p(exp(-a)) for a > 0 and
-    log1p(exp(-|a|)) otherwise, so phi(z) = log(1 + exp(-2z)) is
+    Under a noise view a loss that reflects, as the shipped logistic loss
+    does, needs no rows: numpy's logaddexp(0, a) is a + log1p(exp(-a)) for
+    a > 0 and log1p(exp(-|a|)) otherwise, so phi(z) = log(1 + exp(-2z)) is
     fl((|z| - z) + phi(|z|)) at every margin z, with |z| - z = max(-2z, 0)
     exactly and the same exp argument -2|z| on both sides.  So phi.eval
     runs once per atom, at |m_i|, and row 2i gets (|m_i| - m_i) +
     phi(|m_i|), row 2i + 1 (|m_i| + m_i) + phi(|m_i|).  A row that is not
-    finite leaves the sum not finite; such a sum, any other loss, and a
-    view of fewer than ``_PER_ATOM_MIN`` atoms are taken row by row, where
-    an overflow raises naming its atom and label.
+    finite leaves the sum not finite; such a sum and any other loss are
+    taken row by row, where an overflow raises naming its atom and label.
     """
-    if phi.reflects and m.size >= _PER_ATOM_MIN:
+    if phi.reflects and len(dist.row_signs) == 2:
         a = np.abs(m)
         p = phi.eval(a)
         values = np.empty((m.size, 2))
         own, flipped = values[:, 0], values[:, 1]
-        # |z| - z overflows where -2z does; the row evaluation names it
-        with np.errstate(over="ignore"):
+        # |z| - z overflows where -2z does, and is inf - inf at z = inf;
+        # the row evaluation names either
+        with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(a, m, out=own)
             own += p
             np.add(a, m, out=flipped)
             flipped += p
-        value = float(view.weights @ values.ravel())
+        value = float(dist.weights @ values.ravel())
         if math.isfinite(value):
             return value
-    return float(view.weights @ _per_atom(phi.eval, view, _rows(m, view.row_signs)))
+    return float(dist.weights @ _per_atom(phi.eval, dist, m))
 
 
 def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
-             margins: np.ndarray, outer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """g = sum_i c_i y_i x_i (H = sum_i c_i x_i x_i^T if ``outer``) on the atoms,
-    and next to g per atom the sum of its |rows|, which bounds c_i and its
-    rounding (next to H, c).
+             m: np.ndarray, outer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """g = sum_i c_i y_i x_i (H = sum_i c_i x_i x_i^T if ``outer``) on the atoms
+    at their margins m, and next to g per atom the sum of its |rows|, which
+    bounds c_i and its rounding (next to H, c).
 
     For g, c_i folds atom i's rows w phi'(m) signed by their labels (under
     a noise view c_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i)); for
@@ -257,7 +240,7 @@ def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
     c_i x_i x_i^T, where its largest lie): no 0 * inf.
     """
     unsigned = [s * s for s in dist.row_signs]
-    rows = dist.weights * _per_atom(phi.curv if outer else phi.deriv, dist, margins)
+    rows = dist.weights * _per_atom(phi.curv if outer else phi.deriv, dist, m)
     c = _fold(rows, unsigned if outer else dist.row_signs)
     xs = dist.xs
     # an overflow is reported as the error below, not as a numpy warning
@@ -268,7 +251,7 @@ def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
         terms = np.abs(xs * c[:, None])
         largest = np.max(terms * np.abs(xs) if outer else terms, axis=1)
     idx = int(np.argmax(np.where(np.isfinite(largest), largest, np.inf)))
-    raise _overflow_at(phi.name, dist, margins, _largest_row(rows, len(unsigned), idx))
+    raise _overflow_at(phi.name, dist, m, _largest_row(rows, len(unsigned), idx))
 
 
 def _sum_norm(c: np.ndarray, abs_a: np.ndarray, total: np.ndarray) -> float:
@@ -368,8 +351,8 @@ def _mehrotra_step(w: np.ndarray, yx: np.ndarray, r: float, v: np.ndarray,
                    lam2: np.ndarray, lam3: float):
     """One predictor-corrector step of the hinge epigraph problem.
 
-    The primal slacks are s1 = t, s2 = t - 1 + y x.v and
-    s3 = (r^2 - ||v||^2) / 2; the dual residuals are w - lam1 - lam2 and
+    The primal slacks are s1 = t, s2 = t - 1 + y x.v (at the row margins)
+    and s3 = (r^2 - ||v||^2) / 2; the dual residuals are w - lam1 - lam2 and
     lam3 v - A^T lam2, with A the rows y_i x_i.  Eliminating t and the
     multipliers leaves one d x d system M dv = rhs, solved by Cholesky,
     with M = A^T E A + lam3 I + (lam3 / s3) v v^T.  Each direction's step
@@ -480,8 +463,8 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     for iterations in range(1, _MAX_ITERS + 1):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                v, t, lam1, lam2, lam3 = _mehrotra_step(w, yx, rho, v, margins, t,
-                                                        lam1, lam2, lam3)
+                v, t, lam1, lam2, lam3 = _mehrotra_step(
+                    w, yx, rho, v, _rows(margins, dist.row_signs), t, lam1, lam2, lam3)
         except (ArithmeticError, np.linalg.LinAlgError):
             iterations -= 1
             reason = "rounding"

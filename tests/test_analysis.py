@@ -334,6 +334,17 @@ class TestRecessionProbe:
             recession_probe(dist, LOGISTIC, 0.1, x0, None, lambdas)
             assert len(calls) == expected
 
+    @pytest.mark.parametrize("lam", [2.0**400, 3e120], ids=["dyadic", "per-point"])
+    def test_ray_past_float64_names_the_overflow_without_warning(self, lam):
+        # every margin 7e199 lambda leaves float64; on the dyadic grid the
+        # product lambda m(u) is inf, as m(lambda u) is on any other, and
+        # the loss names atom 0's flipped row with no numpy overflow warning
+        dist = DiscreteDistribution([[1e200, 0.0], [0.0, 1e200]], [1, 1], [0.5, 0.5])
+        with pytest.raises(LossOverflowError) as err:
+            recession_probe(dist, LOGISTIC, 0.2, lambdas=[0.0, 1.0, lam])
+        assert (err.value.atom_index, err.value.atom, err.value.z) == (
+            0, ([1e200, 0.0], -1), -math.inf)
+
     def test_serialization(self):
         dist = DiscreteDistribution([[1.0]], [1], [1.0])
         probe = recession_probe(dist, EXPONENTIAL, 0.25, [0.0], [1.0], [0.0, 1.0])

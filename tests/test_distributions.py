@@ -492,7 +492,8 @@ class TestCsv:
         assert (dist.margins([10.0, -10.0]).tobytes()
                 == reference_margins(dist, [10.0, -10.0]).tobytes())
         assert dist.margins([1.0, 1.0]).tolist() == [math.inf, 0.0]
-        assert _NoisyView(dist, 0.2).margins([10.0, -10.0]).tolist() == [0.0, -0.0, 20.0, -20.0]
+        assert (_NoisyView(dist, 0.2).margins([10.0, -10.0]).tobytes()
+                == reference_margins(dist, [10.0, -10.0]).tobytes())
         rng = np.random.default_rng(14)
         for _ in range(20):
             dist = helpers.random_distribution(rng)
@@ -546,8 +547,7 @@ class TestMarginGuard:
         dist, v = guard_case(d, total, ex)
         want = reference_margins(dist, v)
         assert dist.margins(v).tobytes() == want.tobytes()
-        view = _NoisyView(dist, 0.2)
-        assert view.margins(v).tobytes() == distributions._rows(want, (1.0, -1.0)).tobytes()
+        assert _NoisyView(dist, 0.2).margins(v).tobytes() == want.tobytes()
 
     def test_past_the_bound_a_sum_that_leaves_float64_is_inf(self):
         # 20 products of 0.98 2^1020 sum past 2^1024; the guard must not

@@ -17,7 +17,7 @@ from potmin import (LOSS_NAMES, DiscreteDistribution, FitResult, LossOverflowErr
                     make_counterexample, make_loss, mean_label_feature, misclassification_error,
                     pgd_minimizer, unhinged_minimizer)
 from potmin import minimizers
-from potmin.distributions import _fold, _NoisyView
+from potmin.distributions import _fold, _NoisyView, _rows
 
 UNHINGED = make_loss("unhinged")
 
@@ -390,10 +390,11 @@ def test_row_sum_matches_the_signed_row_forms_bit_for_bit(dist, eta, seed):
     yx = dist.ys[:, None] * dist.xs
     for fitted in (dist, _NoisyView(dist, eta)):
         m = fitted.margins(v)
+        row_margins = _rows(m, fitted.row_signs)
         unsigned = [1.0] * len(fitted.row_signs)
         for name in LOSS_NAMES:
             phi = make_loss(name)
-            rows = fitted.weights * phi.deriv(m)
+            rows = fitted.weights * phi.deriv(row_margins)
             slopes = _fold(rows, fitted.row_signs)
             g, mass = minimizers._row_sum(phi, fitted, m, False)
             assert mass.tobytes() == _fold(np.abs(rows), unsigned).tobytes()
@@ -401,7 +402,7 @@ def test_row_sum_matches_the_signed_row_forms_bit_for_bit(dist, eta, seed):
             if fitted is dist:
                 assert mass.tobytes() == np.abs(slopes).tobytes()
             if phi.curv is not None:
-                rows = fitted.weights * phi.curv(m)
+                rows = fitted.weights * phi.curv(row_margins)
                 curv = _fold(rows, unsigned)
                 h, mass = minimizers._row_sum(phi, fitted, m, True)
                 assert mass.tobytes() == curv.tobytes()
@@ -880,7 +881,7 @@ def test_to_boundary_raises_exactly_where_the_masked_form_raises(x, dx, raises):
 def test_every_declared_fit_survives_plain_wrappers(loss):
     # the benchmark tracer's pattern: dataclasses.replace with wrappers that
     # set no attribute keeps the declared fit, and logistic's value taken
-    # once per atom of a view of _PER_ATOM_MIN atoms or more, bit for bit
+    # once per atom of a view, bit for bit
     phi = make_loss(loss)
     sizes = []
 
@@ -892,7 +893,7 @@ def test_every_declared_fit_survives_plain_wrappers(loss):
 
     rebuilt = dataclasses.replace(phi, eval=plain(phi.eval, sizes), deriv=plain(phi.deriv, []))
     dist = make_counterexample(0.05)
-    large = _NoisyView(gaussian_halfspace(5, n=minimizers._PER_ATOM_MIN), 0.2)
+    large = _NoisyView(gaussian_halfspace(5, n=512), 0.2)
     for fitted in (dist, _NoisyView(dist, 0.2)) + ((large,) if loss == "logistic" else ()):
         sizes.clear()
         fit, got = pgd_minimizer(fitted, phi, 1.0), pgd_minimizer(fitted, rebuilt, 1.0)
@@ -976,8 +977,8 @@ def test_newton_one_margin_evaluation_per_trial(monkeypatch):
     # the start and every line-search trial take one margin vector and one
     # loss evaluation; slopes and curvatures reuse the margins.  The eval
     # wrapper names its kernel, as the benchmark's timing wrappers do, so
-    # the noisy logistic fit, of any size here, takes its value once per
-    # atom: one call per trial still, on the n clean atoms, not the 2n rows
+    # the noisy logistic fit takes its value once per atom: one call per
+    # trial still, on the n clean atoms, not the 2n rows
     calls = []
     margins = DiscreteDistribution.margins
 
@@ -986,7 +987,6 @@ def test_newton_one_margin_evaluation_per_trial(monkeypatch):
         return margins(self, v)
 
     monkeypatch.setattr(DiscreteDistribution, "margins", counted)
-    monkeypatch.setattr(minimizers, "_PER_ATOM_MIN", 1)
     dist = make_counterexample(0.05)
     for fitted, r in ((dist, 1.0), (dist, 100.0), (_NoisyView(dist, 0.2), 10.0)):
         for loss in SMOOTH:
@@ -1095,9 +1095,17 @@ def test_closed_form_where_the_centroid_squares_overflow():
                                               rel=1e-15)
 
 
-def test_closed_form_names_an_overflowing_radius():
-    with pytest.raises(ValueError, match=r"radius 1e\+308 overflows float64 in r m/\|\|m\|\|"):
-        unhinged_minimizer(make_counterexample(0.05), 1e308)
+@pytest.mark.parametrize("dist, r", [
+    (make_counterexample(0.05), 1e308),
+    # ||m|| = 2e-13 just clears the degeneracy tolerance, so r / ||m||
+    # overflows to inf; inf times m's zero coordinate is NaN, which numpy
+    # warned of before the finiteness check named the radius
+    (DiscreteDistribution([[1.0, 0.0], [1.0, 0.0]], [1, -1],
+                          [0.5000000000001, 0.4999999999999]), 1e300),
+], ids=["inf", "inf-times-zero"])
+def test_closed_form_names_an_overflowing_radius(dist, r):
+    with pytest.raises(ValueError, match=re.escape(f"radius {r!r} overflows float64 in r m/||m||")):
+        unhinged_minimizer(dist, r)
 
 
 def test_degenerate_centroid_names_an_overflowing_radius():

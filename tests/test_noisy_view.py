@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from potmin import (DEFAULT_RAY_GRID, LOSS_NAMES, DiscreteDistribution, LossOver
                     unhinged_minimizer)
 from potmin import minimizers
 from potmin.cli import main
-from potmin.distributions import _NoisyView
+from potmin.distributions import _NoisyView, _rows
 from potmin.loss_zoo import _logistic_eval
 
 EPS = np.finfo(float).eps
@@ -117,7 +116,9 @@ def test_view_rows_interleave_own_and_flipped_labels():
     v = np.array([0.5, -2.0])
     m = COLLIDING.margins(v)
     assert view.weights.tolist() == [c for w in COLLIDING.weights for c in (0.8 * w, 0.2 * w)]
-    assert view.margins(v).tolist() == [c for mi in m for c in (mi, -mi)]
+    assert view.margins(v).tobytes() == m.tobytes()
+    assert _rows(view.margins(v), view.row_signs).tolist() == [
+        c for mi in m for c in (mi, -mi)]
     yx = minimizers._signed_rows(view)
     clean_yx = COLLIDING.ys[:, None] * COLLIDING.xs
     np.testing.assert_array_equal(yx[0::2], clean_yx)
@@ -145,7 +146,7 @@ def test_view_rows_interleave_own_and_flipped_labels():
         assert noisy.n_atoms == 2 * dist.n_atoms
         assert noisy.xs.tobytes() == np.repeat(dist.xs, 2, axis=0).tobytes()
         assert view.weights.tobytes() == noisy.weights.tobytes()
-        assert view.margins(v).tobytes() == (
+        assert _rows(view.margins(v), view.row_signs).tobytes() == (
             noisy.ys * np.repeat(dist.xs @ v, 2)).tobytes()
         assert minimizers._signed_rows(view).tobytes() == (
             noisy.ys[:, None] * noisy.xs).tobytes()
@@ -196,12 +197,6 @@ def test_flipped_overflow_names_the_clean_atom_and_flipped_label():
     assert err.value.z == -800.0
 
 
-def per_atom_always():
-    """Take the noisy logistic value once per atom however few atoms a view
-    has; by default only views of ``_PER_ATOM_MIN`` atoms or more do."""
-    return mock.patch.object(minimizers, "_PER_ATOM_MIN", 1)
-
-
 @pytest.mark.parametrize("v, label", [([-1e308], 1), ([1e308], -1)], ids=["own", "flipped"])
 def test_logistic_overflow_names_the_atom_and_label_of_the_row_by_row_path(v, label):
     # atom 1's margin, +-1e308, doubles past float64 at its own row (m < 0)
@@ -213,14 +208,27 @@ def test_logistic_overflow_names_the_atom_and_label_of_the_row_by_row_path(v, la
         minimizers._per_atom(phi.eval, view, view.margins(v))
     reference = row_by_row.value
     assert (reference.atom_index, reference.atom, reference.z) == (1, ([1.0], label), -1e308)
-    with per_atom_always():
-        for evaluate in (lambda: expected_loss(view, phi, v),
-                         lambda: minimizers._view_objective(phi, view, dist.margins(v))):
-            with pytest.raises(LossOverflowError) as err:
-                evaluate()
-            assert (err.value.atom_index, err.value.atom, err.value.z) == (
-                reference.atom_index, reference.atom, reference.z)
-            assert str(err.value) == str(reference)
+    for evaluate in (lambda: expected_loss(view, phi, v),
+                     lambda: minimizers._objective(phi, view, dist.margins(v))):
+        with pytest.raises(LossOverflowError) as err:
+            evaluate()
+        assert (err.value.atom_index, err.value.atom, err.value.z) == (
+            reference.atom_index, reference.atom, reference.z)
+        assert str(err.value) == str(reference)
+
+
+def test_logistic_value_at_an_infinite_margin_names_the_flipped_row():
+    # m = inf: its own row's |m| - m is inf - inf, its flipped row's loss
+    # inf; the value falls back to the rows, which name the flipped one,
+    # with no numpy warning
+    big = 2.0**1023
+    dist = DiscreteDistribution([[big, big]], [1], [1.0])
+    view = _NoisyView(dist, 0.1)
+    assert view.margins([1.0, 1.0]).tolist() == [np.inf]
+    with pytest.raises(LossOverflowError) as err:
+        expected_loss(view, LOSSES["logistic"], [1.0, 1.0])
+    assert (err.value.atom_index, err.value.atom, err.value.z) == (
+        0, ([big, big], -1), -np.inf)
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,23 +237,22 @@ def test_logistic_overflow_names_the_atom_and_label_of_the_row_by_row_path(v, la
 @example(dist=COLLIDING, eta=0.25, seed=0, scale=0)
 @example(dist=SUBNORMAL, eta=0.25, seed=0, scale=0)
 @example(dist=SUBNORMAL, eta=0.25, seed=0, scale=-20)
-def test_logistic_view_objective_is_the_row_by_row_sum_bit_for_bit(dist, eta, seed, scale):
+def test_logistic_noisy_objective_is_the_row_by_row_sum_bit_for_bit(dist, eta, seed, scale):
     # one logaddexp per atom at |m_i|; the rows get (|m| -+ m) + phi(|m|)
     view = _NoisyView(dist, eta)
     v = np.random.default_rng(seed).uniform(-3.0, 3.0, dist.dimension) * 10.0**scale
     phi = LOSSES["logistic"]
-    rows = float(view.weights @ _logistic_eval(view.margins(v)))
-    with per_atom_always():
-        assert expected_loss(view, phi, v) == rows
-        assert minimizers._view_objective(phi, view, dist.margins(v)) == rows
+    rows = float(view.weights @ _logistic_eval(_rows(view.margins(v), view.row_signs)))
+    assert expected_loss(view, phi, v) == rows
+    assert minimizers._objective(phi, view, dist.margins(v)) == rows
 
 
-def test_logistic_value_is_taken_once_per_atom_from_the_threshold():
-    # fewer atoms take the 2n rows; from _PER_ATOM_MIN on one value per atom,
-    # the same sum bit for bit
+def test_logistic_value_is_taken_once_per_atom_at_every_size():
+    # one value per atom however many atoms the view has, the same sum as
+    # the 2n rows bit for bit
     rng = np.random.default_rng(28)
     phi = LOSSES["logistic"]
-    for n in (minimizers._PER_ATOM_MIN - 1, minimizers._PER_ATOM_MIN, 3000):
+    for n in (1, 3, 511, 512, 3000):
         xs = rng.normal(size=(n, 4))
         dist = DiscreteDistribution(xs, np.where(xs[:, 0] >= 0.0, 1, -1), np.full(n, 1.0 / n))
         view = _NoisyView(dist, 0.3)
@@ -257,10 +264,10 @@ def test_logistic_value_is_taken_once_per_atom_from_the_threshold():
 
         timed = dataclasses.replace(phi, eval=value)
         for v in (np.zeros(4), rng.normal(size=4), 40.0 * rng.normal(size=4)):
-            rows = float(view.weights @ _logistic_eval(view.margins(v)))
+            rows = float(view.weights @ _logistic_eval(_rows(view.margins(v), view.row_signs)))
             assert expected_loss(view, timed, v) == rows
-            assert minimizers._view_objective(timed, view, dist.margins(v)) == rows
-        assert set(sizes) == {n if n >= minimizers._PER_ATOM_MIN else 2 * n}
+            assert minimizers._objective(timed, view, dist.margins(v)) == rows
+        assert set(sizes) == {n}
 
 
 def _materialized(noisy, phi, dist, m):
@@ -293,8 +300,7 @@ def test_probe_values_match_corrupt_rcn(dist, eta, seed):
     for name, base in itertools.product(
             ("exponential", "mixed_linear_exponential", "logistic"), (x0, None)):
         phi = LOSSES[name]
-        with per_atom_always():
-            probe = recession_probe(dist, phi, eta, base, u, lambdas)
+        probe = recession_probe(dist, phi, eta, base, u, lambdas)
         for lam, value in zip(probe.lambdas, probe.values):
             m = dist.margins(probe.base_point + lam * probe.direction)
             mass = dist.weights @ (np.abs(phi.eval(m)) + np.abs(phi.eval(-m)))
@@ -312,22 +318,20 @@ def test_default_probe_values_are_those_at_each_ray_point_bit_for_bit(dist, eta)
     # corrupt_rcn bound above)
     assume(np.all((dist.xs == 0.0) | (np.abs(dist.xs) >= 2.0**-400)))
     view = _NoisyView(dist, eta)
-    with per_atom_always():
+    try:
+        u = recession_probe(dist, LOSSES["logistic"], eta).direction
+    except ValueError:  # a zero centroid, or one of zero width
+        assume(False)
+    for name in ("exponential", "mixed_linear_exponential", "logistic"):
+        phi = LOSSES[name]
         try:
-            u = recession_probe(dist, LOSSES["logistic"], eta).direction
-        except ValueError:  # a zero centroid, or one of zero width
-            assume(False)
-        for name in ("exponential", "mixed_linear_exponential", "logistic"):
-            phi = LOSSES[name]
-            try:
-                values = [minimizers._view_objective(phi, view, dist.margins(lam * u))
-                          for lam in DEFAULT_RAY_GRID]
-            except LossOverflowError as err:
-                with pytest.raises(LossOverflowError) as got:
-                    recession_probe(dist, phi, eta)
-                assert str(got.value) == str(err)
-                continue
-            assert recession_probe(dist, phi, eta).values.tolist() == values
+            values = [expected_loss(view, phi, lam * u) for lam in DEFAULT_RAY_GRID]
+        except LossOverflowError as err:
+            with pytest.raises(LossOverflowError) as got:
+                recession_probe(dist, phi, eta)
+            assert str(got.value) == str(err)
+            continue
+        assert recession_probe(dist, phi, eta).values.tolist() == values
 
 
 def test_gradient_overflow_names_the_flipped_row():
