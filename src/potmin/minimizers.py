@@ -21,8 +21,9 @@ gradient) folds an atom's rows, signed, into one coefficient of y_i x_i,
 and the curvature adds them unsigned, as (s y x)(s y x)^T = x x^T.
 Only the hinge fit builds the rows s y x, never sorted or merged.  One
 helper evaluates E[phi] (:func:`_objective`); one forms g and H from the
-atoms and names an overflow (:func:`_row_sum`); one rule zeroes a norm
-within its sum's rounding for both gaps (:func:`_sum_norm`).
+rows its caller expanded and names an overflow (:func:`_row_sum`); one
+rule zeroes a norm within its sum's rounding for both gaps
+(:func:`_sum_norm`).
 """
 
 from __future__ import annotations
@@ -165,14 +166,14 @@ def unhinged_minimizer(dist: DiscreteDistribution | _NoisyView, r: float) -> Fit
     return FitResult(v, r, 1.0 - r_norm_m, 0, 0.0, "closed-form")
 
 
-def _overflow_at(loss: str, dist: DiscreteDistribution | _NoisyView, m: np.ndarray,
+def _overflow_at(loss: str, dist: DiscreteDistribution | _NoisyView, z: np.ndarray,
                  idx: int) -> LossOverflowError:
-    """The error naming row idx: atom idx // k, at s m with label s y for
-    s = row_signs[idx % k]."""
+    """The error naming row idx at its margin z[idx]: atom idx // k, with
+    label s y for s = row_signs[idx % k]."""
     atom, j = divmod(idx, len(dist.row_signs))
-    s = dist.row_signs[j]
-    return LossOverflowError(loss, float(s * m[atom]), atom_index=atom,
-                             atom=(dist.xs[atom].tolist(), int(s * dist.ys[atom])))
+    label = int(dist.row_signs[j] * dist.ys[atom])
+    return LossOverflowError(loss, float(z[idx]), atom_index=atom,
+                             atom=(dist.xs[atom].tolist(), label))
 
 
 def _largest_row(rows: np.ndarray, k: int, atom: int) -> int:
@@ -180,15 +181,14 @@ def _largest_row(rows: np.ndarray, k: int, atom: int) -> int:
     return k * atom + int(np.argmax(np.abs(rows[k * atom:k * atom + k])))
 
 
-def _per_atom(fn, dist: DiscreteDistribution | _NoisyView, m: np.ndarray) -> np.ndarray:
-    """fn at the row margins of the atom margins m; an overflow names the
-    first row whose margin overflowed, by its atom and label."""
-    rows = _rows(m, dist.row_signs)
+def _per_row(fn, dist: DiscreteDistribution | _NoisyView, z: np.ndarray) -> np.ndarray:
+    """fn at the row margins z; an overflow names the first row whose
+    margin overflowed, by its atom and label."""
     try:
-        return fn(rows)
+        return fn(z)
     except LossOverflowError as err:
-        idx = int(np.nonzero(rows == err.z)[0][0])
-        raise _overflow_at(err.loss, dist, m, idx) from None
+        idx = int(np.nonzero(z == err.z)[0][0])
+        raise _overflow_at(err.loss, dist, z, idx) from None
 
 
 def _objective(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
@@ -221,18 +221,18 @@ def _objective(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
         value = float(dist.weights @ values.ravel())
         if math.isfinite(value):
             return value
-    return float(dist.weights @ _per_atom(phi.eval, dist, m))
+    return float(dist.weights @ _per_row(phi.eval, dist, _rows(m, dist.row_signs)))
 
 
 def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
-             m: np.ndarray, outer: bool) -> tuple[np.ndarray, np.ndarray]:
-    """g = sum_i c_i y_i x_i (H = sum_i c_i x_i x_i^T if ``outer``) on the atoms
-    at their margins m, and next to g per atom the sum of its |rows|, which
-    bounds c_i and its rounding (next to H, c).
+             z: np.ndarray, outer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """g = sum_i c_i y_i x_i (H = sum_i c_i x_i x_i^T if ``outer``) at the row
+    margins z its caller expanded, and next to g per atom the sum of its
+    |rows|, which bounds c_i and its rounding (next to H, c).
 
-    For g, c_i folds atom i's rows w phi'(m) signed by their labels (under
+    For g, c_i folds atom i's rows w phi'(z) signed by their labels (under
     a noise view c_i = (1 - eta) w_i phi'(m_i) - eta w_i phi'(-m_i)); for
-    H it adds the rows w phi''(m) unsigned.  As y = +-1, (c_i y_i) x_ij
+    H it adds the rows w phi''(z) unsigned.  As y = +-1, (c_i y_i) x_ij
     rounds as c_i (y_i x_ij) does.  A sum that is not finite names the
     row, of the atom whose own term has the largest |entry| (non-finite
     counts as largest, the first atom wins a tie), with the largest
@@ -240,7 +240,7 @@ def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
     c_i x_i x_i^T, where its largest lie): no 0 * inf.
     """
     unsigned = [s * s for s in dist.row_signs]
-    rows = dist.weights * _per_atom(phi.curv if outer else phi.deriv, dist, m)
+    rows = dist.weights * _per_row(phi.curv if outer else phi.deriv, dist, z)
     c = _fold(rows, unsigned if outer else dist.row_signs)
     xs = dist.xs
     # an overflow is reported as the error below, not as a numpy warning
@@ -251,7 +251,7 @@ def _row_sum(phi: PotentialFunction, dist: DiscreteDistribution | _NoisyView,
         terms = np.abs(xs * c[:, None])
         largest = np.max(terms * np.abs(xs) if outer else terms, axis=1)
     idx = int(np.argmax(np.where(np.isfinite(largest), largest, np.inf)))
-    raise _overflow_at(phi.name, dist, m, _largest_row(rows, len(unsigned), idx))
+    raise _overflow_at(phi.name, dist, z, _largest_row(rows, len(unsigned), idx))
 
 
 def _sum_norm(c: np.ndarray, abs_a: np.ndarray, total: np.ndarray) -> float:
@@ -420,27 +420,22 @@ def _mehrotra_step(w: np.ndarray, yx: np.ndarray, r: float, v: np.ndarray,
 
 
 def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
-               r: float) -> FitResult:
-    """Certified hinge fit over the ball, stopping on a duality gap <= tol = ``_TOL``.
+               r: float, rho: float) -> FitResult:
+    """Certified hinge fit, stepping in the ball rho <= r, to a gap <= tol = ``_TOL``.
 
-    First the unhinged closed form: hinge >= unhinged pointwise, so the
-    dual point a = 1, D(1) = 1 - r ||m||, bounds the optimum, and the
+    First the unhinged closed form at rho: hinge >= unhinged pointwise, so
+    the dual point a = 1, D(1) = 1 - r ||m||, bounds the optimum, and the
     closed form is returned (0 iterations) when its hinge value is within
     tol of that bound.  Otherwise a primal-dual interior point (Mehrotra
-    1992) on min w.t s.t. t >= 0, t >= 1 - y x.v, ||v||^2 <= r^2, with
+    1992) on min w.t s.t. t >= 0, t >= 1 - y x.v, ||v||^2 <= rho^2, with
     multipliers lam1, lam2, lam3, starting at v = 0.  Every iterate lies
-    strictly inside the ball; the fit returns the best one and stops when
-    P(best v) - max D(clip(lam2 / w, 0, 1)) <= tol, when ``_MAX_ITERS``
+    strictly inside the step ball; the fit returns the best one and stops
+    when P(best v) - max D(clip(lam2 / w, 0, 1)) <= tol, when ``_MAX_ITERS``
     Newton steps are spent, or when rounding leaves no interior step.
-    Beyond ``_INTERIOR_RADIUS`` the candidate and the steps keep to that
-    smaller ball, whose points also lie in the radius-r ball, so that r^2
-    stays finite; D keeps the true r, so the certificate still bounds the
-    radius-r problem.
     """
     w = dist.weights
     yx = _signed_rows(dist)
     abs_yx = np.abs(yx)
-    rho = min(r, _INTERIOR_RADIUS)
 
     closed = unhinged_minimizer(dist, rho)
     obj = _objective(phi, dist, dist.margins(closed.v))
@@ -481,34 +476,31 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
 
 
 def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
-                r: float) -> FitResult:
-    """Certified fit of a loss with a curvature: Newton steps over the ball.
+                r: float, rho: float) -> FitResult:
+    """Certified fit of a loss with a curvature: Newton steps in the ball rho <= r.
 
     From v = 0, each step takes the gradient g and the curvature
-    H = sum_i w_i phi''(m_i) x_i x_i^T at v, minimizes the quadratic model
-    <g, x - v> + (x - v)^T H (x - v) / 2 over the ball
-    (:func:`_ball_model_minimizer`), and searches the segment from v to
-    that x, which stays in the ball, for the first t = 1, 1/2, ... with
-    P(v + t (x - v)) <= P(v) + 1e-4 t <g, x - v>, up to a few ulps of P(v).
-    With H = 0 (a loss linear in the margin) the model minimizer
-    -r g/||g|| is the optimum.  The Frank-Wolfe gap <g, v> + r ||g||
-    bounds P(v) minus the optimum over the ball, and ``_TOL`` bounds it
-    in absolute terms, whatever r.  ||g|| is :func:`_sum_norm`'s, 0 within
-    the rounding of the sum g, bounded by each atom's |rows| (a noisy c_i
-    rounds relative to them).  On the boundary the two terms cancel, and a
-    gap within their rounding, (d + 2) eps (|g|.|v| + r ||g||), counts as
-    0 too; one that overflows never halves.  The fit stops, certified, once
-    the gap is at most tol and no longer halves (or is at most 1e-3 tol).
-    Otherwise it stops when ``_MAX_ITERS`` Newton steps are spent, when no
-    t passes the test before t (x - v) underflows, or when a step neither
-    lowered P nor halved the gap; the last two count as certified if the
-    gap is at most tol.  Every step lowers P up to rounding, so the last
-    iterate is the best.  Beyond ``_INTERIOR_RADIUS`` the steps run on that
-    smaller ball, inside the radius-r one, so that the model's multiplier
-    ||beta|| / radius stays a normal float; the gap keeps r.
+    H = sum_i w_i phi''(m_i) x_i x_i^T at v, from one row expansion of v's
+    margins, minimizes the quadratic model <g, x - v> + (x - v)^T H (x - v) / 2
+    over the step ball (:func:`_ball_model_minimizer`), and searches the
+    segment from v to that x, which stays in the ball, for the first
+    t = 1, 1/2, ... with P(v + t (x - v)) <= P(v) + 1e-4 t <g, x - v>, up to
+    a few ulps of P(v).  With H = 0 (a loss linear in the margin) the model
+    minimizer -rho g/||g|| is the optimum over the step ball.  The
+    Frank-Wolfe gap <g, v> + r ||g|| bounds P(v) minus the optimum over the
+    radius-r ball, and ``_TOL`` bounds it in absolute terms, whatever r.
+    ||g|| is :func:`_sum_norm`'s, 0 within the rounding of the sum g,
+    bounded by each atom's |rows| (a noisy c_i rounds relative to them).  On
+    the boundary the two terms cancel, and a gap within their rounding,
+    (d + 2) eps (|g|.|v| + r ||g||), counts as 0 too; one that overflows
+    never halves.  The fit stops, certified, once the gap is at most tol and
+    no longer halves (or is at most 1e-3 tol).  Otherwise it stops when
+    ``_MAX_ITERS`` Newton steps are spent, when no t passes the test before
+    t (x - v) underflows, or when a step neither lowered P nor halved the
+    gap; the last two count as certified if the gap is at most tol.  Every
+    step lowers P up to rounding, so the last iterate is the best.
     """
     abs_xs = np.abs(dist.xs)
-    rho = min(r, _INTERIOR_RADIUS)
     v = np.zeros(dist.dimension)
     # one margin vector per trial point
     margins = dist.margins(v)
@@ -517,7 +509,8 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     stalled = False
     iterations = 0
     while True:
-        g, row_mass = _row_sum(phi, dist, margins, False)
+        rows = _rows(margins, dist.row_signs)  # for both g and H
+        g, row_mass = _row_sum(phi, dist, rows, False)
         norm_g = _sum_norm(row_mass, abs_xs, g)
         gap = float(g @ v) + r * norm_g
         rounding = (v.size + 2) * _EPS * (float(np.abs(g) @ np.abs(v)) + r * norm_g)
@@ -534,7 +527,7 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
             reason = "budget"
             break
         iterations += 1
-        h = _row_sum(phi, dist, margins, True)[0]
+        h = _row_sum(phi, dist, rows, True)[0]
         d = _ball_model_minimizer(h, g - h @ v, rho) - v
         slope = float(g @ d)
         t = 1.0
@@ -581,9 +574,12 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
     binary exponents ex of max|x| and er of r (r max|x| < 2^s), so every
     (x 2^k, r 2^-k) is fit alike, bit for bit.  It puts max|x'| below 2^a:
     a = floor(s / 2) up to 256 (r' about as large), then 256 while r'
-    stays below 2^1022, then s - 1022.  So x' squares finitely, and the
-    steps, within ``_INTERIOR_RADIUS``, keep their margins finite.  A
-    radius with s > 1533, where x' would reach 2^512, raises ValueError.
+    stays below 2^1022, then s - 1022.  So x' squares finitely, but r'
+    may not: both fits step in the ball of radius rho = min(r', 2^511),
+    inside the radius-r' ball, so that rho^2 and the steps' margins stay
+    finite and the Newton model's multiplier ||beta|| / rho a normal
+    float; each certificate keeps r', so it bounds the radius-r' problem.
+    A radius with s > 1533, where x' would reach 2^512, raises ValueError.
     """
     r = _positive("radius", r)
     method = phi.fit or "newton"
@@ -600,8 +596,9 @@ def pgd_minimizer(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunctio
         raise ValueError(f"radius {r!r} overflows float64 at the scale of x: "
                          f"r max|x| >= 2^{s - 2}")
     e = ex - max(min(s // 2, 256), s - 1022)
+    r_scaled = math.ldexp(r, e)
     try:
-        scaled = fit(_scaled(dist, e), phi, math.ldexp(r, e))
+        scaled = fit(_scaled(dist, e), phi, r_scaled, min(r_scaled, _INTERIOR_RADIUS))
     except LossOverflowError as err:  # named by the atom as given
         raise LossOverflowError(err.loss, err.z, err.atom_index,
                                 (dist.xs[err.atom_index].tolist(), err.atom[1])) from None

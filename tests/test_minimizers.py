@@ -41,10 +41,11 @@ def reference_pgd(dist, phi, r, step=None, max_iters=50_000, tol=1e-9):
     yx = dist.ys[:, None] * dist.xs
     w = dist.weights
     v = np.zeros(dist.dimension)
-    best_v, best_obj = v, float(w @ phi.eval(dist.margins(v)))
+    m = dist.margins(v)  # each iterate's margins, for its value and its gradient
+    best_v, best_obj = v, float(w @ phi.eval(m))
     history = [best_obj]
     for iterations in range(1, max_iters + 1):
-        g = (w * phi.deriv(dist.margins(v))) @ yx
+        g = (w * phi.deriv(m)) @ yx
         candidate = v - step * g
         norm = float(np.linalg.norm(candidate))
         if norm > r:
@@ -52,7 +53,8 @@ def reference_pgd(dist, phi, r, step=None, max_iters=50_000, tol=1e-9):
         moved = float(np.linalg.norm(v - candidate)) / step if step > 0 else float(
             np.linalg.norm(g))
         v = candidate
-        history.append(float(w @ phi.eval(dist.margins(v))))
+        m = dist.margins(v)
+        history.append(float(w @ phi.eval(m)))
         if history[-1] < best_obj:
             best_v, best_obj = v, history[-1]
         if moved <= tol:
@@ -345,7 +347,7 @@ class TestPgdMinimizer:
         view = _NoisyView(dist, 0.2)
         with pytest.raises(LossOverflowError) as err:
             minimizers._row_sum(make_loss("exponential"), view,
-                                view.margins(np.array([1e-160])), True)
+                                _rows(view.margins(np.array([1e-160])), view.row_signs), True)
         assert err.value.atom_index == 1
         assert err.value.atom == ([1e160], -1)
         assert err.value.z == -1.0
@@ -389,14 +391,13 @@ def test_row_sum_matches_the_signed_row_forms_bit_for_bit(dist, eta, seed):
     v = np.random.default_rng(seed).uniform(-3.0, 3.0, dist.dimension)
     yx = dist.ys[:, None] * dist.xs
     for fitted in (dist, _NoisyView(dist, eta)):
-        m = fitted.margins(v)
-        row_margins = _rows(m, fitted.row_signs)
+        row_margins = _rows(fitted.margins(v), fitted.row_signs)
         unsigned = [1.0] * len(fitted.row_signs)
         for name in LOSS_NAMES:
             phi = make_loss(name)
             rows = fitted.weights * phi.deriv(row_margins)
             slopes = _fold(rows, fitted.row_signs)
-            g, mass = minimizers._row_sum(phi, fitted, m, False)
+            g, mass = minimizers._row_sum(phi, fitted, row_margins, False)
             assert mass.tobytes() == _fold(np.abs(rows), unsigned).tobytes()
             assert g.tobytes() == (slopes @ yx).tobytes()
             if fitted is dist:
@@ -404,7 +405,7 @@ def test_row_sum_matches_the_signed_row_forms_bit_for_bit(dist, eta, seed):
             if phi.curv is not None:
                 rows = fitted.weights * phi.curv(row_margins)
                 curv = _fold(rows, unsigned)
-                h, mass = minimizers._row_sum(phi, fitted, m, True)
+                h, mass = minimizers._row_sum(phi, fitted, row_margins, True)
                 assert mass.tobytes() == curv.tobytes()
                 assert h.tobytes() == ((yx * curv[:, None]).T @ yx).tobytes()
 
@@ -935,14 +936,36 @@ def test_newton_fit_on_the_noise_view_matches_the_materialized_noise(loss):
         view, noisy = _NoisyView(dist, 0.2), corrupt_rcn(dist, 0.2)
         v = rng.normal(size=dist.dimension)
         np.testing.assert_allclose(
-            minimizers._row_sum(phi, view, view.margins(v), True)[0],
-            minimizers._row_sum(phi, noisy, noisy.margins(v), True)[0], rtol=1e-13, atol=1e-15)
+            minimizers._row_sum(phi, view, _rows(view.margins(v), view.row_signs), True)[0],
+            minimizers._row_sum(phi, noisy, _rows(noisy.margins(v), noisy.row_signs), True)[0],
+            rtol=1e-13, atol=1e-15)
         for r in (1.0, 10.0):
             fit, reference = pgd_minimizer(view, phi, r), pgd_minimizer(noisy, phi, r)
             assert fit.stop_reason == reference.stop_reason == "gap"
             assert fit.iterations == reference.iterations
             assert abs(fit.objective - reference.objective) <= 1e-14
             np.testing.assert_allclose(fit.v, reference.v, atol=1e-12)
+
+
+def test_newton_step_takes_g_and_h_from_one_row_expansion():
+    # each accepted point's margins are expanded into rows once: the
+    # curvature receives the very array the slope just before it received
+    phi = make_loss("exponential")
+    seen = []
+
+    def recorded(kind, fn):
+        def wrapper(z):
+            seen.append((kind, z))
+            return fn(z)
+        return wrapper
+
+    recording = dataclasses.replace(phi, deriv=recorded("deriv", phi.deriv),
+                                    curv=recorded("curv", phi.curv))
+    fit = pgd_minimizer(_NoisyView(make_counterexample(0.05), 0.2), recording, 1.0)
+    curvs = [k for k, (kind, _) in enumerate(seen) if kind == "curv"]
+    assert fit.stop_reason == "gap" and len(curvs) == fit.iterations > 0
+    for k in curvs:
+        assert seen[k - 1][0] == "deriv" and seen[k][1] is seen[k - 1][1]
 
 
 @pytest.mark.parametrize("r", [1.0, 100.0, 1e4])

@@ -81,8 +81,9 @@ def test_view_matches_corrupt_rcn(dist, eta, seed):
             _rounding(dist, mass))
         # the PGD gradient, coordinate by coordinate
         slopes = dist.weights * (np.abs(phi.deriv(m)) + np.abs(phi.deriv(-m)))
-        g_view, _ = minimizers._row_sum(phi, view, view.margins(v), False)
-        g_noisy, _ = minimizers._row_sum(phi, noisy, noisy.margins(v), False)
+        g_view, _ = minimizers._row_sum(phi, view, _rows(view.margins(v), view.row_signs), False)
+        g_noisy, _ = minimizers._row_sum(phi, noisy, _rows(noisy.margins(v), noisy.row_signs),
+                                         False)
         assert np.all(np.abs(g_view - g_noisy) <= _rounding(dist, slopes @ np.abs(dist.xs)))
 
     # the noisy unhinged fit: r m / ||m|| for the noisy centroid m
@@ -205,7 +206,7 @@ def test_logistic_overflow_names_the_atom_and_label_of_the_row_by_row_path(v, la
     view = _NoisyView(dist, 0.1)
     phi = LOSSES["logistic"]
     with pytest.raises(LossOverflowError) as row_by_row:
-        minimizers._per_atom(phi.eval, view, view.margins(v))
+        minimizers._per_row(phi.eval, view, _rows(view.margins(v), view.row_signs))
     reference = row_by_row.value
     assert (reference.atom_index, reference.atom, reference.z) == (1, ([1.0], label), -1e308)
     for evaluate in (lambda: expected_loss(view, phi, v),
@@ -341,7 +342,8 @@ def test_gradient_overflow_names_the_flipped_row():
     view = _NoisyView(dist, 0.1)
     v = np.array([7e-8])
     with pytest.raises(LossOverflowError) as err:
-        minimizers._row_sum(LOSSES["exponential"], view, view.margins(v), False)
+        minimizers._row_sum(LOSSES["exponential"], view, _rows(view.margins(v), view.row_signs),
+                            False)
     assert err.value.atom_index == 1
     assert err.value.atom == ([1e10], -1)
     assert err.value.z == -dist.margins(v)[1]
