@@ -50,7 +50,7 @@ _DECREASE_ULPS = 4
 _STEP_TO_BOUNDARY = 0.99
 # largest ball radius the iterative fits step in: r^2 stays finite
 _INTERIOR_RADIUS = 2.0**511
-# a Newton fit whose gap is at most tol stops once the gap no longer
+# an iterative fit whose gap is at most tol stops once the gap no longer
 # halves, or once it is at most this share of tol: stopping at the first
 # gap <= tol left objectives up to 5e-10 above what one more step reached
 _GAP_FLOOR = 1e-3
@@ -90,9 +90,11 @@ class FitResult:
     P(v) - D(a) for a hinge fit, and for a Newton fit the Frank-Wolfe gap
     <g, v> + r ||g|| at the returned v (a bound whenever the loss is
     convex).  ``stop_reason`` says why the fit stopped: ``"closed-form"``;
-    ``"gap"`` (gap <= ``_TOL``); ``"budget"`` (``_MAX_ITERS`` steps spent);
-    ``"no-decrease"`` (Newton: no step lowers the objective, with the gap
-    above tol); ``"rounding"`` (hinge: no interior step is left).
+    ``"gap"`` (gap <= ``_TOL``: an iterative fit stops there once the gap
+    no longer halves, or is at most ``_GAP_FLOOR`` tol); ``"budget"``
+    (``_MAX_ITERS`` steps spent); ``"no-decrease"`` (Newton: no step lowers
+    the objective, with the gap above tol); ``"rounding"`` (hinge: no
+    interior step is left, with the gap above tol).
 
     ``v`` is checked through ||v||, which the radius test takes anyway: its
     hypot is inf or NaN whenever an entry is, so only then, or for a v that
@@ -263,6 +265,17 @@ def _sum_norm(c: np.ndarray, abs_a: np.ndarray, total: np.ndarray) -> float:
     return 0.0 if norm <= (c.size + total.size) * _EPS * _norm(np.abs(c) @ abs_a) else norm
 
 
+def _halves(gap: float, last_gap: float) -> bool:
+    """Whether gap is at most half of last_gap; a gap that overflows never halves."""
+    return 2.0 * gap <= last_gap and gap < math.inf
+
+
+def _certifies(gap: float, last_gap: float) -> bool:
+    """The stop rule of both iterative fits: the gap is at most ``_TOL``, and
+    at most ``_GAP_FLOOR * _TOL`` or no longer halving from last_gap."""
+    return gap <= _TOL and (gap <= _GAP_FLOOR * _TOL or not _halves(gap, last_gap))
+
+
 def _ball_model_minimizer(h: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
     """argmin of <b, x> + x^T h x / 2 over ||x|| <= r, for a symmetric PSD h.
 
@@ -357,7 +370,12 @@ def _mehrotra_step(w: np.ndarray, yx: np.ndarray, r: float, v: np.ndarray,
     multipliers leaves one d x d system M dv = rhs, solved by Cholesky,
     with M = A^T E A + lam3 I + (lam3 / s3) v v^T.  Each direction's step
     length comes from one ratio test over the stacked (s1, s2, lam1, lam2),
-    plus the ball and lam3.  Returns the next (v, t, lam1, lam2, lam3);
+    plus the ball and lam3.  The step sees the ball through ds3 = -v.dv,
+    but s3(v + dv) = s3 - v.dv - ||dv||^2 / 2 exactly, so the corrector
+    also cancels the predictor's -lam3 ||dv||^2 / 2, as it cancels
+    ds * dlam; without it the exact sphere cuts the steps short, and an
+    iterate near the sphere can crawl along it for thousands of steps.
+    Returns the next (v, t, lam1, lam2, lam3);
     raises ArithmeticError or LinAlgError when rounding leaves no interior
     step.
     """
@@ -407,9 +425,10 @@ def _mehrotra_step(w: np.ndarray, yx: np.ndarray, r: float, v: np.ndarray,
               + (s3 + alpha * ds3) * (lam3 + alpha * dl3)) / (2 * n + 1)
     sigma_mu = (mu_aff / mu) ** 3 * mu
     # corrector: centre at sigma mu and cancel the predictor's
-    # second-order term ds * dlam
+    # second-order terms: ds * dlam, and the ball's -||dv||^2 / 2 that
+    # ds3 = -v.dv drops, scaled by lam3
     step = newton(sl1 + ds1 * dl1 - sigma_mu, sl2 + ds2 * dl2 - sigma_mu,
-                  sl3 + ds3 * dl3 - sigma_mu)
+                  sl3 + ds3 * dl3 - sigma_mu - lam3 * float(aff[0] @ aff[0]) / 2.0)
     dv, dx, _, dl3 = step
     dt, _, dl1, dl2 = dx.reshape(4, n)
     alpha = min(1.0, max(_STEP_TO_BOUNDARY, 1.0 - math.sqrt(mu)) * longest(*step))
@@ -429,9 +448,12 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     tol of that bound.  Otherwise a primal-dual interior point (Mehrotra
     1992) on min w.t s.t. t >= 0, t >= 1 - y x.v, ||v||^2 <= rho^2, with
     multipliers lam1, lam2, lam3, starting at v = 0.  Every iterate lies
-    strictly inside the step ball; the fit returns the best one and stops
-    when P(best v) - max D(clip(lam2 / w, 0, 1)) <= tol, when ``_MAX_ITERS``
-    Newton steps are spent, or when rounding leaves no interior step.
+    strictly inside the step ball; the fit returns the best one.  Its gap
+    P(best v) - max D(clip(lam2 / w, 0, 1)) certifies it by the Newton
+    fit's rule (:func:`_certifies`): at most tol, and no longer halving or
+    at most 1e-3 tol.  Otherwise it stops when ``_MAX_ITERS`` Newton steps
+    are spent, or when rounding leaves no interior step, which counts as
+    certified if the gap is at most tol.
     """
     w = dist.weights
     yx = _signed_rows(dist)
@@ -453,6 +475,7 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     best_obj = _objective(phi, dist, margins)
     # the hinge is nonnegative, so a = 0 gives the bound D(0) = 0
     best_dual = max(0.0, _hinge_dual(w, yx, abs_yx, lam2, r))
+    gap = best_obj - best_dual
     reason = "budget"
     iterations = 0
     for iterations in range(1, _MAX_ITERS + 1):
@@ -462,17 +485,18 @@ def _hinge_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
                     w, yx, rho, v, _rows(margins, dist.row_signs), t, lam1, lam2, lam3)
         except (ArithmeticError, np.linalg.LinAlgError):
             iterations -= 1
-            reason = "rounding"
+            reason = "gap" if gap <= _TOL else "rounding"
             break
         margins = dist.margins(v)
         obj = _objective(phi, dist, margins)
         if obj < best_obj:
             best_v, best_obj = v, obj
         best_dual = max(best_dual, _hinge_dual(w, yx, abs_yx, lam2, r))
-        if best_obj - best_dual <= _TOL:
+        last_gap, gap = gap, best_obj - best_dual
+        if _certifies(gap, last_gap):
             reason = "gap"
             break
-    return FitResult(best_v, r, best_obj, iterations, best_obj - best_dual, reason)
+    return FitResult(best_v, r, best_obj, iterations, gap, reason)
 
 
 def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
@@ -494,7 +518,8 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
     the boundary the two terms cancel, and a gap within their rounding,
     (d + 2) eps (|g|.|v| + r ||g||), counts as 0 too; one that overflows
     never halves.  The fit stops, certified, once the gap is at most tol and
-    no longer halves (or is at most 1e-3 tol).  Otherwise it stops when
+    no longer halves (or is at most 1e-3 tol), the rule the hinge fit
+    shares (:func:`_certifies`).  Otherwise it stops when
     ``_MAX_ITERS`` Newton steps are spent, when no t passes the test before
     t (x - v) underflows, or when a step neither lowered P nor halved the
     gap; the last two count as certified if the gap is at most tol.  Every
@@ -516,11 +541,10 @@ def _newton_fit(dist: DiscreteDistribution | _NoisyView, phi: PotentialFunction,
         rounding = (v.size + 2) * _EPS * (float(np.abs(g) @ np.abs(v)) + r * norm_g)
         if abs(gap) <= rounding < math.inf:
             gap = 0.0
-        halved = 2.0 * gap <= last_gap and gap < math.inf
-        if gap <= _TOL and (gap <= _GAP_FLOOR * _TOL or not halved):
+        if _certifies(gap, last_gap):
             reason = "gap"
             break
-        if stalled and not halved:
+        if stalled and not _halves(gap, last_gap):
             reason = "no-decrease"  # neither P nor the gap falls any more
             break
         if iterations == _MAX_ITERS:

@@ -748,6 +748,26 @@ def test_hinge_fit_stops_where_rounding_leaves_no_step():
     assert fit.converged == (fit.gap <= 0.0)
 
 
+def test_hinge_fit_stopped_by_rounding_within_tol_is_certified():
+    # the clean fit's gap is 6.0e-11 after 11 steps, still halving, and it
+    # certifies at 1.0e-14 after 12; a 12th step that rounding leaves none
+    # of ends the fit certified at the 11th, as the Newton fit's rule has it
+    dist = gaussian_halfspace(5)
+    step, calls = minimizers._mehrotra_step, []
+
+    def eleven_steps(*args):
+        calls.append(None)
+        if len(calls) == 12:
+            raise FloatingPointError("no interior step is left")
+        return step(*args)
+
+    assert pgd_minimizer(dist, HINGE, 1.0).iterations == 12
+    fit = fit_with(dist, HINGE, 1.0, _mehrotra_step=eleven_steps)
+    assert (fit.iterations, fit.stop_reason) == (11, "gap")
+    assert 0.0 < fit.gap <= TOL
+    assert fit.gap == fit_with(dist, HINGE, 1.0, _MAX_ITERS=11).gap
+
+
 def test_hinge_fit_sees_through_timing_wrappers():
     # the fit is declared, so dataclasses.replace keeps it through a
     # wrapper; the same functions in a record that declares no fit have none
@@ -762,7 +782,8 @@ def test_hinge_fit_sees_through_timing_wrappers():
 # The interior-point step as it was before its four ratio tests per direction
 # became one over the stacked slacks and multipliers, kept verbatim (without
 # its comments, and with the module prefix) as the reference the production
-# step must match bit for bit.
+# step must match bit for bit; its corrector has since gained the ball's
+# second-order term lam3 ||dv_aff||^2 / 2, as the production step has.
 def reference_to_boundary(x, dx):
     """The largest alpha with x + alpha dx >= 0, for x > 0 (inf if dx >= 0)."""
     shrink = dx < 0.0
@@ -806,7 +827,8 @@ def reference_mehrotra_step(w, yx, r, v, margins, t, lam1, lam2, lam3):
     sigma_mu = (mu_aff / mu) ** 3 * mu
     dv, dt, _, _, dl1, dl2, dl3 = step = newton(s1 * lam1 + ds1 * dl1 - sigma_mu,
                                                s2 * lam2 + ds2 * dl2 - sigma_mu,
-                                               s3 * lam3 + ds3 * dl3 - sigma_mu)
+                                               s3 * lam3 + ds3 * dl3 - sigma_mu
+                                               - lam3 * float(aff[0] @ aff[0]) / 2.0)
     alpha = min(1.0, max(minimizers._STEP_TO_BOUNDARY, 1.0 - math.sqrt(mu)) * longest(*step))
     if not alpha > 0.0:
         raise FloatingPointError("no interior step is left")
@@ -814,18 +836,21 @@ def reference_mehrotra_step(w, yx, r, v, margins, t, lam1, lam2, lam3):
             lam3 + alpha * dl3)
 
 
-# the two-atom input on which the interior point crawls: 20,503 steps at
-# r = 1 and the whole step budget at r = 3
+# the two-atom input on which the interior point crawled, while its
+# corrector saw the ball only through ds3 = -v.dv: 20,503 steps at r = 1
+# and the whole 50,000-step budget at r = 3, where it now takes 10 and 11
 HINGE_CRAWL = DiscreteDistribution(
     [[1.5491953451260017, 0.16161311554684987], [1.141428018619627, 1.7124933912561192e-130]],
     [1, -1], [0.769606746207959, 0.23039325379204112])
 
 
 def test_hinge_step_keeps_the_reference_bits():
-    # every fit under a budget of 2,000 steps, which the crawl spends at
-    # r = 1 and r = 3, and so does one of the random draws
+    # every fit under a budget of 2,000 steps; the Gaussian halfspaces,
+    # about 13 steps per fit, keep the count above 6,000 now that the
+    # crawl no longer spends that budget
     rng = np.random.default_rng(32)
-    dists = [helpers.random_distribution(rng) for _ in range(20)] + [gaussian_halfspace(5)]
+    dists = [helpers.random_distribution(rng) for _ in range(20)]
+    dists += [gaussian_halfspace(seed) for seed in range(5, 56)]
     fitted = [view for dist in dists for view in (dist, _NoisyView(dist, 0.2))]
     steps = 0
     for view in fitted + [HINGE_CRAWL]:
@@ -838,6 +863,33 @@ def test_hinge_step_keeps_the_reference_bits():
                 ref.objective, ref.iterations, ref.gap, ref.stop_reason)
             steps += fit.iterations
     assert steps > 6000
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 3.0, 100.0])
+def test_hinge_fit_does_not_crawl_on_the_two_atom_input(r):
+    # at r = 3 the optimum puts atom 0 on its kink, on the sphere; a
+    # corrector that saw the ball only to first order spent 20,503 steps at
+    # r = 1 and all 50,000 at r = 3 (the cap keeps such a fit short)
+    fit = fit_with(HINGE_CRAWL, HINGE, r, _MAX_ITERS=100)
+    assert fit.stop_reason == "gap"
+    assert fit.iterations <= 20
+
+
+def test_hinge_fit_worst_case_over_a_seeded_sweep():
+    # 150 random draws, clean, as a noise view and as the materialized
+    # noise, at r in {1, 3, 10}: every fit certifies, the slowest in 48
+    # steps, where two fits spent a 2,000-step budget (the cap keeps them
+    # short) and one more took 106 steps
+    rng = np.random.default_rng(0)
+    iterations = []
+    for _ in range(150):
+        dist = helpers.random_distribution(rng)
+        for fitted in (dist, _NoisyView(dist, 0.2), corrupt_rcn(dist, 0.2)):
+            for r in (1.0, 3.0, 10.0):
+                fit = fit_with(fitted, HINGE, r, _MAX_ITERS=100)
+                assert fit.stop_reason == "gap", (fit, r)
+                iterations.append(fit.iterations)
+    assert max(iterations) <= 60
 
 
 def test_to_boundary_is_the_masked_ratio_test():

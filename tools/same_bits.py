@@ -10,11 +10,12 @@ in this process, writing under one output directory (``--work-dir``,
 default ``<tmp>/potmin-same-bits``), since stdout prints paths; run both
 trees with the same ``--work-dir``.  For each op it prints the exit code
 (or the last line of the exception raised), any warnings, and the SHA-256
-of stdout, of stderr and of each output file.  Then it prints one SHA-256
-over the outcome of every fit of the sweep (``sweep``): v bytes,
-objective, iterations, gap and stop reason, or the exception raised,
-under warnings as errors.  Two trees whose outputs differ in no line keep
-the same bits.
+of stdout, of stderr and of each output file.  Then it prints a SHA-256
+over the outcomes of the sweep (``sweep``) for each loss, and one over
+them all: a fit's v bytes, objective, iterations, gap and stop reason, or
+the exception raised, under warnings as errors.  So a change to one fit
+shows whether the other losses kept their bits.  Two trees whose outputs
+differ in no line keep the same bits.
 """
 
 from __future__ import annotations
@@ -88,21 +89,24 @@ def fit_outcome(fit) -> str:
             f"{fit.stop_reason}")
 
 
-def sweep() -> tuple[int, str]:
-    """The number of outcomes and one SHA-256 over them, in order."""
+def sweep() -> dict[str, tuple[int, str]]:
+    """The number of outcomes and a SHA-256 over them, in order, per loss,
+    then (key ``"all"``) over every outcome."""
     from potmin import (DiscreteDistribution, LOSS_NAMES, corrupt_rcn, expected_loss,
                         make_loss, minimizers, pgd_minimizer, random_distribution)
     from potmin.distributions import _NoisyView
 
-    outcomes = []
+    outcomes, per_loss = [], {}
 
-    def record(label, compute):
+    def record(label, loss, compute):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                outcomes.append(f"{label} {compute()}")
+                outcome = f"{label} {compute()}"
         except Exception as err:  # noqa: BLE001 -- the outcome compared
-            outcomes.append(f"{label} {type(err).__name__}: {err}")
+            outcome = f"{label} {type(err).__name__}: {err}"
+        outcomes.append(outcome)
+        per_loss.setdefault(loss, []).append(outcome)
 
     rng = np.random.default_rng(0)
     saved, minimizers._MAX_ITERS = minimizers._MAX_ITERS, SWEEP_MAX_ITERS
@@ -114,7 +118,7 @@ def sweep() -> tuple[int, str]:
             for kind, fitted in variants.items():
                 for r in SWEEP_RADII:
                     for loss in SWEEP_LOSSES:
-                        record(f"{draw} {kind} {r} {loss}",
+                        record(f"{draw} {kind} {r} {loss}", loss,
                                lambda: fit_outcome(pgd_minimizer(fitted, make_loss(loss), r)))
     finally:
         minimizers._MAX_ITERS = saved
@@ -122,11 +126,12 @@ def sweep() -> tuple[int, str]:
     for kind, fitted in {"clean": big, "view": _NoisyView(big, SWEEP_ETA)}.items():
         for loss in LOSS_NAMES:
             phi = make_loss(loss)
-            record(f"big {kind} {BIG_RADIUS} {loss}",
+            record(f"big {kind} {BIG_RADIUS} {loss}", loss,
                    lambda: fit_outcome(pgd_minimizer(fitted, phi, BIG_RADIUS)))
-            record(f"big {kind} expected_loss {BIG_V} {loss}",
+            record(f"big {kind} expected_loss {BIG_V} {loss}", loss,
                    lambda: repr(expected_loss(fitted, phi, BIG_V)))
-    return len(outcomes), sha("\n".join(outcomes).encode())
+    per_loss["all"] = outcomes
+    return {key: (len(lines), sha("\n".join(lines).encode())) for key, lines in per_loss.items()}
 
 
 def main(argv=None) -> int:
@@ -144,8 +149,8 @@ def main(argv=None) -> int:
     import potmin
     print(f"potmin from {Path(potmin.__file__).parent}", file=sys.stderr)
     run_ops(args.seed, args.work_dir)
-    count, digest = sweep()
-    print(f"sweep: {count} outcomes {digest}")
+    for key, (count, digest) in sweep().items():
+        print(f"sweep {key}: {count} outcomes {digest}")
     return 0
 
 
