@@ -162,22 +162,34 @@ def _cell(value) -> str:
 def _write_csv(path, header, columns) -> None:
     """Write a CSV table: the header row, then row i of the columns per line.
 
-    An ndarray column is written as the repr of each entry (exact for
-    float64), with NaN as an empty cell; any other column cell by cell:
-    None empty, a bool true/false, a float its repr, anything else str.
-    No cell holds a comma or quote, so the bytes are csv.writer's: nothing
-    quoted, every row ended by CRLF.  Columns of unequal length raise
-    ValueError.
+    An ndarray column holds floats or ints (any other dtype, bool included,
+    raises TypeError: pass booleans as a list).  Its cells are the reprs of
+    its entries (exact for float64), NaN empty; the repr is taken once per
+    run of bitwise-equal entries (-0.0 after 0.0 starts a run), so the bytes
+    are those of one repr per cell.  Any other column is written cell by
+    cell: a str as is, None empty, a bool true/false, a float its repr,
+    anything else str.  No cell holds a comma or quote, so the bytes are
+    csv.writer's: nothing quoted, every row ended by CRLF.  Columns of
+    unequal length raise ValueError.
     """
     cells = []
     for col in columns:
-        if isinstance(col, np.ndarray):
-            text = list(map(repr, col.tolist()))
-            if col.dtype.kind == "f":
-                for i in np.flatnonzero(np.isnan(col)).tolist():
-                    text[i] = ""
-        else:
-            text = list(map(_cell, col))
+        if not isinstance(col, np.ndarray):
+            cells.append([c if type(c) is str else _cell(c) for c in col])
+            continue
+        if col.dtype.kind not in "fiu":
+            raise TypeError(f"an array column must hold floats or ints, got dtype {col.dtype}")
+        raw = col.view(f"V{col.itemsize}")
+        head = np.ones(len(col), dtype=bool)
+        head[1:] = raw[1:] != raw[:-1]
+        starts = np.flatnonzero(head)
+        values = col[starts]
+        text = list(map(repr, values.tolist()))
+        if col.dtype.kind == "f":
+            for i in np.flatnonzero(np.isnan(values)).tolist():
+                text[i] = ""
+        if len(text) < len(col):
+            text = np.array(text, dtype=object).repeat(np.diff(starts, append=len(col))).tolist()
         cells.append(text)
     lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
     with open(path, "w", newline="") as fh:

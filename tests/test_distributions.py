@@ -371,6 +371,11 @@ class TestCsv:
                              [1, -1, 1], [0.1 + 0.2, 0.25, 1.0 - (0.1 + 0.2) - 0.25]),
         DiscreteDistribution([[5.0]], [-1], [1.0]),
         helpers.random_distribution(np.random.default_rng(9), max_dim=6, max_atoms=40),
+        # x1 is 0.0 then -0.0: the labels differ, so both atoms stay, in two runs
+        DiscreteDistribution([[0.0], [-0.0]], [1, -1], [0.5, 0.5]),
+        # runs over the first rows (x1, y), the last rows (x2) and every row (weight)
+        DiscreteDistribution([[1.0, 2.0], [1.0, 3.0], [4.0, 5.0], [6.0, 5.0]], [1, 1, -1, -1],
+                             [0.25] * 4),
     ])
     def test_bytes_match_the_row_loop(self, dist, tmp_path):
         dist.to_csv(tmp_path / "fast.csv")
@@ -384,6 +389,29 @@ class TestCsv:
         with pytest.raises(ValueError):
             _write_csv(tmp_path / "t.csv", ["a", "b"], columns)
         assert not (tmp_path / "t.csv").exists()
+
+    def test_array_runs_match_cell_by_cell(self, tmp_path):
+        rng = np.random.default_rng(5)
+        pool = np.array([0.0, -0.0, 1.5, np.nan, 0.1 + 0.2])
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            floats, ints = rng.choice(pool, n), rng.integers(-2, 2, n)
+            _write_csv(tmp_path / "fast.csv", ["f", "i"], [floats, ints])
+            with open(tmp_path / "reference.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["f", "i"])
+                for f, i in zip(floats.tolist(), ints.tolist()):
+                    writer.writerow(["" if math.isnan(f) else repr(f), str(i)])
+            assert ((tmp_path / "fast.csv").read_bytes()
+                    == (tmp_path / "reference.csv").read_bytes()), (floats, ints)
+
+    def test_array_columns_hold_floats_or_ints(self, tmp_path):
+        with pytest.raises(TypeError, match="bool"):
+            _write_csv(tmp_path / "t.csv", ["a", "b"], [np.array([True, False]), [True, False]])
+        assert not (tmp_path / "t.csv").exists()
+        _write_csv(tmp_path / "t.csv", ["a", "b", "c"],
+                   [np.array([1, 1]), [True, False], np.full(2, np.nan)])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\r\n1,true,\r\n1,false,\r\n"
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -374,7 +374,7 @@ def reference_to_csv(traj, path):
 
 class TestTrajectoryCsv:
     @pytest.mark.parametrize("run", ["gd", "cd-lowest-index", "cd-report-all",
-                                     "stationary"])
+                                     "stationary", "gd-signed-zero", "cd-one-coordinate"])
     def test_bytes_match_reference_writer(self, tmp_path, run):
         rng = np.random.default_rng(17)
         xs = rng.standard_normal((50, 4))
@@ -388,9 +388,17 @@ class TestTrajectoryCsv:
             traj = cd_unhinged([[2.0, -1.0, 0.5, 1.0, 1.0], [0.0, 2.0, 0.5, 1.0, -2.0]],
                                [1, -1], 300, tie_rule="report-all")
             assert traj.argmax_coords == (1, 4)
-        else:
+        elif run == "stationary":
             traj = gd_unhinged([[1.0, -2.0], [1.0, -2.0]], [1, -1], [0.0, 0.0], 0.5, 300)
             assert traj.stationary and np.all(np.isnan(traj.angles_to_target))
+        elif run == "gd-signed-zero":
+            # v_2 is -0.0 at t = 0 and 0.0 after: two runs the writer must not merge
+            traj = gd_unhinged([[1.0, 0.0]], [1], [0.0, -0.0], 0.1, 5)
+            assert [math.copysign(1.0, c) for c in traj.iterates[:2, 1]] == [-1.0, 1.0]
+        else:
+            # v_2 is one run over every row; the angle one run from t = 1 to the last row
+            traj = cd_unhinged([[3.0, 0.0]], [1], 5)
+            assert np.all(traj.angles_to_target[1:] == traj.angles_to_target[-1])
         traj.to_csv(tmp_path / "fast.csv")
         reference_to_csv(traj, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
