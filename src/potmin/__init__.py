@@ -3,26 +3,21 @@ labeled distributions, with exact (analytic) label-noise corruption."""
 
 from .analysis import (RayProbe, RobustnessReport, check_rcn_robustness,
                        expected_loss, misclassification_error, recession_probe,
-                       slope_identity_fuzz, slope_identity_residual,
-                       DEFAULT_RAY_GRID)
+                       slope_identity_fuzz, slope_identity_residual)
 from .distributions import (DiscreteDistribution, corrupt_rcn, l1_margin, make_counterexample,
                             mean_label_feature, random_distribution)
 from .dynamics import Trajectory, cd_unhinged, gd_unhinged
-from .loss_zoo import (LOSS_NAMES, CheckResult, LossOverflowError, PotentialFunction,
-                       PredicateReport, check_def1, make_loss)
+from .loss_zoo import LOSS_NAMES, LossOverflowError, PotentialFunction, check_def1, make_loss
 from .minimizers import FitResult, pgd_minimizer, unhinged_minimizer
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_RAY_GRID",
-    "CheckResult",
     "DiscreteDistribution",
     "FitResult",
     "LOSS_NAMES",
     "LossOverflowError",
     "PotentialFunction",
-    "PredicateReport",
     "RayProbe",
     "RobustnessReport",
     "Trajectory",

@@ -224,8 +224,8 @@ def recession_probe(dist: DiscreteDistribution, phi: PotentialFunction,
     Each value is (1 - eta) E[phi(m)] + eta E[phi(-m)] at the clean
     margins m of the ray point, computed from the noise view with no
     corrupted distribution built (for a loss that reflects, with no rows
-    either: one evaluation per atom); an overflow at -m_i names clean atom
-    i with its flipped label.
+    either: one evaluation per atom); an overflow at -m_i, under the one
+    rule of all five shipped losses, names clean atom i with its flipped label.
 
     The margins m(u) are taken once, for the width, and a nonzero x0's
     once, for the base overlap E|x0 . x| = E|m(x0)|.  When x0 is zero and

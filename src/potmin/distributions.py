@@ -156,7 +156,9 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(value)
+    return str(value)
 
 
 def _write_csv(path, header, columns) -> None:
@@ -167,8 +169,8 @@ def _write_csv(path, header, columns) -> None:
     its entries (exact for float64), NaN empty; the repr is taken once per
     run of bitwise-equal entries (-0.0 after 0.0 starts a run), so the bytes
     are those of one repr per cell.  Any other column is written cell by
-    cell: a str as is, None empty, a bool true/false, a float its repr,
-    anything else str.  No cell holds a comma or quote, so the bytes are
+    cell: a str as is, None or NaN empty, a bool true/false, a float its
+    repr, anything else str.  No cell holds a comma or quote, so the bytes are
     csv.writer's: nothing quoted, every row ended by CRLF.  Columns of
     unequal length raise ValueError.
     """

@@ -3,10 +3,12 @@
 Five classic potentials ship with the package (exponential, mixed
 linear/exponential, logistic, hinge, unhinged).  Each is one immutable
 :class:`PotentialFunction`, built at import, carrying vectorized
-``eval``/``deriv`` callables and declaring what the fits read.  The one
-predicate :func:`check_def1` tests the convex-potential axioms clause by
-clause on a fixed grid and reports a witness for every failing clause; its
-clauses (a)-(c) are the relaxed axioms, which drop the vanishing tail (d).
+``eval``/``deriv`` callables and declaring what the fits read.  One
+wrapper lifts all their kernels and holds the one overflow rule: a value
+leaving float64 raises :class:`LossOverflowError`.  The predicate
+:func:`check_def1` tests the convex-potential axioms clause by clause on a
+fixed grid and reports a witness for every failing clause; its clauses
+(a)-(c) are the relaxed axioms, which drop the vanishing tail (d).
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ _C1_REL_MISMATCH = 1e-3
 
 
 class LossOverflowError(ArithmeticError):
-    """A loss or derivative evaluation left the float64 range.
+    """A shipped loss's value, slope or curvature left the float64 range.
 
-    Carries the offending margin ``z`` and, when raised from an
-    expectation over a distribution, the offending atom as well.
+    Raised alike for all five shipped losses, by the wrapper their kernels
+    share.  Carries the first offending margin ``z`` and, when raised from
+    an expectation over a distribution, the offending atom as well.
     """
 
     def __init__(self, loss: str, z: float, atom_index: int | None = None, atom=None):
@@ -43,12 +46,16 @@ class LossOverflowError(ArithmeticError):
         super().__init__(msg)
 
 
-def _elementwise(core: Callable[[np.ndarray], np.ndarray]):
-    """Lift an array-only kernel to accept scalars and arrays alike."""
+def _elementwise(core: Callable[[np.ndarray], np.ndarray], loss: str):
+    """Lift an array-only kernel of the named loss to accept scalars and
+    arrays alike; a value that is not finite raises LossOverflowError at
+    the first such z, in flat order."""
 
     def wrapped(z):
         arr = np.asarray(z, dtype=float)
         out = core(np.atleast_1d(arr))
+        if not np.isfinite(out).all():
+            raise LossOverflowError(loss, float(arr.flat[np.flatnonzero(~np.isfinite(out))[0]]))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     return wrapped
@@ -80,11 +87,7 @@ class PotentialFunction:
 
 def _exp_eval(z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
-        out = np.exp(-z)
-    if not np.isfinite(out).all():
-        bad = z[~np.isfinite(out)]
-        raise LossOverflowError("exponential", float(bad.flat[0]))
-    return out
+        return np.exp(-z)
 
 
 def _exp_deriv(z: np.ndarray) -> np.ndarray:
@@ -120,10 +123,7 @@ def _logistic_eval(z: np.ndarray) -> np.ndarray:
     # rounding past -2z = 40, so it overflows exactly where -2z rises past
     # float64, and is 0 where -2z falls past it
     with np.errstate(over="ignore"):
-        out = np.logaddexp(0.0, -2.0 * z)
-    if not np.isfinite(out).all():
-        raise LossOverflowError("logistic", float(z[~np.isfinite(out)].flat[0]))
-    return out
+        return np.logaddexp(0.0, -2.0 * z)
 
 
 def _logistic_deriv(z: np.ndarray) -> np.ndarray:
@@ -156,11 +156,11 @@ def _unhinged_deriv(z: np.ndarray) -> np.ndarray:
 
 
 def _shipped(name, ev, de, cu=None, **declared) -> PotentialFunction:
-    return PotentialFunction(name, _elementwise(ev), _elementwise(de),
-                             None if cu is None else _elementwise(cu), **declared)
+    return PotentialFunction(name, _elementwise(ev, name), _elementwise(de, name),
+                             None if cu is None else _elementwise(cu, name), **declared)
 
 
-# exp(-z) is its own second derivative, with eval's overflow rule;
+# exp(-z) is its own second derivative;
 # numpy's logaddexp gives the logistic reflection (see minimizers._objective)
 _REGISTRY = {phi.name: phi for phi in (
     _shipped("exponential", _exp_eval, _exp_deriv, _exp_eval),

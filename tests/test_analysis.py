@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from potmin import (DEFAULT_RAY_GRID, LOSS_NAMES, DiscreteDistribution, LossOverflowError,
+from potmin import (LOSS_NAMES, DiscreteDistribution, LossOverflowError,
                     check_rcn_robustness, corrupt_rcn, expected_loss,
                     l1_margin, make_counterexample, make_loss,
                     mean_label_feature, misclassification_error, pgd_minimizer,
                     recession_probe, slope_identity_fuzz,
                     slope_identity_residual, unhinged_minimizer)
+from potmin.analysis import DEFAULT_RAY_GRID
 from potmin.distributions import _NoisyView
 
 UNHINGED = make_loss("unhinged")

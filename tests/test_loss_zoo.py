@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import potmin
 from potmin import LOSS_NAMES, LossOverflowError, PotentialFunction, check_def1, make_loss
 from potmin.cli import run_loss_report
-from potmin.loss_zoo import (_CONVEXITY_SLACK, _GRID, _MIDS, CheckResult, _monotone_check,
-                             _slope_check, _tail_check)
+from potmin.loss_zoo import (_CONVEXITY_SLACK, _GRID, _MIDS, CheckResult, PredicateReport,
+                             _monotone_check, _slope_check, _tail_check)
 
 ALL_LOSSES = [make_loss(name) for name in LOSS_NAMES]
 
@@ -372,17 +372,18 @@ def test_star_import_has_no_deleted_names():
     namespace = {}
     exec("from potmin import *", namespace)
     assert set(potmin.__all__) <= set(namespace)
-    assert len(potmin.__all__) == 28
+    assert len(potmin.__all__) == 25
+    # the predicate records and the default ray grid live in their modules
     for name in ("check_def3", "default_grid", "CONVEX_POTENTIAL", "RELAXED_ONLY", "NEITHER",
                  "label_sum", "WeightVector", "PGDConfig", "MarginCertificate",
-                 "certify_margin"):
+                 "certify_margin", "DEFAULT_RAY_GRID", "CheckResult", "PredicateReport"):
         assert name not in namespace and not hasattr(potmin, name)
     assert "axiom_class" not in {f.name for f in dataclasses.fields(PotentialFunction)}
     assert not hasattr(potmin.loss_zoo, "_validate_grid")
-    for cls in (potmin.RobustnessReport, potmin.RayProbe, potmin.PredicateReport):
+    for cls in (potmin.RobustnessReport, potmin.RayProbe, PredicateReport):
         assert not hasattr(cls, "to_json")
-    assert not hasattr(potmin.PredicateReport, "check")
-    for cls in (potmin.PredicateReport, potmin.CheckResult):
+    assert not hasattr(PredicateReport, "check")
+    for cls in (PredicateReport, CheckResult):
         assert not hasattr(cls, "to_dict")
 
 
@@ -409,6 +410,30 @@ class TestOverflow:
         assert np.all(np.isfinite(vals))
         assert vals[0] == pytest.approx(10000.0, rel=1e-12)
         assert np.all(np.isfinite(phi.deriv(z)))
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_every_kernel_at_an_infinite_margin_is_finite_or_named(self, name):
+        # one rule for all five: a value past float64 raises at its z, so
+        # mixed, hinge and unhinged no longer return inf there; every slope
+        # and curvature but the exponential's stays finite
+        phi = make_loss(name)
+        raising = {"exponential": {("eval", -math.inf), ("deriv", -math.inf),
+                                   ("curv", -math.inf)},
+                   "unhinged": {("eval", -math.inf), ("eval", math.inf)}}
+        raised = set()
+        kernels = {"eval": phi.eval, "deriv": phi.deriv, "curv": phi.curv}
+        for kind, kernel in kernels.items():
+            for z in (-math.inf, math.inf) if kernel is not None else ():
+                try:
+                    assert math.isfinite(kernel(z))
+                except LossOverflowError as err:
+                    assert (err.loss, err.z) == (name, z)
+                    raised.add((kind, z))
+        assert raised == raising.get(name, {("eval", -math.inf)})
+        # an array names its first non-finite value in flat order
+        with pytest.raises(LossOverflowError) as err:
+            phi.eval(np.array([[0.0, math.inf], [-math.inf, 1.0]]))
+        assert err.value.z == (math.inf if name == "unhinged" else -math.inf)
 
 
 @settings(max_examples=200)

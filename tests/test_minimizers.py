@@ -15,7 +15,7 @@ from helpers import LINEAR, zero_curvature
 from potmin import (LOSS_NAMES, DiscreteDistribution, FitResult, LossOverflowError,
                     PotentialFunction, check_rcn_robustness, corrupt_rcn, expected_loss,
                     make_counterexample, make_loss, mean_label_feature, misclassification_error,
-                    pgd_minimizer, unhinged_minimizer)
+                    pgd_minimizer, recession_probe, unhinged_minimizer)
 from potmin import minimizers
 from potmin.distributions import _fold, _NoisyView, _rows
 
@@ -1222,6 +1222,32 @@ def test_every_fit_certifies_on_coordinates_past_1e154(loss):
         assert fit.converged and fit.gap <= TOL
         assert fit.objective == pytest.approx(expected_loss(fitted, phi, fit.v), rel=1e-15)
         assert misclassification_error(BIG, fit.v) == 0.0
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_expected_loss_past_float64_names_the_atom_for_every_loss(loss):
+    # the margins (inf, -inf) leave every shipped loss's value past float64
+    # at some row: mixed and hinge returned inf and unhinged NaN, with a
+    # numpy warning; the first such row names its atom, label and z
+    phi = make_loss(loss)
+    for fitted, own_row in ((BIG, (1, ([0.0, 1e200], 1), -math.inf)),
+                            (_NoisyView(BIG, 0.1), (0, ([1e200, 0.0], -1), -math.inf))):
+        with pytest.raises(LossOverflowError) as err:
+            expected_loss(fitted, phi, [1e200, -1e200])
+        expected = (0, ([1e200, 0.0], 1), math.inf) if loss == "unhinged" else own_row
+        assert (err.value.atom_index, err.value.atom, err.value.z) == expected
+        assert str(err.value) == (f"{loss} loss overflows float64 at margin z={expected[2]!r} "
+                                  f"(atom {expected[0]}: {expected[1]!r})")
+
+
+def test_mixed_probe_past_float64_names_the_flipped_row():
+    # at lambda = 2^400 the ray's margins are inf; the mixed loss's linear
+    # branch at -inf raised nothing, and the probe reported a NaN slack
+    with pytest.raises(LossOverflowError) as err:
+        recession_probe(BIG, make_loss("mixed_linear_exponential"), 0.1,
+                        lambdas=[0.0, 1.0, 2.0**400])
+    assert (err.value.atom_index, err.value.atom, err.value.z) == (
+        0, ([1e200, 0.0], -1), -math.inf)
 
 
 @pytest.mark.parametrize("loss", LOSS_NAMES)

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import helpers
 import potmin
-from potmin import (DEFAULT_RAY_GRID, LOSS_NAMES, DiscreteDistribution, LossOverflowError,
+from potmin import (LOSS_NAMES, DiscreteDistribution, LossOverflowError,
                     check_rcn_robustness, corrupt_rcn, expected_loss, make_counterexample,
                     make_loss, mean_label_feature, pgd_minimizer, recession_probe,
                     unhinged_minimizer)
 from potmin import minimizers
+from potmin.analysis import DEFAULT_RAY_GRID
 from potmin.cli import main
 from potmin.distributions import _NoisyView, _rows
 from potmin.loss_zoo import _logistic_eval
